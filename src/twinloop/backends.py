@@ -10,13 +10,15 @@ returns the recorded stream.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import random
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .agents import Thresholds, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted
@@ -199,34 +201,33 @@ class HttpBackend:
                 {"role": "user", "content": user_text},
             ],
         }
-        headers = {"Authorization": f"Bearer {self._key}"}
+        request = urllib.request.Request(
+            self._url,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"},
+            method="POST",
+        )
         t0 = time.monotonic()
-        response = None
         for attempt in range(2):
             try:
-                response = requests.post(
-                    self._url, json=body, headers=headers, timeout=self.config.timeout
-                )
+                status, raw = self._post(request)
                 break
-            except requests.Timeout:
-                if attempt == 1:
-                    raise BackendError(
-                        "request timed out after one retry",
-                        elapsed=time.monotonic() - t0,
-                    ) from None
-            except requests.RequestException as exc:
-                raise BackendError(
-                    f"transport failure: {exc}", elapsed=time.monotonic() - t0
-                ) from exc
+            except (OSError, http.client.HTTPException) as exc:
+                # urlopen wraps a connect timeout in URLError; a read timeout arrives bare
+                timed_out = isinstance(exc, TimeoutError) or isinstance(
+                    getattr(exc, "reason", None), TimeoutError
+                )
+                if timed_out and attempt == 0:
+                    continue
+                detail = "request timed out after one retry" if timed_out else f"transport failure: {exc}"
+                raise BackendError(detail, elapsed=time.monotonic() - t0) from exc
         latency = time.monotonic() - t0
-        if response.status_code != 200:
+        if status != 200:
             raise BackendError(
-                f"HTTP {response.status_code} from completion endpoint",
-                status=response.status_code,
-                elapsed=latency,
+                f"HTTP {status} from completion endpoint", status=status, elapsed=latency
             )
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed response body: {exc}", elapsed=latency) from exc
         if not isinstance(content, str):
@@ -235,6 +236,15 @@ class HttpBackend:
             system_text, user_text, content, latency, self.config.model,
             ctx.timestamp if ctx else 0.0,
         )
+
+    def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
+        """One POST; an HTTP error status is returned, not raised."""
+        try:
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return exc.code, b""
 
 
 class ScriptedBackend:
@@ -343,15 +353,7 @@ class TranscriptRecorder:
         return exchange
 
     def record(self, exchange: Exchange) -> None:
-        doc = {
-            "system_text": exchange.system_text,
-            "user_text": exchange.user_text,
-            "response_text": exchange.response_text,
-            "latency": exchange.latency,
-            "model": exchange.model,
-            "timestamp": exchange.timestamp,
-        }
-        self._fh.write(dumps_record(doc) + "\n")
+        self._fh.write(dumps_record(exchange) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

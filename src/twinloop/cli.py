@@ -9,19 +9,28 @@ completed episode is flushed before the next one starts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import plantio, twin
-from .agents import AgentSpec, TaskSpec, Thresholds, DEFAULT_OPERATOR, DEFAULT_REPROMPTER, DEFAULT_TASK, DEFAULT_VALIDATOR
+from .agents import (
+    ANOMALY,
+    CONTINUOUS,
+    DEFAULT_OPERATOR,
+    DEFAULT_REPROMPTER,
+    DEFAULT_TASK,
+    DEFAULT_VALIDATOR,
+    AgentSpec,
+    TaskSpec,
+    Thresholds,
+)
 from .backends import (
     BackendConfig,
     HttpBackend,
-    LatencySpec,
     ScriptedBackend,
-    ScriptedPolicy,
     TranscriptRecorder,
     load_replay,
     HTTP,
@@ -31,11 +40,10 @@ from .backends import (
     FLIP,
     ORACLE,
 )
-from .errors import ConfigError, InvalidInput, InvalidState, LogFormatError, PlantIoError, TwinloopError
+from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError
+from .jsonio import from_doc
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import (
-    EXPECTED_RULE,
-    FORCE_OFF,
     MonitorMode,
     RULE,
     RunConfig,
@@ -45,7 +53,7 @@ from .orchestrator import (
     read_run_log,
     run_loop,
 )
-from .plantio import HeaterAction, PlantServer, TcpPlantClient, TwinPlant
+from .plantio import PlantServer, TcpPlantClient, TwinPlant
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,40 +75,13 @@ class LoadedConfig:
     report_format: str
 
 
-def _reject_unknown(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in doc:
-        path = f"{where}.{key}" if where else key
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}'")
+@dataclasses.dataclass(frozen=True)
+class _Output:
+    """The ``output`` section of a config file."""
 
-
-def _get_number(doc: dict, key: str, where: str, default):
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number")
-    return float(value)
-
-
-def _twin_params_from_doc(doc: dict, where: str) -> twin.TwinParams:
-    allowed = ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal")
-    _reject_unknown(doc, allowed, where)
-    defaults = twin.TwinParams()
-    kwargs = {k: _get_number(doc, k, where, getattr(defaults, k)) for k in allowed}
-    try:
-        return twin.TwinParams(**kwargs).validate()
-    except InvalidState as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
-
-
-def _thresholds_from_doc(doc: dict, where: str) -> Thresholds:
-    _reject_unknown(doc, ("low", "high"), where)
-    try:
-        return Thresholds(
-            low=_get_number(doc, "low", where, 25.0),
-            high=_get_number(doc, "high", where, 27.0),
-        )
-    except InvalidInput as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
+    log: str | None = None
+    points: str | None = None
+    report_format: str = TABLE
 
 
 _DEFAULT_AGENTS = {
@@ -109,192 +90,91 @@ _DEFAULT_AGENTS = {
     "reprompter": DEFAULT_REPROMPTER,
 }
 
+# The keys a backend section may hold, by backend kind.
+_BACKEND_KEYS = {
+    HTTP: {"kind", "base_url", "model", "temperature", "timeout", "api_key_env"},
+    SCRIPTED: {"kind", "script", "latency", "timeout"},
+    REPLAY: {"kind", "transcript_path", "timeout"},
+}
 
-def _agents_from_doc(doc: dict, where: str) -> tuple[dict[str, AgentSpec], TaskSpec]:
-    _reject_unknown(doc, ("operator", "validator", "reprompter"), where)
-    agents: dict[str, AgentSpec] = {}
+
+def _reject_unknown(doc, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{where}' must be an object")
+    for key in doc:
+        path = f"{where}.{key}" if where else key
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{path}'")
+
+
+def _agents_from_doc(doc, where: str) -> tuple[dict[str, AgentSpec], TaskSpec]:
+    """Agent entries default to the built-in agents field by field; only the
+    operator may carry a task."""
+    _reject_unknown(doc, tuple(_DEFAULT_AGENTS), where)
+    agents = dict(_DEFAULT_AGENTS)
     task = DEFAULT_TASK
-    for name, default_spec in _DEFAULT_AGENTS.items():
+    for name, default in _DEFAULT_AGENTS.items():
         entry = doc.get(name)
         if entry is None:
-            agents[name] = default_spec
             continue
-        if not isinstance(entry, dict):
-            raise ConfigError(f"'{where}.{name}' must be an object")
         entry_where = f"{where}.{name}"
-        _reject_unknown(entry, ("role", "goal", "backend", "tools", "task"), entry_where)
-        tools = entry.get("tools", [])
-        if not isinstance(tools, list) or not all(isinstance(t, str) for t in tools):
-            raise ConfigError(f"'{entry_where}.tools' must be a list of identifiers")
-        spec = AgentSpec(
-            name=name,
-            role=str(entry.get("role", default_spec.role)),
-            goal=str(entry.get("goal", default_spec.goal)),
-            backend=str(entry.get("backend", "default")),
-            tools=tuple(tools),
-        )
+        if not isinstance(entry, dict):
+            raise ConfigError(f"'{entry_where}' must be an object")
+        entry = {"role": default.role, "goal": default.goal, **entry}
+        task_doc = entry.pop("task", None)
+        spec = from_doc(AgentSpec, entry, entry_where, defaults=True, given={"name": name})
         if spec.backend != "default":
-            raise ConfigError(
-                f"'{entry_where}.backend' references unknown backend '{spec.backend}'"
-            )
+            raise ConfigError(f"'{entry_where}.backend' references unknown backend '{spec.backend}'")
         agents[name] = spec
-        task_doc = entry.get("task")
         if task_doc is not None:
             if name != "operator":
                 raise ConfigError(f"'{entry_where}.task' is only meaningful on the operator")
-            _reject_unknown(task_doc, ("description_template", "expected_output_hint"), f"{entry_where}.task")
-            if "description_template" not in task_doc:
-                raise ConfigError(f"'{entry_where}.task.description_template' is required")
-            try:
-                task = TaskSpec(
-                    description_template=str(task_doc["description_template"]),
-                    expected_output_hint=str(task_doc.get("expected_output_hint", "")),
-                ).validate()
-            except TwinloopError as exc:
-                raise ConfigError(f"'{entry_where}.task': {exc}") from exc
+            task = from_doc(TaskSpec, task_doc, f"{entry_where}.task", defaults=True)
     return agents, task
 
 
-def _latency_from_doc(doc: dict, where: str) -> LatencySpec:
-    _reject_unknown(doc, ("kind", "seconds", "mu", "sigma", "seed"), where)
-    kind = doc.get("kind", "none")
-    spec = LatencySpec(
-        kind=str(kind),
-        seconds=_get_number(doc, "seconds", where, 0.0),
-        mu=_get_number(doc, "mu", where, 0.0),
-        sigma=_get_number(doc, "sigma", where, 0.0),
-        seed=int(_get_number(doc, "seed", where, 0)),
-    )
-    try:
-        return spec.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
-
-
-def _script_from_doc(doc: dict, where: str) -> ScriptedPolicy:
-    _reject_unknown(doc, ("kind", "p_wrong_first", "p_correct_on_feedback", "seed"), where)
-    policy = ScriptedPolicy(
-        kind=str(doc.get("kind", ORACLE)),
-        p_wrong_first=_get_number(doc, "p_wrong_first", where, 0.0),
-        p_correct_on_feedback=_get_number(doc, "p_correct_on_feedback", where, 1.0),
-        seed=int(_get_number(doc, "seed", where, 0)),
-    )
-    try:
-        return policy.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
-
-
-def _backend_from_doc(doc: dict, where: str) -> BackendConfig:
-    allowed = (
-        "kind", "base_url", "model", "temperature", "timeout", "api_key_env",
-        "script", "transcript_path", "latency",
-    )
-    _reject_unknown(doc, allowed, where)
-    kind = str(doc.get("kind", SCRIPTED))
-    if kind not in (HTTP, SCRIPTED, REPLAY):
-        raise ConfigError(f"'{where}.kind' must be one of http, scripted, replay")
-    kind_fields = {
-        HTTP: {"kind", "base_url", "model", "temperature", "timeout", "api_key_env"},
-        SCRIPTED: {"kind", "script", "latency", "timeout"},
-        REPLAY: {"kind", "transcript_path", "timeout"},
-    }
+def _backend_from_doc(doc, where: str) -> BackendConfig:
+    config = from_doc(BackendConfig, doc, where, defaults=True)
     for key in doc:
-        if key not in kind_fields[kind]:
-            raise ConfigError(f"'{where}.{key}' does not apply to a {kind} backend")
-    config = BackendConfig(
-        kind=kind,
-        base_url=str(doc.get("base_url", "")),
-        model=str(doc.get("model", "")),
-        temperature=_get_number(doc, "temperature", where, 0.0),
-        timeout=_get_number(doc, "timeout", where, 30.0),
-        api_key_env=str(doc.get("api_key_env", "LLM_API_KEY")),
-        script=_script_from_doc(doc.get("script", {}), f"{where}.script"),
-        transcript_path=str(doc.get("transcript_path", "")),
-        latency=_latency_from_doc(doc.get("latency", {}), f"{where}.latency"),
-    )
-    try:
-        return config.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
+        if key not in _BACKEND_KEYS[config.kind]:
+            raise ConfigError(f"'{where}.{key}' does not apply to a {config.kind} backend")
+    return config
 
 
 def _validator_from_doc(value, where: str) -> ValidatorMode:
-    if value is None:
+    if value is None or value == RULE:
         return ValidatorMode()
-    if isinstance(value, str):
-        if value == RULE:
-            return ValidatorMode()
-        raise ConfigError(f"'{where}' must be \"rule\" or a twin-mode object")
     if not isinstance(value, dict):
         raise ConfigError(f"'{where}' must be \"rule\" or a twin-mode object")
-    _reject_unknown(value, ("kind", "horizon", "envelope"), where)
-    kind = value.get("kind")
-    if kind == RULE:
-        return ValidatorMode()
-    if kind != TWIN:
+    if value.get("kind") not in (RULE, TWIN):
         raise ConfigError(f"'{where}.kind' must be rule or twin")
-    envelope_doc = value.get("envelope", [None, None])
-    if not isinstance(envelope_doc, list) or len(envelope_doc) != 2:
-        raise ConfigError(f"'{where}.envelope' must be a [low, high] pair")
-    lo = float("-inf") if envelope_doc[0] is None else float(envelope_doc[0])
-    hi = float("inf") if envelope_doc[1] is None else float(envelope_doc[1])
-    try:
-        return ValidatorMode(
-            kind=TWIN,
-            horizon=_get_number(value, "horizon", where, 300.0),
-            envelope=(lo, hi),
-        ).validate()
-    except InvalidInput as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
+    mode = from_doc(ValidatorMode, value, where, defaults=True)
+    # the rule validator has no horizon or envelope to record
+    return ValidatorMode() if mode.kind == RULE else mode
 
 
 def _monitor_from_doc(value, where: str) -> MonitorMode:
-    if value is None or value == "continuous":
+    if value is None:
         return MonitorMode()
-    if isinstance(value, str):
-        if value == "anomaly":
-            return MonitorMode(kind="anomaly")
+    if value in (CONTINUOUS, ANOMALY):
+        value = {"kind": value}
+    elif not isinstance(value, dict):
         raise ConfigError(f"'{where}' must be \"continuous\", \"anomaly\" or an object")
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{where}' must be \"continuous\", \"anomaly\" or an object")
-    _reject_unknown(value, ("kind", "margin"), where)
-    kind = value.get("kind", "continuous")
-    try:
-        return MonitorMode(
-            kind=str(kind), margin=_get_number(value, "margin", where, 0.0)
-        ).validate()
-    except InvalidInput as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
+    return from_doc(MonitorMode, value, where, defaults=True)
 
 
-def _run_from_doc(doc: dict, where: str, thresholds: Thresholds) -> RunConfig:
-    allowed = (
-        "duration", "max_reprompts", "sample_period_floor", "validator_mode",
-        "monitor_mode", "clock_mode", "initial_action", "safe_action_policy",
-    )
-    _reject_unknown(doc, allowed, where)
-    clock_mode = str(doc.get("clock_mode", plantio.LOCKSTEP))
-    initial = str(doc.get("initial_action", "OFF")).upper()
-    if initial not in ("ON", "OFF"):
-        raise ConfigError(f"'{where}.initial_action' must be ON or OFF")
-    policy = str(doc.get("safe_action_policy", EXPECTED_RULE))
-    if policy not in (EXPECTED_RULE, FORCE_OFF):
-        raise ConfigError(f"'{where}.safe_action_policy' must be expected_rule or force_off")
-    try:
-        return RunConfig(
-            duration=_get_number(doc, "duration", where, 2400.0),
-            max_reprompts=int(_get_number(doc, "max_reprompts", where, 3)),
-            sample_period_floor=_get_number(doc, "sample_period_floor", where, 0.0),
-            thresholds=thresholds,
-            validator=_validator_from_doc(doc.get("validator_mode"), f"{where}.validator_mode"),
-            monitor=_monitor_from_doc(doc.get("monitor_mode"), f"{where}.monitor_mode"),
-            clock_mode=clock_mode,
-            initial_action=HeaterAction(initial),
-            safe_action_policy=policy,
-        ).validate()
-    except InvalidInput as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
+def _run_from_doc(doc, where: str, thresholds: Thresholds) -> RunConfig:
+    """The run section names the validator and monitor ``validator_mode`` and
+    ``monitor_mode``; the thresholds come from their own section."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{where}' must be an object")
+    doc = dict(doc)
+    given = {
+        "thresholds": thresholds,
+        "validator": _validator_from_doc(doc.pop("validator_mode", None), f"{where}.validator_mode"),
+        "monitor": _monitor_from_doc(doc.pop("monitor_mode", None), f"{where}.monitor_mode"),
+    }
+    return from_doc(RunConfig, doc, where, defaults=True, given=given)
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -317,16 +197,16 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError(f"config file {path} must hold a JSON object")
 
     _reject_unknown(doc, ("twin", "thresholds", "agents", "backend", "run", "output"), "")
-    twin_params = _twin_params_from_doc(doc.get("twin", {}), "twin")
-    thresholds = _thresholds_from_doc(doc.get("thresholds", {}), "thresholds")
-    agents, task = _agents_from_doc(doc.get("agents", {}), "agents")
-    backend = _backend_from_doc(doc.get("backend", {}), "backend")
-    run_config = _run_from_doc(doc.get("run", {}), "run", thresholds)
-
-    output = doc.get("output", {})
-    _reject_unknown(output, ("log", "points", "report_format"), "output")
-    report_format = str(output.get("report_format", TABLE))
-    if report_format not in (TABLE, CSV, MACHINE):
+    try:
+        twin_params = from_doc(twin.TwinParams, doc.get("twin", {}), "twin", defaults=True)
+        thresholds = from_doc(Thresholds, doc.get("thresholds", {}), "thresholds", defaults=True)
+        agents, task = _agents_from_doc(doc.get("agents", {}), "agents")
+        backend = _backend_from_doc(doc.get("backend", {}), "backend")
+        run_config = _run_from_doc(doc.get("run", {}), "run", thresholds)
+        output = from_doc(_Output, doc.get("output", {}), "output", defaults=True)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc)) from None
+    if output.report_format not in (TABLE, CSV, MACHINE):
         raise ConfigError("'output.report_format' must be table, csv or machine")
 
     return LoadedConfig(
@@ -336,9 +216,9 @@ def load_config(path: str | Path) -> LoadedConfig:
         task=task,
         backend=backend,
         run=run_config,
-        output_log=output.get("log"),
-        output_points=output.get("points"),
-        report_format=report_format,
+        output_log=output.log,
+        output_points=output.points,
+        report_format=output.report_format,
     )
 
 
@@ -392,61 +272,55 @@ def _build_plant(spec: str, cfg: LoadedConfig):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-        backend_config = cfg.backend
-        if args.backend:
-            backend_config = _apply_backend_override(backend_config, args.backend)
-        if args.seed is not None:
-            backend_config = dataclasses.replace(
-                backend_config,
-                script=dataclasses.replace(backend_config.script, seed=args.seed),
-                latency=dataclasses.replace(backend_config.latency, seed=args.seed),
+    with contextlib.ExitStack() as resources:
+        try:
+            cfg = load_config(args.config)
+            backend_config = cfg.backend
+            if args.backend:
+                backend_config = _apply_backend_override(backend_config, args.backend)
+            if args.seed is not None:
+                backend_config = dataclasses.replace(
+                    backend_config,
+                    script=dataclasses.replace(backend_config.script, seed=args.seed),
+                    latency=dataclasses.replace(backend_config.latency, seed=args.seed),
+                )
+            run_config = cfg.run
+            if args.duration is not None:
+                if args.duration <= 0:
+                    raise ConfigError("--duration must be > 0")
+                run_config = dataclasses.replace(run_config, duration=float(args.duration))
+            log_path = args.out or cfg.output_log
+            if not log_path:
+                raise ConfigError("no run log path: pass --out or set output.log in the config")
+            backend = _build_backend(backend_config, run_config.clock_mode)
+            if args.record:
+                backend = TranscriptRecorder(backend, args.record)
+                resources.callback(backend.close)
+            plant = _build_plant(args.plant, cfg)
+            if isinstance(plant, TcpPlantClient):
+                resources.callback(plant.close)
+            writer = resources.enter_context(RunLogWriter(log_path, run_config))
+        # an OSError here means the transcript or the run log cannot be opened
+        except (ConfigError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except PlantIoError as exc:
+            print(f"plant error: {exc}", file=sys.stderr)
+            return EXIT_PLANT_IO
+
+        try:
+            episodes = run_loop(
+                plant,
+                backend,
+                run_config,
+                operator=cfg.agents["operator"],
+                task=cfg.task,
+                twin_params=cfg.twin_params,
+                on_episode=writer.write_episode,
             )
-        run_config = cfg.run
-        if args.duration is not None:
-            if args.duration <= 0:
-                raise ConfigError("--duration must be > 0")
-            run_config = dataclasses.replace(run_config, duration=float(args.duration))
-        log_path = args.out or cfg.output_log
-        if not log_path:
-            raise ConfigError("no run log path: pass --out or set output.log in the config")
-        backend = _build_backend(backend_config, run_config.clock_mode)
-        if args.record:
-            backend = TranscriptRecorder(backend, args.record)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        plant = _build_plant(args.plant, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PlantIoError as exc:
-        print(f"plant error: {exc}", file=sys.stderr)
-        return EXIT_PLANT_IO
-
-    writer = RunLogWriter(log_path, run_config)
-    try:
-        episodes = run_loop(
-            plant,
-            backend,
-            run_config,
-            operator=cfg.agents["operator"],
-            task=cfg.task,
-            twin_params=cfg.twin_params,
-            on_episode=writer.write_episode,
-        )
-    except PlantIoError as exc:
-        print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
-        return EXIT_PLANT_IO
-    finally:
-        writer.close()
-        if isinstance(backend, TranscriptRecorder):
-            backend.close()
-        if isinstance(plant, TcpPlantClient):
-            plant.close()
+        except PlantIoError as exc:
+            print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
+            return EXIT_PLANT_IO
 
     m = run_metrics(episodes, cfg.thresholds, run_config.duration)
     print(report(m, cfg.report_format))
@@ -465,7 +339,7 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
             params_doc = json.loads(Path(args.params).read_text(encoding="utf-8"))
             if not isinstance(params_doc, dict):
                 raise ConfigError("params file must hold a JSON object")
-            params = _twin_params_from_doc(params_doc, "")
+            params = from_doc(twin.TwinParams, params_doc, defaults=True)
         else:
             params = twin.TwinParams()
         plant = TwinPlant(params, mode=args.mode)
@@ -500,6 +374,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         m = run_metrics(episodes, config.thresholds, config.duration)
     except FileNotFoundError:
         print(f"report error: log file not found: {args.log}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"report error: cannot read log file {args.log}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LogFormatError as exc:
         where = f" (line {exc.line_number})" if exc.line_number is not None else ""

@@ -1,17 +1,32 @@
-"""Line-record JSON encoding with stable float formatting.
+"""Line-record JSON encoding with stable float formatting, and the dataclass
+codec shared by config files, run logs, transcripts and reports.
 
 Run logs and transcripts must be byte-identical across repeated deterministic
 runs and must keep at least millisecond resolution visible on timestamps, so
 floats are written from their shortest round-trip repr padded to a minimum of
 three decimals.  Output lines are plain JSON; ``json.loads`` reads them back
 exactly.
+
+A dataclass is written as an object with one key per field, in field order,
+and an enum as its value.  A field annotated ``float`` is always written in
+float form, so ``RunConfig(duration=200)`` encodes like ``duration=200.0``,
+and an infinite value there as ``null``.  :func:`from_doc` is the inverse.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import math
+import types
+import typing
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii
+
+from .errors import InvalidInput, TwinloopError
+
+_MISSING = dataclasses.MISSING
 
 
 def round_half_away(x: float, ndigits: int = 2) -> float:
@@ -31,33 +46,272 @@ def format_float(x: float) -> str:
     return f"{whole}.{frac.ljust(3, '0')}"
 
 
+# --- encoding ------------------------------------------------------------------
+
+
 def _encode(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_encode(v)}" for k, v in value.items()) + "}"
-    raise TypeError(f"cannot encode {type(value).__name__} in a log record")
+    writer = _WRITERS.get(type(value))
+    if writer is None:
+        writer = _WRITERS[type(value)] = _writer_for(type(value))
+    return writer(value)
 
 
-def dumps_record(doc: dict) -> str:
-    """Encode one record as a single JSON line (no trailing newline)."""
-    return _encode(doc)
+def _write_list(items) -> str:
+    return "[" + ",".join([_encode(v) for v in items]) + "]"
 
 
-def loads_record(line: str) -> dict:
+def _write_dict(doc: dict) -> str:
+    return "{" + ",".join([f"{encode_basestring_ascii(k)}:{_encode(v)}" for k, v in doc.items()]) + "}"
+
+
+def _write_float_field(x) -> str:
+    return "null" if math.isinf(x) else format_float(x)
+
+
+# One writer per exact type; dataclasses, enums and subclasses are added on
+# first use by _writer_for.
+_WRITERS = {
+    type(None): lambda _: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: format_float,
+    str: encode_basestring_ascii,
+    list: _write_list,
+    tuple: _write_list,
+    dict: _write_dict,
+}
+
+
+def _writer_for(cls: type):
+    if issubclass(cls, enum.Enum):
+        return {member: _encode(member.value) for member in cls}.__getitem__
+    if dataclasses.is_dataclass(cls):
+        writes = _plan(cls).writes
+        return lambda obj: "{" + ",".join([key + write(getattr(obj, name)) for key, name, write in writes]) + "}"
+    for base in (bool, int, float, str, list, tuple, dict):
+        if issubclass(cls, base):
+            return _WRITERS[base]
+    raise TypeError(f"cannot encode {cls.__name__} in a log record")
+
+
+def dumps_record(record) -> str:
+    """Encode one record (a dict or a dataclass) as a single JSON line, no
+    trailing newline."""
+    return _encode(record)
+
+
+# --- decoding ------------------------------------------------------------------
+
+
+class _Mismatch(Exception):
+    """A document that does not fit its class.  The message holds ``{path}``
+    for the dotted key; ``keys`` leads from the bad value up to the decoded
+    object, innermost first."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.keys = [] if key is None else [key]
+
+
+def from_doc(cls: type, doc, where: str = "", defaults: bool = False, given: dict | None = None):
+    """Build the dataclass ``cls`` from a decoded JSON object.
+
+    Every key must name a field, and each value must fit the field's type
+    hint: a number for a float, an integral number for an int, a string for
+    a str, a value of an enum, a list for a tuple, an object for a nested
+    dataclass; ``null`` only for ``X | None`` and where the default is
+    infinite.  A missing key takes the field's default if ``defaults`` is
+    set, else it is an error.  ``given`` supplies fields the document may
+    not hold.  Every mismatch, and any error of the constructor or of
+    ``validate()``, raises :class:`InvalidInput` naming the dotted key below
+    ``where``.
+    """
+    try:
+        return _decode(cls, doc, defaults, given)
+    except _Mismatch as exc:
+        path = ".".join(([where] if where else []) + exc.keys[::-1])
+        raise InvalidInput(str(exc).replace("{path}", path)) from None
+
+
+def loads_record(line: str, cls: type | None = None):
+    """Decode one record line: a dict, or with ``cls`` an instance of that
+    dataclass with every field present.  A line that is not a JSON object
+    raises ValueError; a record that does not fit ``cls``, InvalidInput."""
     doc = json.loads(line)
     if not isinstance(doc, dict):
         raise ValueError("record line is not a JSON object")
-    return doc
+    return doc if cls is None else from_doc(cls, doc)
+
+
+def _decode(cls: type, doc, defaults: bool, given: dict | None = None):
+    plan = _plan(cls)
+    if type(doc) is not dict:
+        raise _Mismatch("'{path}' must be an object")
+    for key, value in plan.constants:
+        found = doc.get(key, value if defaults else _MISSING)
+        if found is _MISSING:
+            raise _Mismatch("missing key '{path}'", key)
+        if found != value:
+            raise _Mismatch(f"'{{path}}' must be {value!r}", key)
+    keys = plan.keys if given is None else plan.keys.difference(given)
+    if not keys.issuperset(doc):
+        raise _Mismatch("unknown key '{path}'", next(k for k in doc if k not in keys))
+    args = []
+    for key, convert, default in plan.reads:
+        value = doc.get(key, _MISSING)
+        if value is not _MISSING:
+            try:
+                args.append(convert(value, defaults))
+            except _Mismatch as exc:
+                exc.keys.append(key)
+                raise
+        elif given is not None and key in given:
+            args.append(given[key])
+        elif defaults and default is not _MISSING:
+            args.append(default)
+        else:
+            raise _Mismatch("missing key '{path}'", key)
+    try:
+        obj = cls(*args)
+        if plan.validate:
+            obj.validate()
+    except TwinloopError as exc:
+        raise _Mismatch("'{path}': " + str(exc)) from exc
+    return obj
+
+
+# --- one plan per dataclass ----------------------------------------------------
+
+
+class _Plan:
+    """How a dataclass is written and read, built once from its type hints."""
+
+    def __init__(self, cls: type):
+        hints = typing.get_type_hints(cls)
+        self.writes = []  # (key prefix, field, writer) per field, in order
+        self.reads = []  # (key, converter, default) per constructor argument, in order
+        self.constants = []  # (key, value) per field the constructor does not take
+        for f in dataclasses.fields(cls):
+            default = f.default if f.default_factory is _MISSING else f.default_factory()
+            write, convert = _field_codec(hints[f.name], default)
+            self.writes.append((encode_basestring_ascii(f.name) + ":", f.name, write))
+            if f.init:
+                self.reads.append((f.name, convert, default))
+            else:
+                self.constants.append((f.name, default))
+        self.keys = frozenset(f.name for f in dataclasses.fields(cls))
+        self.validate = callable(getattr(cls, "validate", None))
+
+
+_PLANS: dict[type, _Plan] = {}
+
+
+def _plan(cls: type) -> _Plan:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = _Plan(cls)
+    return plan
+
+
+def _field_codec(tp, default):
+    """(writer, converter) for a field annotated ``tp`` with ``default``.
+
+    Float annotations, also inside tuples and optionals, fix the float form
+    on writing; other values are written by their own type.
+    """
+    if tp is float:
+        return _write_float_field, _number(default)
+    if tp in _SCALARS:
+        return _encode, _SCALARS[tp]
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return _encode, _member(tp)
+    if dataclasses.is_dataclass(tp):
+        return _encode, lambda v, defaults: _decode(tp, v, defaults)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args:
+        variadic = args[-1] is Ellipsis
+        items = args[:1] if variadic else args
+        if not isinstance(default, tuple) or len(default) != len(items):
+            default = (_MISSING,) * len(items)
+        writers, converters = zip(*[_field_codec(a, d) for a, d in zip(items, default)])
+
+        def write(v) -> str:
+            return "[" + ",".join([writers[0 if variadic else i](x) for i, x in enumerate(v)]) + "]"
+
+        return write, _tuple(converters, variadic)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        write, convert = _field_codec(args[0] if args[1] is type(None) else args[1], default)
+        return (
+            lambda v: "null" if v is None else write(v),
+            lambda v, defaults: None if v is None else convert(v, defaults),
+        )
+    raise TypeError(f"no JSON codec for fields of type {tp!r}")
+
+
+def _number(default):
+    # null stands for an infinite default, the way _write_float_field writes it
+    infinite = isinstance(default, float) and math.isinf(default)
+
+    def convert(v, _defaults):
+        if type(v) is float:
+            return v
+        if type(v) is int:
+            return float(v)
+        if v is None and infinite:
+            return default
+        raise _Mismatch("'{path}' must be a number")
+
+    return convert
+
+
+def _integer(v, _defaults):
+    if type(v) is int:
+        return v
+    if type(v) is float and v.is_integer():
+        return int(v)
+    raise _Mismatch("'{path}' must be an integer")
+
+
+def _exact(tp: type, problem: str):
+    def convert(v, _defaults):
+        if type(v) is tp:
+            return v
+        raise _Mismatch("'{path}' " + problem)
+
+    return convert
+
+
+_SCALARS = {int: _integer, str: _exact(str, "must be a string"), bool: _exact(bool, "must be true or false")}
+
+
+def _member(cls: type):
+    members = {m.value: m for m in cls}
+    problem = "'{path}' must be one of " + ", ".join(map(str, members))
+
+    def convert(v, _defaults):
+        try:
+            return members[v]
+        except (KeyError, TypeError):
+            raise _Mismatch(problem) from None
+
+    return convert
+
+
+def _tuple(items: tuple, variadic: bool):
+    """Converter from a list to a tuple: of any length converting each item
+    with ``items[0]`` if ``variadic``, else item by item with ``items``."""
+    problem = "'{path}' must be a list" + ("" if variadic else f" of {len(items)} items")
+
+    def convert(v, defaults):
+        if type(v) is not list or not (variadic or len(v) == len(items)):
+            raise _Mismatch(problem)
+        out = []
+        for i, x in enumerate(v):
+            try:
+                out.append(items[0 if variadic else i](x, defaults))
+            except _Mismatch as exc:
+                exc.keys.append(str(i))
+                raise
+        return tuple(out)
+
+    return convert

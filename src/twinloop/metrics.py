@@ -9,31 +9,34 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .agents import Thresholds
 from .errors import LogFormatError
-from .jsonio import dumps_record, loads_record, round_half_away
+from .jsonio import dumps_record, round_half_away
 from .orchestrator import EpisodeRecord
 
 TABLE = "table"
 CSV = "csv"
 MACHINE = "machine"
 
-CSV_COLUMNS = (
-    "samples",
-    "passes",
-    "fails",
-    "pass_after_reprompts",
-    "overrides",
-    "accuracy_first_pass_pct",
-    "accuracy_with_reprompts_pct",
-    "avg_deviation_c",
-    "time_above_s",
-    "time_below_s",
-    "time_outside_s",
-    "midpoint_c",
+# One row per metric, in field order of AccuracyMetrics then ControlMetrics:
+# the table label and the csv column.
+_ROWS = (
+    ("Samples", "samples"),
+    ("Passes", "passes"),
+    ("Fails", "fails"),
+    ("Pass after reprompts", "pass_after_reprompts"),
+    ("Overrides", "overrides"),
+    ("Accuracy- first pass (%)", "accuracy_first_pass_pct"),
+    ("Accuracy - reprompts (%)", "accuracy_with_reprompts_pct"),
+    ("Average deviation (degC)", "avg_deviation_c"),
+    ("Time above band (s)", "time_above_s"),
+    ("Time below band (s)", "time_below_s"),
+    ("Time outside range (s)", "time_outside_s"),
+    ("Band midpoint (degC)", "midpoint_c"),
 )
+CSV_COLUMNS = tuple(column for _, column in _ROWS)
 
 
 @dataclass(frozen=True)
@@ -147,100 +150,28 @@ def run_metrics(
     )
 
 
-def _table(m: RunMetrics) -> str:
-    rows = [
-        ("Samples", str(m.accuracy.samples)),
-        ("Passes", str(m.accuracy.passes)),
-        ("Fails", str(m.accuracy.fails)),
-        ("Pass after reprompts", str(m.accuracy.pass_after_reprompts)),
-        ("Overrides", str(m.accuracy.overrides)),
-        ("Accuracy- first pass (%)", f"{m.accuracy.accuracy_first_pass:.2f}"),
-        ("Accuracy - reprompts (%)", f"{m.accuracy.accuracy_with_reprompts:.2f}"),
-        ("Average deviation (degC)", f"{m.control.avg_deviation:.2f}"),
-        ("Time above band (s)", f"{m.control.time_above:.2f}"),
-        ("Time below band (s)", f"{m.control.time_below:.2f}"),
-        ("Time outside range (s)", f"{m.control.time_outside:.2f}"),
-        ("Band midpoint (degC)", f"{m.control.midpoint:.2f}"),
-    ]
-    width = max(len(label) for label, _ in rows)
-    lines = [f"{label.ljust(width)}  {value}" for label, value in rows]
-    return "\n".join(lines)
-
-
-def _csv(m: RunMetrics) -> str:
-    values = (
-        str(m.accuracy.samples),
-        str(m.accuracy.passes),
-        str(m.accuracy.fails),
-        str(m.accuracy.pass_after_reprompts),
-        str(m.accuracy.overrides),
-        f"{m.accuracy.accuracy_first_pass:.2f}",
-        f"{m.accuracy.accuracy_with_reprompts:.2f}",
-        f"{m.control.avg_deviation:.2f}",
-        f"{m.control.time_above:.2f}",
-        f"{m.control.time_below:.2f}",
-        f"{m.control.time_outside:.2f}",
-        f"{m.control.midpoint:.2f}",
-    )
-    return ",".join(CSV_COLUMNS) + "\n" + ",".join(values)
-
-
-def _machine(m: RunMetrics) -> str:
-    doc = {
-        "accuracy": {
-            "samples": m.accuracy.samples,
-            "passes": m.accuracy.passes,
-            "fails": m.accuracy.fails,
-            "pass_after_reprompts": m.accuracy.pass_after_reprompts,
-            "overrides": m.accuracy.overrides,
-            "accuracy_first_pass": m.accuracy.accuracy_first_pass,
-            "accuracy_with_reprompts": m.accuracy.accuracy_with_reprompts,
-        },
-        "control": {
-            "avg_deviation": m.control.avg_deviation,
-            "time_above": m.control.time_above,
-            "time_below": m.control.time_below,
-            "time_outside": m.control.time_outside,
-            "midpoint": m.control.midpoint,
-        },
-    }
-    return dumps_record(doc)
+def _cells(m: RunMetrics) -> list[str]:
+    """Each metric as report text, in the order of _ROWS: counts as
+    integers, everything else with two decimals."""
+    values = [getattr(part, f.name) for part in (m.accuracy, m.control) for f in fields(part)]
+    return [str(v) if isinstance(v, int) else f"{v:.2f}" for v in values]
 
 
 def report(m: RunMetrics, fmt: str = TABLE) -> str:
-    """Render both metric blocks in the requested format."""
+    """Render both metric blocks in the requested format; the machine format
+    is the record encoding of ``m``, which ``loads_record(text, RunMetrics)``
+    reads back."""
     if fmt == TABLE:
-        return _table(m)
+        width = max(len(label) for label, _ in _ROWS)
+        return "\n".join(
+            f"{label.ljust(width)}  {cell}"
+            for (label, _), cell in zip(_ROWS, _cells(m), strict=True)
+        )
     if fmt == CSV:
-        return _csv(m)
+        return ",".join(CSV_COLUMNS) + "\n" + ",".join(_cells(m))
     if fmt == MACHINE:
-        return _machine(m)
+        return dumps_record(m)
     raise LogFormatError(f"unknown report format {fmt!r}")
-
-
-def parse_machine_report(text: str) -> RunMetrics:
-    """Inverse of the machine format; used to round-trip reports in tests."""
-    doc = loads_record(text.strip())
-    acc = doc["accuracy"]
-    ctl = doc["control"]
-    return RunMetrics(
-        accuracy=AccuracyMetrics(
-            samples=int(acc["samples"]),
-            passes=int(acc["passes"]),
-            fails=int(acc["fails"]),
-            pass_after_reprompts=int(acc["pass_after_reprompts"]),
-            overrides=int(acc["overrides"]),
-            accuracy_first_pass=float(acc["accuracy_first_pass"]),
-            accuracy_with_reprompts=float(acc["accuracy_with_reprompts"]),
-        ),
-        control=ControlMetrics(
-            avg_deviation=float(ctl["avg_deviation"]),
-            time_above=float(ctl["time_above"]),
-            time_below=float(ctl["time_below"]),
-            time_outside=float(ctl["time_outside"]),
-            midpoint=float(ctl["midpoint"]),
-        ),
-    )
 
 
 def points_dump(episodes: list[EpisodeRecord]) -> str:

@@ -42,7 +42,7 @@ from .errors import (
     LogFormatError,
     ParseError,
 )
-from .jsonio import dumps_record, loads_record
+from .jsonio import dumps_record, from_doc, loads_record
 from .plantio import HeaterAction, LOCKSTEP, REALTIME, CLOCK_MODES
 
 RULE = "rule"
@@ -141,6 +141,8 @@ class AttemptRecord:
 class EpisodeRecord:
     """One full decision cycle, from sensor sample to applied action."""
 
+    # Tags the record's run-log line; not a constructor argument.
+    kind: str = field(default="episode", init=False, repr=False, compare=False)
     index: int
     t_start: float
     t_sensor: float
@@ -223,8 +225,9 @@ def run_episode(
     attempts: list[AttemptRecord] = []
     feedback: str | None = None
     applied: HeaterAction | None = None
+    budget = config.max_reprompts + 1
 
-    for attempt_index in range(config.max_reprompts + 1):
+    for attempt_index in range(budget):
         system_text, user_text = render_prompt(operator, task, sample, prev, th, feedback)
         ctx = DecisionContext(
             t_sensor=sample.t_sensor,
@@ -245,7 +248,7 @@ def run_episode(
             )
             if attempt_index < config.max_reprompts:
                 feedback = compose_feedback(
-                    None, attempt_index + 1, config.max_reprompts,
+                    None, attempt_index + 1, budget,
                     sample.t_sensor, prev, None, th,
                 )
             continue
@@ -265,7 +268,7 @@ def run_episode(
             )
             if attempt_index < config.max_reprompts:
                 feedback = compose_feedback(
-                    None, attempt_index + 1, config.max_reprompts,
+                    None, attempt_index + 1, budget,
                     sample.t_sensor, prev, None, th,
                 )
             continue
@@ -284,7 +287,7 @@ def run_episode(
             break
         if attempt_index < config.max_reprompts:
             feedback = compose_feedback(
-                verdict, attempt_index + 1, config.max_reprompts,
+                verdict, attempt_index + 1, budget,
                 sample.t_sensor, prev, proposal, th,
             )
 
@@ -357,111 +360,12 @@ def run_loop(
     return episodes
 
 
-# --- run log serialization ---------------------------------------------------
-
-
-def _envelope_to_doc(envelope: tuple[float, float]) -> list:
-    lo, hi = envelope
-    return [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
-
-
-def _envelope_from_doc(doc) -> tuple[float, float]:
-    lo, hi = doc
-    return (-math.inf if lo is None else float(lo), math.inf if hi is None else float(hi))
-
-
-def run_config_to_doc(config: RunConfig) -> dict:
-    return {
-        "duration": float(config.duration),
-        "max_reprompts": config.max_reprompts,
-        "sample_period_floor": float(config.sample_period_floor),
-        "thresholds": {"low": float(config.thresholds.low), "high": float(config.thresholds.high)},
-        "validator": {
-            "kind": config.validator.kind,
-            "horizon": float(config.validator.horizon),
-            "envelope": _envelope_to_doc(config.validator.envelope),
-        },
-        "monitor": {"kind": config.monitor.kind, "margin": float(config.monitor.margin)},
-        "clock_mode": config.clock_mode,
-        "initial_action": config.initial_action.value,
-        "safe_action_policy": config.safe_action_policy,
-    }
-
-
-def run_config_from_doc(doc: dict) -> RunConfig:
-    return RunConfig(
-        duration=float(doc["duration"]),
-        max_reprompts=int(doc["max_reprompts"]),
-        sample_period_floor=float(doc["sample_period_floor"]),
-        thresholds=Thresholds(float(doc["thresholds"]["low"]), float(doc["thresholds"]["high"])),
-        validator=ValidatorMode(
-            kind=doc["validator"]["kind"],
-            horizon=float(doc["validator"]["horizon"]),
-            envelope=_envelope_from_doc(doc["validator"]["envelope"]),
-        ),
-        monitor=MonitorMode(kind=doc["monitor"]["kind"], margin=float(doc["monitor"]["margin"])),
-        clock_mode=doc["clock_mode"],
-        initial_action=HeaterAction(doc["initial_action"]),
-        safe_action_policy=doc["safe_action_policy"],
-    ).validate()
+# --- run log ----------------------------------------------------------------
 
 
 def config_digest(config: RunConfig) -> str:
-    payload = dumps_record(run_config_to_doc(config)).encode("utf-8")
+    payload = dumps_record(config).encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
-
-
-def attempt_to_doc(attempt: AttemptRecord) -> dict:
-    return {
-        "attempt_index": attempt.attempt_index,
-        "raw_response": attempt.raw_response,
-        "parsed": attempt.parsed.value if attempt.parsed else None,
-        "passed": attempt.passed,
-        "expected": attempt.expected.value if attempt.expected else None,
-        "reason": attempt.reason,
-        "error": attempt.error,
-        "latency": float(attempt.latency),
-    }
-
-
-def attempt_from_doc(doc: dict) -> AttemptRecord:
-    return AttemptRecord(
-        attempt_index=int(doc["attempt_index"]),
-        raw_response=doc["raw_response"],
-        parsed=HeaterAction(doc["parsed"]) if doc["parsed"] else None,
-        passed=bool(doc["passed"]),
-        expected=HeaterAction(doc["expected"]) if doc["expected"] else None,
-        reason=doc["reason"],
-        error=doc["error"],
-        latency=float(doc["latency"]),
-    )
-
-
-def episode_to_doc(record: EpisodeRecord) -> dict:
-    return {
-        "kind": "episode",
-        "index": record.index,
-        "t_start": float(record.t_start),
-        "t_sensor": float(record.t_sensor),
-        "prev_action": record.prev_action.value,
-        "attempts": [attempt_to_doc(a) for a in record.attempts],
-        "applied": record.applied.value,
-        "override": record.override,
-        "t_end": float(record.t_end),
-    }
-
-
-def episode_from_doc(doc: dict) -> EpisodeRecord:
-    return EpisodeRecord(
-        index=int(doc["index"]),
-        t_start=float(doc["t_start"]),
-        t_sensor=float(doc["t_sensor"]),
-        prev_action=HeaterAction(doc["prev_action"]),
-        attempts=tuple(attempt_from_doc(a) for a in doc["attempts"]),
-        applied=HeaterAction(doc["applied"]),
-        override=bool(doc["override"]),
-        t_end=float(doc["t_end"]),
-    )
 
 
 class RunLogWriter:
@@ -473,14 +377,14 @@ class RunLogWriter:
         header = {
             "kind": "header",
             "format": LOG_FORMAT,
-            "config": run_config_to_doc(config),
+            "config": config,
             "config_digest": config_digest(config),
         }
         self._fh.write(dumps_record(header) + "\n")
         self._fh.flush()
 
     def write_episode(self, record: EpisodeRecord) -> None:
-        self._fh.write(dumps_record(episode_to_doc(record)) + "\n")
+        self._fh.write(dumps_record(record) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -494,7 +398,10 @@ class RunLogWriter:
 
 
 def read_run_log(path: str | Path) -> tuple[RunConfig, list[EpisodeRecord]]:
-    """Parse a run log back into its config and episode records."""
+    """Parse a run log back into its config and episode records.
+
+    Every field of the header's config and of each episode must be present.
+    """
     config: RunConfig | None = None
     episodes: list[EpisodeRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -502,24 +409,17 @@ def read_run_log(path: str | Path) -> tuple[RunConfig, list[EpisodeRecord]]:
             if not line.strip():
                 continue
             try:
-                doc = loads_record(line)
+                if config is None:
+                    header = loads_record(line)
+                    if header.get("kind") != "header":
+                        raise LogFormatError("first log record must be the header", line_number=lineno)
+                    config = from_doc(RunConfig, header.get("config"), "config")
+                else:
+                    episodes.append(loads_record(line, EpisodeRecord))
             except ValueError as exc:
                 raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
-            kind = doc.get("kind")
-            if config is None:
-                if kind != "header":
-                    raise LogFormatError("first log record must be the header", line_number=lineno)
-                try:
-                    config = run_config_from_doc(doc["config"])
-                except (KeyError, TypeError, ValueError, InvalidInput) as exc:
-                    raise LogFormatError(f"bad header config: {exc}", line_number=lineno) from exc
-                continue
-            if kind != "episode":
-                raise LogFormatError(f"unexpected record kind {kind!r}", line_number=lineno)
-            try:
-                episodes.append(episode_from_doc(doc))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogFormatError(f"bad episode record: {exc}", line_number=lineno) from exc
+            except InvalidInput as exc:
+                raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
     if config is None:
         raise LogFormatError("log is empty", line_number=0)
     return config, episodes

@@ -259,7 +259,9 @@ GOLDEN_SESSION = [
 def test_criterion_8_protocol_conformance():
     with criterion(8, "protocol conformance", 2.0):
         server = PlantServer(("127.0.0.1", 0), TwinPlant(PARAMS, mode="lockstep"))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         try:
             with socket.create_connection(server.server_address, timeout=5.0) as sock:

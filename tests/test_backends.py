@@ -209,7 +209,9 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

@@ -1,16 +1,20 @@
 """End-to-end CLI tests: run/report/plant-serve wiring, exit codes, config
 validation, and cross-format report agreement."""
 
+import gc
 import json
+import re
 import socket
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
 
 from twinloop.cli import main, load_config
-from twinloop.errors import ConfigError
-from twinloop.metrics import parse_machine_report
+from twinloop.errors import ConfigError, LogFormatError
+from twinloop.jsonio import loads_record
+from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import read_run_log
 from twinloop.plantio import PlantServer, TwinPlant
 
@@ -77,6 +81,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="task"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("run.max_reprompts", 2.7),
+            ("backend.script.seed", 1.5),
+            ("agents.operator.role", None),
+            ("thresholds.low", "25"),
+            ("run.initial_action", "DIM"),
+        ],
+    )
+    def test_mistyped_value_rejected_by_dotted_key(self, tmp_path, dotted, value):
+        path = write_config(tmp_path, {dotted: value})
+        with pytest.raises(ConfigError, match=re.escape(f"'{dotted}'")):
+            load_config(path)
+
+    def test_integral_float_accepted_for_integer_field(self, tmp_path):
+        path = write_config(tmp_path, {"run.max_reprompts": 2.0})
+        assert load_config(path).run.max_reprompts == 2
+
 
 class TestCmdRun:
     def test_oracle_run_exits_clean_and_reports(self, tmp_path, capsys):
@@ -103,6 +126,24 @@ class TestCmdRun:
             "--out", str(tmp_path / "r.jsonl"),
         ])
         assert code == 3
+
+    def test_directory_as_run_log_exits_2(self, tmp_path, capsys):
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_failing_plant_closes_the_transcript(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "run", "--config", str(CASE_CONFIG), "--plant", "tcp:127.0.0.1:1",
+                "--record", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "r.jsonl"),
+            ])
+            gc.collect()
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_no_log_path_exits_2(self, capsys):
         code = main(["run", "--config", str(CASE_CONFIG)])
@@ -156,7 +197,9 @@ class TestCmdRun:
 
     def test_run_against_served_plant(self, tmp_path, capsys):
         server = PlantServer(("127.0.0.1", 0), TwinPlant(mode="lockstep"))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         try:
             host, port = server.server_address
@@ -202,7 +245,7 @@ class TestCmdReport:
         csv_out = capsys.readouterr().out.strip()
         assert main(["report", "--log", str(oracle_log), "--format", "machine"]) == 0
         machine_out = capsys.readouterr().out.strip()
-        parsed = parse_machine_report(machine_out)
+        parsed = loads_record(machine_out, RunMetrics)
         header, values = csv_out.splitlines()
         by_name = dict(zip(header.split(","), values.split(",")))
         assert by_name["samples"] == str(parsed.accuracy.samples)
@@ -210,6 +253,23 @@ class TestCmdReport:
 
     def test_missing_log_exits_2(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path / "none.jsonl")]) == 2
+
+    def test_directory_as_log_exits_2(self, tmp_path, capsys):
+        assert main(["report", "--log", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("report error:")
+
+    def test_header_config_without_a_key_is_rejected(self, oracle_log, tmp_path, capsys):
+        lines = oracle_log.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["config"]["duration"]
+        lines[0] = json.dumps(header)
+        broken = tmp_path / "no_duration.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError) as excinfo:
+            read_run_log(broken)
+        assert excinfo.value.line_number == 1
+        assert main(["report", "--log", str(broken)]) == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_malformed_log_exits_2_with_line_number(self, oracle_log, tmp_path, capsys):
         lines = oracle_log.read_text().splitlines()

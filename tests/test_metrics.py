@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from twinloop.agents import Thresholds
 from twinloop.errors import LogFormatError
+from twinloop.jsonio import loads_record
 from twinloop.metrics import (
     CSV_COLUMNS,
+    RunMetrics,
     accuracy_metrics,
     control_metrics,
-    parse_machine_report,
     points_dump,
     report,
     run_metrics,
@@ -194,12 +195,12 @@ class TestReport:
 
     def test_machine_round_trips(self):
         text = report(self.METRICS, "machine")
-        parsed = parse_machine_report(text)
+        parsed = loads_record(text, RunMetrics)
         assert parsed == self.METRICS
 
     def test_csv_and_machine_agree(self):
         csv_text = report(self.METRICS, "csv")
-        parsed = parse_machine_report(report(self.METRICS, "machine"))
+        parsed = loads_record(report(self.METRICS, "machine"), RunMetrics)
         header, values = csv_text.splitlines()
         by_name = dict(zip(header.split(","), values.split(",")))
         assert by_name["samples"] == str(parsed.accuracy.samples)

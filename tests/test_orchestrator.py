@@ -6,14 +6,14 @@ import pytest
 from twinloop.agents import Thresholds, expected_action
 from twinloop.backends import Exchange, LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import BackendError, InvalidInput, InvalidState, LogFormatError
+from twinloop.jsonio import dumps_record, loads_record
 from twinloop.orchestrator import (
+    EpisodeRecord,
     MonitorMode,
     RunConfig,
     RunLogWriter,
     ValidatorMode,
     config_digest,
-    episode_from_doc,
-    episode_to_doc,
     read_run_log,
     run_episode,
     run_loop,
@@ -79,6 +79,22 @@ class TestRunEpisode:
         assert all(not a.passed for a in record.attempts)
         assert record.override
         assert record.applied is OFF  # expected_rule safety action
+
+    def test_feedback_names_the_attempt_budget(self):
+        prompts = []
+        inner = scripted(kind="always_wrong")
+
+        class Recording:
+            def complete(self, system_text, user_text, ctx):
+                prompts.append(user_text)
+                return inner.complete(system_text, user_text, ctx)
+
+        plant = make_plant(t_sensor=28.0, t_heater=40.0)
+        run_episode(plant, Recording(), RunConfig(), prev=ON, index=0)
+        assert len(prompts) == 4
+        assert "VALIDATION FAILED" not in prompts[0]
+        for k, prompt in enumerate(prompts[1:], start=1):
+            assert f"(attempt {k}/4)" in prompt
 
     def test_force_off_safety_policy(self):
         plant = make_plant(t_sensor=24.0)
@@ -317,6 +333,14 @@ class TestRunLogRoundTrip:
         assert header["config_digest"] == config_digest(config)
         assert header["config"]["duration"] == 200.0
 
+    def test_integer_config_values_are_written_as_floats(self, tmp_path):
+        paths = [tmp_path / "int.jsonl", tmp_path / "float.jsonl"]
+        for path, config in zip(paths, (RunConfig(duration=200), RunConfig(duration=200.0))):
+            RunLogWriter(path, config).close()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert '"duration":200.000,' in paths[0].read_text()
+        assert config_digest(RunConfig(duration=200)) == config_digest(RunConfig(duration=200.0))
+
     def test_timestamps_have_at_least_three_decimals(self, tmp_path):
         import re
 
@@ -349,7 +373,7 @@ class TestRunLogRoundTrip:
         record = run_episode(
             plant, scripted(kind="flip", p_wrong=1.0, p_correct=1.0), RunConfig(), prev=OFF, index=5
         )
-        assert episode_from_doc(episode_to_doc(record)) == record
+        assert loads_record(dumps_record(record), EpisodeRecord) == record
 
 
 class TestPlantFailureMidRun:

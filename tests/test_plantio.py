@@ -174,7 +174,9 @@ class TestProtocol:
 @pytest.fixture
 def served_plant():
     server = PlantServer(("127.0.0.1", 0), TwinPlant(mode=LOCKSTEP))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield server.server_address
     server.shutdown()
