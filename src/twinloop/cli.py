@@ -369,8 +369,15 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    def warn_torn(lineno: int) -> None:
+        print(
+            f"report warning: ignoring the torn final line {lineno} of {args.log}; "
+            "reporting the complete episodes",
+            file=sys.stderr,
+        )
+
     try:
-        config, episodes = read_run_log(args.log)
+        config, episodes = read_run_log(args.log, on_torn_tail=warn_torn)
         m = run_metrics(episodes, config.thresholds, config.duration)
     except FileNotFoundError:
         print(f"report error: log file not found: {args.log}", file=sys.stderr)
@@ -428,3 +435,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -13,6 +13,7 @@ metrics.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -75,6 +76,9 @@ class ValidatorMode:
                 raise InvalidInput("twin validation horizon must be > 0")
             if not self.envelope[0] < self.envelope[1]:
                 raise InvalidInput(f"envelope must be well ordered, got {self.envelope!r}")
+            # an envelope open on both sides would pass every proposal
+            if not (math.isfinite(self.envelope[0]) or math.isfinite(self.envelope[1])):
+                raise InvalidInput("twin validation envelope needs at least one finite bound")
         return self
 
 
@@ -397,10 +401,13 @@ class RunLogWriter:
         self.close()
 
 
-def read_run_log(path: str | Path) -> tuple[RunConfig, list[EpisodeRecord]]:
+def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[EpisodeRecord]]:
     """Parse a run log back into its config and episode records.
 
     Every field of the header's config and of each episode must be present.
+    A writer killed mid-line leaves a final episode line with no newline
+    that is not JSON; given ``on_torn_tail``, such a line is dropped and the
+    callback gets its line number, otherwise it is an error like any other.
     """
     config: RunConfig | None = None
     episodes: list[EpisodeRecord] = []
@@ -416,6 +423,12 @@ def read_run_log(path: str | Path) -> tuple[RunConfig, list[EpisodeRecord]]:
                     config = from_doc(RunConfig, header.get("config"), "config")
                 else:
                     episodes.append(loads_record(line, EpisodeRecord))
+            except json.JSONDecodeError as exc:
+                # only the last line can lack its newline
+                if on_torn_tail is not None and config is not None and not line.endswith("\n"):
+                    on_torn_tail(lineno)
+                    break
+                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
             except ValueError as exc:
                 raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
             except InvalidInput as exc:

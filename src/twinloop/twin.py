@@ -13,11 +13,15 @@ interesting, and every default below is calibrated so it shows up clearly.
 
 Integration is classical fixed-step RK4 at ``dt_internal`` (a final partial
 substep absorbs any remainder), which keeps trajectories deterministic and
-bit-for-bit replayable.
+bit-for-bit replayable.  ``step`` runs that integrator directly.  ``rollout``
+holds one duty over many whole seconds; the model is linear, so one second of
+the same RK4 is a fixed affine map ``x <- M x + c``, which it takes from the
+integrator once per (parameters, duty) and reuses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,13 +166,29 @@ def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
     return t_heater, t_sensor
 
 
+@functools.lru_cache(maxsize=64)
+def _one_second_map(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float]:
+    """``(m_hh, m_hs, m_sh, m_ss, c_h, c_s)`` of ``_advance`` over one second.
+
+    The integrator is affine in the state, so its images of the origin and of
+    the two unit vectors determine the map.
+    """
+    c_h, c_s = _advance(p, 0.0, 0.0, duty, 1.0)
+    e_hh, e_sh = _advance(p, 1.0, 0.0, duty, 1.0)
+    e_hs, e_ss = _advance(p, 0.0, 1.0, duty, 1.0)
+    return e_hh - c_h, e_hs - c_h, e_sh - c_s, e_ss - c_s, c_h, c_s
+
+
 def rollout(
     params: TwinParams, state: TwinState, duty: float, horizon: float
 ) -> list[tuple[float, float]]:
     """Simulate ahead and return (clock, t_sensor) samples.
 
     Sampling grid: the initial instant, every integer second inside the
-    horizon, and the final instant.
+    horizon, and the final instant.  Each one-second segment applies the
+    cached one-second map of the RK4 integrator; the shorter first and last
+    segments run the integrator itself.  The samples agree with chained
+    ``step`` calls to rounding error (about 1e-12 degC over 300 s).
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
@@ -183,9 +203,15 @@ def rollout(
         t += 1.0
     sample_times.append(end)
 
-    trajectory = [(state.clock, state.t_sensor)]
-    current = state
+    m_hh, m_hs, m_sh, m_ss, c_h, c_s = _one_second_map(params, duty)
+    clock, th, ts = state.clock, state.t_heater, state.t_sensor
+    trajectory = [(clock, ts)]
     for target in sample_times:
-        current = step(params, current, duty, target - current.clock)
-        trajectory.append((target, current.t_sensor))
+        dt = target - clock
+        if dt == 1.0:
+            th, ts = m_hh * th + m_hs * ts + c_h, m_sh * th + m_ss * ts + c_s
+        else:
+            th, ts = _advance(params, th, ts, duty, dt)
+        clock = target
+        trajectory.append((target, ts))
     return trajectory

@@ -3,8 +3,12 @@ validation, and cross-format report agreement."""
 
 import gc
 import json
+import math
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -19,6 +23,7 @@ from twinloop.orchestrator import read_run_log
 from twinloop.plantio import PlantServer, TwinPlant
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -95,6 +100,13 @@ class TestLoadConfig:
         path = write_config(tmp_path, {dotted: value})
         with pytest.raises(ConfigError, match=re.escape(f"'{dotted}'")):
             load_config(path)
+
+    def test_twin_validator_without_a_finite_bound_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 300}})
+        with pytest.raises(ConfigError, match=r"'run\.validator_mode'.*finite bound"):
+            load_config(path)
+        path = write_config(tmp_path, {"run.validator_mode": {"kind": "twin", "envelope": [None, 30]}})
+        assert load_config(path).run.validator.envelope == (-math.inf, 30.0)
 
     def test_integral_float_accepted_for_integer_field(self, tmp_path):
         path = write_config(tmp_path, {"run.max_reprompts": 2.0})
@@ -279,6 +291,36 @@ class TestCmdReport:
         assert main(["report", "--log", str(broken)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_torn_final_line_reports_the_complete_episodes(self, oracle_log, tmp_path, capsys):
+        lines = oracle_log.read_text().splitlines(keepends=True)
+        complete = tmp_path / "complete.jsonl"
+        complete.write_text("".join(lines[:-1]))
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        assert main(["report", "--log", str(complete)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", "--log", str(torn)]) == 0
+        out, err = capsys.readouterr()
+        assert out == expected
+        assert err.startswith("report warning:")
+        assert err.count("\n") == 1
+        assert f"line {len(lines)}" in err
+        # readers that do not opt in still refuse the torn line
+        with pytest.raises(LogFormatError):
+            read_run_log(torn)
+
+    @pytest.mark.parametrize("final", [False, True])
+    def test_truncated_line_elsewhere_exits_2_with_line_number(self, oracle_log, tmp_path, capsys, final):
+        lines = oracle_log.read_text().splitlines(keepends=True)
+        index = len(lines) - 1 if final else 2
+        lines[index] = lines[index][: len(lines[index]) // 2] + "\n"
+        broken = tmp_path / "truncated.jsonl"
+        broken.write_text("".join(lines))
+        assert main(["report", "--log", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error (line {index + 1}):")
+        assert "warning" not in err
+
 
 class TestCmdPlantServe:
     def test_serve_session_and_clean_interrupt(self, tmp_path):
@@ -341,3 +383,19 @@ class TestCmdPlantServe:
         params = tmp_path / "params.json"
         params.write_text('{"c_h": -1.0}')
         assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["twinloop", "twinloop.cli"])
+    def test_help_via_python_m(self, module):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: twinloop")
+        assert "plant-serve" in proc.stdout

@@ -1,6 +1,8 @@
 """Control loop tests: episode anatomy, reprompting, safety override, gating,
 clock accounting, and run-log round trips."""
 
+import math
+
 import pytest
 
 from twinloop.agents import Thresholds, expected_action
@@ -432,6 +434,16 @@ class TestRunConfigValidation:
     def test_bad_envelope(self):
         with pytest.raises(InvalidInput):
             ValidatorMode(kind="twin", horizon=60.0, envelope=(5.0, 5.0)).validate()
+
+    def test_twin_envelope_open_on_both_sides_rejected(self):
+        with pytest.raises(InvalidInput, match="finite bound"):
+            ValidatorMode(kind="twin").validate()
+        with pytest.raises(InvalidInput, match="finite bound"):
+            run_loop(make_plant(), scripted(), RunConfig(validator=ValidatorMode(kind="twin")))
+        # one finite bound is enough, and the rule validator has no envelope
+        ValidatorMode(kind="twin", envelope=(-math.inf, 30.0)).validate()
+        ValidatorMode(kind="twin", envelope=(20.0, math.inf)).validate()
+        ValidatorMode().validate()
 
     def test_negative_reprompts(self):
         with pytest.raises(InvalidInput):

@@ -1,12 +1,16 @@
 """Thermal twin tests: frozen fixed points, an independent Euler oracle, and
 the integrator's structural properties."""
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, InvalidState
+from twinloop.orchestrator import RunConfig, RunLogWriter, ValidatorMode, run_loop
+from twinloop.plantio import TwinPlant
 from twinloop.twin import TwinParams, TwinState, rollout, steady_state, step
 
 PARAMS = TwinParams()
@@ -29,6 +33,46 @@ def euler_oracle(state, duty, horizon, dt=0.001, params=PARAMS):
         th += dt * dh
         ts += dt * ds
     return th, ts
+
+
+def stepwise_rollout(params, state, duty, horizon):
+    """Rollout oracle: one ``step`` per sample on the grid ``rollout``
+    documents, so every whole second runs the RK4 substeps themselves."""
+    end = state.clock + horizon
+    sample_times = []
+    t = math.floor(state.clock) + 1.0
+    while t < end - 1e-9:
+        if t > state.clock:
+            sample_times.append(t)
+        t += 1.0
+    sample_times.append(end)
+    trajectory = [(state.clock, state.t_sensor)]
+    current = state
+    for target in sample_times:
+        current = step(params, current, duty, target - current.clock)
+        trajectory.append((target, current.t_sensor))
+    return trajectory
+
+
+@st.composite
+def rollout_cases(draw):
+    """Start clocks below and above 1 s, whole or fractional; ends on an
+    integer second or between two; horizons under and over 1 s."""
+    clock = draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.floats(1.0, 5000.0),
+            st.integers(0, 5000).map(float),
+        )
+    )
+    if draw(st.booleans()):
+        # end on an integer second, possibly the first one after the start
+        horizon = math.floor(clock) + 1 + draw(st.integers(0, 400)) - clock
+    else:
+        horizon = draw(st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 400.0)))
+    state = TwinState(draw(st.floats(15.0, 60.0)), draw(st.floats(15.0, 45.0)), clock)
+    params = TwinParams(dt_internal=draw(st.sampled_from([0.1, 0.3, 0.07])))
+    return params, state, draw(st.floats(0.0, 100.0)), horizon
 
 
 class TestSteadyState:
@@ -128,6 +172,52 @@ class TestRollout:
     def test_bad_horizon(self):
         with pytest.raises(InvalidInput):
             rollout(PARAMS, TwinState(23.0, 23.0, 0.0), 0.0, 0.0)
+
+    @staticmethod
+    def check_against_oracle(params, state, duty, horizon):
+        fast = rollout(params, state, duty, horizon)
+        slow = stepwise_rollout(params, state, duty, horizon)
+        assert [t for t, _ in fast] == [t for t, _ in slow]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(fast, slow)) <= 1e-9
+        return fast
+
+    @given(case=rollout_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_step_per_sample(self, case):
+        self.check_against_oracle(*case)
+
+    def test_maps_follow_params_and_duty(self):
+        # interleave parameter sets and duties so a map cached for one
+        # (params, duty) pair would show up in another pair's rollout
+        other = TwinParams(alpha=0.03, c_s=15.0, dt_internal=0.3)
+        state = TwinState(30.0, 26.0, 0.0)
+        seen = set()
+        for params in (PARAMS, other, PARAMS, other):
+            for duty in (100.0, 0.0):
+                fast = self.check_against_oracle(params, state, duty, 120.0)
+                seen.add(round(fast[-1][1], 6))
+        assert len(seen) == 4
+
+
+# sha256 of the log below, recorded with rollouts that ran one step per sample
+TWIN_GUARD_LOG_SHA256 = "24edfcbfa201a48fdcb5eac61f5cbde41ecafd81a90ec6d92c85c15a7e9a29f5"
+
+
+def test_twin_validator_run_log_is_pinned(tmp_path):
+    config = RunConfig(
+        duration=600.0,
+        validator=ValidatorMode(kind="twin", horizon=300.0, envelope=(20.0, 30.0)),
+    )
+    backend = ScriptedBackend(
+        ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=7),
+        LatencySpec(kind="fixed", seconds=5.67),
+    )
+    path = tmp_path / "run.jsonl"
+    with RunLogWriter(path, config) as writer:
+        episodes = run_loop(TwinPlant(PARAMS), backend, config, on_episode=writer.write_episode)
+    # the twin rejects proposals, so the log carries rollout temperatures
+    assert any(not a.passed for e in episodes for a in e.attempts)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TWIN_GUARD_LOG_SHA256
 
 
 class TestAgainstEulerOracle:
