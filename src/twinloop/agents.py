@@ -1,9 +1,9 @@
-"""Agent anatomy and the deterministic decision-checking machinery.
+"""The operator agent's spec and the deterministic decision-checking machinery.
 
-An agent is declarative: a role, a goal, a backend reference, and optional
-tool identifiers.  What the control loop actually needs from this module is
-pure functions -- prompt rendering, action parsing, hysteresis-rule and
-twin-rollout validation, and corrective-feedback composition.  The verdicts
+The operator is declarative: a role, a goal and a task template.  The
+validator and the reprompter are the pure functions of this module --
+hysteresis-rule and twin-rollout validation and corrective-feedback
+composition -- next to prompt rendering and action parsing.  The verdicts
 come from code, not from a model: accuracy accounting needs an oracle that
 cannot hallucinate.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import twin
 from .errors import InvalidInput, InvalidState, ParseError, TemplateError
@@ -47,10 +47,15 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task template plus a hint describing the expected reply shape."""
+    """The operator's task template; the live readings fill its placeholders."""
 
-    description_template: str
-    expected_output_hint: str = ""
+    description_template: str = (
+        "Current sensor temperature: {temperature} degC.\n"
+        "Previous heater state: {prev_action}.\n"
+        "Control rule: turn the heater OFF when the temperature exceeds {high} degC, "
+        "turn it ON when it falls below {low} degC, otherwise keep the previous state.\n"
+        "Decide the next heater action. Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
+    )
 
     def validate(self) -> "TaskSpec":
         for _, name, _, _ in string.Formatter().parse(self.description_template):
@@ -63,13 +68,15 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Role/goal/backend/tools description of one agent."""
+    """The operator agent: the role and goal form its system text, the task
+    its user text.  Validation and reprompting are code, not agents."""
 
-    name: str
-    role: str
-    goal: str
-    backend: str = "default"
-    tools: tuple[str, ...] = ()
+    role: str = "Heater operator for a benchtop two-heater temperature rig."
+    goal: str = (
+        "Keep the sensor temperature inside the configured comfort band by "
+        "switching the heater fully on or fully off at each reading."
+    )
+    task: TaskSpec = field(default_factory=TaskSpec)
 
 
 @dataclass(frozen=True)
@@ -83,37 +90,7 @@ class Verdict:
             raise InvalidInput("a failing verdict needs a reason")
 
 
-DEFAULT_OPERATOR = AgentSpec(
-    name="operator",
-    role="Heater operator for a benchtop two-heater temperature rig.",
-    goal=(
-        "Keep the sensor temperature inside the configured comfort band by "
-        "switching the heater fully on or fully off at each reading."
-    ),
-)
-
-DEFAULT_TASK = TaskSpec(
-    description_template=(
-        "Current sensor temperature: {temperature} degC.\n"
-        "Previous heater state: {prev_action}.\n"
-        "Control rule: turn the heater OFF when the temperature exceeds {high} degC, "
-        "turn it ON when it falls below {low} degC, otherwise keep the previous state.\n"
-        "Decide the next heater action. Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
-    ),
-    expected_output_hint="A final line reading exactly 'ACTION: ON' or 'ACTION: OFF'.",
-)
-
-DEFAULT_VALIDATOR = AgentSpec(
-    name="validator",
-    role="Control-rule checker standing between proposals and the plant.",
-    goal="Reject any heater action that violates the hysteresis rule or the safety envelope.",
-)
-
-DEFAULT_REPROMPTER = AgentSpec(
-    name="reprompter",
-    role="Corrective-feedback writer for rejected proposals.",
-    goal="Explain each rejection so the operator's next attempt can pass validation.",
-)
+DEFAULT_OPERATOR = AgentSpec()
 
 
 def _fmt_threshold(x: float) -> str:
@@ -122,7 +99,6 @@ def _fmt_threshold(x: float) -> str:
 
 def render_prompt(
     spec: AgentSpec,
-    task: TaskSpec,
     sample: PlantSample,
     prev: HeaterAction,
     thresholds: Thresholds,
@@ -131,7 +107,7 @@ def render_prompt(
     """Render (system_text, user_text) for one decision attempt.
 
     The system text is the agent's role and goal verbatim.  The user text is
-    the task template with the live readings bound; validator feedback, when
+    its task template with the live readings bound; validator feedback, when
     present, is appended (or substituted where the template places it).
     """
     system_text = f"{spec.role}\n\n{spec.goal}"
@@ -143,10 +119,10 @@ def render_prompt(
         "feedback": feedback or "",
     }
     try:
-        user_text = task.description_template.format(**bindings)
+        user_text = spec.task.description_template.format(**bindings)
     except (KeyError, IndexError) as exc:
         raise TemplateError(f"unbound placeholder in task template: {exc}") from exc
-    if feedback and "{feedback}" not in task.description_template:
+    if feedback and "{feedback}" not in spec.task.description_template:
         user_text = f"{user_text}\n\n{feedback}"
     return system_text, user_text
 

@@ -16,17 +16,7 @@ import sys
 from pathlib import Path
 
 from . import plantio, twin
-from .agents import (
-    ANOMALY,
-    CONTINUOUS,
-    DEFAULT_OPERATOR,
-    DEFAULT_REPROMPTER,
-    DEFAULT_TASK,
-    DEFAULT_VALIDATOR,
-    AgentSpec,
-    TaskSpec,
-    Thresholds,
-)
+from .agents import ANOMALY, CONTINUOUS, AgentSpec, Thresholds
 from .backends import (
     BackendConfig,
     HttpBackend,
@@ -44,6 +34,7 @@ from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError
 from .jsonio import from_doc
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import (
+    MIN_IDLE_TICK,
     MonitorMode,
     RULE,
     RunConfig,
@@ -60,21 +51,6 @@ EXIT_CONFIG = 2
 EXIT_PLANT_IO = 3
 
 
-@dataclasses.dataclass
-class LoadedConfig:
-    """Validated contents of a run configuration file."""
-
-    twin_params: twin.TwinParams
-    thresholds: Thresholds
-    agents: dict[str, AgentSpec]
-    task: TaskSpec
-    backend: BackendConfig
-    run: RunConfig
-    output_log: str | None
-    output_points: str | None
-    report_format: str
-
-
 @dataclasses.dataclass(frozen=True)
 class _Output:
     """The ``output`` section of a config file."""
@@ -84,11 +60,24 @@ class _Output:
     report_format: str = TABLE
 
 
-_DEFAULT_AGENTS = {
-    "operator": DEFAULT_OPERATOR,
-    "validator": DEFAULT_VALIDATOR,
-    "reprompter": DEFAULT_REPROMPTER,
-}
+@dataclasses.dataclass(frozen=True)
+class _Agents:
+    """The ``agents`` section of a config file.  Only the operator is an
+    agent with a prompt; validation and reprompting are code."""
+
+    operator: AgentSpec = dataclasses.field(default_factory=AgentSpec)
+
+
+@dataclasses.dataclass
+class LoadedConfig:
+    """Validated contents of a run configuration file."""
+
+    twin_params: twin.TwinParams
+    operator: AgentSpec
+    backend: BackendConfig
+    run: RunConfig
+    output: _Output
+
 
 # The keys a backend section may hold, by backend kind.
 _BACKEND_KEYS = {
@@ -105,32 +94,6 @@ def _reject_unknown(doc, allowed: tuple[str, ...], where: str) -> None:
         path = f"{where}.{key}" if where else key
         if key not in allowed:
             raise ConfigError(f"unknown key '{path}'")
-
-
-def _agents_from_doc(doc, where: str) -> tuple[dict[str, AgentSpec], TaskSpec]:
-    """Agent entries default to the built-in agents field by field; only the
-    operator may carry a task."""
-    _reject_unknown(doc, tuple(_DEFAULT_AGENTS), where)
-    agents = dict(_DEFAULT_AGENTS)
-    task = DEFAULT_TASK
-    for name, default in _DEFAULT_AGENTS.items():
-        entry = doc.get(name)
-        if entry is None:
-            continue
-        entry_where = f"{where}.{name}"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"'{entry_where}' must be an object")
-        entry = {"role": default.role, "goal": default.goal, **entry}
-        task_doc = entry.pop("task", None)
-        spec = from_doc(AgentSpec, entry, entry_where, defaults=True, given={"name": name})
-        if spec.backend != "default":
-            raise ConfigError(f"'{entry_where}.backend' references unknown backend '{spec.backend}'")
-        agents[name] = spec
-        if task_doc is not None:
-            if name != "operator":
-                raise ConfigError(f"'{entry_where}.task' is only meaningful on the operator")
-            task = from_doc(TaskSpec, task_doc, f"{entry_where}.task", defaults=True)
-    return agents, task
 
 
 def _backend_from_doc(doc, where: str) -> BackendConfig:
@@ -200,7 +163,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     try:
         twin_params = from_doc(twin.TwinParams, doc.get("twin", {}), "twin", defaults=True)
         thresholds = from_doc(Thresholds, doc.get("thresholds", {}), "thresholds", defaults=True)
-        agents, task = _agents_from_doc(doc.get("agents", {}), "agents")
+        agents = from_doc(_Agents, doc.get("agents", {}), "agents", defaults=True)
         backend = _backend_from_doc(doc.get("backend", {}), "backend")
         run_config = _run_from_doc(doc.get("run", {}), "run", thresholds)
         output = from_doc(_Output, doc.get("output", {}), "output", defaults=True)
@@ -209,17 +172,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     if output.report_format not in (TABLE, CSV, MACHINE):
         raise ConfigError("'output.report_format' must be table, csv or machine")
 
-    return LoadedConfig(
-        twin_params=twin_params,
-        thresholds=thresholds,
-        agents=agents,
-        task=task,
-        backend=backend,
-        run=run_config,
-        output_log=output.log,
-        output_points=output.points,
-        report_format=output.report_format,
-    )
+    return LoadedConfig(twin_params, agents.operator, backend, run_config, output)
 
 
 def _apply_backend_override(config: BackendConfig, override: str) -> BackendConfig:
@@ -271,6 +224,24 @@ def _build_plant(spec: str, cfg: LoadedConfig):
     raise ConfigError(f"--plant must be 'sim' or 'tcp:<host:port>', got {spec!r}")
 
 
+def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> None:
+    """Refuse a lockstep run whose clock would creep forward by the minimum
+    idle tick per episode: a scripted backend with no latency and no sample
+    period floor."""
+    latency = backend_config.latency
+    if (
+        run_config.clock_mode == plantio.LOCKSTEP
+        and backend_config.kind == SCRIPTED
+        and (latency.kind == "none" or (latency.kind == "fixed" and latency.seconds == 0.0))
+        and run_config.sample_period_floor == 0.0
+    ):
+        raise ConfigError(
+            f"a lockstep run with a zero-latency scripted backend advances only "
+            f"{MIN_IDLE_TICK:g} s per episode, about {run_config.duration / MIN_IDLE_TICK:.0f} "
+            "episodes; set run.sample_period_floor > 0 or a backend.latency"
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as resources:
         try:
@@ -289,7 +260,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if args.duration <= 0:
                     raise ConfigError("--duration must be > 0")
                 run_config = dataclasses.replace(run_config, duration=float(args.duration))
-            log_path = args.out or cfg.output_log
+            run_config.validate()
+            _refuse_unbounded(run_config, backend_config)
+            log_path = args.out or cfg.output.log
             if not log_path:
                 raise ConfigError("no run log path: pass --out or set output.log in the config")
             backend = _build_backend(backend_config, run_config.clock_mode)
@@ -301,7 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 resources.callback(plant.close)
             writer = resources.enter_context(RunLogWriter(log_path, run_config))
         # an OSError here means the transcript or the run log cannot be opened
-        except (ConfigError, OSError) as exc:
+        except (ConfigError, InvalidInput, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except PlantIoError as exc:
@@ -313,8 +286,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 plant,
                 backend,
                 run_config,
-                operator=cfg.agents["operator"],
-                task=cfg.task,
+                operator=cfg.operator,
                 twin_params=cfg.twin_params,
                 on_episode=writer.write_episode,
             )
@@ -322,10 +294,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
 
-    m = run_metrics(episodes, cfg.thresholds, run_config.duration)
-    print(report(m, cfg.report_format))
-    if cfg.output_points:
-        Path(cfg.output_points).write_text(points_dump(episodes) + "\n", encoding="utf-8")
+    m = run_metrics(episodes, run_config.thresholds, run_config.duration)
+    print(report(m, cfg.output.report_format))
+    if cfg.output.points:
+        Path(cfg.output.points).write_text(points_dump(episodes) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ from pathlib import Path
 from . import twin
 from .agents import (
     AgentSpec,
-    TaskSpec,
     Thresholds,
     Verdict,
     compose_feedback,
@@ -33,7 +32,6 @@ from .agents import (
     validate_rule,
     validate_twin,
     DEFAULT_OPERATOR,
-    DEFAULT_TASK,
 )
 from .backends import DecisionContext
 from .errors import (
@@ -119,6 +117,12 @@ class RunConfig:
         if self.safe_action_policy not in (EXPECTED_RULE, FORCE_OFF):
             raise InvalidInput(f"unknown safety policy {self.safe_action_policy!r}")
         self.validator.validate()
+        # a rollout samples every simulated second of its horizon
+        if self.validator.kind == TWIN and not self.validator.horizon <= self.duration:
+            raise InvalidInput(
+                f"twin validation horizon {self.validator.horizon:g} s exceeds "
+                f"the run duration {self.duration:g} s"
+            )
         self.monitor.validate()
         return self
 
@@ -212,7 +216,6 @@ def run_episode(
     prev: HeaterAction,
     index: int,
     operator: AgentSpec = DEFAULT_OPERATOR,
-    task: TaskSpec = DEFAULT_TASK,
     twin_params: twin.TwinParams | None = None,
 ) -> EpisodeRecord:
     """Run one decision cycle and apply its outcome to the plant.
@@ -232,7 +235,7 @@ def run_episode(
     budget = config.max_reprompts + 1
 
     for attempt_index in range(budget):
-        system_text, user_text = render_prompt(operator, task, sample, prev, th, feedback)
+        system_text, user_text = render_prompt(operator, sample, prev, th, feedback)
         ctx = DecisionContext(
             t_sensor=sample.t_sensor,
             prev_action=prev,
@@ -240,59 +243,39 @@ def run_episode(
             has_feedback=feedback is not None,
             timestamp=plant.clock,
         )
+        response = proposal = verdict = None
         try:
             exchange = backend.complete(system_text, user_text, ctx)
         except BackendError as exc:
             latency = exc.elapsed if config.clock_mode == REALTIME else 0.0
-            attempts.append(
-                AttemptRecord(
-                    attempt_index, None, None, False, None,
-                    f"backend error: {exc}", "backend_error", latency,
+            reason, error = f"backend error: {exc}", "backend_error"
+        else:
+            response, latency = exchange.response_text, exchange.latency
+            # The previous action stays in force while "inference" runs.
+            if config.clock_mode == LOCKSTEP:
+                _advance_clock(plant, latency, LOCKSTEP)
+            try:
+                proposal = parse_action(response)
+            except ParseError:
+                reason, error = "no ACTION line found", "parse_error"
+            else:
+                verdict = _validate_proposal(
+                    proposal, sample.t_sensor, prev, config, plant, twin_params, plant.clock
                 )
-            )
-            if attempt_index < config.max_reprompts:
-                feedback = compose_feedback(
-                    None, attempt_index + 1, budget,
-                    sample.t_sensor, prev, None, th,
-                )
-            continue
-
-        # The previous action stays in force while "inference" runs.
-        if config.clock_mode == LOCKSTEP:
-            _advance_clock(plant, exchange.latency, LOCKSTEP)
-
-        try:
-            proposal = parse_action(exchange.response_text)
-        except ParseError:
-            attempts.append(
-                AttemptRecord(
-                    attempt_index, exchange.response_text, None, False, None,
-                    "no ACTION line found", "parse_error", exchange.latency,
-                )
-            )
-            if attempt_index < config.max_reprompts:
-                feedback = compose_feedback(
-                    None, attempt_index + 1, budget,
-                    sample.t_sensor, prev, None, th,
-                )
-            continue
-
-        verdict = _validate_proposal(
-            proposal, sample.t_sensor, prev, config, plant, twin_params, plant.clock
-        )
+                reason, error = verdict.reason, None
+        passed = verdict is not None and verdict.passed
         attempts.append(
             AttemptRecord(
-                attempt_index, exchange.response_text, proposal,
-                verdict.passed, verdict.expected, verdict.reason, None, exchange.latency,
+                attempt_index, response, proposal, passed,
+                verdict.expected if verdict else None, reason, error, latency,
             )
         )
-        if verdict.passed:
+        if passed:
             applied = proposal
             break
         if attempt_index < config.max_reprompts:
             feedback = compose_feedback(
-                verdict, attempt_index + 1, budget,
-                sample.t_sensor, prev, proposal, th,
+                verdict, attempt_index + 1, budget, sample.t_sensor, prev, proposal, th
             )
 
     override = applied is None
@@ -316,7 +299,6 @@ def run_loop(
     backend,
     config: RunConfig,
     operator: AgentSpec = DEFAULT_OPERATOR,
-    task: TaskSpec = DEFAULT_TASK,
     twin_params: twin.TwinParams | None = None,
     on_episode=None,
 ) -> list[EpisodeRecord]:
@@ -349,7 +331,7 @@ def run_loop(
                 _advance_clock(plant, poll, config.clock_mode)
                 continue
         record = run_episode(
-            plant, backend, config, prev, len(episodes), operator, task, twin_params
+            plant, backend, config, prev, len(episodes), operator, twin_params
         )
         episodes.append(record)
         if on_episode is not None:
@@ -434,5 +416,5 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
             except InvalidInput as exc:
                 raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
     if config is None:
-        raise LogFormatError("log is empty", line_number=0)
+        raise LogFormatError("log is empty")
     return config, episodes

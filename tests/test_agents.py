@@ -19,7 +19,6 @@ from twinloop.agents import (
     validate_rule,
     validate_twin,
     DEFAULT_OPERATOR,
-    DEFAULT_TASK,
     ANOMALY,
     CONTINUOUS,
 )
@@ -51,11 +50,11 @@ class TestThresholds:
 
 class TestRenderPrompt:
     def test_system_text_is_role_and_goal(self):
-        system_text, _ = render_prompt(DEFAULT_OPERATOR, DEFAULT_TASK, sample(26.0), OFF, TH)
+        system_text, _ = render_prompt(DEFAULT_OPERATOR, sample(26.0), OFF, TH)
         assert system_text == f"{DEFAULT_OPERATOR.role}\n\n{DEFAULT_OPERATOR.goal}"
 
     def test_no_feedback_block_without_feedback(self):
-        _, user_text = render_prompt(DEFAULT_OPERATOR, DEFAULT_TASK, sample(26.0), OFF, TH)
+        _, user_text = render_prompt(DEFAULT_OPERATOR, sample(26.0), OFF, TH)
         assert "VALIDATION FAILED" not in user_text
 
     def test_feedback_is_appended(self):
@@ -63,28 +62,28 @@ class TestRenderPrompt:
             validate_rule(OFF, 24.0, OFF, TH), 1, 3, 24.0, OFF, OFF, TH
         )
         _, user_text = render_prompt(
-            DEFAULT_OPERATOR, DEFAULT_TASK, sample(24.0), OFF, TH, feedback
+            DEFAULT_OPERATOR, sample(24.0), OFF, TH, feedback
         )
         assert user_text.endswith(feedback)
         assert "VALIDATION FAILED" in user_text
 
     def test_temperature_rendered_with_two_decimals(self):
-        _, user_text = render_prompt(DEFAULT_OPERATOR, DEFAULT_TASK, sample(26.434999), OFF, TH)
+        _, user_text = render_prompt(DEFAULT_OPERATOR, sample(26.434999), OFF, TH)
         assert "26.43" in user_text
 
     def test_deterministic(self):
-        args = (DEFAULT_OPERATOR, DEFAULT_TASK, sample(25.5, ON), ON, TH, "try harder")
+        args = (DEFAULT_OPERATOR, sample(25.5, ON), ON, TH, "try harder")
         assert render_prompt(*args) == render_prompt(*args)
 
     def test_no_unresolved_placeholders(self):
-        _, user_text = render_prompt(DEFAULT_OPERATOR, DEFAULT_TASK, sample(26.0), OFF, TH)
+        _, user_text = render_prompt(DEFAULT_OPERATOR, sample(26.0), OFF, TH)
         assert not re.search(r"\{[a-z_]+\}", user_text)
 
     def test_inline_feedback_placeholder_is_substituted(self):
-        task = TaskSpec("T={temperature} prev={prev_action} notes: {feedback}").validate()
-        _, with_feedback = render_prompt(DEFAULT_OPERATOR, task, sample(26.0), OFF, TH, "do better")
+        spec = AgentSpec(task=TaskSpec("T={temperature} prev={prev_action} notes: {feedback}").validate())
+        _, with_feedback = render_prompt(spec, sample(26.0), OFF, TH, "do better")
         assert with_feedback.endswith("notes: do better")
-        _, without = render_prompt(DEFAULT_OPERATOR, task, sample(26.0), OFF, TH)
+        _, without = render_prompt(spec, sample(26.0), OFF, TH)
         assert without.endswith("notes: ")
 
     def test_unknown_placeholder_rejected_at_validation(self):
@@ -92,9 +91,9 @@ class TestRenderPrompt:
             TaskSpec("T={temperature} setpoint={setpoint}").validate()
 
     def test_unbound_placeholder_raises_template_error(self):
-        rogue = TaskSpec("T={temperature} setpoint={setpoint}")
+        rogue = AgentSpec(task=TaskSpec("T={temperature} setpoint={setpoint}"))
         with pytest.raises(TemplateError):
-            render_prompt(DEFAULT_OPERATOR, rogue, sample(26.0), OFF, TH)
+            render_prompt(rogue, sample(26.0), OFF, TH)
 
 
 class TestParseAction:
@@ -269,12 +268,3 @@ class TestMonitorTrigger:
         with pytest.raises(InvalidInput):
             monitor_trigger(sample(26.0), "sometimes", TH)
 
-
-class TestAgentSpec:
-    def test_defaults_carry_backend_reference_and_no_tools(self):
-        assert DEFAULT_OPERATOR.backend == "default"
-        assert DEFAULT_OPERATOR.tools == ()
-
-    def test_tools_are_declarative(self):
-        spec = AgentSpec("op", "role", "goal", tools=("lookup_table",))
-        assert spec.tools == ("lookup_table",)

@@ -2,6 +2,7 @@
 validation, and cross-format report agreement."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from twinloop.agents import AgentSpec, TaskSpec
 from twinloop.cli import main, load_config
 from twinloop.errors import ConfigError, LogFormatError
 from twinloop.jsonio import loads_record
@@ -24,6 +26,13 @@ from twinloop.plantio import PlantServer, TwinPlant
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment for a child interpreter that imports the package
+    from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -42,10 +51,10 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 class TestLoadConfig:
     def test_case_study_config_loads(self):
         cfg = load_config(CASE_CONFIG)
-        assert cfg.thresholds.low == 25.0
+        assert cfg.run.thresholds.low == 25.0
         assert cfg.run.duration == 2400.0
         assert cfg.backend.kind == "scripted"
-        assert cfg.agents["operator"].name == "operator"
+        assert cfg.operator == AgentSpec()
 
     def test_empty_config_gets_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -76,8 +85,22 @@ class TestLoadConfig:
 
     def test_unknown_backend_reference_rejected(self, tmp_path):
         path = write_config(tmp_path, {"agents.operator.backend": "gpu-farm"})
-        with pytest.raises(ConfigError, match="gpu-farm"):
+        with pytest.raises(ConfigError, match=re.escape("unknown key 'agents.operator.backend'")):
             load_config(path)
+
+    @pytest.mark.parametrize("agent", ["validator", "reprompter"])
+    def test_only_the_operator_is_configurable(self, tmp_path, agent):
+        path = write_config(tmp_path, {f"agents.{agent}": {"role": "r", "goal": "g"}})
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key 'agents.{agent}'")):
+            load_config(path)
+
+    def test_operator_keys_default_one_by_one(self, tmp_path):
+        path = write_config(
+            tmp_path, {"agents": {"operator": {"task": {"description_template": "T={temperature}"}}}}
+        )
+        operator = load_config(path).operator
+        assert (operator.role, operator.goal) == (AgentSpec().role, AgentSpec().goal)
+        assert operator.task == TaskSpec("T={temperature}")
 
     def test_bad_task_placeholder_rejected(self, tmp_path):
         path = write_config(
@@ -107,6 +130,17 @@ class TestLoadConfig:
             load_config(path)
         path = write_config(tmp_path, {"run.validator_mode": {"kind": "twin", "envelope": [None, 30]}})
         assert load_config(path).run.validator.envelope == (-math.inf, 30.0)
+
+    def test_twin_horizon_longer_than_the_run_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 1e12, "envelope": [20, 30]}}
+        )
+        with pytest.raises(ConfigError, match=r"'run'.*horizon.*exceeds the run duration"):
+            load_config(path)
+        path = write_config(
+            tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 2400, "envelope": [20, 30]}}
+        )
+        assert load_config(path).run.validator.horizon == 2400.0
 
     def test_integral_float_accepted_for_integer_field(self, tmp_path):
         path = write_config(tmp_path, {"run.max_reprompts": 2.0})
@@ -200,6 +234,58 @@ class TestCmdRun:
         assert config.duration == 60.0
         assert episodes[-1].t_start < 60.0
 
+    def test_duration_shorter_than_twin_horizon_exits_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 300, "envelope": [20, 30]}}
+        )
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "exceeds the run duration" in err
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "doc", [{}, {"backend": {"latency": {"kind": "fixed", "seconds": 0.0}}}]
+    )
+    def test_zero_latency_lockstep_run_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "zero_latency.json"
+        path.write_text(json.dumps(doc))
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "24", "--out", str(log)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "run.sample_period_floor" in err and "backend.latency" in err
+        assert not log.exists()
+
+    def test_zero_latency_run_with_a_sample_period_floor_runs(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, {"backend.latency": {"kind": "none"}, "run.sample_period_floor": 1.0}
+        )
+        log = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(path), "--duration", "60", "--out", str(log)]) == 0
+        _, episodes = read_run_log(log)
+        assert len(episodes) == 60
+
+    def test_case_study_output_is_pinned(self, tmp_path, capsys):
+        # a config refactor must not move a byte of the case study's output
+        log = tmp_path / "case.jsonl"
+        assert main([
+            "run", "--config", str(CASE_CONFIG), "--backend", "scripted:flip",
+            "--seed", "7", "--out", str(log),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--format", "machine"]) == 0
+        machine = capsys.readouterr().out
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "b0235fa474f7b838b634f3d939142021c675878387f5a3d480753e7ee514bf2e"
+        )
+        assert hashlib.sha256(machine.encode()).hexdigest() == (
+            "bacdf112e5d2ff7f2a7611282de1d848f7b453b2933e71fdcd47912301215b9f"
+        )
+
     def test_bad_backend_override_exits_2(self, tmp_path, capsys):
         code = main([
             "run", "--config", str(CASE_CONFIG), "--backend", "psychic",
@@ -265,6 +351,12 @@ class TestCmdReport:
 
     def test_missing_log_exits_2(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path / "none.jsonl")]) == 2
+
+    def test_empty_log_exits_2_without_a_line_number(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["report", "--log", str(empty)]) == 2
+        assert capsys.readouterr().err == "report error: log is empty\n"
 
     def test_directory_as_log_exits_2(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path)]) == 2
@@ -343,6 +435,7 @@ class TestCmdPlantServe:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            env=child_env(),
         )
         try:
             assert "serving plant on" in proc.stdout.readline()
@@ -388,13 +481,12 @@ class TestCmdPlantServe:
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["twinloop", "twinloop.cli"])
     def test_help_via_python_m(self, module):
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", module, "--help"],
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: twinloop")

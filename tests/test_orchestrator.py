@@ -2,6 +2,7 @@
 clock accounting, and run-log round trips."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -444,6 +445,16 @@ class TestRunConfigValidation:
         ValidatorMode(kind="twin", envelope=(-math.inf, 30.0)).validate()
         ValidatorMode(kind="twin", envelope=(20.0, math.inf)).validate()
         ValidatorMode().validate()
+
+    def test_twin_horizon_bounded_by_duration(self):
+        twin_mode = ValidatorMode(kind="twin", horizon=1e12, envelope=(20.0, 30.0))
+        with pytest.raises(InvalidInput, match="exceeds the run duration"):
+            RunConfig(validator=twin_mode).validate()
+        with pytest.raises(InvalidInput, match="exceeds the run duration"):
+            run_loop(make_plant(), scripted(), RunConfig(validator=twin_mode))
+        RunConfig(duration=300.0, validator=replace(twin_mode, horizon=300.0)).validate()
+        # the rule validator ignores its horizon
+        RunConfig(duration=60.0, validator=ValidatorMode(horizon=1e12)).validate()
 
     def test_negative_reprompts(self):
         with pytest.raises(InvalidInput):
