@@ -10,20 +10,21 @@ returns the recorded stream.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .agents import Thresholds, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted
 from .jsonio import dumps_record, loads_record
 from .plantio import HeaterAction
+
+if TYPE_CHECKING:
+    import urllib.request
 
 HTTP = "http"
 SCRIPTED = "scripted"
@@ -181,6 +182,11 @@ class HttpBackend:
 
     Retries exactly once on transport timeout; HTTP error statuses are not
     retried, so systematic failures surface immediately.
+
+    The HTTP client stack (``http.client`` pulls in ``ssl`` and ``email``)
+    is imported here rather than with the package, so runs that never build
+    this backend do not pay for it, and before the first call, so its
+    one-off import time never lands in a call's latency.
     """
 
     def __init__(self, config: BackendConfig):
@@ -190,6 +196,12 @@ class HttpBackend:
             raise ConfigError(f"missing API key: set ${config.api_key_env}")
         self._key = key
         self._url = config.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        self._http = http
+        self._urllib = urllib
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext | None = None) -> Exchange:
         body = {
@@ -201,7 +213,7 @@ class HttpBackend:
                 {"role": "user", "content": user_text},
             ],
         }
-        request = urllib.request.Request(
+        request = self._urllib.request.Request(
             self._url,
             data=json.dumps(body).encode("utf-8"),
             headers={"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"},
@@ -212,7 +224,7 @@ class HttpBackend:
             try:
                 status, raw = self._post(request)
                 break
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, self._http.client.HTTPException) as exc:
                 # urlopen wraps a connect timeout in URLError; a read timeout arrives bare
                 timed_out = isinstance(exc, TimeoutError) or isinstance(
                     getattr(exc, "reason", None), TimeoutError
@@ -240,9 +252,9 @@ class HttpBackend:
     def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
         """One POST; an HTTP error status is returned, not raised."""
         try:
-            with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
+            with self._urllib.request.urlopen(request, timeout=self.config.timeout) as response:
                 return response.status, response.read()
-        except urllib.error.HTTPError as exc:
+        except self._urllib.error.HTTPError as exc:
             exc.close()
             return exc.code, b""
 

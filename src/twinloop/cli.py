@@ -226,19 +226,19 @@ def _build_plant(spec: str, cfg: LoadedConfig):
 
 def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> None:
     """Refuse a lockstep run whose clock would creep forward by the minimum
-    idle tick per episode: a scripted backend with no latency and no sample
-    period floor."""
+    idle tick per episode: a scripted backend with no latency, or a fixed one
+    below the tick, and a sample period floor below the tick."""
     latency = backend_config.latency
     if (
         run_config.clock_mode == plantio.LOCKSTEP
         and backend_config.kind == SCRIPTED
-        and (latency.kind == "none" or (latency.kind == "fixed" and latency.seconds == 0.0))
-        and run_config.sample_period_floor == 0.0
+        and (latency.kind == "none" or (latency.kind == "fixed" and latency.seconds < MIN_IDLE_TICK))
+        and run_config.sample_period_floor < MIN_IDLE_TICK
     ):
         raise ConfigError(
-            f"a lockstep run with a zero-latency scripted backend advances only "
-            f"{MIN_IDLE_TICK:g} s per episode, about {run_config.duration / MIN_IDLE_TICK:.0f} "
-            "episodes; set run.sample_period_floor > 0 or a backend.latency"
+            f"a lockstep run with a scripted backend latency under {MIN_IDLE_TICK:g} s advances "
+            f"only {MIN_IDLE_TICK:g} s per episode, about {run_config.duration / MIN_IDLE_TICK:.0f} "
+            f"episodes; set run.sample_period_floor or backend.latency to at least {MIN_IDLE_TICK:g} s"
         )
 
 

@@ -4,10 +4,10 @@ back to the safety action once the attempt budget is exhausted.
 
 Clock semantics are the heart of this module.  While a decision is being
 made the previously applied action stays in force and the clock advances by
-that attempt's inference latency -- in lockstep mode the twin is integrated
-forward by exactly that much, in realtime mode wall time simply passes.  Slow
-models therefore hold stale actions longer, and that shows up in the control
-metrics.
+that attempt's inference latency, whether the call succeeded or failed -- in
+lockstep mode the twin is integrated forward by exactly that much, in
+realtime mode wall time simply passes.  Slow models therefore hold stale
+actions longer, and that shows up in the control metrics.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
 )
 from .jsonio import dumps_record, from_doc, loads_record
-from .plantio import HeaterAction, LOCKSTEP, REALTIME, CLOCK_MODES
+from .plantio import HeaterAction, LOCKSTEP, CLOCK_MODES
 
 RULE = "rule"
 TWIN = "twin"
@@ -55,8 +55,9 @@ LOG_FORMAT = "twinloop-run-log/1"
 # Idle poll period when the anomaly monitor declines a sample and no explicit
 # sample_period_floor is set; without it a lockstep clock would never move.
 DEFAULT_IDLE_POLL = 1.0
-# Minimum advance after an episode that consumed no simulated time, so the
-# loop always terminates even with a zero-latency backend.
+# Minimum simulated time an episode or an idle poll spans, so the loop ends
+# after at most duration / MIN_IDLE_TICK episodes even with a zero or
+# vanishing backend latency.
 MIN_IDLE_TICK = 1e-3
 
 
@@ -222,9 +223,9 @@ def run_episode(
 
     The temperature is sampled once, at t_start, and drives every attempt of
     the episode.  Parse failures and backend errors consume an attempt just
-    like a failed validation.  If no attempt passes within
-    ``max_reprompts + 1``, the safety action is applied and the episode is
-    marked as overridden.
+    like a failed validation; a backend error's elapsed time is its attempt's
+    latency.  If no attempt passes within ``max_reprompts + 1``, the safety
+    action is applied and the episode is marked as overridden.
     """
     th = config.thresholds
     sample = plant.read_temperature()
@@ -247,13 +248,16 @@ def run_episode(
         try:
             exchange = backend.complete(system_text, user_text, ctx)
         except BackendError as exc:
-            latency = exc.elapsed if config.clock_mode == REALTIME else 0.0
+            exchange, latency = None, exc.elapsed
             reason, error = f"backend error: {exc}", "backend_error"
         else:
-            response, latency = exchange.response_text, exchange.latency
-            # The previous action stays in force while "inference" runs.
-            if config.clock_mode == LOCKSTEP:
-                _advance_clock(plant, latency, LOCKSTEP)
+            latency = exchange.latency
+        # The previous action stays in force while "inference" runs, and a
+        # failed call takes as long as it took.
+        if config.clock_mode == LOCKSTEP:
+            _advance_clock(plant, latency, LOCKSTEP)
+        if exchange is not None:
+            response = exchange.response_text
             try:
                 proposal = parse_action(response)
             except ParseError:
@@ -327,7 +331,8 @@ def run_loop(
             if not monitor_trigger(
                 sample, config.monitor.kind, config.thresholds, config.monitor.margin
             ):
-                poll = config.sample_period_floor if config.sample_period_floor > 0 else DEFAULT_IDLE_POLL
+                floor = config.sample_period_floor
+                poll = max(floor, MIN_IDLE_TICK) if floor > 0 else DEFAULT_IDLE_POLL
                 _advance_clock(plant, poll, config.clock_mode)
                 continue
         record = run_episode(
@@ -341,8 +346,10 @@ def run_loop(
         floor_target = record.t_start + config.sample_period_floor
         if floor_target > plant.clock:
             _advance_clock(plant, floor_target - plant.clock, config.clock_mode)
-        elif plant.clock <= record.t_start:
-            _advance_clock(plant, MIN_IDLE_TICK, config.clock_mode)
+        # a zero-latency episode (elapsed 0.0) advances by exactly MIN_IDLE_TICK
+        elapsed = plant.clock - record.t_start
+        if elapsed < MIN_IDLE_TICK:
+            _advance_clock(plant, MIN_IDLE_TICK - elapsed, config.clock_mode)
     return episodes
 
 

@@ -260,6 +260,27 @@ class TestCmdRun:
         assert "run.sample_period_floor" in err and "backend.latency" in err
         assert not log.exists()
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-6])
+    def test_sub_tick_fixed_latency_lockstep_run_exits_2(self, tmp_path, capsys, monkeypatch, floor):
+        # 1e-300 s per episode used to write 72702 episodes in 5 s
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was not refused")
+
+        monkeypatch.setattr("twinloop.cli.run_loop", no_run)
+        path = tmp_path / "sub_tick.json"
+        doc = {
+            "backend": {"latency": {"kind": "fixed", "seconds": 1e-300}},
+            "run": {"sample_period_floor": floor},
+        }
+        path.write_text(json.dumps(doc))
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "24", "--out", str(log)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "run.sample_period_floor" in err and "backend.latency" in err
+        assert not log.exists()
+
     def test_zero_latency_run_with_a_sample_period_floor_runs(self, tmp_path, capsys):
         path = write_config(
             tmp_path, {"backend.latency": {"kind": "none"}, "run.sample_period_floor": 1.0}
@@ -491,3 +512,25 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: twinloop")
         assert "plant-serve" in proc.stdout
+
+
+HTTP_STACK = ("http.client", "urllib.request", "ssl", "email")
+
+
+def test_http_client_stack_loads_only_with_an_http_backend():
+    script = f"""
+import os, sys
+import twinloop.cli
+print(sorted(m for m in {HTTP_STACK!r} if m in sys.modules))
+from twinloop.backends import BackendConfig, HttpBackend
+os.environ["LLM_API_KEY"] = "k"
+HttpBackend(BackendConfig(kind="http", base_url="http://127.0.0.1:9", model="m"))
+print(sorted(m for m in {HTTP_STACK!r} if m in sys.modules))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_backend = proc.stdout.splitlines()
+    assert after_import == "[]"
+    assert after_backend == repr(sorted(HTTP_STACK))

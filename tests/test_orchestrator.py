@@ -42,17 +42,19 @@ def scripted(kind="oracle", latency=5.0, seed=0, p_wrong=0.4, p_correct=0.63):
 
 
 class FailingBackend:
-    """Raises BackendError for the first `failures` calls, then delegates."""
+    """Raises BackendError for the first `failures` calls, each after
+    `elapsed` seconds, then delegates."""
 
-    def __init__(self, failures, inner):
+    def __init__(self, failures, inner, elapsed=0.0):
         self.failures = failures
         self.inner = inner
+        self.elapsed = elapsed
         self.calls = 0
 
     def complete(self, system_text, user_text, ctx):
         self.calls += 1
         if self.calls <= self.failures:
-            raise BackendError("stub transport failure", status=500)
+            raise BackendError("stub transport failure", status=500, elapsed=self.elapsed)
         return self.inner.complete(system_text, user_text, ctx)
 
 
@@ -130,6 +132,16 @@ class TestRunEpisode:
         assert record.attempts[1].passed
         assert record.applied is OFF
         assert not record.override
+
+    def test_backend_error_costs_its_elapsed_time_in_lockstep(self):
+        # a timed-out call must not look faster than a slow success
+        plant = make_plant(t_sensor=28.0, t_heater=40.0)
+        backend = FailingBackend(1, scripted(latency=0.0), elapsed=2.5)
+        record = run_episode(plant, backend, RunConfig(), prev=ON, index=0)
+        assert record.attempts[0].error == "backend_error"
+        assert record.attempts[0].latency == 2.5
+        assert plant.clock == 2.5
+        assert record.t_end - record.t_start == 2.5
 
     def test_backend_error_on_every_attempt_triggers_override(self):
         plant = make_plant(t_sensor=28.0, t_heater=40.0)
@@ -243,6 +255,48 @@ class TestRunLoop:
         episodes = run_loop(plant, scripted(latency=0.0), RunConfig(duration=0.01))
         assert len(episodes) >= 1
         assert plant.clock >= 0.01
+
+    def test_sub_tick_latency_still_moves_the_clock_by_the_tick(self):
+        # each episode adds 1e-300 s, which used to keep the idle tick away
+        def stop_runaway(record):
+            if record.index > 1001:
+                raise AssertionError("more episodes than 1 s / MIN_IDLE_TICK")
+
+        plant = make_plant()
+        episodes = run_loop(
+            plant, scripted(latency=1e-300), RunConfig(duration=1.0), on_episode=stop_runaway
+        )
+        assert plant.clock >= 1.0
+        starts = [e.t_start for e in episodes]
+        assert all(b - a >= 0.999e-3 for a, b in zip(starts, starts[1:]))
+
+    def test_zero_latency_episodes_advance_by_exactly_the_tick(self):
+        plant = make_plant()
+        episodes = run_loop(plant, scripted(latency=0.0), RunConfig(duration=0.01))
+        expected = [0.0]
+        for _ in episodes[1:]:
+            expected.append(expected[-1] + 1e-3)
+        assert [e.t_start for e in episodes] == expected
+
+    def test_sub_tick_idle_poll_still_moves_the_clock(self):
+        class CountingPlant(TwinPlant):
+            advances = 0
+
+            def advance(self, dt):
+                self.advances += 1
+                if self.advances > 10_000:
+                    raise AssertionError("the clock is not moving")
+                super().advance(dt)
+
+        # the plant sits inside the band, so the anomaly monitor idles
+        plant = CountingPlant(initial_state=TwinState(27.0, 27.0, 0.0))
+        config = RunConfig(
+            duration=1.0, sample_period_floor=1e-300, monitor=MonitorMode(kind="anomaly")
+        )
+        episodes = run_loop(plant, scripted(latency=0.5), config)
+        assert len(episodes) == 1
+        assert plant.clock >= 1.0
+        assert plant.advances <= 1000
 
     def test_safety_guarantee_regardless_of_backend(self):
         plant = make_plant()
