@@ -81,9 +81,13 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A validator's judgement of one proposal.  ``criterion`` states, for
+    the corrective feedback, the check a failing verdict applied."""
+
     passed: bool
     expected: HeaterAction | None
     reason: str
+    criterion: str = ""
 
     def __post_init__(self):
         if not self.passed and not self.reason:
@@ -174,7 +178,11 @@ def validate_rule(
             f"temperature {format_celsius(t)} degC is inside the band, "
             f"so the previous state {prev} must be held"
         )
-    return Verdict(False, expected, reason)
+    criterion = (
+        f"Rule: turn OFF above {_fmt_threshold(th.high)}°C, "
+        f"turn ON below {_fmt_threshold(th.low)}°C, otherwise hold the previous state."
+    )
+    return Verdict(False, expected, reason, criterion)
 
 
 def validate_twin(
@@ -188,7 +196,8 @@ def validate_twin(
 
     Passes iff every sampled sensor temperature over the horizon stays inside
     [envelope[0], envelope[1]].  No expected action exists in this mode; the
-    reason reports the first violation instant.
+    reason reports the first violation instant, and the criterion states the
+    envelope and the horizon.
     """
     lo, hi = envelope
     if not lo < hi:
@@ -196,11 +205,15 @@ def validate_twin(
     trajectory = twin.rollout(params, state, proposal.duty, horizon)
     for clock, t_sensor in trajectory:
         if t_sensor < lo or t_sensor > hi:
+            bounds = f"[{_fmt_threshold(lo)}, {_fmt_threshold(hi)}]"
             return Verdict(
                 False,
                 None,
                 f"simulated sensor temperature {t_sensor:.2f} degC at t={clock:.1f} s "
-                f"leaves the safe envelope [{_fmt_threshold(lo)}, {_fmt_threshold(hi)}]",
+                f"leaves the safe envelope {bounds}",
+                f"Twin check: under the proposed action the simulated sensor temperature "
+                f"must stay inside the safe envelope {bounds} degC for the next "
+                f"{_fmt_threshold(horizon)} s.",
             )
     return Verdict(True, None, "simulated trajectory stays inside the safe envelope")
 
@@ -212,29 +225,35 @@ def compose_feedback(
     t: float,
     prev: HeaterAction,
     proposal: HeaterAction | None,
-    th: Thresholds,
+    backend_error: str | None = None,
 ) -> str:
     """Deterministic corrective feedback for a failed attempt.
 
-    ``proposal=None`` means the response had no parseable ACTION line; a
-    verdict passed alongside a real proposal must be a failing one.
+    ``backend_error`` describes a backend call that never returned a reply.
+    Otherwise ``proposal=None`` means the reply had no parseable ACTION line,
+    and a verdict passed alongside a real proposal must be a failing one; the
+    feedback then states the criterion that verdict applied.
     """
+    head = f"(attempt {attempt}/{max_attempts}): "
+    situation = f"at {format_celsius(t)}°C with previous heater state {prev.value}"
+    respond = "Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
+    if backend_error is not None:
+        return (
+            f"BACKEND ERROR {head}the request for a decision {situation} got no reply "
+            f"({backend_error}). This was a transport failure, not a fault in your "
+            f"answer. {respond}"
+        )
     if proposal is None:
-        proposal_text = "UNPARSEABLE"
-        reason = "no ACTION line found"
-    else:
-        if verdict is None or verdict.passed:
-            raise InvalidState("feedback is only composed for failed attempts")
-        proposal_text = proposal.value
-        reason = verdict.reason
+        return (
+            f"VALIDATION FAILED {head}{situation}, your reply is UNPARSEABLE: "
+            f"no ACTION line found. {respond}"
+        )
+    if verdict is None or verdict.passed:
+        raise InvalidState("feedback is only composed for failed attempts")
+    criterion = f"{verdict.criterion} " if verdict.criterion else ""
     return (
-        f"VALIDATION FAILED (attempt {attempt}/{max_attempts}): "
-        f"at {format_celsius(t)}°C with previous heater state {prev.value}, "
-        f"your proposed action {proposal_text} violates the control rule: {reason}. "
-        f"Rule: turn OFF above {_fmt_threshold(th.high)}°C, "
-        f"turn ON below {_fmt_threshold(th.low)}°C, "
-        f"otherwise hold the previous state. "
-        f"Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
+        f"VALIDATION FAILED {head}{situation}, your proposed action "
+        f"{proposal.value} was rejected: {verdict.reason}. {criterion}{respond}"
     )
 
 

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -226,13 +227,20 @@ def _build_plant(spec: str, cfg: LoadedConfig):
 
 def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> None:
     """Refuse a lockstep run whose clock would creep forward by the minimum
-    idle tick per episode: a scripted backend with no latency, or a fixed one
-    below the tick, and a sample period floor below the tick."""
+    idle tick per episode: a scripted backend with no latency, a fixed one
+    below the tick or a lognormal one whose median ``exp(mu)`` is below it,
+    and a sample period floor below the tick."""
     latency = backend_config.latency
+    sub_tick = (
+        latency.kind == "none"
+        or (latency.kind == "fixed" and latency.seconds < MIN_IDLE_TICK)
+        # mu against log(tick): exp(mu) overflows for a large mu
+        or (latency.kind == "lognormal" and latency.mu < math.log(MIN_IDLE_TICK))
+    )
     if (
         run_config.clock_mode == plantio.LOCKSTEP
         and backend_config.kind == SCRIPTED
-        and (latency.kind == "none" or (latency.kind == "fixed" and latency.seconds < MIN_IDLE_TICK))
+        and sub_tick
         and run_config.sample_period_floor < MIN_IDLE_TICK
     ):
         raise ConfigError(

@@ -279,7 +279,8 @@ def run_episode(
             break
         if attempt_index < config.max_reprompts:
             feedback = compose_feedback(
-                verdict, attempt_index + 1, budget, sample.t_sensor, prev, proposal, th
+                verdict, attempt_index + 1, budget, sample.t_sensor, prev, proposal,
+                backend_error=reason if exchange is None else None,
             )
 
     override = applied is None

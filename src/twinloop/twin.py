@@ -11,12 +11,15 @@ hot heater element keeps pushing the sensor temperature up for a while.  That
 turn-off overshoot is what makes tight on/off control of this rig
 interesting, and every default below is calibrated so it shows up clearly.
 
-Integration is classical fixed-step RK4 at ``dt_internal`` (a final partial
-substep absorbs any remainder), which keeps trajectories deterministic and
-bit-for-bit replayable.  ``step`` runs that integrator directly.  ``rollout``
-holds one duty over many whole seconds; the model is linear, so one second of
-the same RK4 is a fixed affine map ``x <- M x + c``, which it takes from the
-integrator once per (parameters, duty) and reuses.
+Under a held duty the model is linear and time-invariant, ``x' = A x + f``,
+so it is solved exactly (zero-order hold): ``x(t+dt) = x_ss + e^{A dt}
+(x(t) - x_ss)``.  ``A`` is a passive two-node RC network with real, distinct,
+negative eigenvalues, and ``e^{A dt}`` has a closed form with two ``exp``
+calls (Moler & Van Loan, *Nineteen Dubious Ways to Compute the Exponential of
+a Matrix*, 2003).  ``exp`` comes from the platform's libm, as it does for the
+lognormal latency stream, so trajectories are deterministic and bit-for-bit
+replayable on one platform.  ``step`` and ``rollout`` share that propagator;
+its per-duty constants are cached per (parameters, duty).
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class TwinParams:
     """Physical coefficients of the two-node model.
 
     Temperatures in degC, capacities in J/K, conductances in W/K, alpha in
-    W per percent duty, dt_internal in seconds.
+    W per percent duty.  ``dt_internal`` (seconds) is still accepted and
+    validated, but the exact propagator reads no internal step.
     """
 
     t_amb: float = DEFAULT_T_AMB
@@ -100,53 +104,14 @@ def _check_step_args(state: TwinState, duty: float, dt: float) -> None:
         raise InvalidInput(f"dt must be > 0, got {dt!r}")
 
 
-def _advance(p: TwinParams, th: float, ts: float, duty: float, dt: float) -> tuple[float, float]:
-    """RK4-integrate both nodes over dt; hot loop, locals only."""
-    q = p.alpha * duty
-    t_amb = p.t_amb
-    inv_ch = 1.0 / p.c_h
-    inv_cs = 1.0 / p.c_s
-    u_ha = p.u_ha
-    u_hs = p.u_hs
-    u_sa = p.u_sa
-    h = p.dt_internal
-
-    n = int(dt / h)
-    rem = dt - n * h
-    for i in range(n + 1):
-        if i == n:
-            if rem <= 1e-12:
-                break
-            h = rem
-        half = 0.5 * h
-        k1h = (q + u_ha * (t_amb - th) + u_hs * (ts - th)) * inv_ch
-        k1s = (u_hs * (th - ts) + u_sa * (t_amb - ts)) * inv_cs
-        ah = th + half * k1h
-        as_ = ts + half * k1s
-        k2h = (q + u_ha * (t_amb - ah) + u_hs * (as_ - ah)) * inv_ch
-        k2s = (u_hs * (ah - as_) + u_sa * (t_amb - as_)) * inv_cs
-        ah = th + half * k2h
-        as_ = ts + half * k2s
-        k3h = (q + u_ha * (t_amb - ah) + u_hs * (as_ - ah)) * inv_ch
-        k3s = (u_hs * (ah - as_) + u_sa * (t_amb - as_)) * inv_cs
-        ah = th + h * k3h
-        as_ = ts + h * k3s
-        k4h = (q + u_ha * (t_amb - ah) + u_hs * (as_ - ah)) * inv_ch
-        k4s = (u_hs * (ah - as_) + u_sa * (t_amb - as_)) * inv_cs
-        sixth = h / 6.0
-        th += sixth * (k1h + 2.0 * (k2h + k3h) + k4h)
-        ts += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-    return th, ts
-
-
 def step(params: TwinParams, state: TwinState, duty: float, dt: float) -> TwinState:
     """Advance the plant by dt seconds under a constant duty.
 
-    The clock moves by exactly dt; the temperatures come from fixed-substep
-    RK4.  Identical inputs produce identical outputs bit for bit.
+    The clock moves by exactly dt; the temperatures come from the exact
+    propagator.  Identical inputs produce identical outputs bit for bit.
     """
     _check_step_args(state, duty, dt)
-    th, ts = _advance(params, state.t_heater, state.t_sensor, duty, dt)
+    th, ts = _propagate(_zoh(params, duty), state.t_heater, state.t_sensor, dt)
     return TwinState(th, ts, state.clock + dt)
 
 
@@ -167,16 +132,42 @@ def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=64)
-def _one_second_map(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float]:
-    """``(m_hh, m_hs, m_sh, m_ss, c_h, c_s)`` of ``_advance`` over one second.
+def _zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float, float, float]:
+    """Per-duty constants ``(xh, xs, l1, l2, g_hh, g_hs, g_sh, g_ss)`` of the
+    exact propagator.
 
-    The integrator is affine in the state, so its images of the origin and of
-    the two unit vectors determine the map.
+    With ``x' = A x + f`` and steady state ``(xh, xs)``, ``A``'s eigenvalues
+    ``l1 > l2`` are real, distinct and negative for a passive RC network, and
+    Sylvester's formula gives ``e^{A dt} = e2 I + (e1 - e2) G`` with
+    ``ek = exp(lk dt)`` and ``G = (A - l2 I) / (l1 - l2)``.
     """
-    c_h, c_s = _advance(p, 0.0, 0.0, duty, 1.0)
-    e_hh, e_sh = _advance(p, 1.0, 0.0, duty, 1.0)
-    e_hs, e_ss = _advance(p, 0.0, 1.0, duty, 1.0)
-    return e_hh - c_h, e_hs - c_h, e_sh - c_s, e_ss - c_s, c_h, c_s
+    xh, xs = steady_state(p, duty)
+    a = -(p.u_ha + p.u_hs) / p.c_h
+    b = p.u_hs / p.c_h
+    c = p.u_hs / p.c_s
+    d = -(p.u_hs + p.u_sa) / p.c_s
+    root = math.sqrt((0.5 * (a - d)) ** 2 + b * c)
+    l2 = 0.5 * (a + d) - root
+    # det(A) = l1 * l2, written without the cancellation in a*d - b*c
+    l1 = (p.u_ha * p.u_hs + p.u_ha * p.u_sa + p.u_hs * p.u_sa) / (p.c_h * p.c_s * l2)
+    k = 1.0 / (l1 - l2)
+    return xh, xs, l1, l2, k * (a - l2), k * b, k * c, k * (d - l2)
+
+
+def _transition(z: tuple[float, ...], dt: float) -> tuple[float, float, float, float]:
+    """``(m_hh, m_hs, m_sh, m_ss)`` of ``e^{A dt}``: two ``exp`` calls."""
+    _, _, l1, l2, g_hh, g_hs, g_sh, g_ss = z
+    e2 = math.exp(l2 * dt)
+    e12 = math.exp(l1 * dt) - e2
+    return e2 + e12 * g_hh, e12 * g_hs, e12 * g_sh, e2 + e12 * g_ss
+
+
+def _propagate(z: tuple[float, ...], th: float, ts: float, dt: float) -> tuple[float, float]:
+    """``x(t + dt) = x_ss + e^{A dt} (x(t) - x_ss)`` under the duty of ``z``."""
+    m_hh, m_hs, m_sh, m_ss = _transition(z, dt)
+    xh, xs = z[0], z[1]
+    yh, ys = th - xh, ts - xs
+    return xh + m_hh * yh + m_hs * ys, xs + m_sh * yh + m_ss * ys
 
 
 def rollout(
@@ -185,33 +176,34 @@ def rollout(
     """Simulate ahead and return (clock, t_sensor) samples.
 
     Sampling grid: the initial instant, every integer second inside the
-    horizon, and the final instant.  Each one-second segment applies the
-    cached one-second map of the RK4 integrator; the shorter first and last
-    segments run the integrator itself.  The samples agree with chained
-    ``step`` calls to rounding error (about 1e-12 degC over 300 s).
+    horizon, and the final instant.  The first and last segments, which may
+    be shorter than a second, run the propagator; every whole second between
+    them applies the propagator's one-second transition, computed once per
+    call.  The samples agree with chained ``step`` calls to rounding error.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
     _check_step_args(state, duty, horizon)
 
+    z = _zoh(params, duty)
     end = state.clock + horizon
-    sample_times = []
-    t = math.floor(state.clock) + 1.0
-    while t < end - 1e-9:
-        if t > state.clock:
-            sample_times.append(t)
-        t += 1.0
-    sample_times.append(end)
-
-    m_hh, m_hs, m_sh, m_ss, c_h, c_s = _one_second_map(params, duty)
     clock, th, ts = state.clock, state.t_heater, state.t_sensor
     trajectory = [(clock, ts)]
-    for target in sample_times:
-        dt = target - clock
-        if dt == 1.0:
+    t = math.floor(clock) + 1.0
+    if t < end - 1e-9:
+        th, ts = _propagate(z, th, ts, t - clock)
+        trajectory.append((t, ts))
+        # the one-second transition as an affine map x <- M x + c
+        m_hh, m_hs, m_sh, m_ss = _transition(z, 1.0)
+        xh, xs = z[0], z[1]
+        c_h = xh - m_hh * xh - m_hs * xs
+        c_s = xs - m_sh * xh - m_ss * xs
+        t += 1.0
+        while t < end - 1e-9:
             th, ts = m_hh * th + m_hs * ts + c_h, m_sh * th + m_ss * ts + c_s
-        else:
-            th, ts = _advance(params, th, ts, duty, dt)
-        clock = target
-        trajectory.append((target, ts))
+            trajectory.append((t, ts))
+            t += 1.0
+        clock = t - 1.0
+    th, ts = _propagate(z, th, ts, end - clock)
+    trajectory.append((end, ts))
     return trajectory

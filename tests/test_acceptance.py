@@ -173,7 +173,7 @@ def test_criterion_5_safety_guarantee():
 
 def test_criterion_6_twin_numerics():
     with criterion(6, "twin numerics", 5.0):
-        # RK4 against a fine-step explicit Euler oracle over piecewise duty
+        # the exact twin against a fine-step explicit Euler oracle over piecewise duty
         def euler(th, ts, duty, horizon, dt=0.001):
             q = PARAMS.alpha * duty
             for _ in range(int(round(horizon / dt))):

@@ -59,7 +59,7 @@ class TestRenderPrompt:
 
     def test_feedback_is_appended(self):
         feedback = compose_feedback(
-            validate_rule(OFF, 24.0, OFF, TH), 1, 3, 24.0, OFF, OFF, TH
+            validate_rule(OFF, 24.0, OFF, TH), 1, 3, 24.0, OFF, OFF
         )
         _, user_text = render_prompt(
             DEFAULT_OPERATOR, sample(24.0), OFF, TH, feedback
@@ -117,7 +117,7 @@ class TestParseAction:
 
     def test_feedback_suggestions_reparse(self):
         feedback = compose_feedback(
-            validate_rule(OFF, 24.0, OFF, TH), 1, 3, 24.0, OFF, OFF, TH
+            validate_rule(OFF, 24.0, OFF, TH), 1, 3, 24.0, OFF, OFF
         )
         assert parse_action("ACTION: ON") is ON
         assert parse_action("ACTION: OFF") is OFF
@@ -223,28 +223,51 @@ class TestValidateTwin:
 class TestComposeFeedback:
     def test_template_contents(self):
         verdict = validate_rule(OFF, 24.0, OFF, TH)
-        text = compose_feedback(verdict, 1, 3, 24.0, OFF, OFF, TH)
+        text = compose_feedback(verdict, 1, 3, 24.0, OFF, OFF)
         assert "attempt 1/3" in text
         assert "turn ON below 25" in text
         assert "24.00" in text
         assert "ACTION: ON" in text and "ACTION: OFF" in text
 
     def test_parse_failure_marks_unparseable(self):
-        text = compose_feedback(None, 2, 3, 26.0, ON, None, TH)
+        text = compose_feedback(None, 2, 3, 26.0, ON, None)
         assert "UNPARSEABLE" in text
         assert "no ACTION line found" in text
         assert "attempt 2/3" in text
+        assert "transport failure" not in text
+
+    def test_backend_error_is_a_transport_failure(self):
+        text = compose_feedback(None, 2, 3, 26.0, ON, None, backend_error="backend error: timed out")
+        assert text.startswith("BACKEND ERROR (attempt 2/3)")
+        assert "backend error: timed out" in text
+        assert "transport failure" in text
+        assert "UNPARSEABLE" not in text and "no ACTION line" not in text
+        assert "VALIDATION FAILED" not in text
+        assert "ACTION: ON" in text and "ACTION: OFF" in text
+
+    def test_rule_verdict_states_the_rule(self):
+        text = compose_feedback(validate_rule(ON, 28.0, ON, TH), 1, 3, 28.0, ON, ON)
+        assert "Rule: turn OFF above 27°C, turn ON below 25°C" in text
+        assert "Twin check" not in text
+
+    def test_twin_verdict_states_its_envelope_and_horizon(self):
+        verdict = validate_twin(TwinParams(), TwinState(43.0, 27.0, 0.0), ON, 450.0, (20.0, 28.0))
+        text = compose_feedback(verdict, 1, 3, 27.0, OFF, ON)
+        assert verdict.reason in text
+        assert "Twin check" in text
+        assert "[20, 28] degC for the next 450 s" in text
+        assert "Rule:" not in text and "turn OFF above" not in text
 
     def test_deterministic(self):
         verdict = validate_rule(ON, 28.0, ON, TH)
-        a = compose_feedback(verdict, 1, 3, 28.0, ON, ON, TH)
-        b = compose_feedback(verdict, 1, 3, 28.0, ON, ON, TH)
+        a = compose_feedback(verdict, 1, 3, 28.0, ON, ON)
+        b = compose_feedback(verdict, 1, 3, 28.0, ON, ON)
         assert a == b
 
     def test_passing_verdict_rejected(self):
         verdict = validate_rule(OFF, 28.0, ON, TH)
         with pytest.raises(InvalidState):
-            compose_feedback(verdict, 1, 3, 28.0, ON, OFF, TH)
+            compose_feedback(verdict, 1, 3, 28.0, ON, OFF)
 
 
 class TestMonitorTrigger:

@@ -281,6 +281,34 @@ class TestCmdRun:
         assert "run.sample_period_floor" in err and "backend.latency" in err
         assert not log.exists()
 
+    def test_sub_tick_lognormal_latency_lockstep_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a median of exp(-600) s per episode used to write 24000 episodes
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was not refused")
+
+        monkeypatch.setattr("twinloop.cli.run_loop", no_run)
+        path = tmp_path / "sub_tick.json"
+        path.write_text(json.dumps(
+            {"backend": {"latency": {"kind": "lognormal", "mu": -600, "sigma": 1}}}
+        ))
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "24", "--out", str(log)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "run.sample_period_floor" in err and "backend.latency" in err
+        assert not log.exists()
+
+    def test_unit_median_lognormal_latency_runs(self, tmp_path, capsys):
+        path = tmp_path / "lognormal.json"
+        path.write_text(json.dumps(
+            {"backend": {"latency": {"kind": "lognormal", "mu": 0, "sigma": 1}}}
+        ))
+        log = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(path), "--duration", "24", "--out", str(log)]) == 0
+        _, episodes = read_run_log(log)
+        assert 0 < len(episodes) < 100
+
     def test_zero_latency_run_with_a_sample_period_floor_runs(self, tmp_path, capsys):
         path = write_config(
             tmp_path, {"backend.latency": {"kind": "none"}, "run.sample_period_floor": 1.0}
@@ -291,7 +319,9 @@ class TestCmdRun:
         assert len(episodes) == 60
 
     def test_case_study_output_is_pinned(self, tmp_path, capsys):
-        # a config refactor must not move a byte of the case study's output
+        # a config refactor must not move a byte of the case study's output;
+        # test_twin.py's test_logs_match_under_rk4 runs the same case study
+        # under an RK4 twin and checks that every decision is the same
         log = tmp_path / "case.jsonl"
         assert main([
             "run", "--config", str(CASE_CONFIG), "--backend", "scripted:flip",
@@ -301,10 +331,10 @@ class TestCmdRun:
         assert main(["report", "--log", str(log), "--format", "machine"]) == 0
         machine = capsys.readouterr().out
         assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-            "b0235fa474f7b838b634f3d939142021c675878387f5a3d480753e7ee514bf2e"
+            "f8bd20a1c8a72413bfca97c1cad30cec80ea35fdf23a63d0c55a066ac2f32317"
         )
         assert hashlib.sha256(machine.encode()).hexdigest() == (
-            "bacdf112e5d2ff7f2a7611282de1d848f7b453b2933e71fdcd47912301215b9f"
+            "8f32944e6dcdb3df50e7e9b048987df324c90dd0e3a55e30bb3746d6232da9ea"
         )
 
     def test_bad_backend_override_exits_2(self, tmp_path, capsys):

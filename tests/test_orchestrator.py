@@ -133,6 +133,22 @@ class TestRunEpisode:
         assert record.applied is OFF
         assert not record.override
 
+    def test_backend_error_feedback_is_not_a_parse_failure(self):
+        prompts = []
+        inner = FailingBackend(1, scripted())
+
+        class Recording:
+            def complete(self, system_text, user_text, ctx):
+                prompts.append(user_text)
+                return inner.complete(system_text, user_text, ctx)
+
+        plant = make_plant(t_sensor=28.0, t_heater=40.0)
+        run_episode(plant, Recording(), RunConfig(), prev=ON, index=0)
+        assert len(prompts) == 2
+        assert "BACKEND ERROR (attempt 1/4)" in prompts[1]
+        assert "stub transport failure" in prompts[1]
+        assert "UNPARSEABLE" not in prompts[1]
+
     def test_backend_error_costs_its_elapsed_time_in_lockstep(self):
         # a timed-out call must not look faster than a slow success
         plant = make_plant(t_sensor=28.0, t_heater=40.0)

@@ -1,19 +1,23 @@
-"""Thermal twin tests: frozen fixed points, an independent Euler oracle, and
-the integrator's structural properties."""
+"""Thermal twin tests: frozen fixed points, independent Euler and RK4
+oracles, and the exact propagator's structural properties."""
 
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from twinloop import twin
 from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
+from twinloop.cli import main
 from twinloop.errors import InvalidInput, InvalidState
-from twinloop.orchestrator import RunConfig, RunLogWriter, ValidatorMode, run_loop
+from twinloop.orchestrator import RunConfig, RunLogWriter, ValidatorMode, read_run_log, run_loop
 from twinloop.plantio import TwinPlant
 from twinloop.twin import TwinParams, TwinState, rollout, steady_state, step
 
 PARAMS = TwinParams()
+CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
 
 # Frozen analytic fixed points for the default parameters: the sensor gains
 # 0.1 degC and the heater 0.2 degC per percent duty above 23 degC ambient.
@@ -35,9 +39,52 @@ def euler_oracle(state, duty, horizon, dt=0.001, params=PARAMS):
     return th, ts
 
 
-def stepwise_rollout(params, state, duty, horizon):
+def rk4_oracle(params, th, ts, duty, dt, h=0.1):
+    """Classical fixed-step RK4 of the ODE pair at step h; a final partial
+    substep absorbs any remainder."""
+    q = params.alpha * duty
+    t_amb = params.t_amb
+    inv_ch = 1.0 / params.c_h
+    inv_cs = 1.0 / params.c_s
+    u_ha, u_hs, u_sa = params.u_ha, params.u_hs, params.u_sa
+    n = int(dt / h)
+    rem = dt - n * h
+    for i in range(n + 1):
+        if i == n:
+            if rem <= 1e-12:
+                break
+            h = rem
+        half = 0.5 * h
+        k1h = (q + u_ha * (t_amb - th) + u_hs * (ts - th)) * inv_ch
+        k1s = (u_hs * (th - ts) + u_sa * (t_amb - ts)) * inv_cs
+        ah = th + half * k1h
+        as_ = ts + half * k1s
+        k2h = (q + u_ha * (t_amb - ah) + u_hs * (as_ - ah)) * inv_ch
+        k2s = (u_hs * (ah - as_) + u_sa * (t_amb - as_)) * inv_cs
+        ah = th + half * k2h
+        as_ = ts + half * k2s
+        k3h = (q + u_ha * (t_amb - ah) + u_hs * (as_ - ah)) * inv_ch
+        k3s = (u_hs * (ah - as_) + u_sa * (t_amb - as_)) * inv_cs
+        ah = th + h * k3h
+        as_ = ts + h * k3s
+        k4h = (q + u_ha * (t_amb - ah) + u_hs * (as_ - ah)) * inv_ch
+        k4s = (u_hs * (ah - as_) + u_sa * (t_amb - as_)) * inv_cs
+        sixth = h / 6.0
+        th += sixth * (k1h + 2.0 * (k2h + k3h) + k4h)
+        ts += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
+    return th, ts
+
+
+def rk4_step(params, state, duty, dt):
+    """``step`` with its argument checks, integrated by ``rk4_oracle``."""
+    twin._check_step_args(state, duty, dt)
+    th, ts = rk4_oracle(params, state.t_heater, state.t_sensor, duty, dt)
+    return TwinState(th, ts, state.clock + dt)
+
+
+def stepwise_rollout(params, state, duty, horizon, step=step):
     """Rollout oracle: one ``step`` per sample on the grid ``rollout``
-    documents, so every whole second runs the RK4 substeps themselves."""
+    documents."""
     end = state.clock + horizon
     sample_times = []
     t = math.floor(state.clock) + 1.0
@@ -52,6 +99,32 @@ def stepwise_rollout(params, state, duty, horizon):
         current = step(params, current, duty, target - current.clock)
         trajectory.append((target, current.t_sensor))
     return trajectory
+
+
+def rk4_rollout(params, state, duty, horizon):
+    return stepwise_rollout(params, state, duty, horizon, step=rk4_step)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def twin_params(draw):
+    """Parameter sets that pass ``validate()``: capacities and conductances
+    spread over two orders of magnitude each, so the two nodes' time
+    constants can differ by far more than the defaults' factor of three.
+    The heater's full-duty steady state stays at or below 200 degC, so an
+    absolute tolerance in degC means the same for every draw."""
+    c_h, c_s = draw(log_uniform(1.0, 200.0)), draw(log_uniform(1.0, 200.0))
+    u_ha, u_hs, u_sa = (draw(log_uniform(0.005, 0.5)) for _ in range(3))
+    t_amb = draw(st.floats(0.0, 30.0))
+    # alpha from the full-duty sensor rise, which validate() needs above 27 degC
+    rise = draw(st.floats(max(1.0, 28.0 - t_amb), 60.0))
+    det = u_ha * u_hs + u_ha * u_sa + u_hs * u_sa
+    params = TwinParams(t_amb, rise * det / (100.0 * u_hs), c_h, c_s, u_ha, u_hs, u_sa)
+    assume(steady_state(params, 100.0)[0] <= 200.0)
+    return params.validate()
 
 
 @st.composite
@@ -71,7 +144,7 @@ def rollout_cases(draw):
     else:
         horizon = draw(st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 400.0)))
     state = TwinState(draw(st.floats(15.0, 60.0)), draw(st.floats(15.0, 45.0)), clock)
-    params = TwinParams(dt_internal=draw(st.sampled_from([0.1, 0.3, 0.07])))
+    params = draw(st.one_of(st.just(PARAMS), twin_params()))
     return params, state, draw(st.floats(0.0, 100.0)), horizon
 
 
@@ -189,7 +262,7 @@ class TestRollout:
     def test_maps_follow_params_and_duty(self):
         # interleave parameter sets and duties so a map cached for one
         # (params, duty) pair would show up in another pair's rollout
-        other = TwinParams(alpha=0.03, c_s=15.0, dt_internal=0.3)
+        other = TwinParams(alpha=0.03, c_s=15.0)
         state = TwinState(30.0, 26.0, 0.0)
         seen = set()
         for params in (PARAMS, other, PARAMS, other):
@@ -199,11 +272,13 @@ class TestRollout:
         assert len(seen) == 4
 
 
-# sha256 of the log below, recorded with rollouts that ran one step per sample
-TWIN_GUARD_LOG_SHA256 = "24edfcbfa201a48fdcb5eac61f5cbde41ecafd81a90ec6d92c85c15a7e9a29f5"
+# sha256 of the log twin_guard_run writes; test_logs_match_under_rk4 checks
+# that RK4 takes the same decisions on it
+TWIN_GUARD_LOG_SHA256 = "740b421f3075c5188f5ada0d0adafabc10c6adda65d2e5e9ad803998ad8ff59c"
 
 
-def test_twin_validator_run_log_is_pinned(tmp_path):
+def twin_guard_run(path):
+    """600 s under the twin validator (300 s horizon, envelope [20, 30])."""
     config = RunConfig(
         duration=600.0,
         validator=ValidatorMode(kind="twin", horizon=300.0, envelope=(20.0, 30.0)),
@@ -212,12 +287,57 @@ def test_twin_validator_run_log_is_pinned(tmp_path):
         ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=7),
         LatencySpec(kind="fixed", seconds=5.67),
     )
-    path = tmp_path / "run.jsonl"
     with RunLogWriter(path, config) as writer:
-        episodes = run_loop(TwinPlant(PARAMS), backend, config, on_episode=writer.write_episode)
+        return run_loop(TwinPlant(PARAMS), backend, config, on_episode=writer.write_episode)
+
+
+def case_study_run(path):
+    """The case study with the flip policy, seed 7."""
+    args = ["run", "--config", str(CASE_CONFIG), "--backend", "scripted:flip", "--seed", "7"]
+    assert main([*args, "--out", str(path)]) == 0
+    return read_run_log(path)[1]
+
+
+def test_twin_validator_run_log_is_pinned(tmp_path):
+    path = tmp_path / "run.jsonl"
+    episodes = twin_guard_run(path)
     # the twin rejects proposals, so the log carries rollout temperatures
     assert any(not a.passed for e in episodes for a in e.attempts)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TWIN_GUARD_LOG_SHA256
+
+
+class TestAgainstRk4Oracle:
+    @given(
+        params=twin_params(),
+        th=st.floats(0.0, 100.0),
+        ts=st.floats(0.0, 100.0),
+        duty=st.floats(0.0, 100.0),
+        dt=st.one_of(log_uniform(1e-3, 600.0), st.floats(1e-3, 600.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_propagator_matches_fine_rk4(self, params, th, ts, duty, dt):
+        # an RK4 step of 0.004 over the fastest rate (a Gershgorin bound)
+        # keeps the oracle's own error below 1e-10 degC
+        rate = max((params.u_ha + 2 * params.u_hs) / params.c_h, (2 * params.u_hs + params.u_sa) / params.c_s)
+        h = min(0.1, 0.004 / rate)
+        out = step(params, TwinState(th, ts, 0.0), duty, dt)
+        ref_h, ref_s = rk4_oracle(params, th, ts, duty, dt, h=h)
+        assert abs(out.t_heater - ref_h) <= 1e-9
+        assert abs(out.t_sensor - ref_s) <= 1e-9
+
+    @pytest.mark.parametrize("run", [case_study_run, twin_guard_run])
+    def test_logs_match_under_rk4(self, run, tmp_path, monkeypatch):
+        exact = run(tmp_path / "exact.jsonl")
+        monkeypatch.setattr(twin, "step", rk4_step)
+        monkeypatch.setattr(twin, "rollout", rk4_rollout)
+        oracle = run(tmp_path / "rk4.jsonl")
+        assert len(exact) == len(oracle) > 0
+        for a, b in zip(exact, oracle):
+            assert (a.t_start, a.t_end, a.applied, a.override) == (b.t_start, b.t_end, b.applied, b.override)
+            assert [(x.passed, x.parsed, x.error) for x in a.attempts] == [
+                (x.passed, x.parsed, x.error) for x in b.attempts
+            ]
+            assert abs(a.t_sensor - b.t_sensor) <= 1e-9
 
 
 class TestAgainstEulerOracle:
@@ -274,6 +394,35 @@ class TestProperties:
         parts = step(PARAMS, step(PARAMS, state, duty, a * PARAMS.dt_internal), duty, b * PARAMS.dt_internal)
         assert whole.t_heater == pytest.approx(parts.t_heater, abs=1e-9)
         assert whole.t_sensor == pytest.approx(parts.t_sensor, abs=1e-9)
+
+    @given(
+        params=twin_params(),
+        th=st.floats(0.0, 100.0),
+        ts=st.floats(0.0, 100.0),
+        duty=st.floats(0.0, 100.0),
+        a=st.floats(1e-3, 300.0),
+        b=st.floats(1e-3, 300.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_semigroup(self, params, th, ts, duty, a, b):
+        state = TwinState(th, ts, 0.0)
+        whole = step(params, state, duty, a + b)
+        parts = step(params, step(params, state, duty, a), duty, b)
+        assert abs(whole.t_heater - parts.t_heater) <= 1e-12
+        assert abs(whole.t_sensor - parts.t_sensor) <= 1e-12
+
+    @given(
+        params=twin_params(),
+        th=st.floats(0.0, 100.0),
+        ts=st.floats(0.0, 100.0),
+        duty=st.floats(0.0, 100.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vanishing_dt_returns_the_state(self, params, th, ts, duty):
+        for dt in (1e-15, 1e-300, 5e-324):
+            out = step(params, TwinState(th, ts, 0.0), duty, dt)
+            assert abs(out.t_heater - th) <= 1e-12
+            assert abs(out.t_sensor - ts) <= 1e-12
 
     def test_monotone_heating_from_ambient_until_steady(self):
         target = steady_state(PARAMS, 60.0)[1]
