@@ -194,28 +194,30 @@ def validate_twin(
 ) -> Verdict:
     """Roll the proposal forward in the twin and check the sensor envelope.
 
-    Passes iff every sampled sensor temperature over the horizon stays inside
-    [envelope[0], envelope[1]].  No expected action exists in this mode; the
-    reason reports the first violation instant, and the criterion states the
-    envelope and the horizon.
+    Passes iff every sampled sensor temperature over the horizon (the samples
+    of ``twin.rollout``) stays inside [envelope[0], envelope[1]].
+    ``twin.first_exit`` finds the first sample outside from the trajectory's
+    single turning point, without building the rollout.  No expected action
+    exists in this mode; the reason reports the first violation instant, and
+    the criterion states the envelope and the horizon.
     """
     lo, hi = envelope
     if not lo < hi:
         raise InvalidInput(f"envelope must be well ordered, got {envelope!r}")
-    trajectory = twin.rollout(params, state, proposal.duty, horizon)
-    for clock, t_sensor in trajectory:
-        if t_sensor < lo or t_sensor > hi:
-            bounds = f"[{_fmt_threshold(lo)}, {_fmt_threshold(hi)}]"
-            return Verdict(
-                False,
-                None,
-                f"simulated sensor temperature {t_sensor:.2f} degC at t={clock:.1f} s "
-                f"leaves the safe envelope {bounds}",
-                f"Twin check: under the proposed action the simulated sensor temperature "
-                f"must stay inside the safe envelope {bounds} degC for the next "
-                f"{_fmt_threshold(horizon)} s.",
-            )
-    return Verdict(True, None, "simulated trajectory stays inside the safe envelope")
+    exit_sample = twin.first_exit(params, state, proposal.duty, horizon, lo, hi)
+    if exit_sample is None:
+        return Verdict(True, None, "simulated trajectory stays inside the safe envelope")
+    clock, t_sensor = exit_sample
+    bounds = f"[{_fmt_threshold(lo)}, {_fmt_threshold(hi)}]"
+    return Verdict(
+        False,
+        None,
+        f"simulated sensor temperature {t_sensor:.2f} degC at t={clock:.1f} s "
+        f"leaves the safe envelope {bounds}",
+        f"Twin check: under the proposed action the simulated sensor temperature "
+        f"must stay inside the safe envelope {bounds} degC for the next "
+        f"{_fmt_threshold(horizon)} s.",
+    )
 
 
 def compose_feedback(

@@ -5,7 +5,7 @@ Every backend exposes one method, ``complete(system_text, user_text, ctx)``,
 returning an :class:`Exchange`.  Scripted backends decide from the structured
 fields in ``ctx`` (the rendered texts are carried along for the transcript);
 the HTTP backend sends the texts and ignores ``ctx``; replay ignores both and
-returns the recorded stream.
+returns the recorded stream, failed calls included.
 """
 
 from __future__ import annotations
@@ -301,8 +301,9 @@ class ScriptedBackend:
 class ReplayBackend:
     """Feeds back a recorded exchange stream, one entry per call, in order.
 
-    Prompt content is ignored; only the call count is checked against the
-    transcript length.
+    An entry with an ``error`` raises that :class:`BackendError` again, with
+    its recorded ``status`` and ``elapsed`` time.  Prompt content is ignored;
+    only the call count is checked against the transcript length.
     """
 
     def __init__(self, entries: list[dict]):
@@ -323,6 +324,8 @@ class ReplayBackend:
             )
         entry = self._entries[self._cursor]
         self._cursor += 1
+        if "error" in entry:
+            raise BackendError(entry["error"], status=entry.get("status"), elapsed=entry["elapsed"])
         return Exchange(
             system_text,
             user_text,
@@ -344,28 +347,34 @@ def load_replay(transcript_path: str | Path) -> ReplayBackend:
                 doc = loads_record(line)
             except ValueError as exc:
                 raise LogFormatError(f"bad transcript line: {exc}", line_number=lineno) from exc
-            if "response_text" not in doc or "latency" not in doc:
+            if not ({"response_text", "latency"} <= doc.keys() or {"error", "elapsed"} <= doc.keys()):
                 raise LogFormatError(
-                    "transcript line lacks response_text/latency", line_number=lineno
+                    "transcript line lacks response_text/latency or error/elapsed", line_number=lineno
                 )
             entries.append(doc)
     return ReplayBackend(entries)
 
 
 class TranscriptRecorder:
-    """Wraps any backend and appends each exchange to a transcript file."""
+    """Wraps any backend and appends each call to a transcript file: an
+    exchange, or a failed call's ``error``, ``elapsed`` and ``status``, after
+    which the :class:`BackendError` propagates unchanged."""
 
     def __init__(self, inner, path: str | Path):
         self._inner = inner
         self._fh = open(path, "w", encoding="utf-8")
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext | None = None) -> Exchange:
-        exchange = self._inner.complete(system_text, user_text, ctx)
+        try:
+            exchange = self._inner.complete(system_text, user_text, ctx)
+        except BackendError as exc:
+            self.record({"error": str(exc), "elapsed": exc.elapsed, "status": exc.status})
+            raise
         self.record(exchange)
         return exchange
 
-    def record(self, exchange: Exchange) -> None:
-        self._fh.write(dumps_record(exchange) + "\n")
+    def record(self, entry: Exchange | dict) -> None:
+        self._fh.write(dumps_record(entry) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -18,8 +18,16 @@ negative eigenvalues, and ``e^{A dt}`` has a closed form with two ``exp``
 calls (Moler & Van Loan, *Nineteen Dubious Ways to Compute the Exponential of
 a Matrix*, 2003).  ``exp`` comes from the platform's libm, as it does for the
 lognormal latency stream, so trajectories are deterministic and bit-for-bit
-replayable on one platform.  ``step`` and ``rollout`` share that propagator;
-its per-duty constants are cached per (parameters, duty).
+replayable on one platform.  The per-duty constants are cached per
+(parameters, duty).
+
+``step`` applies the propagator to both nodes.  A rollout needs the sensor
+alone: from a start state its deviation from steady state is ``p e^{l1 t} +
+q e^{l2 t}``, so each sample is solved directly from the start state.  That
+curve turns at most once, so the samples are monotone on either side of the
+turning point, and ``first_exit`` finds the first sample outside an envelope
+by checking the ends of the two monotone pieces and bisecting, in
+O(log horizon) samples instead of a scan of the whole rollout.
 """
 
 from __future__ import annotations
@@ -170,40 +178,91 @@ def _propagate(z: tuple[float, ...], th: float, ts: float, dt: float) -> tuple[f
     return xh + m_hh * yh + m_hs * ys, xs + m_sh * yh + m_ss * ys
 
 
+def _sampler(params: TwinParams, state: TwinState, duty: float, horizon: float):
+    """The rollout grid and the exact sensor temperature on it.
+
+    Returns ``(last, time, value, split)``: samples are indexed ``0..last``,
+    ``time(i)`` is the clock of sample ``i`` and ``value(i)`` the sensor
+    temperature there, solved from the start state (sample 0 is the state's
+    own reading).  Under a held duty the sensor's deviation from steady state
+    is ``p e^{l1 dt} + q e^{l2 dt}``, which turns at most once, so the
+    samples are monotone on ``[0, split]`` and on ``[split + 1, last]``.
+    """
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
+    _check_step_args(state, duty, horizon)
+
+    xh, xs, l1, l2, _, _, g_sh, g_ss = _zoh(params, duty)
+    clock, ts = state.clock, state.t_sensor
+    ys = ts - xs
+    p = g_sh * (state.t_heater - xh) + g_ss * ys
+    q = ys - p
+    end = clock + horizon
+    # whole seconds first, first + 1, ... strictly before end - 1e-9
+    first = math.floor(clock) + 1
+    seconds = max(0, math.ceil(end - 1e-9) - first)
+    last = seconds + 1
+
+    def time(i: int) -> float:
+        if i == 0:
+            return clock
+        return end if i == last else float(first + i - 1)
+
+    def value(i: int) -> float:
+        if i == 0:
+            return ts
+        dt = time(i) - clock
+        return xs + (p * math.exp(l1 * dt) + q * math.exp(l2 * dt))
+
+    split = last
+    if p * q < 0.0:
+        # the deviation's slope p l1 e^{l1 t} + q l2 e^{l2 t} vanishes at t = turn
+        turn = math.log(-(q / p) * (l2 / l1)) / (l1 - l2)
+        if 0.0 < turn < horizon:
+            split = min(seconds, max(0, math.floor(clock + turn) - first + 1))
+    return last, time, value, split
+
+
 def rollout(
     params: TwinParams, state: TwinState, duty: float, horizon: float
 ) -> list[tuple[float, float]]:
     """Simulate ahead and return (clock, t_sensor) samples.
 
     Sampling grid: the initial instant, every integer second inside the
-    horizon, and the final instant.  The first and last segments, which may
-    be shorter than a second, run the propagator; every whole second between
-    them applies the propagator's one-second transition, computed once per
-    call.  The samples agree with chained ``step`` calls to rounding error.
+    horizon, and the final instant.  Each sample is the exact solution from
+    the start state, so the samples agree with chained ``step`` calls to
+    rounding error.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
-    _check_step_args(state, duty, horizon)
+    last, time, value, _ = _sampler(params, state, duty, horizon)
+    return [(time(i), value(i)) for i in range(last + 1)]
 
-    z = _zoh(params, duty)
-    end = state.clock + horizon
-    clock, th, ts = state.clock, state.t_heater, state.t_sensor
-    trajectory = [(clock, ts)]
-    t = math.floor(clock) + 1.0
-    if t < end - 1e-9:
-        th, ts = _propagate(z, th, ts, t - clock)
-        trajectory.append((t, ts))
-        # the one-second transition as an affine map x <- M x + c
-        m_hh, m_hs, m_sh, m_ss = _transition(z, 1.0)
-        xh, xs = z[0], z[1]
-        c_h = xh - m_hh * xh - m_hs * xs
-        c_s = xs - m_sh * xh - m_ss * xs
-        t += 1.0
-        while t < end - 1e-9:
-            th, ts = m_hh * th + m_hs * ts + c_h, m_sh * th + m_ss * ts + c_s
-            trajectory.append((t, ts))
-            t += 1.0
-        clock = t - 1.0
-    th, ts = _propagate(z, th, ts, end - clock)
-    trajectory.append((end, ts))
-    return trajectory
+
+def first_exit(
+    params: TwinParams, state: TwinState, duty: float, horizon: float, lo: float, hi: float
+) -> tuple[float, float] | None:
+    """The first ``rollout`` sample outside ``[lo, hi]``, or None.
+
+    Each of the trajectory's two monotone pieces is checked at its ends; a
+    piece that starts inside and ends outside holds its outside samples as a
+    suffix, found by bisection.  A passing check costs four samples whatever
+    the horizon, a failing one O(log horizon).
+    """
+    last, time, value, split = _sampler(params, state, duty, horizon)
+    for a, b in ((0, split), (split + 1, last)):
+        if a > b:
+            break
+        v = value(a)
+        if not lo <= v <= hi:
+            return time(a), v
+        v = value(b)
+        if lo <= v <= hi:
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            w = value(mid)
+            if lo <= w <= hi:
+                a = mid
+            else:
+                b, v = mid, w
+        return time(b), v
+    return None

@@ -30,7 +30,9 @@ from twinloop.errors import (
     LogFormatError,
     ReplayExhausted,
 )
-from twinloop.plantio import HeaterAction
+from twinloop.orchestrator import RunConfig, RunLogWriter, run_loop
+from twinloop.plantio import HeaterAction, TwinPlant
+from twinloop.twin import TwinParams
 
 TH = Thresholds()
 ON = HeaterAction.ON
@@ -347,3 +349,58 @@ class TestRecordReplay:
     def test_direct_replay_entries(self):
         replay = ReplayBackend([{"response_text": "ACTION: ON", "latency": 0.5}])
         assert replay.complete("s", "u", ctx(24.0, OFF)).latency == 0.5
+
+    def test_failed_call_is_recorded_and_raised_again(self, tmp_path):
+        path = tmp_path / "session.jsonl"
+        recorder = TranscriptRecorder(FailingEvery(1, ScriptedBackend(ScriptedPolicy(kind="oracle"))), path)
+        with pytest.raises(BackendError) as recorded:
+            recorder.complete("s", "u", ctx(28.0, ON))
+        recorder.close()
+        replay = load_replay(path)
+        with pytest.raises(BackendError) as replayed:
+            replay.complete("s", "u", ctx(28.0, ON))
+        for exc in (recorded.value, replayed.value):
+            assert (str(exc), exc.status, exc.elapsed) == ("stub outage", 503, 1.25)
+        assert replay.calls_made == 1
+
+    def test_transcript_line_without_reply_or_error_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"error": "stub outage", "status": 503}\n')
+        with pytest.raises(LogFormatError):
+            load_replay(path)
+
+    def test_replay_of_a_run_with_failed_calls_gives_the_same_log(self, tmp_path):
+        config = RunConfig(duration=600.0)
+
+        def run(backend, log_path):
+            with RunLogWriter(log_path, config) as writer:
+                return run_loop(TwinPlant(TwinParams()), backend, config, on_episode=writer.write_episode)
+
+        flip = ScriptedBackend(
+            ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=3),
+            LatencySpec(kind="fixed", seconds=5.67),
+        )
+        recorder = TranscriptRecorder(FailingEvery(7, flip), tmp_path / "session.jsonl")
+        episodes = run(recorder, tmp_path / "recorded.jsonl")
+        recorder.close()
+        assert any(a.error == "backend_error" for e in episodes for a in e.attempts)
+
+        replay = load_replay(tmp_path / "session.jsonl")
+        run(replay, tmp_path / "replayed.jsonl")
+        assert replay.calls_made == len(replay)
+        assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "recorded.jsonl").read_bytes()
+
+
+class FailingEvery:
+    """Wraps a backend; every ``n``-th call fails after 1.25 s with HTTP 503."""
+
+    def __init__(self, n, inner):
+        self.n = n
+        self.inner = inner
+        self.calls = 0
+
+    def complete(self, system_text, user_text, ctx):
+        self.calls += 1
+        if self.calls % self.n == 0:
+            raise BackendError("stub outage", status=503, elapsed=1.25)
+        return self.inner.complete(system_text, user_text, ctx)

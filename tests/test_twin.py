@@ -1,5 +1,6 @@
 """Thermal twin tests: frozen fixed points, independent Euler and RK4
-oracles, and the exact propagator's structural properties."""
+oracles, the exact propagator's structural properties, and the envelope
+search against a scan of the rollout."""
 
 import hashlib
 import math
@@ -14,7 +15,7 @@ from twinloop.cli import main
 from twinloop.errors import InvalidInput, InvalidState
 from twinloop.orchestrator import RunConfig, RunLogWriter, ValidatorMode, read_run_log, run_loop
 from twinloop.plantio import TwinPlant
-from twinloop.twin import TwinParams, TwinState, rollout, steady_state, step
+from twinloop.twin import TwinParams, TwinState, first_exit, rollout, steady_state, step
 
 PARAMS = TwinParams()
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
@@ -103,6 +104,15 @@ def stepwise_rollout(params, state, duty, horizon, step=step):
 
 def rk4_rollout(params, state, duty, horizon):
     return stepwise_rollout(params, state, duty, horizon, step=rk4_step)
+
+
+def scan_exit(trajectory, lo, hi):
+    """The first sample of ``trajectory`` outside ``[lo, hi]``, or None."""
+    return next((s for s in trajectory if not lo <= s[1] <= hi), None)
+
+
+def rk4_first_exit(params, state, duty, horizon, lo, hi):
+    return scan_exit(rk4_rollout(params, state, duty, horizon), lo, hi)
 
 
 def log_uniform(lo, hi):
@@ -242,6 +252,10 @@ class TestRollout:
         trajectory = rollout(PARAMS, TwinState(23.0, 23.0, 0.25), 100.0, 2.0)
         assert [t for t, _ in trajectory] == [0.25, 1.0, 2.0, 2.25]
 
+    def test_no_whole_second_within_1e9_of_the_end(self):
+        trajectory = rollout(PARAMS, TwinState(23.0, 23.0, 0.0), 100.0, 3.0 + 5e-10)
+        assert [t for t, _ in trajectory] == [0.0, 1.0, 2.0, 3.0 + 5e-10]
+
     def test_bad_horizon(self):
         with pytest.raises(InvalidInput):
             rollout(PARAMS, TwinState(23.0, 23.0, 0.0), 0.0, 0.0)
@@ -250,6 +264,7 @@ class TestRollout:
     def check_against_oracle(params, state, duty, horizon):
         fast = rollout(params, state, duty, horizon)
         slow = stepwise_rollout(params, state, duty, horizon)
+        assert fast[0] == (state.clock, state.t_sensor)
         assert [t for t, _ in fast] == [t for t, _ in slow]
         assert max(abs(a - b) for (_, a), (_, b) in zip(fast, slow)) <= 1e-9
         return fast
@@ -272,23 +287,115 @@ class TestRollout:
         assert len(seen) == 4
 
 
-# sha256 of the log twin_guard_run writes; test_logs_match_under_rk4 checks
-# that RK4 takes the same decisions on it
+@st.composite
+def exit_cases(draw, cases=rollout_cases()):
+    """A rollout case with an envelope: closed or open on one side, its
+    bounds drawn from the rollout's own sample values or at random."""
+    params, state, duty, horizon = draw(cases)
+    values = [ts for _, ts in rollout(params, state, duty, horizon)]
+    bound = st.one_of(st.sampled_from(values), st.floats(10.0, 60.0))
+    a = draw(bound)
+    side = draw(st.sampled_from(["upper", "lower", "both"]))
+    if side == "upper":
+        return params, state, duty, horizon, -math.inf, a
+    if side == "lower":
+        return params, state, duty, horizon, a, math.inf
+    b = draw(bound)
+    assume(a != b)
+    return params, state, duty, horizon, min(a, b), max(a, b)
+
+
+class ExpCounter:
+    """Stands in for the ``math`` module and counts ``exp`` calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+# Right after switching off, the hot heater keeps raising the sensor, which
+# peaks 32 s in and then decays to ambient.
+OVERSHOOT = TwinState(43.0, 27.0, 0.0)
+
+
+class TestFirstExit:
+    @given(case=exit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_scan_of_the_rollout(self, case):
+        params, state, duty, horizon, lo, hi = case
+        assert first_exit(params, state, duty, horizon, lo, hi) == scan_exit(
+            rollout(params, state, duty, horizon), lo, hi
+        )
+
+    @pytest.mark.parametrize("clock", [0.0, 0.4, 0.9, 12.0])
+    @pytest.mark.parametrize("horizon", [0.5, 60.0, 300.0])
+    def test_every_sample_as_a_bound_past_the_turning_point(self, clock, horizon):
+        state = TwinState(OVERSHOOT.t_heater, OVERSHOOT.t_sensor, clock)
+        trajectory = rollout(PARAMS, state, 0.0, horizon)
+        values = [ts for _, ts in trajectory]
+        if horizon >= 60.0:
+            assert values[0] < max(values) > values[-1]
+        for v in values:
+            for lo, hi in ((-math.inf, v), (v, math.inf), (v - 3.0, v), (v, v + 3.0)):
+                assert first_exit(PARAMS, state, 0.0, horizon, lo, hi) == scan_exit(trajectory, lo, hi)
+
+    @given(
+        case=exit_cases(
+            st.tuples(
+                st.one_of(st.just(PARAMS), twin_params()),
+                st.builds(TwinState, st.floats(15.0, 60.0), st.floats(15.0, 45.0), st.floats(0.0, 5000.0)),
+                st.floats(0.0, 100.0),
+                st.just(3600.0),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_long_horizon_costs_few_exp_calls(self, case):
+        params, state, duty, horizon, lo, hi = case
+        expected = scan_exit(rollout(params, state, duty, horizon), lo, hi)
+        counter = ExpCounter()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twin, "math", counter)
+            assert first_exit(params, state, duty, horizon, lo, hi) == expected
+        # a pass reads at most four samples, two exp calls each
+        assert counter.exp_calls <= (8 if expected is None else 60)
+
+    def test_bad_horizon(self):
+        with pytest.raises(InvalidInput):
+            first_exit(PARAMS, OVERSHOOT, 0.0, 0.0, 20.0, 30.0)
+
+
+# sha256 of the logs twin_guard_run and lower_guard_run write;
+# test_logs_match_under_rk4 checks that RK4 takes the same decisions on them
 TWIN_GUARD_LOG_SHA256 = "740b421f3075c5188f5ada0d0adafabc10c6adda65d2e5e9ad803998ad8ff59c"
+LOWER_GUARD_LOG_SHA256 = "3f13f5d10321d09dbd274ccfc111cbfee0c0a89b38a1a3cc1b04915d877a47d9"
 
 
-def twin_guard_run(path):
+def twin_guard_run(path, envelope=(20.0, 30.0), seed=7):
     """600 s under the twin validator (300 s horizon, envelope [20, 30])."""
     config = RunConfig(
         duration=600.0,
-        validator=ValidatorMode(kind="twin", horizon=300.0, envelope=(20.0, 30.0)),
+        validator=ValidatorMode(kind="twin", horizon=300.0, envelope=envelope),
     )
     backend = ScriptedBackend(
-        ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=7),
+        ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=seed),
         LatencySpec(kind="fixed", seconds=5.67),
     )
     with RunLogWriter(path, config) as writer:
         return run_loop(TwinPlant(PARAMS), backend, config, on_episode=writer.write_episode)
+
+
+def lower_guard_run(path):
+    """twin_guard_run against the lower bound alone: envelope (24, inf),
+    seed 11.  Its rejections exit below 24 degC, some of them only after the
+    rollout's turning point."""
+    return twin_guard_run(path, envelope=(24.0, math.inf), seed=11)
 
 
 def case_study_run(path):
@@ -298,12 +405,19 @@ def case_study_run(path):
     return read_run_log(path)[1]
 
 
-def test_twin_validator_run_log_is_pinned(tmp_path):
-    path = tmp_path / "run.jsonl"
-    episodes = twin_guard_run(path)
+def assert_run_log_pinned(run, digest, path):
+    episodes = run(path)
     # the twin rejects proposals, so the log carries rollout temperatures
     assert any(not a.passed for e in episodes for a in e.attempts)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TWIN_GUARD_LOG_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_twin_validator_run_log_is_pinned(tmp_path):
+    assert_run_log_pinned(twin_guard_run, TWIN_GUARD_LOG_SHA256, tmp_path / "run.jsonl")
+
+
+def test_lower_bound_twin_validator_run_log_is_pinned(tmp_path):
+    assert_run_log_pinned(lower_guard_run, LOWER_GUARD_LOG_SHA256, tmp_path / "run.jsonl")
 
 
 class TestAgainstRk4Oracle:
@@ -325,11 +439,12 @@ class TestAgainstRk4Oracle:
         assert abs(out.t_heater - ref_h) <= 1e-9
         assert abs(out.t_sensor - ref_s) <= 1e-9
 
-    @pytest.mark.parametrize("run", [case_study_run, twin_guard_run])
+    @pytest.mark.parametrize("run", [case_study_run, twin_guard_run, lower_guard_run])
     def test_logs_match_under_rk4(self, run, tmp_path, monkeypatch):
         exact = run(tmp_path / "exact.jsonl")
         monkeypatch.setattr(twin, "step", rk4_step)
         monkeypatch.setattr(twin, "rollout", rk4_rollout)
+        monkeypatch.setattr(twin, "first_exit", rk4_first_exit)
         oracle = run(tmp_path / "rk4.jsonl")
         assert len(exact) == len(oracle) > 0
         for a, b in zip(exact, oracle):
