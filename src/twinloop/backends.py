@@ -262,20 +262,15 @@ class HttpBackend:
 class ScriptedBackend:
     """Policy-driven fake model with optional injected latency.
 
-    In lockstep runs the latency is only attached to the exchange; set
-    ``sleep_latency`` for realtime runs where it must actually elapse.
+    The latency is only attached to the exchange and the call returns at
+    once; the control loop waits it out on the plant's clock, which steps a
+    lockstep plant and sleeps on a realtime one.
     """
 
-    def __init__(
-        self,
-        policy: ScriptedPolicy,
-        latency: LatencySpec | None = None,
-        sleep_latency: bool = False,
-    ):
+    def __init__(self, policy: ScriptedPolicy, latency: LatencySpec | None = None):
         self.policy = policy.validate()
         self._rng = random.Random(policy.seed)
         self._latency = LatencySampler(latency or LatencySpec())
-        self._sleep = sleep_latency
         self.model = f"scripted-{policy.kind}"
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
@@ -291,8 +286,6 @@ class ScriptedBackend:
                 wrong = self._rng.random() < self.policy.p_wrong_first
             action = expected.opposite if wrong else expected
         latency = self._latency.sample()
-        if self._sleep and latency > 0.0:
-            time.sleep(latency)
         return Exchange(
             system_text, user_text, f"ACTION: {action.value}", latency, self.model, ctx.timestamp
         )

@@ -196,7 +196,7 @@ def _apply_backend_override(config: BackendConfig, override: str) -> BackendConf
     raise ConfigError(f"unknown --backend override {override!r}")
 
 
-def _build_backend(config: BackendConfig, clock_mode: str):
+def _build_backend(config: BackendConfig):
     if config.kind == HTTP:
         return HttpBackend(config)
     if config.kind == REPLAY:
@@ -208,9 +208,7 @@ def _build_backend(config: BackendConfig, clock_mode: str):
             raise ConfigError(
                 f"bad transcript {config.transcript_path} (line {exc.line_number}): {exc}"
             ) from exc
-    return ScriptedBackend(
-        config.script, config.latency, sleep_latency=clock_mode == plantio.REALTIME
-    )
+    return ScriptedBackend(config.script, config.latency)
 
 
 def _build_plant(spec: str, cfg: LoadedConfig):
@@ -273,7 +271,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             log_path = args.out or cfg.output.log
             if not log_path:
                 raise ConfigError("no run log path: pass --out or set output.log in the config")
-            backend = _build_backend(backend_config, run_config.clock_mode)
+            backend = _build_backend(backend_config)
             if args.record:
                 backend = TranscriptRecorder(backend, args.record)
                 resources.callback(backend.close)

@@ -2,12 +2,16 @@
 validate it, and either apply it, reprompt with corrective feedback, or fall
 back to the safety action once the attempt budget is exhausted.
 
-Clock semantics are the heart of this module.  While a decision is being
-made the previously applied action stays in force and the clock advances by
-that attempt's inference latency, whether the call succeeded or failed -- in
-lockstep mode the twin is integrated forward by exactly that much, in
-realtime mode wall time simply passes.  Slow models therefore hold stale
-actions longer, and that shows up in the control metrics.
+Clock semantics are the heart of this module.  The plant owns the run's
+clock: the loop only ever asks it to ``advance``, which steps a lockstep
+plant and sleeps on a realtime one.  While a decision is being made the
+previously applied action stays in force and the clock advances by that
+attempt's inference latency, whether the call succeeded or failed.  After
+each call the loop waits out the part of the latency the call did not
+already spend on the plant's clock: all of it in lockstep and for an
+emulated latency, next to nothing for a real HTTP call in realtime.  Slow
+models therefore hold stale actions longer, and that shows up in the
+control metrics.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -173,15 +176,6 @@ def safety_action(
     raise InvalidInput(f"unknown safety policy {policy!r}")
 
 
-def _advance_clock(plant, dt: float, clock_mode: str) -> None:
-    if dt <= 0.0:
-        return
-    if clock_mode == LOCKSTEP:
-        plant.advance(dt)
-    else:
-        time.sleep(dt)
-
-
 def _twin_snapshot(plant, t_sensor: float, clock: float) -> twin.TwinState:
     state = getattr(plant, "state", None)
     if isinstance(state, twin.TwinState):
@@ -253,9 +247,11 @@ def run_episode(
         else:
             latency = exchange.latency
         # The previous action stays in force while "inference" runs, and a
-        # failed call takes as long as it took.
-        if config.clock_mode == LOCKSTEP:
-            _advance_clock(plant, latency, LOCKSTEP)
+        # failed call takes as long as it took.  Only the part of it the call
+        # did not already spend on the plant's clock is still to pass.
+        wait = latency - (plant.clock - ctx.timestamp)
+        if wait > 0.0:
+            plant.advance(wait)
         if exchange is not None:
             response = exchange.response_text
             try:
@@ -312,9 +308,12 @@ def run_loop(
     The first sample always produces an episode (the cold-start decision);
     after that the monitor gate decides.  ``on_episode`` is called with each
     completed record before the loop moves on, so an incremental log stays
-    valid even if the run aborts.
+    valid even if the run aborts.  The plant's clock mode must be the
+    config's.
     """
     config.validate()
+    if plant.mode != config.clock_mode:
+        raise InvalidInput(f"a {plant.mode} plant cannot run a {config.clock_mode} config")
     if config.validator.kind == TWIN and twin_params is None:
         twin_params = getattr(plant, "params", None)
         if twin_params is None:
@@ -334,7 +333,7 @@ def run_loop(
             ):
                 floor = config.sample_period_floor
                 poll = max(floor, MIN_IDLE_TICK) if floor > 0 else DEFAULT_IDLE_POLL
-                _advance_clock(plant, poll, config.clock_mode)
+                plant.advance(poll)
                 continue
         record = run_episode(
             plant, backend, config, prev, len(episodes), operator, twin_params
@@ -344,13 +343,14 @@ def run_loop(
             on_episode(record)
         prev = record.applied
 
-        floor_target = record.t_start + config.sample_period_floor
-        if floor_target > plant.clock:
-            _advance_clock(plant, floor_target - plant.clock, config.clock_mode)
+        # one clock read per wait: a realtime clock moves between reads
+        floor_wait = record.t_start + config.sample_period_floor - plant.clock
+        if floor_wait > 0.0:
+            plant.advance(floor_wait)
         # a zero-latency episode (elapsed 0.0) advances by exactly MIN_IDLE_TICK
         elapsed = plant.clock - record.t_start
         if elapsed < MIN_IDLE_TICK:
-            _advance_clock(plant, MIN_IDLE_TICK - elapsed, config.clock_mode)
+            plant.advance(MIN_IDLE_TICK - elapsed)
     return episodes
 
 

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import twin
-from .errors import InvalidInput, InvalidState, PlantIoError
+from .errors import InvalidInput, PlantIoError
 from .jsonio import round_half_away
 
 PROTOCOL_VERSION = "AGENTIC-TWIN 1.0"
@@ -54,12 +54,10 @@ class HeaterAction(enum.Enum):
 
 @dataclass(frozen=True)
 class PlantSample:
-    """One sensor reading: run-relative timestamp (s), temperature (degC),
-    and the heater action currently in force."""
+    """One sensor reading: run-relative timestamp (s) and temperature (degC)."""
 
     timestamp: float
     t_sensor: float
-    applied: HeaterAction
 
 
 def format_celsius(x: float) -> str:
@@ -70,10 +68,12 @@ def format_celsius(x: float) -> str:
 class TwinPlant:
     """The simulated plant: a twin instance plus the currently applied duty.
 
-    In ``lockstep`` mode the clock moves only through :meth:`advance` (or the
-    protocol's X_ADV), so 40 simulated minutes take milliseconds.  In
-    ``realtime`` mode the clock is wall time and the model is integrated
-    lazily up to "now" on every read or apply.
+    The plant owns the run's clock, and :meth:`advance` is how time passes in
+    either mode.  In ``lockstep`` mode the clock moves only through
+    :meth:`advance` (or the protocol's X_ADV), so 40 simulated minutes take
+    milliseconds.  In ``realtime`` mode the clock is wall time,
+    :meth:`advance` sleeps, and the model is integrated lazily up to "now" on
+    every read or apply.
     """
 
     def __init__(
@@ -88,7 +88,6 @@ class TwinPlant:
         self.mode = mode
         self._state = initial_state or twin.TwinState(self.params.t_amb, self.params.t_amb, 0.0)
         self._duty = 0.0
-        self._applied = HeaterAction.OFF
         self._wall0 = time.monotonic() - self._state.clock if mode == REALTIME else 0.0
 
     def _sync_to_wall(self) -> None:
@@ -115,28 +114,26 @@ class TwinPlant:
     def read_temperature(self) -> PlantSample:
         if self.mode == REALTIME:
             self._sync_to_wall()
-        return PlantSample(self._state.clock, self._state.t_sensor, self._applied)
+        return PlantSample(self._state.clock, self._state.t_sensor)
 
     def apply_heater(self, action: HeaterAction) -> None:
-        if self.mode == REALTIME:
-            self._sync_to_wall()
-        self._applied = action
-        self._duty = action.duty
+        self.set_duty(action.duty)
 
     def set_duty(self, duty: float) -> None:
-        """Protocol-level duty setting; the binary action mirrors duty > 0."""
+        """Hold the heater at ``duty`` percent from now on."""
         if not (math.isfinite(duty) and 0.0 <= duty <= 100.0):
             raise InvalidInput(f"duty must lie in [0, 100], got {duty!r}")
         if self.mode == REALTIME:
             self._sync_to_wall()
         self._duty = duty
-        self._applied = HeaterAction.ON if duty > 0.0 else HeaterAction.OFF
 
     def advance(self, dt: float) -> None:
-        """Move the lockstep clock forward by dt seconds under the current duty."""
-        if self.mode != LOCKSTEP:
-            raise InvalidState("advance() is only available in lockstep mode")
-        self._state = twin.step(self.params, self._state, self._duty, dt)
+        """Let dt seconds pass under the current duty: step the model in
+        lockstep mode, sleep in realtime mode."""
+        if self.mode == REALTIME:
+            time.sleep(dt)
+        else:
+            self._state = twin.step(self.params, self._state, self._duty, dt)
 
 
 class PlantProtocol:
@@ -221,7 +218,8 @@ class TcpPlantClient:
     Presents the same read/apply/advance surface as :class:`TwinPlant`, so the
     control loop cannot tell a served plant from an in-process one.  The
     client keeps its own run-relative clock: accumulated X_ADV time in
-    lockstep, wall time since connect in realtime.
+    lockstep, wall time since connect in realtime, where :meth:`advance`
+    sleeps and sends nothing.
     """
 
     def __init__(self, host: str, port: int, mode: str = LOCKSTEP, timeout: float = 10.0):
@@ -235,7 +233,6 @@ class TcpPlantClient:
         self._rfile = self._sock.makefile("rb")
         self._clock = 0.0
         self._wall0 = time.monotonic()
-        self._applied = HeaterAction.OFF
 
     @property
     def clock(self) -> float:
@@ -259,17 +256,17 @@ class TcpPlantClient:
             t_sensor = float(reply)
         except ValueError:
             raise PlantIoError(f"unparseable temperature reply {reply!r}") from None
-        return PlantSample(self.clock, t_sensor, self._applied)
+        return PlantSample(self.clock, t_sensor)
 
     def apply_heater(self, action: HeaterAction) -> None:
         reply = self._exchange(f"Q1 {action.duty:.0f}")
         if reply == "ERR":
             raise PlantIoError(f"plant rejected heater command for {action}")
-        self._applied = action
 
     def advance(self, dt: float) -> None:
-        if self.mode != LOCKSTEP:
-            raise InvalidState("advance() is only available in lockstep mode")
+        if self.mode == REALTIME:
+            time.sleep(dt)
+            return
         reply = self._exchange(f"X_ADV {dt!r}")
         if reply != "OK":
             raise PlantIoError(f"plant rejected clock advance of {dt} s: {reply!r}")

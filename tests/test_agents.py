@@ -31,8 +31,8 @@ ON = HeaterAction.ON
 OFF = HeaterAction.OFF
 
 
-def sample(t, applied=OFF, timestamp=0.0):
-    return PlantSample(timestamp, t, applied)
+def sample(t, timestamp=0.0):
+    return PlantSample(timestamp, t)
 
 
 class TestThresholds:
@@ -72,7 +72,7 @@ class TestRenderPrompt:
         assert "26.43" in user_text
 
     def test_deterministic(self):
-        args = (DEFAULT_OPERATOR, sample(25.5, ON), ON, TH, "try harder")
+        args = (DEFAULT_OPERATOR, sample(25.5), ON, TH, "try harder")
         assert render_prompt(*args) == render_prompt(*args)
 
     def test_no_unresolved_placeholders(self):

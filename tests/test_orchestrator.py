@@ -2,6 +2,7 @@
 clock accounting, and run-log round trips."""
 
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -332,9 +333,7 @@ class TestRunLoop:
     def test_realtime_mode_smoke(self):
         plant = TwinPlant(mode="realtime")
         backend = ScriptedBackend(
-            ScriptedPolicy(kind="oracle"),
-            LatencySpec(kind="fixed", seconds=0.02),
-            sleep_latency=True,
+            ScriptedPolicy(kind="oracle"), LatencySpec(kind="fixed", seconds=0.02)
         )
         config = RunConfig(duration=0.2, clock_mode="realtime")
         episodes = run_loop(plant, backend, config)
@@ -346,6 +345,7 @@ class TestRunLoop:
     def test_twin_mode_requires_params(self):
         class BarePlant:
             clock = 0.0
+            mode = "lockstep"
 
             def read_temperature(self):
                 raise AssertionError("should fail before sampling")
@@ -356,6 +356,59 @@ class TestRunLoop:
         config = RunConfig(validator=ValidatorMode(kind="twin", horizon=60.0, envelope=(0.0, 50.0)))
         with pytest.raises(InvalidState):
             run_loop(BarePlant(), scripted(), config)
+
+
+def stop_after(n):
+    """on_episode guard: a run that would never end fails instead of hanging."""
+
+    def guard(record):
+        if record.index >= n:
+            raise AssertionError(f"run still going after {n} episodes")
+
+    return guard
+
+
+class SleepingBackend:
+    """Spends its latency on the wall clock before returning, as HttpBackend
+    does, and reports the time it took as the latency."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def complete(self, system_text, user_text, ctx):
+        t0 = time.monotonic()
+        time.sleep(self.seconds)
+        action = expected_action(ctx.t_sensor, ctx.prev_action, ctx.thresholds)
+        return Exchange(
+            system_text, user_text, f"ACTION: {action}", time.monotonic() - t0, "sleeper",
+            ctx.timestamp,
+        )
+
+
+class TestPlantOwnsTheClock:
+    @pytest.mark.parametrize("plant_mode, config_mode", [("lockstep", "realtime"), ("realtime", "lockstep")])
+    def test_mode_mismatch_refused_before_the_first_call(self, plant_mode, config_mode):
+        backend = FailingBackend(0, scripted(latency=0.02))
+        config = RunConfig(duration=1.0, clock_mode=config_mode)
+        with pytest.raises(InvalidInput, match=f"{plant_mode} plant cannot run a {config_mode}"):
+            run_loop(TwinPlant(mode=plant_mode), backend, config, on_episode=stop_after(50))
+        assert backend.calls == 0
+
+    def test_realtime_run_waits_out_scripted_latency(self):
+        backend = scripted(kind="flip", latency=0.02, seed=3, p_wrong=0.5, p_correct=0.5)
+        config = RunConfig(duration=0.3, clock_mode="realtime")
+        episodes = run_loop(TwinPlant(mode="realtime"), backend, config, on_episode=stop_after(50))
+        assert any(len(e.attempts) > 1 for e in episodes)
+        for e in episodes:
+            # the slack covers float rounding of the run-relative clock
+            assert e.t_end - e.t_start >= len(e.attempts) * 0.02 - 1e-9
+
+    def test_call_that_spent_its_latency_is_not_waited_again(self):
+        plant = TwinPlant(mode="realtime")
+        config = RunConfig(clock_mode="realtime")
+        record = run_episode(plant, SleepingBackend(0.05), config, prev=OFF, index=0)
+        assert record.attempts[0].latency >= 0.05
+        assert record.t_end - record.t_start < 0.09
 
 
 class TestRunLogRoundTrip:
@@ -452,6 +505,8 @@ class TestRunLogRoundTrip:
 class TestPlantFailureMidRun:
     class FlakyPlant:
         """Delegates to a twin plant, then starts failing after N reads."""
+
+        mode = "lockstep"
 
         def __init__(self, reads_before_failure):
             self.inner = make_plant()

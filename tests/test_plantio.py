@@ -1,13 +1,14 @@
 """Plant layer tests: the in-process twin plant, the line protocol, and the
 TCP server/client pair."""
 
+import contextlib
 import socket
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinloop.errors import InvalidInput, InvalidState, PlantIoError
+from twinloop.errors import InvalidInput, PlantIoError
 from twinloop.plantio import (
     HeaterAction,
     PlantProtocol,
@@ -61,7 +62,6 @@ class TestTwinPlant:
         sample = plant.read_temperature()
         assert sample.timestamp == 0.0
         assert sample.t_sensor == 23.0
-        assert sample.applied is HeaterAction.OFF
 
     def test_read_does_not_advance_lockstep_clock(self):
         plant = TwinPlant()
@@ -99,10 +99,11 @@ class TestTwinPlant:
         long.advance(120.0)
         assert long.read_temperature().t_sensor > short.read_temperature().t_sensor
 
-    def test_advance_requires_lockstep(self):
+    def test_realtime_advance_sleeps(self):
         plant = TwinPlant(mode=REALTIME)
-        with pytest.raises(InvalidState):
-            plant.advance(1.0)
+        before = plant.clock
+        plant.advance(0.02)
+        assert plant.clock - before >= 0.02
 
     def test_realtime_clock_moves_by_itself(self):
         plant = TwinPlant(mode=REALTIME)
@@ -171,16 +172,24 @@ class TestProtocol:
         assert replies_a == replies_b
 
 
-@pytest.fixture
-def served_plant():
-    server = PlantServer(("127.0.0.1", 0), TwinPlant(mode=LOCKSTEP))
+@contextlib.contextmanager
+def serving(plant):
+    server = PlantServer(("127.0.0.1", 0), plant)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    yield server.server_address
-    server.shutdown()
-    server.server_close()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def served_plant():
+    with serving(TwinPlant(mode=LOCKSTEP)) as server:
+        yield server.server_address
 
 
 def raw_session(address, commands):
@@ -218,15 +227,30 @@ class TestTcpClient:
             sample = client.read_temperature()
             assert sample.timestamp == 0.0
             assert sample.t_sensor == 23.0
-            assert sample.applied is HeaterAction.OFF
             client.apply_heater(HeaterAction.ON)
             client.advance(120.0)
             after = client.read_temperature()
             assert after.timestamp == 120.0
             assert after.t_sensor > 23.0
-            assert after.applied is HeaterAction.ON
         finally:
             client.close()
+
+    def test_realtime_advance_sleeps_and_sends_nothing(self):
+        with serving(TwinPlant(mode=REALTIME)) as server:
+            seen = []
+            handle = server.protocol.handle_command
+            server.protocol.handle_command = lambda line: seen.append(line.strip()) or handle(line)
+            # the served plant refuses to be advanced from outside
+            assert raw_session(server.server_address, ["X_ADV 5"]) == ["ERR"]
+            client = TcpPlantClient(*server.server_address, mode=REALTIME)
+            try:
+                before = client.clock
+                client.advance(0.02)
+                assert client.clock - before >= 0.02
+                client.read_temperature()
+            finally:
+                client.close()
+        assert seen == ["X_ADV 5", "T1"]
 
     def test_connection_refused_raises_plant_io_error(self):
         with pytest.raises(PlantIoError):
