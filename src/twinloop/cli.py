@@ -27,9 +27,6 @@ from .backends import (
     HTTP,
     REPLAY,
     SCRIPTED,
-    ALWAYS_WRONG,
-    FLIP,
-    ORACLE,
 )
 from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError
 from .jsonio import from_doc
@@ -83,8 +80,8 @@ class LoadedConfig:
 # The keys a backend section may hold, by backend kind.
 _BACKEND_KEYS = {
     HTTP: {"kind", "base_url", "model", "temperature", "timeout", "api_key_env"},
-    SCRIPTED: {"kind", "script", "latency", "timeout"},
-    REPLAY: {"kind", "transcript_path", "timeout"},
+    SCRIPTED: {"kind", "script", "latency"},
+    REPLAY: {"kind", "transcript_path"},
 }
 
 
@@ -181,13 +178,10 @@ def _apply_backend_override(config: BackendConfig, override: str) -> BackendConf
     if kind == HTTP:
         return dataclasses.replace(config, kind=HTTP).validate()
     if kind == SCRIPTED:
-        policy_kind = detail or config.script.kind
-        if policy_kind not in (ORACLE, FLIP, ALWAYS_WRONG):
-            raise ConfigError(f"unknown scripted policy '{policy_kind}' in --backend")
         return dataclasses.replace(
             config,
             kind=SCRIPTED,
-            script=dataclasses.replace(config.script, kind=policy_kind),
+            script=dataclasses.replace(config.script, kind=detail or config.script.kind),
         ).validate()
     if kind == REPLAY:
         if not detail:

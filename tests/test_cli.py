@@ -83,6 +83,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="base_url"):
             load_config(path)
 
+    def test_timeout_on_scripted_backend_rejected(self, tmp_path):
+        # only the http backend has a call that can time out
+        path = write_config(tmp_path, {"backend.timeout": 5.0})
+        with pytest.raises(ConfigError, match="'backend.timeout' does not apply to a scripted"):
+            load_config(path)
+
     def test_unknown_backend_reference_rejected(self, tmp_path):
         path = write_config(tmp_path, {"agents.operator.backend": "gpu-farm"})
         with pytest.raises(ConfigError, match=re.escape("unknown key 'agents.operator.backend'")):
@@ -343,6 +349,15 @@ class TestCmdRun:
             "--out", str(tmp_path / "r.jsonl"),
         ])
         assert code == 2
+
+    def test_unknown_scripted_policy_override_exits_2(self, tmp_path, capsys):
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--backend", "scripted:psychic",
+            "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        (line,) = [l for l in capsys.readouterr().err.splitlines() if l.startswith("config error:")]
+        assert "psychic" in line
 
     def test_run_against_served_plant(self, tmp_path, capsys):
         server = PlantServer(("127.0.0.1", 0), TwinPlant(mode="lockstep"))
