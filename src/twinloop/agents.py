@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import twin
 from .errors import InvalidInput, InvalidState, ParseError, TemplateError
-from .plantio import HeaterAction, PlantSample, format_celsius
+from .plantio import HeaterAction, PlantSample
 
 CONTINUOUS = "continuous"
 ANOMALY = "anomaly"
@@ -113,10 +113,12 @@ def render_prompt(
     The system text is the agent's role and goal verbatim.  The user text is
     its task template with the live readings bound; validator feedback, when
     present, is appended (or substituted where the template places it).
+    ``sample.t_sensor`` is the plant's two-decimal reading, so its text is
+    exact.
     """
     system_text = f"{spec.role}\n\n{spec.goal}"
     bindings = {
-        "temperature": format_celsius(sample.t_sensor),
+        "temperature": f"{sample.t_sensor:.2f}",
         "prev_action": prev.value,
         "low": _fmt_threshold(thresholds.low),
         "high": _fmt_threshold(thresholds.high),
@@ -159,23 +161,27 @@ def expected_action(t: float, prev: HeaterAction, th: Thresholds) -> HeaterActio
 def validate_rule(
     proposal: HeaterAction, t: float, prev: HeaterAction, th: Thresholds
 ) -> Verdict:
-    """Check a proposal against the hysteresis rule at the sampled reading."""
+    """Check a proposal against the hysteresis rule at the sampled reading.
+
+    ``t`` is the plant's two-decimal reading: the rule judges the number the
+    prompt showed, and the reason quotes it exactly.
+    """
     expected = expected_action(t, prev, th)
     if proposal is expected:
         return Verdict(True, expected, "proposal matches the control rule")
     if t > th.high:
         reason = (
-            f"temperature {format_celsius(t)} degC exceeds {_fmt_threshold(th.high)} degC, "
+            f"temperature {t:.2f} degC exceeds {_fmt_threshold(th.high)} degC, "
             f"so the heater must be OFF"
         )
     elif t < th.low:
         reason = (
-            f"temperature {format_celsius(t)} degC is below {_fmt_threshold(th.low)} degC, "
+            f"temperature {t:.2f} degC is below {_fmt_threshold(th.low)} degC, "
             f"so the heater must be ON"
         )
     else:
         reason = (
-            f"temperature {format_celsius(t)} degC is inside the band, "
+            f"temperature {t:.2f} degC is inside the band, "
             f"so the previous state {prev} must be held"
         )
     criterion = (
@@ -231,13 +237,14 @@ def compose_feedback(
 ) -> str:
     """Deterministic corrective feedback for a failed attempt.
 
+    ``t`` is the plant's two-decimal reading the attempt was asked about.
     ``backend_error`` describes a backend call that never returned a reply.
     Otherwise ``proposal=None`` means the reply had no parseable ACTION line,
     and a verdict passed alongside a real proposal must be a failing one; the
     feedback then states the criterion that verdict applied.
     """
     head = f"(attempt {attempt}/{max_attempts}): "
-    situation = f"at {format_celsius(t)}°C with previous heater state {prev.value}"
+    situation = f"at {t:.2f}°C with previous heater state {prev.value}"
     respond = "Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
     if backend_error is not None:
         return (

@@ -54,15 +54,15 @@ class HeaterAction(enum.Enum):
 
 @dataclass(frozen=True)
 class PlantSample:
-    """One sensor reading: run-relative timestamp (s) and temperature (degC)."""
+    """One sensor reading: run-relative timestamp (s) and temperature (degC).
+
+    Every plant reads two decimals, as the wire protocol's ``T1`` does, so
+    the prompt, the rule, the feedback and the log all see one number and an
+    in-process run equals the same run over TCP.
+    """
 
     timestamp: float
     t_sensor: float
-
-
-def format_celsius(x: float) -> str:
-    """Two-decimal temperature text, ties rounded away from zero."""
-    return f"{round_half_away(x, 2):.2f}"
 
 
 class TwinPlant:
@@ -73,7 +73,8 @@ class TwinPlant:
     :meth:`advance` (or the protocol's X_ADV), so 40 simulated minutes take
     milliseconds.  In ``realtime`` mode the clock is wall time,
     :meth:`advance` sleeps, and the model is integrated lazily up to "now" on
-    every read or apply.
+    every read or apply.  A reading is the sensor temperature rounded once
+    to two decimals, ties away from zero; :attr:`state` stays exact.
     """
 
     def __init__(
@@ -114,7 +115,7 @@ class TwinPlant:
     def read_temperature(self) -> PlantSample:
         if self.mode == REALTIME:
             self._sync_to_wall()
-        return PlantSample(self._state.clock, self._state.t_sensor)
+        return PlantSample(self._state.clock, round_half_away(self._state.t_sensor, 2))
 
     def apply_heater(self, action: HeaterAction) -> None:
         self.set_duty(action.duty)
@@ -156,7 +157,7 @@ class PlantProtocol:
             return "ERR"
         verb = parts[0].upper()
         if verb == "T1" and len(parts) == 1:
-            return format_celsius(self.plant.read_temperature().t_sensor)
+            return f"{self.plant.read_temperature().t_sensor:.2f}"
         if verb == "Q1" and len(parts) == 2:
             try:
                 value = float(parts[1])

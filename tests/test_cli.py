@@ -337,10 +337,10 @@ class TestCmdRun:
         assert main(["report", "--log", str(log), "--format", "machine"]) == 0
         machine = capsys.readouterr().out
         assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-            "f8bd20a1c8a72413bfca97c1cad30cec80ea35fdf23a63d0c55a066ac2f32317"
+            "ea3a4ce3fb75f18901dce1e8a6d081b4f6384eeff4ad10ce342929ed17ce6737"
         )
         assert hashlib.sha256(machine.encode()).hexdigest() == (
-            "8f32944e6dcdb3df50e7e9b048987df324c90dd0e3a55e30bb3746d6232da9ea"
+            "68ad6a67358e333412b3d3ed57bf3b5bed9f81f733f3c1abb43de45608b9d5e9"
         )
 
     def test_bad_backend_override_exits_2(self, tmp_path, capsys):

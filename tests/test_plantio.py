@@ -8,14 +8,16 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, PlantIoError
+from twinloop.jsonio import dumps_record
+from twinloop.orchestrator import RunConfig, run_loop
 from twinloop.plantio import (
     HeaterAction,
     PlantProtocol,
     PlantServer,
     TcpPlantClient,
     TwinPlant,
-    format_celsius,
     LOCKSTEP,
     REALTIME,
 )
@@ -37,23 +39,34 @@ class TestHeaterAction:
             HeaterAction.parse("HALF")
 
 
+def reading(t_sensor):
+    """The plant's reading, and the T1 text, at a sensor temperature."""
+    plant = TwinPlant(initial_state=TwinState(30.0, t_sensor, 0.0))
+    return plant.read_temperature().t_sensor, PlantProtocol(plant).handle_command("T1")
+
+
 class TestFormatCelsius:
+    """A plant reads two decimals, ties rounded away from zero, and T1
+    prints that reading."""
+
     def test_truncates_to_nearest(self):
-        assert format_celsius(26.434999) == "26.43"
+        assert reading(26.434999) == (26.43, "26.43")
 
     def test_ties_round_away_from_zero(self):
-        assert format_celsius(26.445) == "26.45"
-        assert format_celsius(2.5e-3) == "0.00"
-        assert format_celsius(0.005) == "0.01"
+        assert reading(26.445) == (26.45, "26.45")
+        assert reading(2.5e-3) == (0.0, "0.00")
+        assert reading(0.005) == (0.01, "0.01")
 
     def test_exact_values_untouched(self):
-        assert format_celsius(23.0) == "23.00"
-        assert format_celsius(100.0) == "100.00"
+        assert reading(23.0) == (23.0, "23.00")
+        assert reading(100.0) == (100.0, "100.00")
 
     @given(st.floats(0.0, 60.0))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_within_half_a_centidegree(self, t):
-        assert abs(float(format_celsius(t)) - t) <= 0.005 + 1e-12
+        value, text = reading(t)
+        assert abs(value - t) <= 0.005 + 1e-12
+        assert float(text) == value
 
 
 class TestTwinPlant:
@@ -234,6 +247,24 @@ class TestTcpClient:
             assert after.t_sensor > 23.0
         finally:
             client.close()
+
+    @pytest.mark.parametrize("seed", [100, 101])
+    def test_served_plant_gives_the_in_process_run(self, served_plant, seed):
+        # both plants read two decimals, so even a reading at a band edge
+        # takes the same decision in-process and over TCP
+        def episode_lines(plant):
+            backend = ScriptedBackend(
+                ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=seed),
+                LatencySpec(kind="lognormal", sigma=0.5, seed=seed),
+            )
+            return [dumps_record(e) for e in run_loop(plant, backend, RunConfig(duration=2400.0))]
+
+        client = TcpPlantClient(*served_plant, mode=LOCKSTEP)
+        try:
+            remote = episode_lines(client)
+        finally:
+            client.close()
+        assert remote == episode_lines(TwinPlant())
 
     def test_realtime_advance_sleeps_and_sends_nothing(self):
         with serving(TwinPlant(mode=REALTIME)) as server:

@@ -373,8 +373,8 @@ class TestFirstExit:
 
 # sha256 of the logs twin_guard_run and lower_guard_run write;
 # test_logs_match_under_rk4 checks that RK4 takes the same decisions on them
-TWIN_GUARD_LOG_SHA256 = "740b421f3075c5188f5ada0d0adafabc10c6adda65d2e5e9ad803998ad8ff59c"
-LOWER_GUARD_LOG_SHA256 = "3f13f5d10321d09dbd274ccfc111cbfee0c0a89b38a1a3cc1b04915d877a47d9"
+TWIN_GUARD_LOG_SHA256 = "e659dcdad25cae4bd1e4484ccc54d4412b87a9a2a5a5160352bcadff2f6d39b4"
+LOWER_GUARD_LOG_SHA256 = "61b2e664877c3ad5522ab44bb4e565c43b5ad7d87276cb2cb3127c49f25db571"
 
 
 def twin_guard_run(path, envelope=(20.0, 30.0), seed=7):
