@@ -171,6 +171,7 @@ class PlantProtocol:
         if verb == "VER" and len(parts) == 1:
             return PROTOCOL_VERSION
         if verb == "X_ADV" and len(parts) == 2:
+            # a realtime plant's advance sleeps: no client may stall the server
             if self.plant.mode != LOCKSTEP:
                 return "ERR"
             try:

@@ -386,7 +386,9 @@ class SleepingBackend:
 
 
 class TestPlantOwnsTheClock:
-    @pytest.mark.parametrize("plant_mode, config_mode", [("lockstep", "realtime"), ("realtime", "lockstep")])
+    @pytest.mark.parametrize(
+        "plant_mode, config_mode", [("lockstep", "realtime"), ("realtime", "lockstep")]
+    )
     def test_mode_mismatch_refused_before_the_first_call(self, plant_mode, config_mode):
         backend = FailingBackend(0, scripted(latency=0.02))
         config = RunConfig(duration=1.0, clock_mode=config_mode)
