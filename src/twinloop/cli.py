@@ -293,6 +293,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         except PlantIoError as exc:
             print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
+        try:
+            # a served plant confirms its last queued commands as it closes
+            resources.close()
+        except PlantIoError as exc:
+            print(f"plant error: {exc}", file=sys.stderr)
+            return EXIT_PLANT_IO
 
     m = run_metrics(episodes, run_config.thresholds, run_config.duration)
     print(report(m, cfg.output.report_format))

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: run/report/plant-serve wiring, exit codes, config
 validation, and cross-format report agreement."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -17,12 +18,13 @@ from pathlib import Path
 import pytest
 
 from twinloop.agents import AgentSpec, TaskSpec
+from twinloop.backends import ScriptedBackend
 from twinloop.cli import main, load_config
 from twinloop.errors import ConfigError, LogFormatError
 from twinloop.jsonio import loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import read_run_log
-from twinloop.plantio import PlantServer, TwinPlant
+from twinloop.plantio import PlantProtocol, PlantServer, TwinPlant
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +35,22 @@ def child_env():
     from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@contextlib.contextmanager
+def serving(plant):
+    """Serve ``plant`` on a loopback port from a thread; yields the plant spec."""
+    server = PlantServer(("127.0.0.1", 0), plant)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        host, port = server.server_address
+        yield f"tcp:{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -360,25 +378,63 @@ class TestCmdRun:
         assert "psychic" in line
 
     def test_run_against_served_plant(self, tmp_path, capsys):
-        server = PlantServer(("127.0.0.1", 0), TwinPlant(mode="lockstep"))
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        thread.start()
-        try:
-            host, port = server.server_address
+        with serving(TwinPlant(mode="lockstep")) as plant:
             log = tmp_path / "tcp.jsonl"
             code = main([
-                "run", "--config", str(CASE_CONFIG), "--plant", f"tcp:{host}:{port}",
+                "run", "--config", str(CASE_CONFIG), "--plant", plant,
                 "--duration", "120", "--out", str(log),
             ])
             assert code == 0
             _, episodes = read_run_log(log)
             assert len(episodes) > 10
             assert all(not e.override for e in episodes)
-        finally:
-            server.shutdown()
-            server.server_close()
+
+    def test_lockstep_run_refuses_a_realtime_served_plant(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        complete = ScriptedBackend.complete
+        monkeypatch.setattr(
+            ScriptedBackend, "complete", lambda self, *a: calls.append(a) or complete(self, *a)
+        )
+        log = tmp_path / "tcp.jsonl"
+        with serving(TwinPlant(mode="realtime")) as plant:
+            code = main(["run", "--config", str(CASE_CONFIG), "--plant", plant, "--out", str(log)])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("plant error:")
+        assert "lockstep" in line and "'realtime'" in line
+        assert not log.exists()
+        assert calls == []
+
+    def test_failed_final_flush_reports_plant_error(self, tmp_path, capsys):
+        # a plant that drops the link right after answering the first T1; a
+        # 5 s run has one episode, so its X_ADV and Q1 are only sent at close
+        def serve_until_first_t1(listener):
+            conn, _ = listener.accept()
+            protocol = PlantProtocol(TwinPlant(mode="lockstep"))
+            with conn, conn.makefile("rb") as lines:
+                for raw in lines:
+                    conn.sendall(protocol.handle_command(raw.decode()).encode() + b"\n")
+                    if raw.strip() == b"T1":
+                        return
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=serve_until_first_t1, args=(listener,), daemon=True)
+            thread.start()
+            host, port = listener.getsockname()
+            log = tmp_path / "tcp.jsonl"
+            code = main([
+                "run", "--config", str(CASE_CONFIG), "--plant", f"tcp:{host}:{port}",
+                "--duration", "5", "--out", str(log),
+            ])
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("plant error: ")
+        # the close flush carries "X_ADV 5.67\nQ1 100\n"; either can meet the dropped link
+        assert "'X_ADV 5.67'" in line or "'Q1 100'" in line
+        _, episodes = read_run_log(log)
+        assert len(episodes) == 1
 
 
 class TestCmdReport:

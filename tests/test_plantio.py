@@ -4,6 +4,7 @@ TCP server/client pair."""
 import contextlib
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, PlantIoError
 from twinloop.jsonio import dumps_record
 from twinloop.orchestrator import RunConfig, run_loop
+from twinloop import plantio
 from twinloop.plantio import (
     HeaterAction,
     PlantProtocol,
@@ -145,6 +147,10 @@ class TestProtocol:
     def test_ver(self):
         assert self.make().handle_command("VER") == "AGENTIC-TWIN 1.0"
 
+    def test_mode_names_the_clock(self):
+        assert self.make(LOCKSTEP).handle_command("mode") == "lockstep"
+        assert self.make(REALTIME).handle_command("MODE") == "realtime"
+
     def test_x_adv_lockstep_only(self):
         assert self.make(LOCKSTEP).handle_command("X_ADV 5.0") == "OK"
         assert self.make(REALTIME).handle_command("X_ADV 5.0") == "ERR"
@@ -159,7 +165,7 @@ class TestProtocol:
     @pytest.mark.parametrize(
         "line",
         ["", "  ", "FROB", "T1 now", "Q1", "Q1 a lot", "Q1 nan", "Q1 inf",
-         "X_ADV", "X_ADV fast", "X_ADV -5", "X_ADV 0", "VER 2"],
+         "X_ADV", "X_ADV fast", "X_ADV -5", "X_ADV 0", "VER 2", "MODE now"],
     )
     def test_malformed_lines_reply_err(self, line):
         assert self.make().handle_command(line) == "ERR"
@@ -217,6 +223,43 @@ def raw_session(address, commands):
             return replies
 
 
+def one_segment_session(address, data):
+    """Send ``data`` in one write, end the stream, and read every reply."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as fh:
+            return fh.read().decode().splitlines()
+
+
+class CountingSocket:
+    """A client socket that counts its writes."""
+
+    def __init__(self, sock):
+        self.sock, self.sends = sock, 0
+
+    def sendall(self, data):
+        self.sends += 1
+        return self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@pytest.fixture
+def client_sockets(monkeypatch):
+    """Every socket a client connects from now on, counting its writes."""
+    sockets = []
+    connect = socket.create_connection
+
+    def counting(*args, **kwargs):
+        sockets.append(CountingSocket(connect(*args, **kwargs)))
+        return sockets[-1]
+
+    monkeypatch.setattr(plantio.socket, "create_connection", counting)
+    return sockets
+
+
 class TestServer:
     def test_serves_basic_session(self, served_plant):
         assert raw_session(served_plant, ["T1"]) == ["23.00"]
@@ -231,6 +274,32 @@ class TestServer:
         commands = ["T1", "VER", "Q1 12", "BAD", "T1"]
         replies = raw_session(served_plant, commands)
         assert replies == ["23.00", "AGENTIC-TWIN 1.0", "12.00", "ERR", "23.00"]
+
+    @pytest.mark.parametrize(
+        "data, replies",
+        [
+            (b"T1\nVER\nQ1 12\nBAD\nT1\n", ["23.00", "AGENTIC-TWIN 1.0", "12.00", "ERR", "23.00"]),
+            # an unterminated last line before EOF is still answered
+            (b"VER\nT1", ["AGENTIC-TWIN 1.0", "23.00"]),
+            (b"T1\n\xff\xfe\nMODE\n", ["23.00", "ERR", "lockstep"]),
+        ],
+    )
+    def test_lines_of_one_segment_answered_in_order(self, served_plant, data, replies):
+        assert one_segment_session(served_plant, data) == replies
+
+    @pytest.mark.parametrize("greeting", [b"", b"T1"])
+    def test_client_without_a_complete_line_is_dropped(self, monkeypatch, greeting):
+        monkeypatch.setattr(plantio, "FIRST_LINE_TIMEOUT_S", 0.2)
+        with serving(TwinPlant(mode=LOCKSTEP)) as server:
+            with socket.create_connection(server.server_address, timeout=5.0) as silent:
+                silent.sendall(greeting)
+                # queued behind the silent connection until it is dropped
+                client = TcpPlantClient(*server.server_address, mode=LOCKSTEP)
+                try:
+                    assert client.read_temperature().t_sensor == 23.0
+                finally:
+                    client.close()
+                assert silent.recv(64) == b""
 
 
 class TestTcpClient:
@@ -281,7 +350,86 @@ class TestTcpClient:
                 client.read_temperature()
             finally:
                 client.close()
-        assert seen == ["X_ADV 5", "T1"]
+        assert seen == ["X_ADV 5", "MODE", "T1"]
+
+    def test_one_write_per_episode(self, client_sockets):
+        plant = TwinPlant(mode=LOCKSTEP)
+        with serving(plant) as server:
+            client = TcpPlantClient(*server.server_address, mode=LOCKSTEP)
+            try:
+                backend = ScriptedBackend(
+                    ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=3),
+                    LatencySpec(kind="lognormal", sigma=0.5, seed=3),
+                )
+                episodes = run_loop(client, backend, RunConfig(duration=600.0))
+            finally:
+                client.close()
+            # MODE at connect, one T1 per episode carrying the queued Q1 and
+            # X_ADV lines, and the close flush that delivers the last Q1
+            assert client_sockets[0].sends == len(episodes) + 2
+            assert plant.duty == episodes[-1].applied.duty
+            assert plant.clock == client.clock
+
+    @pytest.mark.parametrize("confirm", ["read_temperature", "close"])
+    def test_rejected_heater_command_raises_at_the_next_confirm(self, confirm):
+        with serving(TwinPlant(mode=LOCKSTEP)) as server:
+            handle = server.protocol.handle_command
+            server.protocol.handle_command = (
+                lambda line: "ERR" if line.startswith("Q1") else handle(line)
+            )
+            client = TcpPlantClient(*server.server_address, mode=LOCKSTEP)
+            try:
+                client.apply_heater(HeaterAction.ON)
+                with pytest.raises(PlantIoError, match="'Q1 100'"):
+                    getattr(client, confirm)()
+            finally:
+                client.close()
+
+    def test_realtime_heater_command_is_sent_at_once(self, client_sockets):
+        plant = TwinPlant(mode=REALTIME)
+        with serving(plant) as server:
+            client = TcpPlantClient(*server.server_address, mode=REALTIME)
+            try:
+                client.apply_heater(HeaterAction.ON)
+                assert client_sockets[0].sends == 2
+                # no later call carries it: the plant switches on its own
+                deadline = time.monotonic() + 5.0
+                while plant.duty != 100.0 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert plant.duty == 100.0
+            finally:
+                client.close()
+
+    @pytest.mark.parametrize("served_mode, reply", [(REALTIME, "'realtime'"), (LOCKSTEP, "'ERR'")])
+    def test_clock_mode_mismatch_refused_at_connect(self, served_mode, reply):
+        with serving(TwinPlant(mode=served_mode)) as server:
+            if served_mode == LOCKSTEP:
+                # a plant that does not know MODE
+                handle = server.protocol.handle_command
+                server.protocol.handle_command = (
+                    lambda line: "ERR" if line.strip() == "MODE" else handle(line)
+                )
+            with pytest.raises(PlantIoError, match=f"needs a lockstep plant.*{reply}"):
+                TcpPlantClient(*server.server_address, mode=LOCKSTEP)
+
+    def test_undecodable_reply_raises_plant_io_error(self):
+        def serve(listener):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as lines:
+                for raw in lines:
+                    conn.sendall(b"lockstep\n" if raw.strip() == b"MODE" else b"\xff\n")
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+            thread.start()
+            client = TcpPlantClient(*listener.getsockname(), mode=LOCKSTEP)
+            try:
+                with pytest.raises(PlantIoError, match="unparseable temperature reply"):
+                    client.read_temperature()
+            finally:
+                client.close()
+            thread.join(5.0)
+            assert not thread.is_alive()
 
     def test_connection_refused_raises_plant_io_error(self):
         with pytest.raises(PlantIoError):
