@@ -96,6 +96,9 @@ class Verdict:
 
 DEFAULT_OPERATOR = AgentSpec()
 
+# One passing verdict per expected action; a frozen Verdict can be shared.
+_RULE_PASSES = {a: Verdict(True, a, "proposal matches the control rule") for a in HeaterAction}
+
 
 def _fmt_threshold(x: float) -> str:
     return f"{x:g}"
@@ -168,7 +171,7 @@ def validate_rule(
     """
     expected = expected_action(t, prev, th)
     if proposal is expected:
-        return Verdict(True, expected, "proposal matches the control rule")
+        return _RULE_PASSES[expected]
     if t > th.high:
         reason = (
             f"temperature {t:.2f} degC exceeds {_fmt_threshold(th.high)} degC, "

@@ -11,6 +11,16 @@ A dataclass is written as an object with one key per field, in field order,
 and an enum as its value.  A field annotated ``float`` is always written in
 float form, so ``RunConfig(duration=200)`` encodes like ``duration=200.0``,
 and an infinite value there as ``null``.  :func:`from_doc` is the inverse.
+
+Each dataclass is written by one function generated on its first encoding,
+the way ``dataclasses`` generates ``__init__``: it calls the writer its
+annotation picks for each field (float, str, int, bool, enum, ``X | None``,
+``tuple[X, ...]``, nested dataclass) and joins the results with the key texts
+in one f-string.  A writer takes a value of exactly the annotated type
+without looking its type up, and hands any other value to the generic writer
+by the value's own type; either way the line is the same bytes, so an
+``int`` in a float field is still written in float form and a ``bool`` in an
+int field as ``true``.
 """
 
 from __future__ import annotations
@@ -30,7 +40,18 @@ _MISSING = dataclasses.MISSING
 
 
 def round_half_away(x: float, ndigits: int = 2) -> float:
-    """Round to ``ndigits`` decimals with ties going away from zero."""
+    """Round to ``ndigits`` decimals with ties going away from zero.
+
+    A tie is judged on the shortest repr, so 26.445 rounds to 26.45 although
+    the float stored for it lies just below.  Only where ``x * 10**ndigits``
+    lies within a tiny relative window of a half can that differ from
+    :func:`round`, which rounds the exact binary value; there, and for any
+    value that is not a finite float, the decimal repr is rounded.
+    """
+    if type(x) is float:
+        scaled = abs(x) * 10.0**ndigits
+        if abs(scaled % 1.0 - 0.5) > 1e-9 * scaled:
+            return round(x, ndigits)
     q = Decimal(1).scaleb(-ndigits)
     return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
@@ -39,21 +60,24 @@ def format_float(x: float) -> str:
     """Shortest round-trip decimal form, padded to >= 3 decimals."""
     if not math.isfinite(x):
         raise ValueError(f"non-finite value not representable in a log record: {x!r}")
-    r = repr(float(x))
-    if "e" in r or "E" in r:
-        return r
-    whole, _, frac = r.partition(".")
-    return f"{whole}.{frac.ljust(3, '0')}"
+    return _write_float_field(float(x))  # which pads a finite float in place
 
 
 # --- encoding ------------------------------------------------------------------
 
 
 def _encode(value) -> str:
-    writer = _WRITERS.get(type(value))
-    if writer is None:
-        writer = _WRITERS[type(value)] = _writer_for(type(value))
+    """Write ``value`` by its own type: dicts, lists, and any value whose
+    type is not exactly the one its field is annotated with."""
+    writer = _WRITERS.get(type(value)) or _writer(type(value))
     return writer(value)
+
+
+def _writer(cls: type):
+    writer = _WRITERS.get(cls)
+    if writer is None:
+        writer = _WRITERS[cls] = _writer_for(cls)
+    return writer
 
 
 def _write_list(items) -> str:
@@ -65,6 +89,15 @@ def _write_dict(doc: dict) -> str:
 
 
 def _write_float_field(x) -> str:
+    """A float-annotated field: :func:`format_float`, but null for an infinity."""
+    if type(x) is float and math.isfinite(x):
+        r = repr(x)
+        # an exponent form ends in two or more exponent digits
+        if r[-2] == ".":
+            return r + "00"
+        if r[-3] == ".":
+            return r + "0"
+        return r
     return "null" if math.isinf(x) else format_float(x)
 
 
@@ -72,7 +105,7 @@ def _write_float_field(x) -> str:
 # first use by _writer_for.
 _WRITERS = {
     type(None): lambda _: "null",
-    bool: lambda v: "true" if v else "false",
+    bool: {True: "true", False: "false"}.__getitem__,
     int: int.__repr__,
     float: format_float,
     str: encode_basestring_ascii,
@@ -84,14 +117,68 @@ _WRITERS = {
 
 def _writer_for(cls: type):
     if issubclass(cls, enum.Enum):
-        return {member: _encode(member.value) for member in cls}.__getitem__
+        # keyed by name: a str caches its hash, a member's hash is a Python call
+        texts = {member._name_: _encode(member.value) for member in cls}
+        return lambda member: texts[member._name_]
     if dataclasses.is_dataclass(cls):
-        writes = _plan(cls).writes
-        return lambda obj: "{" + ",".join([key + write(getattr(obj, name)) for key, name, write in writes]) + "}"
+        return _generate_writer(_plan(cls).fields)
     for base in (bool, int, float, str, list, tuple, dict):
         if issubclass(cls, base):
             return _WRITERS[base]
     raise TypeError(f"cannot encode {cls.__name__} in a log record")
+
+
+def _generate_writer(fields: list):
+    """One function writing a dataclass from its (name, annotation) fields,
+    generated the way ``dataclasses`` generates ``__init__``: it calls each
+    field's writer on ``obj.<name>`` and joins the results with the key
+    texts in one f-string.  Its source holds only the field names and the
+    names of its namespace, which carries every key text and writer."""
+    namespace = {"_end": "}" if fields else "{}"}
+    parts = []
+    for i, (name, tp) in enumerate(fields):
+        namespace[f"_k{i}"] = ("," if i else "{") + encode_basestring_ascii(name) + ":"
+        namespace[f"_w{i}"] = _field_writer(tp)
+        parts.append(f"{{_k{i}}}{{_w{i}(obj.{name})}}")
+    exec(f'def write(obj):\n    return f"{"".join(parts)}{{_end}}"\n', namespace)
+    return namespace["write"]
+
+
+def _field_writer(tp):
+    """The writer of a field annotated ``tp``.  It writes a value of exactly
+    the annotated type without dispatch and any other value as _encode does,
+    except that float annotations, also inside tuples and optionals, fix the
+    float form."""
+    if tp is float:
+        return _write_float_field
+    if tp in _SCALARS or isinstance(tp, type) and (issubclass(tp, enum.Enum) or dataclasses.is_dataclass(tp)):
+        return _exactly(tp, _writer(tp))
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args:
+        if args[-1] is Ellipsis:
+            item = _field_writer(args[0])
+            return lambda v: "[" + ",".join([item(x) for x in v]) + "]"
+        items = [_field_writer(a) for a in args]
+        return lambda v: "[" + ",".join([items[i](x) for i, x in enumerate(v)]) + "]"
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[0] if args[1] is type(None) else args[1]
+        write = _field_writer(inner)
+        if inner is not float and typing.get_origin(inner) is None:
+            return write  # made by _exactly, which writes None as null
+        return lambda v: "null" if v is None else write(v)
+    raise TypeError(f"no JSON codec for fields of type {tp!r}")
+
+
+def _exactly(cls: type, write):
+    """``write`` for a value of exactly ``cls``, null for None (as _encode
+    writes it), _encode for any other value."""
+
+    def write_field(v) -> str:
+        if type(v) is cls:
+            return write(v)
+        return "null" if v is None else _encode(v)
+
+    return write_field
 
 
 def dumps_record(record) -> str:
@@ -188,15 +275,14 @@ class _Plan:
 
     def __init__(self, cls: type):
         hints = typing.get_type_hints(cls)
-        self.writes = []  # (key prefix, field, writer) per field, in order
+        self.fields = []  # (name, annotation) per field, in order, for the writer
         self.reads = []  # (key, converter, default) per constructor argument, in order
         self.constants = []  # (key, value) per field the constructor does not take
         for f in dataclasses.fields(cls):
             default = f.default if f.default_factory is _MISSING else f.default_factory()
-            write, convert = _field_codec(hints[f.name], default)
-            self.writes.append((encode_basestring_ascii(f.name) + ":", f.name, write))
+            self.fields.append((f.name, hints[f.name]))
             if f.init:
-                self.reads.append((f.name, convert, default))
+                self.reads.append((f.name, _field_reader(hints[f.name], default), default))
             else:
                 self.constants.append((f.name, default))
         self.keys = frozenset(f.name for f in dataclasses.fields(cls))
@@ -213,38 +299,26 @@ def _plan(cls: type) -> _Plan:
     return plan
 
 
-def _field_codec(tp, default):
-    """(writer, converter) for a field annotated ``tp`` with ``default``.
-
-    Float annotations, also inside tuples and optionals, fix the float form
-    on writing; other values are written by their own type.
-    """
+def _field_reader(tp, default):
+    """The converter of a field annotated ``tp`` with ``default``."""
     if tp is float:
-        return _write_float_field, _number(default)
+        return _number(default)
     if tp in _SCALARS:
-        return _encode, _SCALARS[tp]
+        return _SCALARS[tp]
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return _encode, _member(tp)
+        return _member(tp)
     if dataclasses.is_dataclass(tp):
-        return _encode, lambda v, defaults: _decode(tp, v, defaults)
+        return lambda v, defaults: _decode(tp, v, defaults)
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple and args:
         variadic = args[-1] is Ellipsis
         items = args[:1] if variadic else args
         if not isinstance(default, tuple) or len(default) != len(items):
             default = (_MISSING,) * len(items)
-        writers, converters = zip(*[_field_codec(a, d) for a, d in zip(items, default)])
-
-        def write(v) -> str:
-            return "[" + ",".join([writers[0 if variadic else i](x) for i, x in enumerate(v)]) + "]"
-
-        return write, _tuple(converters, variadic)
+        return _tuple([_field_reader(a, d) for a, d in zip(items, default)], variadic)
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        write, convert = _field_codec(args[0] if args[1] is type(None) else args[1], default)
-        return (
-            lambda v: "null" if v is None else write(v),
-            lambda v, defaults: None if v is None else convert(v, defaults),
-        )
+        convert = _field_reader(args[0] if args[1] is type(None) else args[1], default)
+        return lambda v, defaults: None if v is None else convert(v, defaults)
     raise TypeError(f"no JSON codec for fields of type {tp!r}")
 
 
@@ -297,7 +371,7 @@ def _member(cls: type):
     return convert
 
 
-def _tuple(items: tuple, variadic: bool):
+def _tuple(items: list, variadic: bool):
     """Converter from a list to a tuple: of any length converting each item
     with ``items[0]`` if ``variadic``, else item by item with ``items``."""
     problem = "'{path}' must be a list" + ("" if variadic else f" of {len(items)} items")

@@ -353,7 +353,9 @@ class TcpPlantClient:
         try:
             t_sensor = float(reply)
         except ValueError:
-            raise PlantIoError(f"unparseable temperature reply {reply!r}") from None
+            t_sensor = math.nan  # refused below, as a non-finite reply is
+        if not math.isfinite(t_sensor):
+            raise PlantIoError(f"unparseable temperature reply {reply!r}")
         return PlantSample(self.clock, t_sensor)
 
     def apply_heater(self, action: HeaterAction) -> None:

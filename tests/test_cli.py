@@ -437,6 +437,32 @@ class TestCmdRun:
         assert len(episodes) == 1
 
 
+    def test_non_finite_temperature_reply_exits_3(self, tmp_path, capsys):
+        # a plant whose sensor reads nan: a plant error, not a traceback
+        def serve_nan(listener):
+            conn, _ = listener.accept()
+            protocol = PlantProtocol(TwinPlant(mode="lockstep"))
+            with conn, conn.makefile("rb") as lines:
+                for raw in lines:
+                    reply = "nan" if raw.strip() == b"T1" else protocol.handle_command(raw.decode())
+                    conn.sendall(reply.encode() + b"\n")
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=serve_nan, args=(listener,), daemon=True)
+            thread.start()
+            host, port = listener.getsockname()
+            code = main([
+                "run", "--config", str(CASE_CONFIG), "--plant", f"tcp:{host}:{port}",
+                "--duration", "60", "--out", str(tmp_path / "nan.jsonl"),
+            ])
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("plant error")
+        assert line.endswith(": unparseable temperature reply 'nan'")
+
+
 class TestCmdReport:
     @pytest.fixture
     def oracle_log(self, tmp_path, capsys):

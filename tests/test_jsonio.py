@@ -1,0 +1,319 @@
+"""The generated per-class writers against the generic walker they replaced,
+the float form of a log line, and two-decimal rounding against its decimal
+definition."""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import json
+import math
+import types
+import typing
+from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from twinloop.agents import Thresholds
+from twinloop.backends import Exchange
+from twinloop.jsonio import dumps_record, format_float, round_half_away
+from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
+from twinloop.orchestrator import (
+    AttemptRecord,
+    EpisodeRecord,
+    MonitorMode,
+    RunConfig,
+    ValidatorMode,
+)
+from twinloop.plantio import HeaterAction
+
+
+# --- reference encoder: the generic walker, one dispatch on type per value -----
+
+
+def ref_format_float(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value not representable in a log record: {x!r}")
+    r = repr(float(x))
+    if "e" in r or "E" in r:
+        return r
+    whole, _, frac = r.partition(".")
+    return f"{whole}.{frac.ljust(3, '0')}"
+
+
+def ref_encode(value) -> str:
+    writer = REF_WRITERS.get(type(value))
+    if writer is None:
+        writer = REF_WRITERS[type(value)] = ref_writer_for(type(value))
+    return writer(value)
+
+
+def ref_write_list(items) -> str:
+    return "[" + ",".join([ref_encode(v) for v in items]) + "]"
+
+
+def ref_write_dict(doc: dict) -> str:
+    return "{" + ",".join([f"{encode_basestring_ascii(k)}:{ref_encode(v)}" for k, v in doc.items()]) + "}"
+
+
+def ref_write_float_field(x) -> str:
+    return "null" if math.isinf(x) else ref_format_float(x)
+
+
+REF_WRITERS = {
+    type(None): lambda _: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: ref_format_float,
+    str: encode_basestring_ascii,
+    list: ref_write_list,
+    tuple: ref_write_list,
+    dict: ref_write_dict,
+}
+
+
+def ref_writer_for(cls: type):
+    if issubclass(cls, enum.Enum):
+        return {member: ref_encode(member.value) for member in cls}.__getitem__
+    if dataclasses.is_dataclass(cls):
+        hints = typing.get_type_hints(cls)
+        writes = [
+            (encode_basestring_ascii(f.name) + ":", f.name, ref_field_writer(hints[f.name]))
+            for f in dataclasses.fields(cls)
+        ]
+        return lambda obj: "{" + ",".join([key + write(getattr(obj, name)) for key, name, write in writes]) + "}"
+    for base in (bool, int, float, str, list, tuple, dict):
+        if issubclass(cls, base):
+            return REF_WRITERS[base]
+    raise TypeError(f"cannot encode {cls.__name__} in a log record")
+
+
+def ref_field_writer(tp):
+    if tp is float:
+        return ref_write_float_field
+    if tp in (int, str, bool) or isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return ref_encode
+    if dataclasses.is_dataclass(tp):
+        return ref_encode
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args:
+        variadic = args[-1] is Ellipsis
+        writers = [ref_field_writer(a) for a in (args[:1] if variadic else args)]
+
+        def write(v) -> str:
+            return "[" + ",".join([writers[0 if variadic else i](x) for i, x in enumerate(v)]) + "]"
+
+        return write
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        write = ref_field_writer(args[0] if args[1] is type(None) else args[1])
+        return lambda v: "null" if v is None else write(v)
+    raise TypeError(f"no JSON codec for fields of type {tp!r}")
+
+
+# --- strategies ----------------------------------------------------------------
+
+# quotes, backslashes, control and non-ASCII characters, astral ones included
+texts = st.text(max_size=30) | st.sampled_from(['"', "\\", '\\"', "\n\t", "é ü", " ", "\x00", "😀"])
+# a float field may hold an int (written in float form) or an infinity (null)
+numbers = st.floats(allow_nan=False) | st.integers(-(10**6), 10**6)
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+actions = st.sampled_from(HeaterAction)
+# an int field may hold a bool
+counts = st.integers(-(10**9), 10**9) | st.booleans()
+
+attempt_records = st.builds(
+    AttemptRecord,
+    attempt_index=counts,
+    raw_response=st.none() | texts,
+    parsed=st.none() | actions,
+    passed=st.booleans(),
+    expected=st.none() | actions,
+    reason=texts,
+    error=st.none() | texts,
+    latency=numbers,
+)
+
+episode_records = st.builds(
+    EpisodeRecord,
+    index=counts,
+    t_start=numbers,
+    t_sensor=numbers,
+    prev_action=actions,
+    attempts=st.lists(attempt_records, max_size=4).map(tuple),
+    applied=actions,
+    override=st.booleans(),
+    t_end=numbers,
+)
+
+run_configs = st.builds(
+    RunConfig,
+    duration=numbers,
+    max_reprompts=counts,
+    sample_period_floor=numbers,
+    thresholds=st.builds(Thresholds, low=st.just(25.0) | st.just(20), high=st.just(27.0) | st.just(30)),
+    validator=st.builds(
+        ValidatorMode,
+        kind=texts,
+        horizon=numbers,
+        envelope=st.tuples(st.just(-math.inf) | finite, st.just(math.inf) | finite),
+    ),
+    monitor=st.builds(MonitorMode, kind=texts, margin=numbers),
+    clock_mode=texts,
+    initial_action=actions,
+    safe_action_policy=texts,
+)
+
+run_metrics = st.builds(
+    RunMetrics,
+    accuracy=st.builds(
+        AccuracyMetrics,
+        samples=counts, passes=counts, fails=counts, pass_after_reprompts=counts, overrides=counts,
+        accuracy_first_pass=numbers, accuracy_with_reprompts=numbers,
+    ),
+    control=st.builds(
+        ControlMetrics,
+        avg_deviation=numbers, time_above=numbers, time_below=numbers, time_outside=numbers,
+        midpoint=numbers,
+    ),
+)
+
+exchanges = st.builds(
+    Exchange,
+    system_text=texts,
+    user_text=texts,
+    response_text=texts,
+    latency=st.floats(min_value=0.0) | st.integers(0, 10**6),
+    model=texts,
+    timestamp=numbers,
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class EveryField:
+    """One field of each annotation the writers handle, optionals around
+    the float and tuple writers included."""
+
+    number: float | None
+    numbers: tuple[float, ...] | None
+    pair: tuple[float, float]
+    counts: tuple[int, ...]
+    action: HeaterAction | None
+    thresholds: Thresholds | None
+    flag: bool
+
+
+every_fields = st.builds(
+    EveryField,
+    number=st.none() | numbers,
+    numbers=st.none() | st.lists(numbers, max_size=3).map(tuple),
+    pair=st.tuples(numbers, numbers),
+    counts=st.lists(counts, max_size=3).map(tuple),
+    action=st.none() | actions,
+    thresholds=st.none() | st.just(Thresholds()),
+    flag=st.booleans() | counts,
+)
+
+
+# --- the generated writers write what the walker wrote -------------------------
+
+
+@pytest.mark.parametrize(
+    "records",
+    [episode_records, attempt_records, run_configs, run_metrics, exchanges, every_fields],
+    ids=["EpisodeRecord", "AttemptRecord", "RunConfig", "RunMetrics", "Exchange", "EveryField"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_writer_matches_the_walker(records, data):
+    record = data.draw(records)
+    line = dumps_record(record)
+    assert line == ref_encode(record)
+    json.loads(line)
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=run_configs, digest=texts)
+def test_header_record_matches_the_walker(config, digest):
+    header = {"kind": "header", "format": "twinloop-run-log/1", "config": config, "config_digest": digest}
+    assert dumps_record(header) == ref_encode(header)
+
+
+def test_values_of_another_type_are_written_as_before():
+    # a bool in an int field, an int in a float field, a str where an
+    # enum is annotated, and infinities in float fields
+    attempt = AttemptRecord(True, "ok", "ON", 1, None, "r", None, 2)
+    episode = EpisodeRecord(
+        index=3, t_start=math.inf, t_sensor=-math.inf, prev_action=HeaterAction.ON,
+        attempts=(attempt,), applied=HeaterAction.OFF, override=0, t_end=5,
+    )
+    line = dumps_record(episode)
+    assert line == ref_encode(episode)
+    assert '"t_start":null,"t_sensor":null' in line
+    assert '"attempt_index":true,"raw_response":"ok","parsed":"ON","passed":1' in line
+    assert '"latency":2.000' in line and '"override":0,"t_end":5.000' in line
+
+
+def test_nan_in_a_float_field_is_refused():
+    attempt = AttemptRecord(0, None, None, False, None, "r", "parse_error", math.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_record(attempt)
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (1.0, "1.000"),
+        (0.5, "0.500"),
+        (123.4567, "123.4567"),
+        (-0.0, "-0.000"),
+        (1e22, "1e+22"),
+        (1e-7, "1e-07"),
+        (23.03, "23.030"),
+    ],
+)
+def test_format_float(x, text):
+    assert format_float(x) == text == ref_format_float(x)
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**9), 10**9))
+def test_format_float_matches_the_partition_form(x):
+    assert format_float(x) == ref_format_float(x)
+
+
+# --- rounding ------------------------------------------------------------------
+
+
+def decimal_round(x: float, ndigits: int) -> float:
+    """Ties away from zero on the shortest repr: the definition."""
+    q = Decimal(1).scaleb(-ndigits)
+    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+
+
+@st.composite
+def rounding_cases(draw):
+    """(x, ndigits): any float up to 1e15, or one on or next to a decimal tie
+    at ``ndigits``, as k/100 + 0.005 is at two."""
+    ndigits = draw(st.integers(0, 4))
+    tie = draw(st.integers(0, 10**6)) / 10**ndigits + 5 / 10 ** (ndigits + 1)
+    x = draw(
+        st.floats(min_value=-1e15, max_value=1e15)
+        | st.sampled_from([tie, -tie, 26.445, -26.445, 0.005, 0.0025])
+    )
+    return x, ndigits
+
+
+@settings(max_examples=500)
+@given(case=rounding_cases())
+@example(case=(26.445, 2))
+@example(case=(-26.445, 2))
+@example(case=(0.005, 2))
+@example(case=(0.0025, 3))
+@example(case=(2.675, 2))
+@example(case=(-0.0, 2))
+def test_round_half_away_matches_the_decimal_definition(case):
+    x, ndigits = case
+    got = round_half_away(x, ndigits)
+    assert repr(got) == repr(decimal_round(x, ndigits))  # the sign of a zero too
+

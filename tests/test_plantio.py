@@ -431,6 +431,26 @@ class TestTcpClient:
             thread.join(5.0)
             assert not thread.is_alive()
 
+    @pytest.mark.parametrize("reply", ["nan", "inf", "-inf"])
+    def test_non_finite_temperature_reply_raises_plant_io_error(self, reply):
+        def serve(listener):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as lines:
+                for raw in lines:
+                    conn.sendall(b"lockstep\n" if raw.strip() == b"MODE" else reply.encode() + b"\n")
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+            thread.start()
+            client = TcpPlantClient(*listener.getsockname(), mode=LOCKSTEP)
+            try:
+                with pytest.raises(PlantIoError, match=f"unparseable temperature reply '{reply}'"):
+                    client.read_temperature()
+            finally:
+                client.close()
+            thread.join(5.0)
+            assert not thread.is_alive()
+
     def test_connection_refused_raises_plant_io_error(self):
         with pytest.raises(PlantIoError):
             TcpPlantClient("127.0.0.1", 1, mode=LOCKSTEP)
