@@ -57,13 +57,20 @@ class TaskSpec:
         "Decide the next heater action. Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
     )
 
-    def validate(self) -> "TaskSpec":
-        for _, name, _, _ in string.Formatter().parse(self.description_template):
-            if name is None:
-                continue
-            if name not in PLACEHOLDERS:
-                raise TemplateError(f"unknown placeholder {{{name}}} in task template")
-        return self
+    def __post_init__(self):
+        try:
+            for _, name, spec, _ in string.Formatter().parse(self.description_template):
+                if name is None:
+                    continue
+                if name not in PLACEHOLDERS:
+                    raise TemplateError(f"unknown placeholder {{{name}}} in task template")
+                if "{" in spec:
+                    raise TemplateError(f"nested field in the format spec of {{{name}}} in task template")
+            # render_prompt binds strings only, so one rendering with empty
+            # strings tries every conversion and format spec
+            self.description_template.format(**dict.fromkeys(PLACEHOLDERS, ""))
+        except ValueError as exc:
+            raise TemplateError(f"task template cannot be rendered: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -127,10 +134,7 @@ def render_prompt(
         "high": _fmt_threshold(thresholds.high),
         "feedback": feedback or "",
     }
-    try:
-        user_text = spec.task.description_template.format(**bindings)
-    except (KeyError, IndexError) as exc:
-        raise TemplateError(f"unbound placeholder in task template: {exc}") from exc
+    user_text = spec.task.description_template.format(**bindings)
     if feedback and "{feedback}" not in spec.task.description_template:
         user_text = f"{user_text}\n\n{feedback}"
     return system_text, user_text

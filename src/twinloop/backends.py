@@ -11,6 +11,7 @@ returns the recorded stream, failed calls included.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .agents import Thresholds, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted
-from .jsonio import dumps_record, loads_record
+from .jsonio import dumps_record, loads_finite
 from .plantio import HeaterAction
 
 if TYPE_CHECKING:
@@ -90,14 +91,13 @@ class LatencySpec:
     sigma: float = 0.0
     seed: int = 0
 
-    def validate(self) -> "LatencySpec":
+    def __post_init__(self):
         if self.kind not in ("none", "fixed", "lognormal"):
             raise ConfigError(f"unknown latency kind {self.kind!r}")
-        if self.kind == "fixed" and self.seconds < 0.0:
+        if self.kind == "fixed" and not self.seconds >= 0.0:
             raise ConfigError("fixed latency must be >= 0")
-        if self.kind == "lognormal" and self.sigma < 0.0:
+        if self.kind == "lognormal" and not self.sigma >= 0.0:
             raise ConfigError("lognormal sigma must be >= 0")
-        return self
 
 
 class LatencySampler:
@@ -105,7 +105,7 @@ class LatencySampler:
     decision stream so injected latency can never change a decision."""
 
     def __init__(self, spec: LatencySpec):
-        self.spec = spec.validate()
+        self.spec = spec
         self._rng = random.Random(spec.seed)
 
     def sample(self) -> float:
@@ -132,14 +132,13 @@ class ScriptedPolicy:
     p_correct_on_feedback: float = 1.0
     seed: int = 0
 
-    def validate(self) -> "ScriptedPolicy":
+    def __post_init__(self):
         if self.kind not in (ORACLE, FLIP, ALWAYS_WRONG):
             raise ConfigError(f"unknown scripted policy {self.kind!r}")
         for name in ("p_wrong_first", "p_correct_on_feedback"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p!r}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -157,24 +156,20 @@ class BackendConfig:
     transcript_path: str = ""
     latency: LatencySpec = field(default_factory=LatencySpec)
 
-    def validate(self) -> "BackendConfig":
+    def __post_init__(self):
         if self.kind not in (HTTP, SCRIPTED, REPLAY):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.timeout <= 0.0:
+        if not self.timeout > 0.0:
             raise ConfigError("backend timeout must be > 0")
         if self.kind == HTTP:
             if not self.base_url:
                 raise ConfigError("http backend requires base_url")
             if not self.model:
                 raise ConfigError("http backend requires model")
-            if self.temperature < 0.0:
+            if not self.temperature >= 0.0:
                 raise ConfigError("http temperature must be >= 0")
         if self.kind == REPLAY and not self.transcript_path:
             raise ConfigError("replay backend requires transcript_path")
-        if self.kind == SCRIPTED:
-            self.script.validate()
-            self.latency.validate()
-        return self
 
 
 class HttpBackend:
@@ -190,7 +185,7 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig):
-        self.config = config.validate()
+        self.config = config
         key = os.environ.get(config.api_key_env, "")
         if not key:
             raise ConfigError(f"missing API key: set ${config.api_key_env}")
@@ -268,7 +263,7 @@ class ScriptedBackend:
     """
 
     def __init__(self, policy: ScriptedPolicy, latency: LatencySpec | None = None):
-        self.policy = policy.validate()
+        self.policy = policy
         self._rng = random.Random(policy.seed)
         self._latency = LatencySampler(latency or LatencySpec())
         self.model = f"scripted-{policy.kind}"
@@ -329,20 +324,30 @@ class ReplayBackend:
         )
 
 
+def _replayable(doc: dict) -> bool:
+    """A recorded failure (``error``, ``elapsed``) or exchange
+    (``response_text``, ``latency``), with the types the replay reads."""
+    text, seconds = ("error", "elapsed") if "error" in doc else ("response_text", "latency")
+    value = doc.get(seconds)
+    return type(doc.get(text)) is str and type(value) in (int, float) and 0.0 <= value < math.inf
+
+
 def load_replay(transcript_path: str | Path) -> ReplayBackend:
-    """Build a replay backend from a recorded transcript file."""
+    """Build a replay backend from a recorded transcript file, checking
+    each line before the run starts."""
     entries = []
-    with open(transcript_path, "r", encoding="utf-8") as fh:
+    with open(transcript_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = loads_record(line)
+                doc = loads_finite(line.decode("utf-8"))
             except ValueError as exc:
                 raise LogFormatError(f"bad transcript line: {exc}", line_number=lineno) from exc
-            if not ({"response_text", "latency"} <= doc.keys() or {"error", "elapsed"} <= doc.keys()):
+            if not (isinstance(doc, dict) and _replayable(doc)):
                 raise LogFormatError(
-                    "transcript line lacks response_text/latency or error/elapsed", line_number=lineno
+                    "transcript line needs a string response_text and a latency, or a string "
+                    "error and an elapsed time, in seconds >= 0", line_number=lineno
                 )
             entries.append(doc)
     return ReplayBackend(entries)

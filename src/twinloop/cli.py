@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .backends import (
     SCRIPTED,
 )
 from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError
-from .jsonio import from_doc
+from .jsonio import from_doc, loads_finite
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import (
     MIN_IDLE_TICK,
@@ -57,6 +56,10 @@ class _Output:
     points: str | None = None
     report_format: str = TABLE
 
+    def __post_init__(self):
+        if self.report_format not in (TABLE, CSV, MACHINE):
+            raise ConfigError("report_format must be table, csv or machine")
+
 
 @dataclasses.dataclass(frozen=True)
 class _Agents:
@@ -68,7 +71,7 @@ class _Agents:
 
 @dataclasses.dataclass
 class LoadedConfig:
-    """Validated contents of a run configuration file."""
+    """The checked contents of a run configuration file."""
 
     twin_params: twin.TwinParams
     operator: AgentSpec
@@ -83,15 +86,6 @@ _BACKEND_KEYS = {
     SCRIPTED: {"kind", "script", "latency"},
     REPLAY: {"kind", "transcript_path"},
 }
-
-
-def _reject_unknown(doc, allowed: tuple[str, ...], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"'{where}' must be an object")
-    for key in doc:
-        path = f"{where}.{key}" if where else key
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}'")
 
 
 def _backend_from_doc(doc, where: str) -> BackendConfig:
@@ -139,25 +133,25 @@ def _run_from_doc(doc, where: str, thresholds: Thresholds) -> RunConfig:
 
 
 def load_config(path: str | Path) -> LoadedConfig:
-    """Load and strictly validate a run configuration file.
+    """Load a run configuration file, before any side effect.
 
-    Every module-level invariant is checked here, before any side effect;
-    unknown keys anywhere in the document are rejected by name.
+    Each section's dataclass checks itself as it is built; unknown keys
+    anywhere in the document are rejected by name.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = loads_finite(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
 
-    _reject_unknown(doc, ("twin", "thresholds", "agents", "backend", "run", "output"), "")
+    for key in doc:
+        if key not in ("twin", "thresholds", "agents", "backend", "run", "output"):
+            raise ConfigError(f"unknown key '{key}'")
     try:
         twin_params = from_doc(twin.TwinParams, doc.get("twin", {}), "twin", defaults=True)
         thresholds = from_doc(Thresholds, doc.get("thresholds", {}), "thresholds", defaults=True)
@@ -167,8 +161,6 @@ def load_config(path: str | Path) -> LoadedConfig:
         output = from_doc(_Output, doc.get("output", {}), "output", defaults=True)
     except InvalidInput as exc:
         raise ConfigError(str(exc)) from None
-    if output.report_format not in (TABLE, CSV, MACHINE):
-        raise ConfigError("'output.report_format' must be table, csv or machine")
 
     return LoadedConfig(twin_params, agents.operator, backend, run_config, output)
 
@@ -176,17 +168,14 @@ def load_config(path: str | Path) -> LoadedConfig:
 def _apply_backend_override(config: BackendConfig, override: str) -> BackendConfig:
     kind, _, detail = override.partition(":")
     if kind == HTTP:
-        return dataclasses.replace(config, kind=HTTP).validate()
+        return dataclasses.replace(config, kind=HTTP)
     if kind == SCRIPTED:
-        return dataclasses.replace(
-            config,
-            kind=SCRIPTED,
-            script=dataclasses.replace(config.script, kind=detail or config.script.kind),
-        ).validate()
+        script = dataclasses.replace(config.script, kind=detail or config.script.kind)
+        return dataclasses.replace(config, kind=SCRIPTED, script=script)
     if kind == REPLAY:
         if not detail:
             raise ConfigError("--backend replay needs a transcript path: replay:<path>")
-        return dataclasses.replace(config, kind=REPLAY, transcript_path=detail).validate()
+        return dataclasses.replace(config, kind=REPLAY, transcript_path=detail)
     raise ConfigError(f"unknown --backend override {override!r}")
 
 
@@ -257,10 +246,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 )
             run_config = cfg.run
             if args.duration is not None:
-                if args.duration <= 0:
-                    raise ConfigError("--duration must be > 0")
                 run_config = dataclasses.replace(run_config, duration=float(args.duration))
-            run_config.validate()
             _refuse_unbounded(run_config, backend_config)
             log_path = args.out or cfg.output.log
             if not log_path:
@@ -314,14 +300,14 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         if args.params:
-            params_doc = json.loads(Path(args.params).read_text(encoding="utf-8"))
+            params_doc = loads_finite(Path(args.params).read_text(encoding="utf-8"))
             if not isinstance(params_doc, dict):
                 raise ConfigError("params file must hold a JSON object")
             params = from_doc(twin.TwinParams, params_doc, defaults=True)
         else:
             params = twin.TwinParams()
         plant = TwinPlant(params, mode=args.mode)
-    except (ConfigError, OSError, json.JSONDecodeError, InvalidInput) as exc:
+    except (ConfigError, OSError, ValueError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -209,15 +209,27 @@ def from_doc(cls: type, doc, where: str = "", defaults: bool = False, given: dic
     dataclass; ``null`` only for ``X | None`` and where the default is
     infinite.  A missing key takes the field's default if ``defaults`` is
     set, else it is an error.  ``given`` supplies fields the document may
-    not hold.  Every mismatch, and any error of the constructor or of
-    ``validate()``, raises :class:`InvalidInput` naming the dotted key below
-    ``where``.
+    not hold.  Every mismatch, and any :class:`TwinloopError` the class
+    raises as it checks itself at construction, raises :class:`InvalidInput`
+    naming the dotted key below ``where``.
     """
     try:
         return _decode(cls, doc, defaults, given)
     except _Mismatch as exc:
         path = ".".join(([where] if where else []) + exc.keys[::-1])
         raise InvalidInput(str(exc).replace("{path}", path)) from None
+
+
+def _refuse(text: str):
+    raise ValueError(f"{text} is not a finite JSON number")
+
+
+# json.loads for the files a run starts from: config, twin parameters and
+# transcripts.  NaN and Infinity, which JSON lacks, and numbers beyond a
+# float's range are refused; null is how an infinite bound is written.
+loads_finite = json.JSONDecoder(
+    parse_constant=_refuse, parse_float=lambda t: x if math.isfinite(x := float(t)) else _refuse(t)
+).decode
 
 
 def loads_record(line: str, cls: type | None = None):
@@ -259,12 +271,9 @@ def _decode(cls: type, doc, defaults: bool, given: dict | None = None):
         else:
             raise _Mismatch("missing key '{path}'", key)
     try:
-        obj = cls(*args)
-        if plan.validate:
-            obj.validate()
+        return cls(*args)
     except TwinloopError as exc:
         raise _Mismatch("'{path}': " + str(exc)) from exc
-    return obj
 
 
 # --- one plan per dataclass ----------------------------------------------------
@@ -286,7 +295,6 @@ class _Plan:
             else:
                 self.constants.append((f.name, default))
         self.keys = frozenset(f.name for f in dataclasses.fields(cls))
-        self.validate = callable(getattr(cls, "validate", None))
 
 
 _PLANS: dict[type, _Plan] = {}
@@ -330,7 +338,10 @@ def _number(default):
         if type(v) is float:
             return v
         if type(v) is int:
-            return float(v)
+            try:
+                return float(v)
+            except OverflowError:
+                raise _Mismatch("'{path}' does not fit a float") from None
         if v is None and infinite:
             return default
         raise _Mismatch("'{path}' must be a number")

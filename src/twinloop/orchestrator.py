@@ -70,18 +70,17 @@ class ValidatorMode:
     horizon: float = 300.0
     envelope: tuple[float, float] = (-math.inf, math.inf)
 
-    def validate(self) -> "ValidatorMode":
+    def __post_init__(self):
         if self.kind not in (RULE, TWIN):
             raise InvalidInput(f"unknown validator mode {self.kind!r}")
         if self.kind == TWIN:
-            if self.horizon <= 0.0:
+            if not self.horizon > 0.0:
                 raise InvalidInput("twin validation horizon must be > 0")
             if not self.envelope[0] < self.envelope[1]:
                 raise InvalidInput(f"envelope must be well ordered, got {self.envelope!r}")
             # an envelope open on both sides would pass every proposal
             if not (math.isfinite(self.envelope[0]) or math.isfinite(self.envelope[1])):
                 raise InvalidInput("twin validation envelope needs at least one finite bound")
-        return self
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,11 @@ class MonitorMode:
     kind: str = "continuous"
     margin: float = 0.0
 
-    def validate(self) -> "MonitorMode":
+    def __post_init__(self):
         if self.kind not in ("continuous", "anomaly"):
             raise InvalidInput(f"unknown monitor mode {self.kind!r}")
-        if self.margin < 0.0:
+        if not self.margin >= 0.0:
             raise InvalidInput("monitor margin must be >= 0")
-        return self
 
 
 @dataclass(frozen=True)
@@ -109,26 +107,23 @@ class RunConfig:
     initial_action: HeaterAction = HeaterAction.OFF
     safe_action_policy: str = EXPECTED_RULE
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.duration <= 0.0 or not math.isfinite(self.duration):
             raise InvalidInput("duration must be > 0")
         if self.max_reprompts < 0:
             raise InvalidInput("max_reprompts must be >= 0")
-        if self.sample_period_floor < 0.0:
+        if not self.sample_period_floor >= 0.0:
             raise InvalidInput("sample_period_floor must be >= 0")
         if self.clock_mode not in CLOCK_MODES:
             raise InvalidInput(f"unknown clock mode {self.clock_mode!r}")
         if self.safe_action_policy not in (EXPECTED_RULE, FORCE_OFF):
             raise InvalidInput(f"unknown safety policy {self.safe_action_policy!r}")
-        self.validator.validate()
         # a rollout samples every simulated second of its horizon
         if self.validator.kind == TWIN and not self.validator.horizon <= self.duration:
             raise InvalidInput(
                 f"twin validation horizon {self.validator.horizon:g} s exceeds "
                 f"the run duration {self.duration:g} s"
             )
-        self.monitor.validate()
-        return self
 
 
 @dataclass(frozen=True)
@@ -311,7 +306,6 @@ def run_loop(
     valid even if the run aborts.  The plant's clock mode must be the
     config's.
     """
-    config.validate()
     if plant.mode != config.clock_mode:
         raise InvalidInput(f"a {plant.mode} plant cannot run a {config.clock_mode} config")
     if config.validator.kind == TWIN and twin_params is None:

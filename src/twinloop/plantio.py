@@ -90,7 +90,7 @@ class TwinPlant:
     ):
         if mode not in CLOCK_MODES:
             raise InvalidInput(f"unknown clock mode {mode!r}")
-        self.params = (params or twin.TwinParams()).validate()
+        self.params = params or twin.TwinParams()
         self.mode = mode
         self._state = initial_state or twin.TwinState(self.params.t_amb, self.params.t_amb, 0.0)
         self._duty = 0.0

@@ -59,7 +59,8 @@ class TwinParams:
 
     Temperatures in degC, capacities in J/K, conductances in W/K, alpha in
     W per percent duty.  ``dt_internal`` (seconds) is still accepted and
-    validated, but the exact propagator reads no internal step.
+    checked, but the exact propagator reads no internal step.  Every
+    invariant is checked at construction.
     """
 
     t_amb: float = DEFAULT_T_AMB
@@ -71,8 +72,7 @@ class TwinParams:
     u_sa: float = DEFAULT_U_SA
     dt_internal: float = DEFAULT_DT_INTERNAL
 
-    def validate(self) -> "TwinParams":
-        """Check every invariant; returns self so calls can be chained."""
+    def __post_init__(self):
         for name in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidState(f"twin parameter {name} is not finite")
@@ -91,7 +91,6 @@ class TwinParams:
                 f"sensor steady state at full duty ({ts_full:.2f} degC) must exceed "
                 f"{_MIN_FULL_DUTY_SENSOR_SS} degC"
             )
-        return self
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class TestRenderPrompt:
         assert not re.search(r"\{[a-z_]+\}", user_text)
 
     def test_inline_feedback_placeholder_is_substituted(self):
-        spec = AgentSpec(task=TaskSpec("T={temperature} prev={prev_action} notes: {feedback}").validate())
+        spec = AgentSpec(task=TaskSpec("T={temperature} prev={prev_action} notes: {feedback}"))
         _, with_feedback = render_prompt(spec, sample(26.0), OFF, TH, "do better")
         assert with_feedback.endswith("notes: do better")
         _, without = render_prompt(spec, sample(26.0), OFF, TH)
@@ -88,12 +88,21 @@ class TestRenderPrompt:
 
     def test_unknown_placeholder_rejected_at_validation(self):
         with pytest.raises(TemplateError):
-            TaskSpec("T={temperature} setpoint={setpoint}").validate()
+            TaskSpec("T={temperature} setpoint={setpoint}")
 
     def test_unbound_placeholder_raises_template_error(self):
-        rogue = AgentSpec(task=TaskSpec("T={temperature} setpoint={setpoint}"))
-        with pytest.raises(TemplateError):
-            render_prompt(rogue, sample(26.0), OFF, TH)
+        # templates that got past the placeholder check and then failed at
+        # the first prompt, or at load with a bare ValueError
+        for template in (
+            "T={temperature:{setpoint}}",
+            "T={temperature:{prev_action}}",
+            "T={temperature!z}",
+            "T={temperature:d}",
+            "T={temperature",
+            "T=temperature}",
+        ):
+            with pytest.raises(TemplateError):
+                TaskSpec(template)
 
 
 class TestParseAction:

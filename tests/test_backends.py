@@ -128,9 +128,9 @@ class TestScriptedFlip:
 
     def test_probability_bounds_checked(self):
         with pytest.raises(ConfigError):
-            ScriptedPolicy(kind="flip", p_wrong_first=1.2).validate()
+            ScriptedPolicy(kind="flip", p_wrong_first=1.2)
         with pytest.raises(ConfigError):
-            ScriptedPolicy(kind="maybe").validate()
+            ScriptedPolicy(kind="maybe")
 
 
 class TestLatencySampler:
@@ -285,9 +285,9 @@ class TestHttpBackend:
 
     def test_config_requires_base_url_and_model(self):
         with pytest.raises(ConfigError):
-            BackendConfig(kind="http", model="m").validate()
+            BackendConfig(kind="http", model="m")
         with pytest.raises(ConfigError):
-            BackendConfig(kind="http", base_url="http://x").validate()
+            BackendConfig(kind="http", base_url="http://x")
 
 
 class TestRecordReplay:

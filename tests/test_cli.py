@@ -2,6 +2,7 @@
 validation, and cross-format report agreement."""
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import json
@@ -16,15 +17,16 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinloop.agents import AgentSpec, TaskSpec
+from twinloop.agents import AgentSpec, TaskSpec, render_prompt
 from twinloop.backends import ScriptedBackend
 from twinloop.cli import main, load_config
 from twinloop.errors import ConfigError, LogFormatError
 from twinloop.jsonio import loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import read_run_log
-from twinloop.plantio import PlantProtocol, PlantServer, TwinPlant
+from twinloop.plantio import HeaterAction, PlantProtocol, PlantSample, PlantServer, TwinPlant
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -169,6 +171,56 @@ class TestLoadConfig:
     def test_integral_float_accepted_for_integer_field(self, tmp_path):
         path = write_config(tmp_path, {"run.max_reprompts": 2.0})
         assert load_config(path).run.max_reprompts == 2
+
+
+def dotted_keys(doc, prefix=""):
+    """Every key path of a config document, objects included."""
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, dict):
+            yield from dotted_keys(value, path + ".")
+
+
+def config_floats(obj, path=""):
+    """(dotted path, value) of every float in a loaded config."""
+    if isinstance(obj, float):
+        yield path, obj
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from config_floats(item, f"{path}.{i}")
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from config_floats(getattr(obj, f.name), f"{path}.{f.name}".lstrip("."))
+
+
+CASE_KEYS = sorted(dotted_keys(json.loads(CASE_CONFIG.read_text())))
+odd_texts = st.sampled_from([
+    "{temperature:{setpoint}}", "{temperature:{prev_action}}", "{temperature!z}", "{temperature:d}",
+    "{temperature", "}", "{}", "{0}", "{temperature.real}", "{{feedback}}", "{feedback:>9}",
+    "twin", "anomaly", "realtime", "force_off", "lognormal", "http", "replay", "flip",
+]) | st.text(alphabet="{}!:.[]0dz temperaturefedbck", max_size=20) | st.text(max_size=10)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | odd_texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8) | odd_texts, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dotted=st.sampled_from(CASE_KEYS), value=json_values)
+def test_loaded_config_is_finite_and_renders(tmp_path_factory, dotted, value):
+    # one random JSON value (NaN and infinities included) at one key of the
+    # case study: the loader refuses it or returns a config that can run
+    path = write_config(tmp_path_factory.mktemp("fuzz"), {dotted: value})
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    for where, x in config_floats(cfg):
+        # null writes an infinite envelope bound; nothing else is infinite
+        assert math.isfinite(x) or where.startswith("run.validator.envelope") and math.isinf(x), where
+    render_prompt(cfg.operator, PlantSample(0.0, 26.0), HeaterAction.ON, cfg.run.thresholds, "retry")
 
 
 class TestCmdRun:
@@ -360,6 +412,65 @@ class TestCmdRun:
         assert hashlib.sha256(machine.encode()).hexdigest() == (
             "68ad6a67358e333412b3d3ed57bf3b5bed9f81f733f3c1abb43de45608b9d5e9"
         )
+
+    @pytest.mark.parametrize(
+        "dotted, literal",
+        [
+            ("backend.latency.seconds", "NaN"),
+            ("backend.latency.seconds", "Infinity"),
+            ("backend.latency.seconds", "1e999"),
+            ("run.sample_period_floor", "NaN"),
+            ("run.monitor_mode", '{"kind": "anomaly", "margin": NaN}'),
+        ],
+    )
+    def test_non_finite_number_in_config_exits_2(self, tmp_path, capsys, dotted, literal):
+        # json.loads reads these literals, and a NaN passes every "x < 0" check
+        path = write_config(tmp_path, {dotted: "@"})
+        path.write_text(path.read_text().replace('"@"', literal))
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:") and "is not a finite JSON number" in line
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "template",
+        ["T={temperature", "T={temperature:{setpoint}}", "T={temperature:{prev_action}}",
+         "T={temperature!z}", "T={temperature:d}"],
+    )
+    def test_unrenderable_task_template_exits_2(self, tmp_path, capsys, template):
+        path = write_config(tmp_path, {"agents.operator.task.description_template": template})
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: 'agents.operator.task':")
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            b'{"response_text": "ACTION: ON", "latency": "slow"}',
+            b'{"error": "x", "elapsed": "slow"}',
+            b'{"response_text": 5, "latency": 1.0}',
+            b'{"response_text": "ACTION: ON", "latency": -1.0}',
+            b'{"response_text": "ACTION: ON", "latency": NaN}',
+            b'{"response_text": "ACTION: \xff", "latency": 1.0}',
+        ],
+    )
+    def test_mistyped_transcript_value_exits_2(self, tmp_path, capsys, entry):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(b'{"response_text": "ACTION: ON", "latency": 6}\n' + entry + b"\n")
+        log = tmp_path / "r.jsonl"
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--backend", f"replay:{transcript}",
+            "--duration", "60", "--out", str(log),
+        ])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: bad transcript") and "(line 2)" in line
+        assert not log.exists()
 
     def test_bad_backend_override_exits_2(self, tmp_path, capsys):
         code = main([
@@ -624,6 +735,9 @@ class TestCmdPlantServe:
         params = tmp_path / "params.json"
         params.write_text('{"c_h": -1.0}')
         assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
+        params.write_text('{"c_h": NaN}')
+        assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
+        assert "NaN is not a finite JSON number" in capsys.readouterr().err
 
 
 class TestModuleEntryPoints:

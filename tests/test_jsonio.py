@@ -14,20 +14,24 @@ from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
 from twinloop.jsonio import dumps_record, format_float, round_half_away
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
+    EXPECTED_RULE,
+    FORCE_OFF,
+    RULE,
+    TWIN,
     AttemptRecord,
     EpisodeRecord,
     MonitorMode,
     RunConfig,
     ValidatorMode,
 )
-from twinloop.plantio import HeaterAction
+from twinloop.plantio import CLOCK_MODES, HeaterAction
 
 
 # --- reference encoder: the generic walker, one dispatch on type per value -----
@@ -147,23 +151,38 @@ episode_records = st.builds(
     t_end=numbers,
 )
 
-run_configs = st.builds(
-    RunConfig,
-    duration=numbers,
-    max_reprompts=counts,
-    sample_period_floor=numbers,
-    thresholds=st.builds(Thresholds, low=st.just(25.0) | st.just(20), high=st.just(27.0) | st.just(30)),
-    validator=st.builds(
-        ValidatorMode,
-        kind=texts,
-        horizon=numbers,
-        envelope=st.tuples(st.just(-math.inf) | finite, st.just(math.inf) | finite),
-    ),
-    monitor=st.builds(MonitorMode, kind=texts, margin=numbers),
-    clock_mode=texts,
-    initial_action=actions,
-    safe_action_policy=texts,
-)
+# configs that construct: kinds, modes and policies from their allowed
+# values, numbers from their accepted ranges, ints among the floats
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6)
+non_negative = st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10**6)
+
+
+@st.composite
+def validator_modes(draw, duration):
+    if draw(st.booleans()):
+        return ValidatorMode(RULE, draw(numbers), draw(st.tuples(numbers, numbers)))
+    lo, hi = sorted(draw(st.tuples(finite, finite)))
+    assume(lo < hi)
+    envelope = draw(st.sampled_from([(lo, hi), (-math.inf, hi), (lo, math.inf)]))
+    horizon = draw(st.just(duration) | st.floats(min_value=0.0, max_value=duration, exclude_min=True))
+    return ValidatorMode(TWIN, horizon, envelope)
+
+
+@st.composite
+def run_configs(draw):
+    duration = draw(positive)
+    return RunConfig(
+        duration=duration,
+        max_reprompts=draw(st.integers(0, 10**9) | st.booleans()),
+        sample_period_floor=draw(non_negative),
+        thresholds=draw(st.builds(Thresholds, low=st.just(25.0) | st.just(20), high=st.just(27.0) | st.just(30))),
+        validator=draw(validator_modes(duration)),
+        monitor=draw(st.builds(MonitorMode, kind=st.sampled_from(["continuous", "anomaly"]), margin=non_negative)),
+        clock_mode=draw(st.sampled_from(CLOCK_MODES)),
+        initial_action=draw(actions),
+        safe_action_policy=draw(st.sampled_from([EXPECTED_RULE, FORCE_OFF])),
+    )
+
 
 run_metrics = st.builds(
     RunMetrics,
@@ -221,7 +240,7 @@ every_fields = st.builds(
 
 @pytest.mark.parametrize(
     "records",
-    [episode_records, attempt_records, run_configs, run_metrics, exchanges, every_fields],
+    [episode_records, attempt_records, run_configs(), run_metrics, exchanges, every_fields],
     ids=["EpisodeRecord", "AttemptRecord", "RunConfig", "RunMetrics", "Exchange", "EveryField"],
 )
 @settings(max_examples=150, deadline=None)
@@ -234,7 +253,7 @@ def test_generated_writer_matches_the_walker(records, data):
 
 
 @settings(max_examples=50, deadline=None)
-@given(config=run_configs, digest=texts)
+@given(config=run_configs(), digest=texts)
 def test_header_record_matches_the_walker(config, digest):
     header = {"kind": "header", "format": "twinloop-run-log/1", "config": config, "config_digest": digest}
     assert dumps_record(header) == ref_encode(header)

@@ -549,40 +549,40 @@ class TestPlantFailureMidRun:
 
 class TestRunConfigValidation:
     def test_defaults_validate(self):
-        RunConfig().validate()
+        RunConfig()
 
     def test_bad_duration(self):
         with pytest.raises(InvalidInput):
-            RunConfig(duration=0.0).validate()
+            RunConfig(duration=0.0)
 
     def test_bad_clock_mode(self):
         with pytest.raises(InvalidInput):
-            RunConfig(clock_mode="sundial").validate()
+            RunConfig(clock_mode="sundial")
 
     def test_bad_envelope(self):
         with pytest.raises(InvalidInput):
-            ValidatorMode(kind="twin", horizon=60.0, envelope=(5.0, 5.0)).validate()
+            ValidatorMode(kind="twin", horizon=60.0, envelope=(5.0, 5.0))
 
     def test_twin_envelope_open_on_both_sides_rejected(self):
         with pytest.raises(InvalidInput, match="finite bound"):
-            ValidatorMode(kind="twin").validate()
+            ValidatorMode(kind="twin")
         with pytest.raises(InvalidInput, match="finite bound"):
             run_loop(make_plant(), scripted(), RunConfig(validator=ValidatorMode(kind="twin")))
         # one finite bound is enough, and the rule validator has no envelope
-        ValidatorMode(kind="twin", envelope=(-math.inf, 30.0)).validate()
-        ValidatorMode(kind="twin", envelope=(20.0, math.inf)).validate()
-        ValidatorMode().validate()
+        ValidatorMode(kind="twin", envelope=(-math.inf, 30.0))
+        ValidatorMode(kind="twin", envelope=(20.0, math.inf))
+        ValidatorMode()
 
     def test_twin_horizon_bounded_by_duration(self):
         twin_mode = ValidatorMode(kind="twin", horizon=1e12, envelope=(20.0, 30.0))
         with pytest.raises(InvalidInput, match="exceeds the run duration"):
-            RunConfig(validator=twin_mode).validate()
+            RunConfig(validator=twin_mode)
         with pytest.raises(InvalidInput, match="exceeds the run duration"):
             run_loop(make_plant(), scripted(), RunConfig(validator=twin_mode))
-        RunConfig(duration=300.0, validator=replace(twin_mode, horizon=300.0)).validate()
+        RunConfig(duration=300.0, validator=replace(twin_mode, horizon=300.0))
         # the rule validator ignores its horizon
-        RunConfig(duration=60.0, validator=ValidatorMode(horizon=1e12)).validate()
+        RunConfig(duration=60.0, validator=ValidatorMode(horizon=1e12))
 
     def test_negative_reprompts(self):
         with pytest.raises(InvalidInput):
-            RunConfig(max_reprompts=-1).validate()
+            RunConfig(max_reprompts=-1)

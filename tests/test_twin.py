@@ -121,7 +121,7 @@ def log_uniform(lo, hi):
 
 @st.composite
 def twin_params(draw):
-    """Parameter sets that pass ``validate()``: capacities and conductances
+    """Parameter sets that construct: capacities and conductances
     spread over two orders of magnitude each, so the two nodes' time
     constants can differ by far more than the defaults' factor of three.
     The heater's full-duty steady state stays at or below 200 degC, so an
@@ -129,12 +129,12 @@ def twin_params(draw):
     c_h, c_s = draw(log_uniform(1.0, 200.0)), draw(log_uniform(1.0, 200.0))
     u_ha, u_hs, u_sa = (draw(log_uniform(0.005, 0.5)) for _ in range(3))
     t_amb = draw(st.floats(0.0, 30.0))
-    # alpha from the full-duty sensor rise, which validate() needs above 27 degC
+    # alpha from the full-duty sensor rise, which TwinParams needs above 27 degC
     rise = draw(st.floats(max(1.0, 28.0 - t_amb), 60.0))
     det = u_ha * u_hs + u_ha * u_sa + u_hs * u_sa
     params = TwinParams(t_amb, rise * det / (100.0 * u_hs), c_h, c_s, u_ha, u_hs, u_sa)
     assume(steady_state(params, 100.0)[0] <= 200.0)
-    return params.validate()
+    return params
 
 
 @st.composite
@@ -169,9 +169,10 @@ class TestSteadyState:
         assert steady_state(PARAMS, 50.0) == pytest.approx(SS_DUTY_50, abs=1e-9)
 
     def test_degenerate_conductances_rejected(self):
-        broken = TwinParams(u_ha=0.0, u_hs=0.0, u_sa=0.0)
-        with pytest.raises(InvalidState):
-            steady_state(broken, 50.0)
+        # positive and finite, but their determinant overflows; construction
+        # asks steady_state for the full-duty sensor temperature
+        with pytest.raises(InvalidState, match="no unique steady state"):
+            TwinParams(u_ha=1e200, u_hs=1e200, u_sa=1e200)
 
     def test_duty_out_of_range(self):
         with pytest.raises(InvalidInput):
@@ -580,19 +581,19 @@ class TestProperties:
 
 class TestParamValidation:
     def test_defaults_validate(self):
-        PARAMS.validate()
+        TwinParams()
 
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(InvalidState):
-            TwinParams(c_h=0.0).validate()
+            TwinParams(c_h=0.0)
 
     def test_dt_internal_range(self):
         with pytest.raises(InvalidState):
-            TwinParams(dt_internal=1.5).validate()
+            TwinParams(dt_internal=1.5)
         with pytest.raises(InvalidState):
-            TwinParams(dt_internal=0.0).validate()
+            TwinParams(dt_internal=0.0)
 
     def test_underpowered_heater_rejected(self):
         # Full duty must be able to push the sensor past the upper threshold.
         with pytest.raises(InvalidState):
-            TwinParams(alpha=0.005).validate()
+            TwinParams(alpha=0.005)
