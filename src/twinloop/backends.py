@@ -14,6 +14,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,6 +82,9 @@ class DecisionContext:
     timestamp: float
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class LatencySpec:
     """Injected inference latency: none, a fixed value, or lognormal draws."""
@@ -98,6 +102,9 @@ class LatencySpec:
             raise ConfigError("fixed latency must be >= 0")
         if self.kind == "lognormal" and not self.sigma >= 0.0:
             raise ConfigError("lognormal sigma must be >= 0")
+        # a draw is exp of a normal one, so no draw within 30 sigma overflows
+        if self.kind == "lognormal" and not self.mu + 30.0 * self.sigma < _LOG_FLOAT_MAX:
+            raise ConfigError(f"lognormal mu + 30 * sigma must be below log(max float), {_LOG_FLOAT_MAX:.2f}")
 
 
 class LatencySampler:

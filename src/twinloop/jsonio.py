@@ -21,6 +21,15 @@ without looking its type up, and hands any other value to the generic writer
 by the value's own type; either way the line is the same bytes, so an
 ``int`` in a float field is still written in float form and a ``bool`` in an
 int field as ``true``.
+
+Reading is the mirror image.  A document that must hold every field (a run
+log's header and episodes, a report's metrics) is read by one function
+generated per class on first use: it compares the key set in one step and
+takes each value of exactly its annotated type inline.  On any mismatch it
+hands the whole document to the generic walk, :func:`_decode`, which stays
+the reference and the only code that words an error, so every message and
+dotted key is the same either way.  Config files, whose keys may be missing,
+are read by the walk alone.
 """
 
 from __future__ import annotations
@@ -214,7 +223,9 @@ def from_doc(cls: type, doc, where: str = "", defaults: bool = False, given: dic
     naming the dotted key below ``where``.
     """
     try:
-        return _decode(cls, doc, defaults, given)
+        if defaults or given is not None:
+            return _decode(cls, doc, defaults, given)
+        return _read(cls, doc)
     except _Mismatch as exc:
         path = ".".join(([where] if where else []) + exc.keys[::-1])
         raise InvalidInput(str(exc).replace("{path}", path)) from None
@@ -276,6 +287,93 @@ def _decode(cls: type, doc, defaults: bool, given: dict | None = None):
         raise _Mismatch("'{path}': " + str(exc)) from exc
 
 
+# What a generated reader raises when a document does not fit its class, or
+# lets through from a field's converter, an enum lookup or the class's own
+# check.  _decode then reads the document again and words the error.
+_REFUSALS = (_Mismatch, KeyError, TypeError, TwinloopError)
+
+
+def _read(cls: type, doc):
+    """``_decode(cls, doc, False)``, by the class's generated reader unless
+    the document does not fit it."""
+    try:
+        return (_READERS.get(cls) or _reader(cls))(doc)
+    except _REFUSALS:
+        return _decode(cls, doc, False)
+
+
+_READERS: dict = {}
+
+
+def _reader(cls: type):
+    reader = _READERS.get(cls)
+    if reader is None:
+        reader = _READERS[cls] = _generate_reader(cls, _plan(cls))
+    return reader
+
+
+def _generate_reader(cls: type, plan: _Plan):
+    """One function building ``cls`` from a document holding every field,
+    generated as the writer is.  It compares the key set and the constant
+    fields in one test and reads each value inline: a value of exactly its
+    annotated type is taken as it is, any other goes to the field's
+    converter, and whatever does not fit raises.  A class without
+    ``__post_init__`` is not called: its fields are set in order by
+    ``object.__setattr__``, as its frozen ``__init__`` sets them, so the
+    instance is laid out as a constructed one.  Any other class is called."""
+    namespace = {"_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_new": object.__new__}
+    test = "type(doc) is not dict or doc.keys() != _keys"
+    for key, value in plan.constants:
+        test += f" or doc[{key!r}] != {_bind(namespace, value)}"
+    body = [f"if {test}:", "    raise _Mismatch('')"]
+    hints = dict(plan.fields)
+    for i, (key, _, default) in enumerate(plan.reads):
+        body += [f"v = doc[{key!r}]", f"a{i} = {_read_expr(hints[key], default, 'v', namespace)}"]
+    factories = any(not f.init and f.default_factory is not _MISSING for f in dataclasses.fields(cls))
+    if hasattr(cls, "__post_init__") or factories:
+        body.append(f"return _cls({', '.join(f'a{i}' for i in range(len(plan.reads)))})")
+    else:
+        namespace["_set"] = object.__setattr__
+        body.append("obj = _new(_cls)")
+        body += [f"_set(obj, {key!r}, a{i})" for i, (key, _, _) in enumerate(plan.reads)]
+        body.append("return obj")
+    exec("def read(doc):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["read"]
+
+
+def _bind(namespace: dict, value) -> str:
+    """A new name in ``namespace`` for ``value``, for generated source."""
+    name = f"_n{len(namespace)}"
+    namespace[name] = value
+    return name
+
+
+def _read_expr(tp, default, v: str, namespace: dict) -> str:
+    """Source of an expression reading the JSON value named ``v`` into a
+    field annotated ``tp`` with ``default``, as the field's converter does."""
+    if tp in _SCALARS or tp is float:
+        convert = _bind(namespace, _field_reader(tp, default))
+        return f"({v} if type({v}) is {tp.__name__} else {convert}({v}, False))"
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return f"{_bind(namespace, {m.value: m for m in tp})}[{v}]"
+    if dataclasses.is_dataclass(tp):
+        return f"{_bind(namespace, _reader(tp))}({v})"
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args:
+        variadic, items = _tuple_items(args, default)
+        convert = _bind(namespace, _field_reader(tp, default))
+        if variadic:
+            x = f"x{len(namespace)}"
+            item = _read_expr(*items[0], x, namespace)
+            return f"(tuple([{item} for {x} in {v}]) if type({v}) is list else {convert}({v}, False))"
+        parts = "".join(_read_expr(a, d, f"{v}[{i}]", namespace) + ", " for i, (a, d) in enumerate(items))
+        return f"(({parts}) if type({v}) is list and len({v}) == {len(items)} else {convert}({v}, False))"
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[0] if args[1] is type(None) else args[1]
+        return f"(None if {v} is None else {_read_expr(inner, default, v, namespace)})"
+    raise TypeError(f"no JSON codec for fields of type {tp!r}")
+
+
 # --- one plan per dataclass ----------------------------------------------------
 
 
@@ -319,15 +417,22 @@ def _field_reader(tp, default):
         return lambda v, defaults: _decode(tp, v, defaults)
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple and args:
-        variadic = args[-1] is Ellipsis
-        items = args[:1] if variadic else args
-        if not isinstance(default, tuple) or len(default) != len(items):
-            default = (_MISSING,) * len(items)
-        return _tuple([_field_reader(a, d) for a, d in zip(items, default)], variadic)
+        variadic, items = _tuple_items(args, default)
+        return _tuple([_field_reader(a, d) for a, d in items], variadic)
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         convert = _field_reader(args[0] if args[1] is type(None) else args[1], default)
         return lambda v, defaults: None if v is None else convert(v, defaults)
     raise TypeError(f"no JSON codec for fields of type {tp!r}")
+
+
+def _tuple_items(args: tuple, default) -> tuple[bool, list]:
+    """Whether a tuple annotation with ``args`` is variadic, and its item
+    annotations with their defaults: one for a variadic tuple."""
+    variadic = args[-1] is Ellipsis
+    items = args[:1] if variadic else args
+    if not isinstance(default, tuple) or len(default) != len(items):
+        default = (_MISSING,) * len(items)
+    return variadic, list(zip(items, default))
 
 
 def _number(default):

@@ -388,15 +388,20 @@ class RunLogWriter:
 def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[EpisodeRecord]]:
     """Parse a run log back into its config and episode records.
 
-    Every field of the header's config and of each episode must be present.
+    Every field of the header's config and of each episode must be present,
+    and every line must be UTF-8.
     A writer killed mid-line leaves a final episode line with no newline
     that is not JSON; given ``on_torn_tail``, such a line is dropped and the
     callback gets its line number, otherwise it is an error like any other.
     """
     config: RunConfig | None = None
     episodes: list[EpisodeRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
             if not line.strip():
                 continue
             try:

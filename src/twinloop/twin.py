@@ -51,6 +51,11 @@ DEFAULT_U_SA = 0.10
 DEFAULT_DT_INTERNAL = 0.1
 
 _MIN_FULL_DUTY_SENSOR_SS = 27.0
+# Largest magnitude (degC) of ambient and full-duty heater steady state, the
+# bounds of every temperature a run from ambient reaches.  A float below it
+# still resolves hundredths (its spacing is under 2e-4), so a reading rounds
+# to two decimals; near 1e26 the decimal rounding of a reading would fail.
+MAX_TEMPERATURE_C = 1e12
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,10 @@ class TwinParams:
     Temperatures in degC, capacities in J/K, conductances in W/K, alpha in
     W per percent duty.  ``dt_internal`` (seconds) is still accepted and
     checked, but the exact propagator reads no internal step.  Every
-    invariant is checked at construction.
+    invariant is checked at construction, among them that the propagator's
+    constants are finite, with distinct negative eigenvalues (a rollout
+    divides by them), and that the ambient and full-duty temperatures stay
+    within ``MAX_TEMPERATURE_C``.
     """
 
     t_amb: float = DEFAULT_T_AMB
@@ -90,6 +98,19 @@ class TwinParams:
             raise InvalidState(
                 f"sensor steady state at full duty ({ts_full:.2f} degC) must exceed "
                 f"{_MIN_FULL_DUTY_SENSOR_SS} degC"
+            )
+        try:
+            # uncached, so a refused instance is not kept in _zoh's cache
+            xh, _, l1, l2, *gains = _zoh.__wrapped__(self, 100.0)
+            fits = l2 < l1 < 0.0 and all(map(math.isfinite, (l2, *gains)))
+        except (OverflowError, ZeroDivisionError):
+            fits = False
+        if not fits:
+            raise InvalidState("twin parameters give a propagator that does not fit a float")
+        if not (abs(self.t_amb) <= MAX_TEMPERATURE_C and xh <= MAX_TEMPERATURE_C):
+            raise InvalidState(
+                f"twin temperatures reach {max(abs(self.t_amb), xh):g} degC in magnitude, beyond the "
+                f"{MAX_TEMPERATURE_C:g} degC a reading resolves to two decimals"
             )
 
 

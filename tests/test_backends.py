@@ -160,6 +160,14 @@ class TestLatencySampler:
         with pytest.raises(InvalidInput):
             Exchange("s", "u", "r", -0.1, "m", 0.0)
 
+    def test_lognormal_that_can_overflow_rejected(self):
+        # log(max float) is about 709.78: 30 sigma above mu must stay below it
+        LatencySampler(LatencySpec(kind="lognormal", mu=700.0, sigma=0.3)).sample()
+        for mu, sigma in ((700.0, 0.4), (1000.0, 1.0), (709.8, 0.0), (float("nan"), 0.5)):
+            with pytest.raises(ConfigError, match="mu \\+ 30 \\* sigma"):
+                LatencySpec(kind="lognormal", mu=mu, sigma=sigma)
+        LatencySpec(kind="fixed", mu=1000.0)  # mu is read by the lognormal kind only
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):

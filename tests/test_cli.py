@@ -434,6 +434,36 @@ class TestCmdRun:
         assert line.startswith("config error:") and "is not a finite JSON number" in line
         assert not log.exists()
 
+    def test_overflowing_lognormal_latency_exits_2(self, tmp_path, capsys):
+        # the first draw would be exp(1000 + ...), beyond the largest float
+        path = write_config(tmp_path, {"backend.latency": {"kind": "lognormal", "mu": 1000, "sigma": 1}})
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: 'backend.latency': lognormal mu + 30 * sigma")
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "twin, problem",
+        [
+            ({"c_h": 1e-300}, "does not fit a float"),
+            # finite constants, but the slow eigenvalue underflows to zero
+            ({"c_s": 1e300, "u_ha": 1e-160, "u_hs": 1e-160, "u_sa": 1e-160, "alpha": 1e-159},
+             "does not fit a float"),
+            ({"alpha": 1e300}, "beyond the 1e+12 degC"),
+            ({"t_amb": 1e13}, "beyond the 1e+12 degC"),
+        ],
+    )
+    def test_extreme_twin_coefficients_exit_2(self, tmp_path, capsys, twin, problem):
+        path = write_config(tmp_path, {"twin": twin, "backend.latency": {"kind": "fixed", "seconds": 5.0}})
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: 'twin':") and problem in line
+        assert not log.exists()
+
     @pytest.mark.parametrize(
         "template",
         ["T={temperature", "T={temperature:{setpoint}}", "T={temperature:{prev_action}}",
@@ -673,6 +703,26 @@ class TestCmdReport:
         assert "warning" not in err
 
 
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"\xff", b'{"kind": "episode", "index": "\xe9"}\n'])
+    def test_non_utf8_line_exits_2_with_line_number(self, oracle_log, tmp_path, capsys, tail):
+        data = oracle_log.read_bytes()
+        broken = tmp_path / "latin1.jsonl"
+        broken.write_bytes(data + tail)
+        lineno = data.count(b"\n") + 1
+        assert main(["report", "--log", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error (line {lineno}): bad log line:")
+        assert "utf-8" in err and "warning" not in err
+
+    def test_crlf_log_reports_as_written(self, oracle_log, tmp_path, capsys):
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(oracle_log.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["report", "--log", str(oracle_log)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", "--log", str(crlf)]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestCmdPlantServe:
     def test_serve_session_and_clean_interrupt(self, tmp_path):
         import signal
@@ -738,6 +788,26 @@ class TestCmdPlantServe:
         params.write_text('{"c_h": NaN}')
         assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
         assert "NaN is not a finite JSON number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "twin, problem",
+        [('{"c_h": 1e-300}', "does not fit a float"), ('{"alpha": 1e300}', "beyond the 1e+12 degC")],
+    )
+    def test_extreme_params_exit_2_before_binding(self, tmp_path, capsys, twin, problem):
+        params = tmp_path / "params.json"
+        params.write_text(twin)
+        # an occupied port: params taken as valid fail to bind instead of serving
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        try:
+            port = blocker.getsockname()[1]
+            code = main(["plant-serve", "--listen", f"127.0.0.1:{port}", "--params", str(params)])
+        finally:
+            blocker.close()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and problem in err
 
 
 class TestModuleEntryPoints:

@@ -1,6 +1,6 @@
 """The generated per-class writers against the generic walker they replaced,
-the float form of a log line, and two-decimal rounding against its decimal
-definition."""
+the generated readers against the generic decoder, the float form of a log
+line, and two-decimal rounding against its decimal definition."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import dataclasses
 import enum
 import json
 import math
+import pickle
 import types
 import typing
 from decimal import ROUND_HALF_UP, Decimal
@@ -18,7 +19,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
-from twinloop.jsonio import dumps_record, format_float, round_half_away
+from twinloop import jsonio
+from twinloop.errors import InvalidInput
+from twinloop.jsonio import dumps_record, format_float, from_doc, round_half_away
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
     EXPECTED_RULE,
@@ -278,6 +281,138 @@ def test_nan_in_a_float_field_is_refused():
     attempt = AttemptRecord(0, None, None, False, None, "r", "parse_error", math.nan)
     with pytest.raises(ValueError, match="non-finite"):
         dumps_record(attempt)
+
+
+# --- the generated readers read what the generic decoder reads -----------------
+
+RECORDS = {
+    "EpisodeRecord": (EpisodeRecord, episode_records),
+    "AttemptRecord": (AttemptRecord, attempt_records),
+    "RunConfig": (RunConfig, run_configs()),
+    "RunMetrics": (RunMetrics, run_metrics),
+    "Exchange": (Exchange, exchanges),
+    "EveryField": (EveryField, every_fields),
+}
+
+
+def decoded(cls, doc, generic: bool):
+    """``from_doc(cls, doc)``, or its InvalidInput text.  A ``given`` with no
+    fields changes nothing but the path: it reads by the generic decoder."""
+    try:
+        return from_doc(cls, doc, "rec", given={} if generic else None)
+    except InvalidInput as exc:
+        return f"InvalidInput: {exc}"
+
+
+def assert_same_decoding(cls, doc):
+    fast, walked = decoded(cls, doc, False), decoded(cls, doc, True)
+    assert fast == walked
+    assert repr(fast) == repr(walked)
+    if not isinstance(walked, str):
+        # equal __dict__ key order too, so pickles match byte for byte
+        assert pickle.dumps(fast) == pickle.dumps(walked)
+
+
+def paths(doc, prefix=()):
+    """The path of every value in a decoded document, containers included."""
+    found = [prefix]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        found += paths(value, prefix + (key,))
+    return found
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+REPLACEMENTS = {
+    "null": None, "bool": True, "unknown member": "DIMMED", "huge int": 10**400,
+    "string": "x", "negative": -1, "zero": 0.0, "object": {}, "list": [],
+}
+
+
+def mutate(doc, path, how):
+    """``doc`` with the value at ``path`` changed as ``how`` says; "drop"
+    removes it from its object or list, "extra key" adds a key to it."""
+    doc = json.loads(json.dumps(doc))
+    if how == "extra key":
+        at(doc, path)["extra"] = 1
+        return doc
+    parent, last = at(doc, path[:-1]), path[-1]
+    value = parent[last]
+    if how == "drop":
+        del parent[last]
+    elif how == "wrong length":
+        parent[last] = value + value[-1:] if isinstance(value, list) and value else [value, value]
+    elif how == "int for float":
+        parent[last] = int(value) if isinstance(value, float) and math.isfinite(value) else 3
+    elif how == "float for int":
+        parent[last] = float(value) if type(value) is int and abs(value) < 2**53 else 2.0
+    else:
+        parent[last] = REPLACEMENTS[how]
+    return doc
+
+
+HOWS = ["extra key", "drop", "wrong length", "int for float", "float for int", *REPLACEMENTS]
+
+
+def mutation_paths(doc, how):
+    """Where ``how`` applies: any object for "extra key", any value else."""
+    if how == "extra key":
+        return [p for p in paths(doc) if isinstance(at(doc, p), dict)]
+    return paths(doc)[1:]
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_reader_matches_the_decoder(name, data):
+    cls, records = RECORDS[name]
+    doc = json.loads(dumps_record(data.draw(records)))
+    assert_same_decoding(cls, doc)
+    how = data.draw(st.sampled_from(HOWS))
+    assert_same_decoding(cls, mutate(doc, data.draw(st.sampled_from(mutation_paths(doc, how))), how))
+
+
+ATTEMPTS = (
+    AttemptRecord(0, "ACTION: OFF", HeaterAction.OFF, False, HeaterAction.ON, "above band", None, 1.25),
+    AttemptRecord(1, None, None, False, None, "", "backend_error", 0.5),
+)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        EpisodeRecord(3, 1.5, 26.0, HeaterAction.ON, ATTEMPTS, HeaterAction.ON, True, 3.0),
+        RunConfig(validator=ValidatorMode(TWIN, 60.0, (20.0, math.inf))),
+        EveryField(2.5, (1.5,), (-1.0, 3.0), (4,), HeaterAction.OFF, Thresholds(), False),
+    ],
+    ids=["EpisodeRecord", "RunConfig", "EveryField"],
+)
+def test_every_mutation_reads_as_the_decoder_reads_it(record):
+    cls = type(record)
+    doc = json.loads(dumps_record(record))
+    assert from_doc(cls, doc) == record
+    for how in HOWS:
+        for path in mutation_paths(doc, how):
+            assert_same_decoding(cls, mutate(doc, path, how))
+
+
+def test_a_record_that_fits_is_read_without_the_walk(monkeypatch):
+    walked = []
+    decode = jsonio._decode
+    monkeypatch.setattr(jsonio, "_decode", lambda cls, *args: walked.append(cls) or decode(cls, *args))
+    episode = EpisodeRecord(3, 1.5, 26.0, HeaterAction.ON, ATTEMPTS, HeaterAction.ON, True, 3.0)
+    config = RunConfig(validator=ValidatorMode(TWIN, 60.0, (20.0, math.inf)))
+    for record in (episode, config):
+        assert from_doc(type(record), json.loads(dumps_record(record))) == record
+    assert walked == []
+    with pytest.raises(InvalidInput, match="'attempts.1.latency' must be a number"):
+        from_doc(EpisodeRecord, json.loads(dumps_record(episode).replace("0.500", '"slow"')))
+    assert walked[0] is EpisodeRecord
 
 
 @pytest.mark.parametrize(
