@@ -41,7 +41,7 @@ from .orchestrator import (
     read_run_log,
     run_loop,
 )
-from .plantio import PlantServer, TcpPlantClient, TwinPlant
+from .plantio import TwinPlant
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -194,7 +194,8 @@ def _build_backend(config: BackendConfig):
     return ScriptedBackend(config.script, config.latency)
 
 
-def _build_plant(spec: str, cfg: LoadedConfig):
+def _build_plant(spec: str, cfg: LoadedConfig, resources: contextlib.ExitStack):
+    """The run's plant; a served plant's client is closed with ``resources``."""
     if spec == "sim":
         return TwinPlant(cfg.twin_params, mode=cfg.run.clock_mode)
     if spec.startswith("tcp:"):
@@ -202,7 +203,11 @@ def _build_plant(spec: str, cfg: LoadedConfig):
         host, _, port_text = hostport.rpartition(":")
         if not host or not port_text.isdigit():
             raise ConfigError(f"--plant tcp endpoint must be tcp:<host:port>, got {spec!r}")
-        return TcpPlantClient(host, int(port_text), mode=cfg.run.clock_mode)
+        from .tcp import TcpPlantClient  # set-up only: a sim run never loads sockets
+
+        client = TcpPlantClient(host, int(port_text), mode=cfg.run.clock_mode)
+        resources.callback(client.close)
+        return client
     raise ConfigError(f"--plant must be 'sim' or 'tcp:<host:port>', got {spec!r}")
 
 
@@ -255,9 +260,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.record:
                 backend = TranscriptRecorder(backend, args.record)
                 resources.callback(backend.close)
-            plant = _build_plant(args.plant, cfg)
-            if isinstance(plant, TcpPlantClient):
-                resources.callback(plant.close)
+            plant = _build_plant(args.plant, cfg, resources)
             writer = resources.enter_context(RunLogWriter(log_path, run_config))
         # an OSError here means the transcript or the run log cannot be opened
         except (ConfigError, InvalidInput, OSError) as exc:
@@ -303,13 +306,15 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
             params_doc = loads_finite(Path(args.params).read_text(encoding="utf-8"))
             if not isinstance(params_doc, dict):
                 raise ConfigError("params file must hold a JSON object")
-            params = from_doc(twin.TwinParams, params_doc, defaults=True)
+            params = from_doc(twin.TwinParams, params_doc, "twin", defaults=True)
         else:
             params = twin.TwinParams()
         plant = TwinPlant(params, mode=args.mode)
     except (ConfigError, OSError, ValueError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+    from .tcp import PlantServer
 
     try:
         server = PlantServer((host, int(port_text)), plant)

@@ -40,29 +40,11 @@ import json
 import math
 import types
 import typing
-from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidInput, TwinloopError
 
 _MISSING = dataclasses.MISSING
-
-
-def round_half_away(x: float, ndigits: int = 2) -> float:
-    """Round to ``ndigits`` decimals with ties going away from zero.
-
-    A tie is judged on the shortest repr, so 26.445 rounds to 26.45 although
-    the float stored for it lies just below.  Only where ``x * 10**ndigits``
-    lies within a tiny relative window of a half can that differ from
-    :func:`round`, which rounds the exact binary value; there, and for any
-    value that is not a finite float, the decimal repr is rounded.
-    """
-    if type(x) is float:
-        scaled = abs(x) * 10.0**ndigits
-        if abs(scaled % 1.0 - 0.5) > 1e-9 * scaled:
-            return round(x, ndigits)
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
 def format_float(x: float) -> str:

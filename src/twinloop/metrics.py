@@ -13,8 +13,9 @@ from dataclasses import dataclass, fields
 
 from .agents import Thresholds
 from .errors import LogFormatError
-from .jsonio import dumps_record, round_half_away
+from .jsonio import dumps_record
 from .orchestrator import EpisodeRecord
+from .plantio import round_half_away
 
 TABLE = "table"
 CSV = "csv"

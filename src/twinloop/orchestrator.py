@@ -16,7 +16,6 @@ control metrics.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -352,6 +351,8 @@ def run_loop(
 
 
 def config_digest(config: RunConfig) -> str:
+    import hashlib  # only a log writer's set-up digests a config
+
     payload = dumps_record(config).encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 

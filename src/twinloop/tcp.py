@@ -1,0 +1,232 @@
+"""The plant over TCP: a single-connection server for :class:`PlantProtocol`
+and the client that drives it.
+
+This is the only module that loads the socket stack.  Import it where a run
+serves or drives a remote plant, during set-up, never inside the loop.
+"""
+
+from __future__ import annotations
+
+import math
+import socket
+import socketserver
+import time
+from collections.abc import Callable
+
+from .errors import InvalidInput, PlantIoError
+from .plantio import (
+    CLOCK_MODES,
+    LOCKSTEP,
+    REALTIME,
+    HeaterAction,
+    PlantProtocol,
+    PlantSample,
+    TwinPlant,
+)
+
+# A served connection that sends no complete line this long after connecting
+# is dropped, so a silent client cannot hold the single-connection server.
+FIRST_LINE_TIMEOUT_S = 10.0
+
+
+class _LineHandler(socketserver.BaseRequestHandler):
+    """Answers every complete line of one read, in order, with one send."""
+
+    def handle(self) -> None:
+        protocol: PlantProtocol = self.server.protocol  # type: ignore[attr-defined]
+        sock: socket.socket = self.request
+        # pipelined replies must not wait for the client's delayed ACK
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        deadline: float | None = time.monotonic() + FIRST_LINE_TIMEOUT_S
+        pending = b""
+        while True:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    return
+                sock.settimeout(remaining)
+            try:
+                data = sock.recv(65536)
+            except TimeoutError:
+                return
+            *lines, pending = (pending + data).split(b"\n")
+            if not data and pending:
+                lines.append(pending)  # an unterminated last line before EOF
+            if lines:
+                if deadline is not None:
+                    deadline = None
+                    sock.settimeout(None)
+                replies = []
+                for raw in lines:
+                    try:
+                        line = raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        line = ""
+                    replies.append(protocol.handle_command(line))
+                sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
+            if not data:
+                return
+
+
+class PlantServer(socketserver.TCPServer):
+    """Serves one client connection at a time; later connections queue.
+
+    The plant is an exclusive resource, so the single-threaded accept loop is
+    a feature: replies always correspond one-to-one, in order, with the lines
+    of the connection being served.  A connection that sends no complete
+    line within ``FIRST_LINE_TIMEOUT_S`` of connecting is closed, so a silent
+    client cannot hold the plant; once a line has arrived the connection may
+    idle for as long as its controller thinks.
+    """
+
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], plant: TwinPlant):
+        super().__init__(address, _LineHandler)
+        self.plant = plant
+        self.protocol = PlantProtocol(plant)
+
+
+class TcpPlantClient:
+    """Drives a remote plant through the line protocol.
+
+    Presents the same read/apply/advance surface as :class:`TwinPlant`, so the
+    control loop cannot tell a served plant from an in-process one.  The
+    client keeps its own run-relative clock: accumulated X_ADV time in
+    lockstep, wall time since connect in realtime, where :meth:`advance`
+    sleeps and sends nothing.
+
+    The link is pipelined and keeps the order of the commands.  ``Q1`` and
+    ``X_ADV`` replies only confirm, so those commands are queued and the
+    clock moves at once; :meth:`read_temperature` sends the queue and its
+    ``T1`` in one write, then checks the queued replies in order before it
+    reads its own.  In realtime ``Q1`` is sent at once, because the heater
+    must switch now; only its check waits.  :meth:`close` sends and checks
+    what is still queued.  Connecting asks the plant's ``MODE`` and refuses
+    a plant whose clock mode is not ``mode``.
+    """
+
+    def __init__(self, host: str, port: int, mode: str = LOCKSTEP, timeout: float = 10.0):
+        if mode not in CLOCK_MODES:
+            raise InvalidInput(f"unknown clock mode {mode!r}")
+        self.mode = mode
+        try:
+            self._sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            raise PlantIoError(f"cannot connect to plant at {host}:{port}: {exc}") from exc
+        self._rfile = self._sock.makefile("rb")
+        # lines not sent yet, and every command whose reply is still unread,
+        # with the check its reply must pass
+        self._outbox: list[str] = []
+        self._unread: list[tuple[str, Callable[[str], None] | None]] = []
+        self._failed = False
+        self._clock = 0.0
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            served = self._request("MODE")
+            if served != mode:
+                raise PlantIoError(
+                    f"this run needs a {mode} plant, but the plant at {host}:{port} "
+                    f"answered MODE with {served!r}"
+                )
+        except (OSError, PlantIoError):
+            self._disconnect()
+            raise
+        self._wall0 = time.monotonic()
+
+    @property
+    def clock(self) -> float:
+        if self.mode == REALTIME:
+            return time.monotonic() - self._wall0
+        return self._clock
+
+    def _queue(self, line: str, check: Callable[[str], None] | None) -> None:
+        self._outbox.append(line)
+        self._unread.append((line, check))
+
+    def _send(self) -> None:
+        if not self._outbox:
+            return
+        data = "".join(f"{line}\n" for line in self._outbox).encode("utf-8")
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            self._failed = True
+            raise PlantIoError(f"plant link failed during {self._outbox[-1]!r}: {exc}") from exc
+        self._outbox.clear()
+
+    def _confirm(self) -> str:
+        """Send the queue in one write, then read and check the reply of every
+        unread command in order; returns the last reply."""
+        self._send()
+        unread, self._unread = self._unread, []
+        reply = ""
+        try:
+            for line, check in unread:
+                try:
+                    raw = self._rfile.readline()
+                except OSError as exc:
+                    raise PlantIoError(f"plant link failed during {line!r}: {exc}") from exc
+                if not raw:
+                    raise PlantIoError(f"plant closed the connection during {line!r}")
+                # undecodable bytes fail the reply's check, not the decoder
+                reply = raw.decode("utf-8", "replace").rstrip("\n")
+                if check is not None:
+                    check(reply)
+        except PlantIoError:
+            self._failed = True
+            raise
+        return reply
+
+    def _request(self, line: str) -> str:
+        self._queue(line, None)
+        return self._confirm()
+
+    def read_temperature(self) -> PlantSample:
+        reply = self._request("T1")
+        try:
+            t_sensor = float(reply)
+        except ValueError:
+            t_sensor = math.nan  # refused below, as a non-finite reply is
+        if not math.isfinite(t_sensor):
+            raise PlantIoError(f"unparseable temperature reply {reply!r}")
+        return PlantSample(self.clock, t_sensor)
+
+    def apply_heater(self, action: HeaterAction) -> None:
+        line = f"Q1 {action.duty:.0f}"
+
+        def check(reply: str) -> None:
+            if reply == "ERR":
+                raise PlantIoError(f"plant rejected heater command for {action}: {line!r}")
+
+        self._queue(line, check)
+        if self.mode == REALTIME:
+            self._send()
+
+    def advance(self, dt: float) -> None:
+        if self.mode == REALTIME:
+            time.sleep(dt)
+            return
+
+        def check(reply: str) -> None:
+            if reply != "OK":
+                raise PlantIoError(f"plant rejected clock advance of {dt} s: {reply!r}")
+
+        self._queue(f"X_ADV {dt!r}", check)
+        self._clock += dt
+
+    def close(self) -> None:
+        """Send and check the queued commands, unless the link has already
+        failed, then disconnect."""
+        try:
+            if self._unread and not self._failed:
+                self._confirm()
+        finally:
+            self._disconnect()
+
+    def _disconnect(self) -> None:
+        try:
+            self._rfile.close()
+            self._sock.close()
+        except OSError:
+            pass

@@ -18,7 +18,8 @@ from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.cli import main
 from twinloop.metrics import accuracy_metrics, control_metrics
 from twinloop.orchestrator import AttemptRecord, EpisodeRecord, RunConfig, read_run_log, run_loop
-from twinloop.plantio import HeaterAction, PlantServer, TwinPlant
+from twinloop.plantio import HeaterAction, TwinPlant
+from twinloop.tcp import PlantServer
 from twinloop.twin import TwinParams, TwinState, rollout, steady_state, step
 
 TH = Thresholds()

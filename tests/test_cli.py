@@ -26,7 +26,8 @@ from twinloop.errors import ConfigError, LogFormatError
 from twinloop.jsonio import loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import read_run_log
-from twinloop.plantio import HeaterAction, PlantProtocol, PlantSample, PlantServer, TwinPlant
+from twinloop.plantio import HeaterAction, PlantProtocol, PlantSample, TwinPlant
+from twinloop.tcp import PlantServer
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -788,6 +789,19 @@ class TestCmdPlantServe:
         params.write_text('{"c_h": NaN}')
         assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
         assert "NaN is not a finite JSON number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"c_h": -1}', "config error: 'twin': twin parameter c_h must be strictly positive"),
+            ('{"c_hh": 1}', "config error: unknown key 'twin.c_hh'"),
+        ],
+    )
+    def test_bad_params_are_named_as_the_twin_section(self, tmp_path, capsys, doc, message):
+        params = tmp_path / "params.json"
+        params.write_text(doc)
+        assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
+        assert capsys.readouterr().err.strip() == message
 
     @pytest.mark.parametrize(
         "twin, problem",

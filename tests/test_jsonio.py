@@ -21,7 +21,7 @@ from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
 from twinloop import jsonio
 from twinloop.errors import InvalidInput
-from twinloop.jsonio import dumps_record, format_float, from_doc, round_half_away
+from twinloop.jsonio import dumps_record, format_float, from_doc
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
     EXPECTED_RULE,
@@ -34,7 +34,7 @@ from twinloop.orchestrator import (
     RunConfig,
     ValidatorMode,
 )
-from twinloop.plantio import CLOCK_MODES, HeaterAction
+from twinloop.plantio import CLOCK_MODES, HeaterAction, round_half_away
 
 
 # --- reference encoder: the generic walker, one dispatch on type per value -----

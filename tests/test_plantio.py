@@ -13,16 +13,15 @@ from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, PlantIoError
 from twinloop.jsonio import dumps_record
 from twinloop.orchestrator import RunConfig, run_loop
-from twinloop import plantio
+from twinloop import tcp
 from twinloop.plantio import (
     HeaterAction,
     PlantProtocol,
-    PlantServer,
-    TcpPlantClient,
     TwinPlant,
     LOCKSTEP,
     REALTIME,
 )
+from twinloop.tcp import PlantServer, TcpPlantClient
 from twinloop.twin import TwinState
 
 
@@ -256,7 +255,7 @@ def client_sockets(monkeypatch):
         sockets.append(CountingSocket(connect(*args, **kwargs)))
         return sockets[-1]
 
-    monkeypatch.setattr(plantio.socket, "create_connection", counting)
+    monkeypatch.setattr(tcp.socket, "create_connection", counting)
     return sockets
 
 
@@ -289,7 +288,7 @@ class TestServer:
 
     @pytest.mark.parametrize("greeting", [b"", b"T1"])
     def test_client_without_a_complete_line_is_dropped(self, monkeypatch, greeting):
-        monkeypatch.setattr(plantio, "FIRST_LINE_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(tcp, "FIRST_LINE_TIMEOUT_S", 0.2)
         with serving(TwinPlant(mode=LOCKSTEP)) as server:
             with socket.create_connection(server.server_address, timeout=5.0) as silent:
                 silent.sendall(greeting)
