@@ -10,6 +10,7 @@ cannot hallucinate.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import string
@@ -25,6 +26,7 @@ ANOMALY = "anomaly"
 PLACEHOLDERS = frozenset({"temperature", "prev_action", "low", "high", "feedback"})
 
 _ACTION_RE = re.compile(r"action\s*:\s*(on|off)\b", re.IGNORECASE)
+_ACTIONS = {a._value_: a for a in HeaterAction}
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,17 @@ class Thresholds:
     @property
     def midpoint(self) -> float:
         return (self.low + self.high) / 2.0
+
+    @functools.cached_property
+    def _texts(self) -> tuple[str, str, str]:
+        """``(low, high, criterion)``: the band as the prompt and the rule's
+        feedback print it, formatted on first use and kept on this instance.
+        Equal thresholds do not share them: ``-0.0 == 0.0``, yet the first
+        prints as ``-0``."""
+        low, high = f"{self.low:g}", f"{self.high:g}"
+        return low, high, (
+            f"Rule: turn OFF above {high}°C, turn ON below {low}°C, otherwise hold the previous state."
+        )
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,13 @@ class AgentSpec:
     )
     task: TaskSpec = field(default_factory=TaskSpec)
 
+    @functools.cached_property
+    def _prompt(self) -> tuple[str, str, bool]:
+        """``(system text, task template, whether the template places the
+        feedback)``, built on first use and kept on this instance."""
+        template = self.task.description_template
+        return f"{self.role}\n\n{self.goal}", template, "{feedback}" in template
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -103,12 +123,9 @@ class Verdict:
 
 DEFAULT_OPERATOR = AgentSpec()
 
-# One passing verdict per expected action; a frozen Verdict can be shared.
-_RULE_PASSES = {a: Verdict(True, a, "proposal matches the control rule") for a in HeaterAction}
-
-
-def _fmt_threshold(x: float) -> str:
-    return f"{x:g}"
+# One passing verdict per expected action, by name (a str caches its hash, a
+# member's hash is a Python call); a frozen Verdict can be shared.
+_RULE_PASSES = {a._name_: Verdict(True, a, "proposal matches the control rule") for a in HeaterAction}
 
 
 def render_prompt(
@@ -124,30 +141,30 @@ def render_prompt(
     its task template with the live readings bound; validator feedback, when
     present, is appended (or substituted where the template places it).
     ``sample.t_sensor`` is the plant's two-decimal reading, so its text is
-    exact.
+    exact.  The system text, and the thresholds' texts, are built once per
+    ``spec`` and per ``thresholds`` instance; an attempt formats only the
+    reading and binds the template.
     """
-    system_text = f"{spec.role}\n\n{spec.goal}"
-    bindings = {
+    system_text, template, places_feedback = spec._prompt
+    low, high, _ = thresholds._texts
+    user_text = template.format_map({
         "temperature": f"{sample.t_sensor:.2f}",
-        "prev_action": prev.value,
-        "low": _fmt_threshold(thresholds.low),
-        "high": _fmt_threshold(thresholds.high),
+        "prev_action": prev._value_,
+        "low": low,
+        "high": high,
         "feedback": feedback or "",
-    }
-    user_text = spec.task.description_template.format(**bindings)
-    if feedback and "{feedback}" not in spec.task.description_template:
+    })
+    if feedback and not places_feedback:
         user_text = f"{user_text}\n\n{feedback}"
     return system_text, user_text
 
 
 def parse_action(response: str) -> HeaterAction:
     """Extract the last `ACTION: ON|OFF` directive (any case, any spacing)."""
-    match = None
-    for match in _ACTION_RE.finditer(response):
-        pass
-    if match is None:
+    found = _ACTION_RE.findall(response)
+    if not found:
         raise ParseError("no ACTION line found")
-    return HeaterAction(match.group(1).upper())
+    return _ACTIONS[found[-1].upper()]
 
 
 def expected_action(t: float, prev: HeaterAction, th: Thresholds) -> HeaterAction:
@@ -175,26 +192,17 @@ def validate_rule(
     """
     expected = expected_action(t, prev, th)
     if proposal is expected:
-        return _RULE_PASSES[expected]
+        return _RULE_PASSES[expected._name_]
+    low, high, criterion = th._texts
     if t > th.high:
-        reason = (
-            f"temperature {t:.2f} degC exceeds {_fmt_threshold(th.high)} degC, "
-            f"so the heater must be OFF"
-        )
+        reason = f"temperature {t:.2f} degC exceeds {high} degC, so the heater must be OFF"
     elif t < th.low:
-        reason = (
-            f"temperature {t:.2f} degC is below {_fmt_threshold(th.low)} degC, "
-            f"so the heater must be ON"
-        )
+        reason = f"temperature {t:.2f} degC is below {low} degC, so the heater must be ON"
     else:
         reason = (
             f"temperature {t:.2f} degC is inside the band, "
-            f"so the previous state {prev} must be held"
+            f"so the previous state {prev._value_} must be held"
         )
-    criterion = (
-        f"Rule: turn OFF above {_fmt_threshold(th.high)}°C, "
-        f"turn ON below {_fmt_threshold(th.low)}°C, otherwise hold the previous state."
-    )
     return Verdict(False, expected, reason, criterion)
 
 
@@ -221,7 +229,7 @@ def validate_twin(
     if exit_sample is None:
         return Verdict(True, None, "simulated trajectory stays inside the safe envelope")
     clock, t_sensor = exit_sample
-    bounds = f"[{_fmt_threshold(lo)}, {_fmt_threshold(hi)}]"
+    bounds = f"[{lo:g}, {hi:g}]"
     return Verdict(
         False,
         None,
@@ -229,7 +237,7 @@ def validate_twin(
         f"leaves the safe envelope {bounds}",
         f"Twin check: under the proposed action the simulated sensor temperature "
         f"must stay inside the safe envelope {bounds} degC for the next "
-        f"{_fmt_threshold(horizon)} s.",
+        f"{horizon:g} s.",
     )
 
 
@@ -251,7 +259,7 @@ def compose_feedback(
     feedback then states the criterion that verdict applied.
     """
     head = f"(attempt {attempt}/{max_attempts}): "
-    situation = f"at {t:.2f}°C with previous heater state {prev.value}"
+    situation = f"at {t:.2f}°C with previous heater state {prev._value_}"
     respond = "Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
     if backend_error is not None:
         return (
@@ -269,7 +277,7 @@ def compose_feedback(
     criterion = f"{verdict.criterion} " if verdict.criterion else ""
     return (
         f"VALIDATION FAILED {head}{situation}, your proposed action "
-        f"{proposal.value} was rejected: {verdict.reason}. {criterion}{respond}"
+        f"{proposal._value_} was rejected: {verdict.reason}. {criterion}{respond}"
     )
 
 

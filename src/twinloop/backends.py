@@ -10,6 +10,7 @@ returns the recorded stream, failed calls included.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -109,18 +110,17 @@ class LatencySpec:
 
 class LatencySampler:
     """Draws latencies from a spec; its RNG stream is independent of any
-    decision stream so injected latency can never change a decision."""
+    decision stream so injected latency can never change a decision.
+    ``sample()`` is picked once, by the spec's kind."""
 
     def __init__(self, spec: LatencySpec):
         self.spec = spec
         self._rng = random.Random(spec.seed)
-
-    def sample(self) -> float:
-        if self.spec.kind == "fixed":
-            return self.spec.seconds
-        if self.spec.kind == "lognormal":
-            return self._rng.lognormvariate(self.spec.mu, self.spec.sigma)
-        return 0.0
+        if spec.kind == "lognormal":
+            self.sample = functools.partial(self._rng.lognormvariate, spec.mu, spec.sigma)
+        else:
+            seconds = spec.seconds if spec.kind == "fixed" else 0.0
+            self.sample = lambda: seconds
 
 
 @dataclass(frozen=True)
@@ -271,25 +271,26 @@ class ScriptedBackend:
 
     def __init__(self, policy: ScriptedPolicy, latency: LatencySpec | None = None):
         self.policy = policy
-        self._rng = random.Random(policy.seed)
-        self._latency = LatencySampler(latency or LatencySpec())
         self.model = f"scripted-{policy.kind}"
+        # fixed for the backend's life, so read once here, not per call
+        self._kind, self._draw = policy.kind, random.Random(policy.seed).random
+        self._sample = LatencySampler(latency or LatencySpec()).sample
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         expected = expected_action(ctx.t_sensor, ctx.prev_action, ctx.thresholds)
-        if self.policy.kind == ORACLE:
+        kind = self._kind
+        if kind == ORACLE:
             action = expected
-        elif self.policy.kind == ALWAYS_WRONG:
+        elif kind == ALWAYS_WRONG:
             action = expected.opposite
         else:
             if ctx.has_feedback:
-                wrong = self._rng.random() >= self.policy.p_correct_on_feedback
+                wrong = self._draw() >= self.policy.p_correct_on_feedback
             else:
-                wrong = self._rng.random() < self.policy.p_wrong_first
+                wrong = self._draw() < self.policy.p_wrong_first
             action = expected.opposite if wrong else expected
-        latency = self._latency.sample()
         return Exchange(
-            system_text, user_text, f"ACTION: {action.value}", latency, self.model, ctx.timestamp
+            system_text, user_text, f"ACTION: {action._value_}", self._sample(), self.model, ctx.timestamp
         )
 
 

@@ -211,6 +211,15 @@ def _build_plant(spec: str, cfg: LoadedConfig, resources: contextlib.ExitStack):
     raise ConfigError(f"--plant must be 'sim' or 'tcp:<host:port>', got {spec!r}")
 
 
+def _opened(what: str, path, opener, *args, **kwargs):
+    """``opener(*args, **kwargs)``, which opens ``path``; an OSError becomes
+    a config error that names the file."""
+    try:
+        return opener(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot {what} {path}: {exc}") from exc
+
+
 def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> None:
     """Refuse a lockstep run whose clock would creep forward by the minimum
     idle tick per episode: a scripted backend with no latency, a fixed one
@@ -258,11 +267,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                 raise ConfigError("no run log path: pass --out or set output.log in the config")
             backend = _build_backend(backend_config)
             if args.record:
-                backend = TranscriptRecorder(backend, args.record)
+                backend = _opened("open transcript", args.record, TranscriptRecorder, backend, args.record)
                 resources.callback(backend.close)
             plant = _build_plant(args.plant, cfg, resources)
-            writer = resources.enter_context(RunLogWriter(log_path, run_config))
-        # an OSError here means the transcript or the run log cannot be opened
+            writer = resources.enter_context(
+                _opened("open run log", log_path, RunLogWriter, log_path, run_config)
+            )
+            # opened with the run log, so a bad path is refused before any episode runs
+            points, points_path = None, cfg.output.points
+            if points_path:
+                points = resources.enter_context(
+                    _opened("write points file", points_path, open, points_path, "w", encoding="utf-8")
+                )
         except (ConfigError, InvalidInput, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -282,6 +298,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         except PlantIoError as exc:
             print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
+        if points is not None:
+            points.write(points_dump(episodes) + "\n")
         try:
             # a served plant confirms its last queued commands as it closes
             resources.close()
@@ -291,8 +309,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     m = run_metrics(episodes, run_config.thresholds, run_config.duration)
     print(report(m, cfg.output.report_format))
-    if cfg.output.points:
-        Path(cfg.output.points).write_text(points_dump(episodes) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -359,7 +375,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"report error{where}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.points:
-        Path(args.points).write_text(points_dump(episodes) + "\n", encoding="utf-8")
+        try:
+            with _opened("write points file", args.points, open, args.points, "w", encoding="utf-8") as fh:
+                fh.write(points_dump(episodes) + "\n")
+        except ConfigError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     print(report(m, args.format))
     return EXIT_OK
 

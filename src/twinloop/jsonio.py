@@ -13,14 +13,15 @@ float form, so ``RunConfig(duration=200)`` encodes like ``duration=200.0``,
 and an infinite value there as ``null``.  :func:`from_doc` is the inverse.
 
 Each dataclass is written by one function generated on its first encoding,
-the way ``dataclasses`` generates ``__init__``: it calls the writer its
-annotation picks for each field (float, str, int, bool, enum, ``X | None``,
-``tuple[X, ...]``, nested dataclass) and joins the results with the key texts
-in one f-string.  A writer takes a value of exactly the annotated type
-without looking its type up, and hands any other value to the generic writer
+the way ``dataclasses`` generates ``__init__``: one f-string joins the key
+texts with an expression per field that its annotation picks (float, str,
+int, bool, enum, ``X | None``, ``tuple[X, ...]``, nested dataclass).  The
+expression tests the value for exactly the annotated type and writes it
+inline -- a bool or an enum member by a text lookup, a str, int or nested
+dataclass by its writer -- and hands any other value to the generic writer
 by the value's own type; either way the line is the same bytes, so an
 ``int`` in a float field is still written in float form and a ``bool`` in an
-int field as ``true``.
+int field as ``true``.  A float field always goes through the float writer.
 
 Reading is the mirror image.  A document that must hold every field (a run
 log's header and episodes, a report's metrics) is read by one function
@@ -92,11 +93,13 @@ def _write_float_field(x) -> str:
     return "null" if math.isinf(x) else format_float(x)
 
 
+_BOOL_TEXTS = {True: "true", False: "false"}
+
 # One writer per exact type; dataclasses, enums and subclasses are added on
 # first use by _writer_for.
 _WRITERS = {
     type(None): lambda _: "null",
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOL_TEXTS.__getitem__,
     int: int.__repr__,
     float: format_float,
     str: encode_basestring_ascii,
@@ -108,8 +111,7 @@ _WRITERS = {
 
 def _writer_for(cls: type):
     if issubclass(cls, enum.Enum):
-        # keyed by name: a str caches its hash, a member's hash is a Python call
-        texts = {member._name_: _encode(member.value) for member in cls}
+        texts = _member_texts(cls)
         return lambda member: texts[member._name_]
     if dataclasses.is_dataclass(cls):
         return _generate_writer(_plan(cls).fields)
@@ -119,57 +121,55 @@ def _writer_for(cls: type):
     raise TypeError(f"cannot encode {cls.__name__} in a log record")
 
 
+def _member_texts(cls: type) -> dict:
+    # keyed by name: a str caches its hash, a member's hash is a Python call
+    return {member._name_: _encode(member._value_) for member in cls}
+
+
 def _generate_writer(fields: list):
     """One function writing a dataclass from its (name, annotation) fields,
-    generated the way ``dataclasses`` generates ``__init__``: it calls each
-    field's writer on ``obj.<name>`` and joins the results with the key
-    texts in one f-string.  Its source holds only the field names and the
-    names of its namespace, which carries every key text and writer."""
-    namespace = {"_end": "}" if fields else "{}"}
+    generated the way ``dataclasses`` generates ``__init__``: one f-string
+    joins the key texts and each field's :func:`_write_expr` of
+    ``obj.<name>``.  Its source holds only the field names and names bound in
+    its namespace, which carries every key text, class, text table and
+    writer; it quotes with ``'`` alone and holds no backslash, so it compiles
+    before PEP 701 too."""
+    namespace = {"_end": "}" if fields else "{}", "_e": _encode, "_f": _write_float_field}
     parts = []
     for i, (name, tp) in enumerate(fields):
-        namespace[f"_k{i}"] = ("," if i else "{") + encode_basestring_ascii(name) + ":"
-        namespace[f"_w{i}"] = _field_writer(tp)
-        parts.append(f"{{_k{i}}}{{_w{i}(obj.{name})}}")
+        key = _bind(namespace, ("," if i else "{") + encode_basestring_ascii(name) + ":")
+        parts.append(f"{{{key}}}{{{_write_expr(tp, f'obj.{name}', namespace)}}}")
     exec(f'def write(obj):\n    return f"{"".join(parts)}{{_end}}"\n', namespace)
     return namespace["write"]
 
 
-def _field_writer(tp):
-    """The writer of a field annotated ``tp``.  It writes a value of exactly
-    the annotated type without dispatch and any other value as _encode does,
-    except that float annotations, also inside tuples and optionals, fix the
-    float form."""
+def _write_expr(tp, v: str, namespace: dict) -> str:
+    """Source of an expression writing the value named ``v`` into a field
+    annotated ``tp``.  A value of exactly the annotated type is written
+    inline, a bool or an enum member by a text lookup; any other value as
+    _encode writes it, None as null.  A float annotation, also inside tuples
+    and optionals, fixes the float form."""
     if tp is float:
-        return _write_float_field
+        return f"_f({v})"
     if tp in _SCALARS or isinstance(tp, type) and (issubclass(tp, enum.Enum) or dataclasses.is_dataclass(tp)):
-        return _exactly(tp, _writer(tp))
+        if tp is bool:
+            inline = f"{_bind(namespace, _BOOL_TEXTS)}[{v}]"
+        elif issubclass(tp, enum.Enum):
+            inline = f"{_bind(namespace, _member_texts(tp))}[{v}._name_]"
+        else:
+            inline = f"{_bind(namespace, _writer(tp))}({v})"
+        return f"({inline} if type({v}) is {_bind(namespace, tp)} else _e({v}))"
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple and args:
         if args[-1] is Ellipsis:
-            item = _field_writer(args[0])
-            return lambda v: "[" + ",".join([item(x) for x in v]) + "]"
-        items = [_field_writer(a) for a in args]
-        return lambda v: "[" + ",".join([items[i](x) for i, x in enumerate(v)]) + "]"
+            x = f"x{len(namespace)}"
+            return f"('[' + ','.join([{_write_expr(args[0], x, namespace)} for {x} in {v}]) + ']')"
+        items = tuple(eval(f"lambda x: {_write_expr(a, 'x', namespace)}", namespace) for a in args)
+        return f"('[' + ','.join([{_bind(namespace, items)}[i](x) for i, x in enumerate({v})]) + ']')"
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = args[0] if args[1] is type(None) else args[1]
-        write = _field_writer(inner)
-        if inner is not float and typing.get_origin(inner) is None:
-            return write  # made by _exactly, which writes None as null
-        return lambda v: "null" if v is None else write(v)
+        return f"('null' if {v} is None else {_write_expr(inner, v, namespace)})"
     raise TypeError(f"no JSON codec for fields of type {tp!r}")
-
-
-def _exactly(cls: type, write):
-    """``write`` for a value of exactly ``cls``, null for None (as _encode
-    writes it), _encode for any other value."""
-
-    def write_field(v) -> str:
-        if type(v) is cls:
-            return write(v)
-        return "null" if v is None else _encode(v)
-
-    return write_field
 
 
 def dumps_record(record) -> str:

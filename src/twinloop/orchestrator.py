@@ -170,32 +170,26 @@ def safety_action(
     raise InvalidInput(f"unknown safety policy {policy!r}")
 
 
-def _twin_snapshot(plant, t_sensor: float, clock: float) -> twin.TwinState:
+def _twin_snapshot(plant, t_sensor: float) -> twin.TwinState:
     state = getattr(plant, "state", None)
     if isinstance(state, twin.TwinState):
         return state
     # Remote plants expose only the sensor reading; assume the nodes are in
     # equilibrium with each other at that temperature.
-    return twin.TwinState(t_sensor, t_sensor, clock)
+    return twin.TwinState(t_sensor, t_sensor, plant.clock)
 
 
-def _validate_proposal(
+def _validate_twin(
     proposal: HeaterAction,
-    sample_t: float,
-    prev: HeaterAction,
-    config: RunConfig,
+    t_sensor: float,
+    validator: ValidatorMode,
     plant,
     twin_params: twin.TwinParams | None,
-    clock: float,
 ) -> Verdict:
-    if config.validator.kind == RULE:
-        return validate_rule(proposal, sample_t, prev, config.thresholds)
     if twin_params is None:
         raise InvalidState("twin validator mode requires twin parameters")
-    state = _twin_snapshot(plant, sample_t, clock)
-    return validate_twin(
-        twin_params, state, proposal, config.validator.horizon, config.validator.envelope
-    )
+    state = _twin_snapshot(plant, t_sensor)
+    return validate_twin(twin_params, state, proposal, validator.horizon, validator.envelope)
 
 
 def run_episode(
@@ -216,8 +210,9 @@ def run_episode(
     action is applied and the episode is marked as overridden.
     """
     th = config.thresholds
+    rule = config.validator.kind == RULE
     sample = plant.read_temperature()
-    t_start = sample.timestamp
+    t_sensor = sample.t_sensor
     attempts: list[AttemptRecord] = []
     feedback: str | None = None
     applied: HeaterAction | None = None
@@ -225,13 +220,7 @@ def run_episode(
 
     for attempt_index in range(budget):
         system_text, user_text = render_prompt(operator, sample, prev, th, feedback)
-        ctx = DecisionContext(
-            t_sensor=sample.t_sensor,
-            prev_action=prev,
-            thresholds=th,
-            has_feedback=feedback is not None,
-            timestamp=plant.clock,
-        )
+        ctx = DecisionContext(t_sensor, prev, th, feedback is not None, plant.clock)
         response = proposal = verdict = None
         try:
             exchange = backend.complete(system_text, user_text, ctx)
@@ -253,9 +242,10 @@ def run_episode(
             except ParseError:
                 reason, error = "no ACTION line found", "parse_error"
             else:
-                verdict = _validate_proposal(
-                    proposal, sample.t_sensor, prev, config, plant, twin_params, plant.clock
-                )
+                if rule:
+                    verdict = validate_rule(proposal, t_sensor, prev, th)
+                else:
+                    verdict = _validate_twin(proposal, t_sensor, config.validator, plant, twin_params)
                 reason, error = verdict.reason, None
         passed = verdict is not None and verdict.passed
         attempts.append(
@@ -269,23 +259,16 @@ def run_episode(
             break
         if attempt_index < config.max_reprompts:
             feedback = compose_feedback(
-                verdict, attempt_index + 1, budget, sample.t_sensor, prev, proposal,
+                verdict, attempt_index + 1, budget, t_sensor, prev, proposal,
                 backend_error=reason if exchange is None else None,
             )
 
     override = applied is None
     if override:
-        applied = safety_action(config.safe_action_policy, sample.t_sensor, prev, th)
+        applied = safety_action(config.safe_action_policy, t_sensor, prev, th)
     plant.apply_heater(applied)
     return EpisodeRecord(
-        index=index,
-        t_start=t_start,
-        t_sensor=sample.t_sensor,
-        prev_action=prev,
-        attempts=tuple(attempts),
-        applied=applied,
-        override=override,
-        t_end=plant.clock,
+        index, sample.timestamp, t_sensor, prev, tuple(attempts), applied, override, plant.clock
     )
 
 
@@ -336,10 +319,12 @@ def run_loop(
             on_episode(record)
         prev = record.applied
 
-        # one clock read per wait: a realtime clock moves between reads
-        floor_wait = record.t_start + config.sample_period_floor - plant.clock
-        if floor_wait > 0.0:
-            plant.advance(floor_wait)
+        # one clock read per wait: a realtime clock moves between reads; the
+        # clock never runs back, so without a floor there is nothing to wait
+        if config.sample_period_floor > 0.0:
+            floor_wait = record.t_start + config.sample_period_floor - plant.clock
+            if floor_wait > 0.0:
+                plant.advance(floor_wait)
         # a zero-latency episode (elapsed 0.0) advances by exactly MIN_IDLE_TICK
         elapsed = plant.clock - record.t_start
         if elapsed < MIN_IDLE_TICK:

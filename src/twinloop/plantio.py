@@ -48,18 +48,22 @@ def round_half_away(x: float, ndigits: int = 2) -> float:
 
 
 class HeaterAction(enum.Enum):
-    """Binary heater command; the case study has no intermediate levels."""
+    """Binary heater command; the case study has no intermediate levels.
+
+    Each member's ``duty`` and ``opposite`` are plain attributes, set once
+    when the class is built, so the loop reads them without calling into
+    ``enum``; hot code reads a member's text as ``_value_`` for the same
+    reason.
+    """
 
     ON = "ON"
     OFF = "OFF"
 
-    @property
-    def duty(self) -> float:
-        return 100.0 if self is HeaterAction.ON else 0.0
+    duty: float
+    opposite: HeaterAction
 
-    @property
-    def opposite(self) -> "HeaterAction":
-        return HeaterAction.OFF if self is HeaterAction.ON else HeaterAction.ON
+    def __init__(self, value: str):
+        self.duty = 100.0 if value == "ON" else 0.0
 
     @classmethod
     def parse(cls, text: str) -> "HeaterAction":
@@ -69,7 +73,10 @@ class HeaterAction(enum.Enum):
             raise InvalidInput(f"not a heater action: {text!r}") from None
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
+
+
+HeaterAction.ON.opposite, HeaterAction.OFF.opposite = HeaterAction.OFF, HeaterAction.ON
 
 
 @dataclass(frozen=True)

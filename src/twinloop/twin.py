@@ -18,8 +18,9 @@ negative eigenvalues, and ``e^{A dt}`` has a closed form with two ``exp``
 calls (Moler & Van Loan, *Nineteen Dubious Ways to Compute the Exponential of
 a Matrix*, 2003).  ``exp`` comes from the platform's libm, as it does for the
 lognormal latency stream, so trajectories are deterministic and bit-for-bit
-replayable on one platform.  The per-duty constants are cached per
-(parameters, duty).
+replayable on one platform.  Each parameter set keeps its per-duty
+constants, so a step at a known duty pays a dict lookup instead of hashing
+the parameters.
 
 ``step`` applies the propagator to both nodes.  A rollout needs the sensor
 alone: from a start state its deviation from steady state is ``p e^{l1 t} +
@@ -32,7 +33,6 @@ O(log horizon) samples instead of a scan of the whole rollout.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -100,8 +100,7 @@ class TwinParams:
                 f"{_MIN_FULL_DUTY_SENSOR_SS} degC"
             )
         try:
-            # uncached, so a refused instance is not kept in _zoh's cache
-            xh, _, l1, l2, *gains = _zoh.__wrapped__(self, 100.0)
+            xh, _, l1, l2, *gains = full = _solve_zoh(self, 100.0)
             fits = l2 < l1 < 0.0 and all(map(math.isfinite, (l2, *gains)))
         except (OverflowError, ZeroDivisionError):
             fits = False
@@ -112,6 +111,8 @@ class TwinParams:
                 f"twin temperatures reach {max(abs(self.t_amb), xh):g} degC in magnitude, beyond the "
                 f"{MAX_TEMPERATURE_C:g} degC a reading resolves to two decimals"
             )
+        # _zoh's per-duty constants of this instance, not shared by equal ones
+        object.__setattr__(self, "_propagators", {100.0: full})
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,18 @@ def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
     return t_heater, t_sensor
 
 
-@functools.lru_cache(maxsize=64)
 def _zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float, float, float]:
+    """:func:`_solve_zoh`, kept on ``p`` per duty; at most 64 duties, since a
+    served plant holds whatever duty its client sends."""
+    z = p._propagators.get(duty)
+    if z is None:
+        if len(p._propagators) >= 64:
+            p._propagators.clear()
+        z = p._propagators[duty] = _solve_zoh(p, duty)
+    return z
+
+
+def _solve_zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float, float, float]:
     """Per-duty constants ``(xh, xs, l1, l2, g_hh, g_hs, g_sh, g_ss)`` of the
     exact propagator.
 

@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twinloop.agents import (
     AgentSpec,
@@ -22,8 +22,10 @@ from twinloop.agents import (
     ANOMALY,
     CONTINUOUS,
 )
+from twinloop.backends import ALWAYS_WRONG, LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, InvalidState, ParseError, TemplateError
-from twinloop.plantio import HeaterAction, PlantSample
+from twinloop.orchestrator import RunConfig, run_loop
+from twinloop.plantio import HeaterAction, PlantSample, TwinPlant
 from twinloop.twin import TwinParams, TwinState
 
 TH = Thresholds()
@@ -300,3 +302,151 @@ class TestMonitorTrigger:
         with pytest.raises(InvalidInput):
             monitor_trigger(sample(26.0), "sometimes", TH)
 
+
+# --- texts built once per instance read as the per-call formatting did ---------
+#
+# The references below format every threshold with f"{x:g}" and read every
+# action through its ``value`` on each call.  Equal thresholds may print
+# differently (-0.0 == 0.0, but prints as "-0"), so the tests draw both zeros.
+
+band_edges = st.sampled_from([-0.0, 0.0, 1e-5, -1e-5, 1e16, -1e16, 25, 27, 26.5]) | st.integers(-100, 100)
+
+
+@st.composite
+def bands(draw):
+    low, high = draw(band_edges), draw(band_edges)
+    assume(low < high)
+    return Thresholds(low, high)
+
+
+actions = st.sampled_from(HeaterAction)
+readings = st.floats(-1e17, 1e17) | band_edges
+
+
+def ref_render(spec, reading, prev, th, feedback):
+    template = spec.task.description_template
+    user = template.format(
+        temperature=f"{reading.t_sensor:.2f}", prev_action=prev.value,
+        low=f"{th.low:g}", high=f"{th.high:g}", feedback=feedback or "",
+    )
+    if feedback and "{feedback}" not in template:
+        user = f"{user}\n\n{feedback}"
+    return f"{spec.role}\n\n{spec.goal}", user
+
+
+def ref_rule_texts(t, prev, th):
+    """(reason, criterion) of a failing rule verdict."""
+    if t > th.high:
+        reason = f"temperature {t:.2f} degC exceeds {th.high:g} degC, so the heater must be OFF"
+    elif t < th.low:
+        reason = f"temperature {t:.2f} degC is below {th.low:g} degC, so the heater must be ON"
+    else:
+        reason = f"temperature {t:.2f} degC is inside the band, so the previous state {prev} must be held"
+    criterion = (
+        f"Rule: turn OFF above {th.high:g}°C, turn ON below {th.low:g}°C, "
+        "otherwise hold the previous state."
+    )
+    return reason, criterion
+
+
+INLINE_FEEDBACK = AgentSpec(task=TaskSpec(description_template="{feedback}|{low}|{high}|{prev_action}"))
+
+
+class TestTextsBuiltOnce:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        th=bands(), t=readings, prev=actions,
+        spec=st.sampled_from([DEFAULT_OPERATOR, INLINE_FEEDBACK]),
+        feedback=st.none() | st.just("") | st.just("VALIDATION FAILED (attempt 1/4): x"),
+    )
+    def test_render_prompt(self, th, t, prev, spec, feedback):
+        expected = ref_render(spec, sample(t), prev, th, feedback)
+        for _ in range(2):  # the second call reads the kept texts
+            assert render_prompt(spec, sample(t), prev, th, feedback) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(th=bands(), t=readings, prev=actions, proposal=actions)
+    def test_validate_rule_and_compose_feedback(self, th, t, prev, proposal):
+        verdict = validate_rule(proposal, t, prev, th)
+        expected = expected_action(t, prev, th)
+        if proposal is expected:
+            assert verdict.passed and verdict.expected is expected
+            return
+        reason, criterion = ref_rule_texts(t, prev, th)
+        assert (verdict.reason, verdict.criterion) == (reason, criterion)
+        assert compose_feedback(verdict, 1, 4, t, prev, proposal) == (
+            f"VALIDATION FAILED (attempt 1/4): at {t:.2f}°C with previous heater state {prev.value}, "
+            f"your proposed action {proposal.value} was rejected: {reason}. {criterion} "
+            "Respond with a final line 'ACTION: ON' or 'ACTION: OFF'."
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(th=bands(), horizon=st.sampled_from([1e-5, 1, 60, 300.0, 1e4]), proposal=actions)
+    def test_validate_twin_bounds_text(self, th, horizon, proposal):
+        lo, hi = th.low, th.high
+        # the start reading lies above the envelope, so its first sample leaves it
+        start = abs(hi) * 2 + 1
+        verdict = validate_twin(TwinParams(), TwinState(start, start, 0.0), proposal, horizon, (lo, hi))
+        bounds = f"[{lo:g}, {hi:g}]"
+        assert verdict.reason.endswith(f"leaves the safe envelope {bounds}")
+        assert verdict.criterion.endswith(f"envelope {bounds} degC for the next {horizon:g} s.")
+
+    def test_runs_whose_zeros_differ_in_sign_print_their_own(self):
+        negative, positive = Thresholds(-0.0, 1.0), Thresholds(0.0, 1.0)
+        assert negative == positive and hash(negative) == hash(positive)
+        prompts = {}
+        for th in (negative, positive, negative):
+            backend = Recording(ScriptedBackend(ScriptedPolicy(kind=ALWAYS_WRONG), LatencySpec("fixed", 5.0)))
+            config = RunConfig(duration=30.0, thresholds=th, max_reprompts=1)
+            episodes = run_loop(TwinPlant(), backend, config)
+            assert all(e.override for e in episodes)
+            prompts[th.low.hex()] = backend.users
+        low = {"-0x0.0p+0": "-0", "0x0.0p+0": "0"}
+        for key, users in prompts.items():
+            assert users
+            for user in users:
+                assert f"falls below {low[key]} degC" in user
+            assert f"turn ON below {low[key]}°C" in users[1]
+
+
+class Recording:
+    """A backend that keeps every user text it was sent."""
+
+    def __init__(self, inner):
+        self.inner, self.users = inner, []
+
+    def complete(self, system_text, user_text, ctx):
+        self.users.append(user_text)
+        return self.inner.complete(system_text, user_text, ctx)
+
+
+ACTION_RE = re.compile(r"action\s*:\s*(on|off)\b", re.IGNORECASE)
+
+
+@st.composite
+def mixed_case(draw, word):
+    return "".join(c.upper() if draw(st.booleans()) else c for c in word)
+
+
+@st.composite
+def replies(draw):
+    """Text with zero or more ACTION directives in any case and spacing."""
+    spaces = st.text(" \t\n", max_size=3)
+    parts = [draw(st.text(max_size=8))]
+    for _ in range(draw(st.integers(0, 3))):
+        parts += [
+            draw(mixed_case("action")), draw(spaces), ":", draw(spaces),
+            draw(mixed_case(draw(st.sampled_from(["on", "off"])))), draw(st.text(max_size=4)),
+        ]
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply=replies())
+def test_parse_action_reads_the_last_directive_by_table(reply):
+    matches = list(ACTION_RE.finditer(reply))
+    if not matches:
+        with pytest.raises(ParseError):
+            parse_action(reply)
+    else:
+        assert parse_action(reply) is HeaterAction(matches[-1].group(1).upper())

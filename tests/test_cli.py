@@ -224,6 +224,15 @@ def test_loaded_config_is_finite_and_renders(tmp_path_factory, dotted, value):
     render_prompt(cfg.operator, PlantSample(0.0, 26.0), HeaterAction.ON, cfg.run.thresholds, "retry")
 
 
+def unwritable(tmp_path, where):
+    """A path no file can be opened for writing at: a directory, or a file
+    in a directory that does not exist."""
+    return tmp_path if where == "directory" else tmp_path / "missing" / "file.jsonl"
+
+
+UNWRITABLE = ["directory", "missing parent"]
+
+
 class TestCmdRun:
     def test_oracle_run_exits_clean_and_reports(self, tmp_path, capsys):
         log = tmp_path / "run.jsonl"
@@ -256,6 +265,37 @@ class TestCmdRun:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    def test_unopenable_run_log_is_named(self, tmp_path, capsys, where):
+        log = unwritable(tmp_path, where)
+        code = main(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", str(log)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot open run log {log}: ")
+
+    def test_unopenable_transcript_is_named(self, tmp_path, capsys):
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--duration", "60",
+            "--record", str(tmp_path), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot open transcript {tmp_path}: ")
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    def test_unwritable_points_file_exits_2_before_any_episode(self, tmp_path, capsys, where):
+        points, log = unwritable(tmp_path, where), tmp_path / "run.jsonl"
+        config = write_config(tmp_path, {"output.points": str(points)})
+        code = main(["run", "--config", str(config), "--duration", "600", "--out", str(log)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write points file {points}: ")
+        assert len(log.read_text().splitlines()) == 1  # the header alone
+
+    def test_points_file_holds_every_episode(self, tmp_path, capsys):
+        points, log = tmp_path / "points.csv", tmp_path / "run.jsonl"
+        config = write_config(tmp_path, {"output.points": str(points)})
+        assert main(["run", "--config", str(config), "--duration", "600", "--out", str(log)]) == 0
+        _, episodes = read_run_log(log)
+        assert len(points.read_text().splitlines()) == len(episodes) > 0
 
     def test_failing_plant_closes_the_transcript(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -627,6 +667,12 @@ class TestCmdReport:
         _, episodes = read_run_log(oracle_log)
         lines = points.read_text().strip().splitlines()
         assert len(lines) == len(episodes)
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    def test_unwritable_points_file_exits_2(self, oracle_log, tmp_path, capsys, where):
+        points = unwritable(tmp_path, where)
+        assert main(["report", "--log", str(oracle_log), "--points", str(points)]) == 2
+        assert capsys.readouterr().err.startswith(f"report error: cannot write points file {points}: ")
 
     def test_csv_and_machine_agree(self, oracle_log, capsys):
         assert main(["report", "--log", str(oracle_log), "--format", "csv"]) == 0

@@ -277,6 +277,60 @@ def test_values_of_another_type_are_written_as_before():
     assert '"latency":2.000' in line and '"override":0,"t_end":5.000' in line
 
 
+ATTEMPTS = (
+    AttemptRecord(0, "ACTION: OFF", HeaterAction.OFF, False, HeaterAction.ON, "above band", None, 1.25),
+    AttemptRecord(1, None, None, False, None, "", "backend_error", 0.5),
+)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggedAttempt(AttemptRecord):
+    tag: str = "retry"
+
+
+def attempt(**changes):
+    return dataclasses.replace(ATTEMPTS[0], **changes)
+
+
+def episode(**changes):
+    record = EpisodeRecord(3, 1.5, 26.0, HeaterAction.ON, ATTEMPTS, HeaterAction.ON, True, 3.0)
+    return dataclasses.replace(record, **changes)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        attempt(reason=Text("a str subclass")),
+        attempt(attempt_index=Count(7)),
+        attempt(attempt_index=True),
+        episode(attempts=(TaggedAttempt(*dataclasses.astuple(ATTEMPTS[0])), ATTEMPTS[1])),
+        episode(attempts=list(ATTEMPTS)),
+        RunConfig(validator=ValidatorMode(TWIN, 60.0, [20, 30.5])),
+        attempt(passed=None, reason=None, attempt_index=None),
+        episode(index=None, prev_action=None, applied=None, override=None),
+        RunConfig(thresholds=None),
+    ],
+    ids=[
+        "str subclass in a str field", "int subclass in an int field", "bool in an int field",
+        "subclass in a tuple of records", "list for a tuple of records", "list for a pair of floats",
+        "None in scalar fields", "None in enum and scalar fields", "None in a record field",
+    ],
+)
+def test_values_off_the_inline_path_are_written_as_the_walker_writes_them(record):
+    # the generated writer takes a value of exactly the annotated type
+    # inline and hands any other to the generic writer
+    assert dumps_record(record) == ref_encode(record)
+    json.loads(dumps_record(record))
+
+
 def test_nan_in_a_float_field_is_refused():
     attempt = AttemptRecord(0, None, None, False, None, "r", "parse_error", math.nan)
     with pytest.raises(ValueError, match="non-finite"):
@@ -375,12 +429,6 @@ def test_generated_reader_matches_the_decoder(name, data):
     assert_same_decoding(cls, doc)
     how = data.draw(st.sampled_from(HOWS))
     assert_same_decoding(cls, mutate(doc, data.draw(st.sampled_from(mutation_paths(doc, how))), how))
-
-
-ATTEMPTS = (
-    AttemptRecord(0, "ACTION: OFF", HeaterAction.OFF, False, HeaterAction.ON, "above band", None, 1.25),
-    AttemptRecord(1, None, None, False, None, "", "backend_error", 0.5),
-)
 
 
 @pytest.mark.parametrize(
