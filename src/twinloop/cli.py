@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -49,19 +50,6 @@ EXIT_PLANT_IO = 3
 
 
 @dataclasses.dataclass(frozen=True)
-class _Output:
-    """The ``output`` section of a config file."""
-
-    log: str | None = None
-    points: str | None = None
-    report_format: str = TABLE
-
-    def __post_init__(self):
-        if self.report_format not in (TABLE, CSV, MACHINE):
-            raise ConfigError("report_format must be table, csv or machine")
-
-
-@dataclasses.dataclass(frozen=True)
 class _Agents:
     """The ``agents`` section of a config file.  Only the operator is an
     agent with a prompt; validation and reprompting are code."""
@@ -77,7 +65,6 @@ class LoadedConfig:
     operator: AgentSpec
     backend: BackendConfig
     run: RunConfig
-    output: _Output
 
 
 # The keys a backend section may hold, by backend kind.
@@ -132,25 +119,30 @@ def _run_from_doc(doc, where: str, thresholds: Thresholds) -> RunConfig:
     return from_doc(RunConfig, doc, where, defaults=True, given=given)
 
 
+def _json_object(what: str, path: str | Path) -> dict:
+    """The JSON object held by the ``what`` file at ``path``."""
+    try:
+        doc = loads_finite(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     """Load a run configuration file, before any side effect.
 
     Each section's dataclass checks itself as it is built; unknown keys
     anywhere in the document are rejected by name.
     """
-    try:
-        doc = loads_finite(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-
+    doc = _json_object("config", path)
     for key in doc:
-        if key not in ("twin", "thresholds", "agents", "backend", "run", "output"):
+        if key not in ("twin", "thresholds", "agents", "backend", "run"):
             raise ConfigError(f"unknown key '{key}'")
     try:
         twin_params = from_doc(twin.TwinParams, doc.get("twin", {}), "twin", defaults=True)
@@ -158,17 +150,14 @@ def load_config(path: str | Path) -> LoadedConfig:
         agents = from_doc(_Agents, doc.get("agents", {}), "agents", defaults=True)
         backend = _backend_from_doc(doc.get("backend", {}), "backend")
         run_config = _run_from_doc(doc.get("run", {}), "run", thresholds)
-        output = from_doc(_Output, doc.get("output", {}), "output", defaults=True)
     except InvalidInput as exc:
         raise ConfigError(str(exc)) from None
 
-    return LoadedConfig(twin_params, agents.operator, backend, run_config, output)
+    return LoadedConfig(twin_params, agents.operator, backend, run_config)
 
 
 def _apply_backend_override(config: BackendConfig, override: str) -> BackendConfig:
     kind, _, detail = override.partition(":")
-    if kind == HTTP:
-        return dataclasses.replace(config, kind=HTTP)
     if kind == SCRIPTED:
         script = dataclasses.replace(config.script, kind=detail or config.script.kind)
         return dataclasses.replace(config, kind=SCRIPTED, script=script)
@@ -194,18 +183,23 @@ def _build_backend(config: BackendConfig):
     return ScriptedBackend(config.script, config.latency)
 
 
+def _host_port(flag: str, text: str) -> tuple[str, int]:
+    """The host and port of ``text``, split at its last colon."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(f"{flag} needs <host:port> with a port up to 65535, got {text!r}")
+    return host, int(port)
+
+
 def _build_plant(spec: str, cfg: LoadedConfig, resources: contextlib.ExitStack):
     """The run's plant; a served plant's client is closed with ``resources``."""
     if spec == "sim":
         return TwinPlant(cfg.twin_params, mode=cfg.run.clock_mode)
     if spec.startswith("tcp:"):
-        hostport = spec[len("tcp:"):]
-        host, _, port_text = hostport.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise ConfigError(f"--plant tcp endpoint must be tcp:<host:port>, got {spec!r}")
+        host, port = _host_port("--plant tcp", spec[len("tcp:"):])
         from .tcp import TcpPlantClient  # set-up only: a sim run never loads sockets
 
-        client = TcpPlantClient(host, int(port_text), mode=cfg.run.clock_mode)
+        client = TcpPlantClient(host, port, mode=cfg.run.clock_mode)
         resources.callback(client.close)
         return client
     raise ConfigError(f"--plant must be 'sim' or 'tcp:<host:port>', got {spec!r}")
@@ -218,6 +212,20 @@ def _opened(what: str, path, opener, *args, **kwargs):
         return opener(*args, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot {what} {path}: {exc}") from exc
+
+
+def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
+    """Refuse, before anything is opened for writing, an output path that
+    names an input or another output, however the two are spelled.  Both
+    map a flag to its path; an empty path is none."""
+    named = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"{flag} and {named[real]} name the same file: {path}")
+        named[real] = flag
 
 
 def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> None:
@@ -248,6 +256,8 @@ def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> N
 def cmd_run(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as resources:
         try:
+            if not args.out:
+                raise ConfigError("no run log path: pass --out")
             cfg = load_config(args.config)
             backend_config = cfg.backend
             if args.backend:
@@ -262,23 +272,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.duration is not None:
                 run_config = dataclasses.replace(run_config, duration=float(args.duration))
             _refuse_unbounded(run_config, backend_config)
-            log_path = args.out or cfg.output.log
-            if not log_path:
-                raise ConfigError("no run log path: pass --out or set output.log in the config")
+            replayed = backend_config.transcript_path if backend_config.kind == REPLAY else None
+            inputs = {"--config": args.config, "the replayed transcript": replayed}
+            _refuse_overwrites(inputs, {"--out": args.out, "--record": args.record})
             backend = _build_backend(backend_config)
             if args.record:
                 backend = _opened("open transcript", args.record, TranscriptRecorder, backend, args.record)
                 resources.callback(backend.close)
             plant = _build_plant(args.plant, cfg, resources)
             writer = resources.enter_context(
-                _opened("open run log", log_path, RunLogWriter, log_path, run_config)
+                _opened("open run log", args.out, RunLogWriter, args.out, run_config)
             )
-            # opened with the run log, so a bad path is refused before any episode runs
-            points, points_path = None, cfg.output.points
-            if points_path:
-                points = resources.enter_context(
-                    _opened("write points file", points_path, open, points_path, "w", encoding="utf-8")
-                )
         except (ConfigError, InvalidInput, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -298,8 +302,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         except PlantIoError as exc:
             print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
-        if points is not None:
-            points.write(points_dump(episodes) + "\n")
         try:
             # a served plant confirms its last queued commands as it closes
             resources.close()
@@ -308,32 +310,24 @@ def cmd_run(args: argparse.Namespace) -> int:
             return EXIT_PLANT_IO
 
     m = run_metrics(episodes, run_config.thresholds, run_config.duration)
-    print(report(m, cfg.output.report_format))
+    print(report(m))
     return EXIT_OK
 
 
 def cmd_plant_serve(args: argparse.Namespace) -> int:
-    host, _, port_text = args.listen.rpartition(":")
-    if not host or not port_text.isdigit():
-        print(f"config error: --listen must be <host:port>, got {args.listen!r}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        if args.params:
-            params_doc = loads_finite(Path(args.params).read_text(encoding="utf-8"))
-            if not isinstance(params_doc, dict):
-                raise ConfigError("params file must hold a JSON object")
-            params = from_doc(twin.TwinParams, params_doc, "twin", defaults=True)
-        else:
-            params = twin.TwinParams()
+        address = _host_port("--listen", args.listen)
+        params_doc = _json_object("params", args.params) if args.params else {}
+        params = from_doc(twin.TwinParams, params_doc, "twin", defaults=True)
         plant = TwinPlant(params, mode=args.mode)
-    except (ConfigError, OSError, ValueError, InvalidInput) as exc:
+    except (ConfigError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     from .tcp import PlantServer
 
     try:
-        server = PlantServer((host, int(port_text)), plant)
+        server = PlantServer(address, plant)
     except OSError as exc:
         print(f"cannot bind {args.listen}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -376,8 +370,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     if args.points:
         try:
-            with _opened("write points file", args.points, open, args.points, "w", encoding="utf-8") as fh:
-                fh.write(points_dump(episodes) + "\n")
+            _refuse_overwrites({"--log": args.log}, {"--points": args.points})
+            # one call opens, writes and closes, so a failed write is refused as a failed open is
+            points = points_dump(episodes) + "\n"
+            _opened("write points file", args.points, Path(args.points).write_text, points, encoding="utf-8")
         except ConfigError as exc:
             print(f"report error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a control experiment")
     run_p.add_argument("--config", required=True, help="path to the JSON run configuration")
-    run_p.add_argument("--backend", help="override: http, scripted:<policy>, replay:<path>")
+    run_p.add_argument("--backend", help="override: scripted:<policy> or replay:<path>")
     run_p.add_argument("--plant", default="sim", help="'sim' or 'tcp:<host:port>'")
     run_p.add_argument("--duration", type=float, help="override run duration in seconds")
     run_p.add_argument("--out", help="run log path (JSON lines)")

@@ -374,8 +374,8 @@ class RunLogWriter:
 def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[EpisodeRecord]]:
     """Parse a run log back into its config and episode records.
 
-    Every field of the header's config and of each episode must be present,
-    and every line must be UTF-8.
+    The header must name :data:`LOG_FORMAT`, every field of its config and
+    of each episode must be present, and every line must be UTF-8.
     A writer killed mid-line leaves a final episode line with no newline
     that is not JSON; given ``on_torn_tail``, such a line is dropped and the
     callback gets its line number, otherwise it is an error like any other.
@@ -395,6 +395,11 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
                     header = loads_record(line)
                     if header.get("kind") != "header":
                         raise LogFormatError("first log record must be the header", line_number=lineno)
+                    if header.get("format") != LOG_FORMAT:
+                        raise LogFormatError(
+                            f"unknown log format {header.get('format')!r}, expected {LOG_FORMAT!r}",
+                            line_number=lineno,
+                        )
                     config = from_doc(RunConfig, header.get("config"), "config")
                 else:
                     episodes.append(loads_record(line, EpisodeRecord))

@@ -65,13 +65,6 @@ class HeaterAction(enum.Enum):
     def __init__(self, value: str):
         self.duty = 100.0 if value == "ON" else 0.0
 
-    @classmethod
-    def parse(cls, text: str) -> "HeaterAction":
-        try:
-            return cls(text.strip().upper())
-        except ValueError:
-            raise InvalidInput(f"not a heater action: {text!r}") from None
-
     def __str__(self) -> str:
         return self._value_
 

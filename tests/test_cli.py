@@ -281,22 +281,6 @@ class TestCmdRun:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot open transcript {tmp_path}: ")
 
-    @pytest.mark.parametrize("where", UNWRITABLE)
-    def test_unwritable_points_file_exits_2_before_any_episode(self, tmp_path, capsys, where):
-        points, log = unwritable(tmp_path, where), tmp_path / "run.jsonl"
-        config = write_config(tmp_path, {"output.points": str(points)})
-        code = main(["run", "--config", str(config), "--duration", "600", "--out", str(log)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"config error: cannot write points file {points}: ")
-        assert len(log.read_text().splitlines()) == 1  # the header alone
-
-    def test_points_file_holds_every_episode(self, tmp_path, capsys):
-        points, log = tmp_path / "points.csv", tmp_path / "run.jsonl"
-        config = write_config(tmp_path, {"output.points": str(points)})
-        assert main(["run", "--config", str(config), "--duration", "600", "--out", str(log)]) == 0
-        _, episodes = read_run_log(log)
-        assert len(points.read_text().splitlines()) == len(episodes) > 0
-
     def test_failing_plant_closes_the_transcript(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -311,7 +295,44 @@ class TestCmdRun:
     def test_no_log_path_exits_2(self, capsys):
         code = main(["run", "--config", str(CASE_CONFIG)])
         assert code == 2
-        assert "output.log" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: no run log path: pass --out\n"
+
+    def test_config_with_an_output_section_exits_2(self, tmp_path, capsys):
+        # the command line names every output: --out, and report's --format and --points
+        config, log = write_config(tmp_path, {"output.report_format": "table"}), tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(config), "--out", str(log)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'output'\n"
+        assert not log.exists()
+
+    def test_run_log_over_the_config_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        before = config.read_bytes()
+        assert main(["run", "--config", str(config), "--duration", "60", "--out", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: --out and --config name the same file: {config}\n"
+        assert config.read_bytes() == before
+
+    def test_transcript_over_the_run_log_exits_2(self, tmp_path, capsys, monkeypatch):
+        # one file, spelled relative and absolute
+        monkeypatch.chdir(tmp_path)
+        log = tmp_path / "s.jsonl"
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--duration", "60",
+            "--out", "s.jsonl", "--record", str(log),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: --record and --out name the same file: {log}\n"
+        assert not log.exists()
+
+    def test_run_log_over_the_replayed_transcript_exits_2(self, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        base = ["run", "--config", str(CASE_CONFIG), "--duration", "60"]
+        assert main([*base, "--record", str(transcript), "--out", str(tmp_path / "r.jsonl")]) == 0
+        capsys.readouterr()
+        before = transcript.read_bytes()
+        assert main([*base, "--backend", f"replay:{transcript}", "--out", str(transcript)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"config error: --out and the replayed transcript name the same file: {transcript}"
+        assert transcript.read_bytes() == before
 
     def test_seeded_runs_are_byte_identical(self, tmp_path, capsys):
         logs = []
@@ -543,6 +564,24 @@ class TestCmdRun:
         assert line.startswith("config error: bad transcript") and "(line 2)" in line
         assert not log.exists()
 
+    def test_http_backend_override_exits_2(self, tmp_path, capsys):
+        # backend.kind in the config selects http; the override never could
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--backend", "http", "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown --backend override 'http'\n"
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:", ":5850", "127.0.0.1:\u00b2"])
+    def test_bad_plant_endpoint_exits_2(self, tmp_path, capsys, endpoint):
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(CASE_CONFIG), "--plant", f"tcp:{endpoint}", "--out", str(log)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --plant tcp needs <host:port> with a port up to 65535, got {endpoint!r}\n"
+        )
+        assert not log.exists()
+
     def test_bad_backend_override_exits_2(self, tmp_path, capsys):
         code = main([
             "run", "--config", str(CASE_CONFIG), "--backend", "psychic",
@@ -673,6 +712,20 @@ class TestCmdReport:
         points = unwritable(tmp_path, where)
         assert main(["report", "--log", str(oracle_log), "--points", str(points)]) == 2
         assert capsys.readouterr().err.startswith(f"report error: cannot write points file {points}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+    def test_failed_points_write_exits_2(self, oracle_log, capsys):
+        assert main(["report", "--log", str(oracle_log), "--points", "/dev/full"]) == 2
+        assert capsys.readouterr().err.startswith("report error: cannot write points file /dev/full: ")
+
+    def test_points_over_the_log_exits_2(self, oracle_log, capsys):
+        # one file, spelled two ways
+        before = oracle_log.read_bytes()
+        points = oracle_log.parent / ".." / oracle_log.parent.name / oracle_log.name
+        assert main(["report", "--log", str(oracle_log), "--points", str(points)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"report error: --points and --log name the same file: {points}\n")
+        assert oracle_log.read_bytes() == before
 
     def test_csv_and_machine_agree(self, oracle_log, capsys):
         assert main(["report", "--log", str(oracle_log), "--format", "csv"]) == 0
@@ -827,6 +880,24 @@ class TestCmdPlantServe:
 
     def test_bad_listen_spec_exits_2(self, capsys):
         assert main(["plant-serve", "--listen", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:\u00b2", ":5850"])
+    def test_bad_listen_port_exits_2(self, capsys, listen):
+        assert main(["plant-serve", "--listen", listen]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --listen needs <host:port> with a port up to 65535, got {listen!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "params file not found: {}"), ("[]", "params file {} must hold a JSON object")],
+    )
+    def test_unreadable_params_file_is_named(self, tmp_path, capsys, text, message):
+        params = tmp_path / "params.json"
+        if text is not None:
+            params.write_text(text)
+        assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
+        assert capsys.readouterr().err == "config error: " + message.format(params) + "\n"
 
     def test_bad_params_file_exits_2(self, tmp_path, capsys):
         params = tmp_path / "params.json"

@@ -1,6 +1,7 @@
 """Control loop tests: episode anatomy, reprompting, safety override, gating,
 clock accounting, and run-log round trips."""
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -495,6 +496,17 @@ class TestRunLogRoundTrip:
         headerless.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
         with pytest.raises(LogFormatError):
             read_run_log(headerless)
+
+    @pytest.mark.parametrize("fmt", ["something-else/7", None])
+    def test_unknown_log_format_rejected_on_line_1(self, tmp_path, fmt):
+        path, _, _ = self.run_and_log(tmp_path)
+        header, rest = path.read_text().split("\n", 1)
+        other = tmp_path / "other.jsonl"
+        header = header.replace('"format":"twinloop-run-log/1"', f'"format":{json.dumps(fmt)}')
+        other.write_text(header + "\n" + rest)
+        with pytest.raises(LogFormatError, match="unknown log format") as excinfo:
+            read_run_log(other)
+        assert excinfo.value.line_number == 1
 
     def test_episode_doc_round_trip(self):
         plant = make_plant(t_sensor=24.0)

@@ -34,11 +34,6 @@ class TestHeaterAction:
         assert HeaterAction.ON.opposite is HeaterAction.OFF
         assert HeaterAction.OFF.opposite is HeaterAction.ON
 
-    def test_parse(self):
-        assert HeaterAction.parse(" on ") is HeaterAction.ON
-        with pytest.raises(InvalidInput):
-            HeaterAction.parse("HALF")
-
 
 def reading(t_sensor):
     """The plant's reading, and the T1 text, at a sensor temperature."""
