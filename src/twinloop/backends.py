@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .agents import Thresholds, expected_action
-from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted
+from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, OutputError, ReplayExhausted
 from .jsonio import dumps_record, loads_finite
 from .plantio import HeaterAction
 
@@ -364,10 +364,12 @@ def load_replay(transcript_path: str | Path) -> ReplayBackend:
 class TranscriptRecorder:
     """Wraps any backend and appends each call to a transcript file: an
     exchange, or a failed call's ``error``, ``elapsed`` and ``status``, after
-    which the :class:`BackendError` propagates unchanged."""
+    which the :class:`BackendError` propagates unchanged.  A failed write or
+    close raises :class:`OutputError`."""
 
     def __init__(self, inner, path: str | Path):
         self._inner = inner
+        self._path = path
         self._fh = open(path, "w", encoding="utf-8")
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext | None = None) -> Exchange:
@@ -380,8 +382,14 @@ class TranscriptRecorder:
         return exchange
 
     def record(self, entry: Exchange | dict) -> None:
-        self._fh.write(dumps_record(entry) + "\n")
-        self._fh.flush()
+        try:
+            self._fh.write(dumps_record(entry) + "\n")
+            self._fh.flush()
+        except OSError as exc:
+            raise OutputError(f"cannot write transcript {self._path}: {exc}") from exc
 
     def close(self) -> None:
-        self._fh.close()
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise OutputError(f"cannot write transcript {self._path}: {exc}") from exc

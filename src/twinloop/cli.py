@@ -1,7 +1,8 @@
 """Operator commands: run a control experiment, serve the simulated plant
 over TCP, and turn run logs into reports.
 
-Exit codes are contract values: 0 clean finish, 2 configuration problems,
+Exit codes are contract values: 0 clean finish, 2 configuration problems
+(a replayed transcript that runs out and a failed output write among them),
 3 plant I/O failures.  Partial run logs survive an abort because every
 completed episode is flushed before the next one starts.
 """
@@ -16,8 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import plantio, twin
-from .agents import ANOMALY, CONTINUOUS, AgentSpec, Thresholds
+from . import plantio
+from .agents import AgentSpec
 from .backends import (
     BackendConfig,
     HttpBackend,
@@ -28,21 +29,12 @@ from .backends import (
     REPLAY,
     SCRIPTED,
 )
-from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError
+from .errors import ConfigError, InvalidInput, LogFormatError, OutputError, PlantIoError, ReplayExhausted
 from .jsonio import from_doc, loads_finite
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
-from .orchestrator import (
-    MIN_IDLE_TICK,
-    MonitorMode,
-    RULE,
-    RunConfig,
-    RunLogWriter,
-    TWIN,
-    ValidatorMode,
-    read_run_log,
-    run_loop,
-)
+from .orchestrator import MIN_IDLE_TICK, RunConfig, RunLogWriter, read_run_log, run_loop
 from .plantio import TwinPlant
+from .twin import TwinParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,14 +49,16 @@ class _Agents:
     operator: AgentSpec = dataclasses.field(default_factory=AgentSpec)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class LoadedConfig:
-    """The checked contents of a run configuration file."""
+    """A run configuration file: one section per field, each written as
+    the run log writes its class, so a run log header's ``config`` is a
+    valid ``run`` section."""
 
-    twin_params: twin.TwinParams
-    operator: AgentSpec
-    backend: BackendConfig
-    run: RunConfig
+    twin: TwinParams = dataclasses.field(default_factory=TwinParams)
+    agents: _Agents = dataclasses.field(default_factory=_Agents)
+    backend: BackendConfig = dataclasses.field(default_factory=BackendConfig)
+    run: RunConfig = dataclasses.field(default_factory=RunConfig)
 
 
 # The keys a backend section may hold, by backend kind.
@@ -73,50 +67,6 @@ _BACKEND_KEYS = {
     SCRIPTED: {"kind", "script", "latency"},
     REPLAY: {"kind", "transcript_path"},
 }
-
-
-def _backend_from_doc(doc, where: str) -> BackendConfig:
-    config = from_doc(BackendConfig, doc, where, defaults=True)
-    for key in doc:
-        if key not in _BACKEND_KEYS[config.kind]:
-            raise ConfigError(f"'{where}.{key}' does not apply to a {config.kind} backend")
-    return config
-
-
-def _validator_from_doc(value, where: str) -> ValidatorMode:
-    if value is None or value == RULE:
-        return ValidatorMode()
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{where}' must be \"rule\" or a twin-mode object")
-    if value.get("kind") not in (RULE, TWIN):
-        raise ConfigError(f"'{where}.kind' must be rule or twin")
-    mode = from_doc(ValidatorMode, value, where, defaults=True)
-    # the rule validator has no horizon or envelope to record
-    return ValidatorMode() if mode.kind == RULE else mode
-
-
-def _monitor_from_doc(value, where: str) -> MonitorMode:
-    if value is None:
-        return MonitorMode()
-    if value in (CONTINUOUS, ANOMALY):
-        value = {"kind": value}
-    elif not isinstance(value, dict):
-        raise ConfigError(f"'{where}' must be \"continuous\", \"anomaly\" or an object")
-    return from_doc(MonitorMode, value, where, defaults=True)
-
-
-def _run_from_doc(doc, where: str, thresholds: Thresholds) -> RunConfig:
-    """The run section names the validator and monitor ``validator_mode`` and
-    ``monitor_mode``; the thresholds come from their own section."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"'{where}' must be an object")
-    doc = dict(doc)
-    given = {
-        "thresholds": thresholds,
-        "validator": _validator_from_doc(doc.pop("validator_mode", None), f"{where}.validator_mode"),
-        "monitor": _monitor_from_doc(doc.pop("monitor_mode", None), f"{where}.monitor_mode"),
-    }
-    return from_doc(RunConfig, doc, where, defaults=True, given=given)
 
 
 def _json_object(what: str, path: str | Path) -> dict:
@@ -141,19 +91,18 @@ def load_config(path: str | Path) -> LoadedConfig:
     anywhere in the document are rejected by name.
     """
     doc = _json_object("config", path)
-    for key in doc:
-        if key not in ("twin", "thresholds", "agents", "backend", "run"):
-            raise ConfigError(f"unknown key '{key}'")
     try:
-        twin_params = from_doc(twin.TwinParams, doc.get("twin", {}), "twin", defaults=True)
-        thresholds = from_doc(Thresholds, doc.get("thresholds", {}), "thresholds", defaults=True)
-        agents = from_doc(_Agents, doc.get("agents", {}), "agents", defaults=True)
-        backend = _backend_from_doc(doc.get("backend", {}), "backend")
-        run_config = _run_from_doc(doc.get("run", {}), "run", thresholds)
+        cfg = from_doc(LoadedConfig, doc, defaults=True)
     except InvalidInput as exc:
         raise ConfigError(str(exc)) from None
-
-    return LoadedConfig(twin_params, agents.operator, backend, run_config)
+    # the kind says which of a validator's keys apply, so it is never a default
+    validator = doc.get("run", {}).get("validator")
+    if validator is not None and "kind" not in validator:
+        raise ConfigError("missing key 'run.validator.kind'")
+    for key in doc.get("backend", {}):
+        if key not in _BACKEND_KEYS[cfg.backend.kind]:
+            raise ConfigError(f"'backend.{key}' does not apply to a {cfg.backend.kind} backend")
+    return cfg
 
 
 def _apply_backend_override(config: BackendConfig, override: str) -> BackendConfig:
@@ -184,8 +133,11 @@ def _build_backend(config: BackendConfig):
 
 
 def _host_port(flag: str, text: str) -> tuple[str, int]:
-    """The host and port of ``text``, split at its last colon."""
+    """The host and port of ``text``, split at its last colon; an IPv6
+    host may be bracketed, as in ``[::1]:5850``."""
     host, _, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not host or not port.isdecimal() or int(port) > 65535:
         raise ConfigError(f"{flag} needs <host:port> with a port up to 65535, got {text!r}")
     return host, int(port)
@@ -194,7 +146,7 @@ def _host_port(flag: str, text: str) -> tuple[str, int]:
 def _build_plant(spec: str, cfg: LoadedConfig, resources: contextlib.ExitStack):
     """The run's plant; a served plant's client is closed with ``resources``."""
     if spec == "sim":
-        return TwinPlant(cfg.twin_params, mode=cfg.run.clock_mode)
+        return TwinPlant(cfg.twin, mode=cfg.run.clock_mode)
     if spec.startswith("tcp:"):
         host, port = _host_port("--plant tcp", spec[len("tcp:"):])
         from .tcp import TcpPlantClient  # set-up only: a sim run never loads sockets
@@ -290,24 +242,27 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"plant error: {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
 
+        aborted = ", aborting run (partial log kept)"
         try:
-            episodes = run_loop(
-                plant,
-                backend,
-                run_config,
-                operator=cfg.operator,
-                twin_params=cfg.twin_params,
-                on_episode=writer.write_episode,
-            )
+            try:
+                episodes = run_loop(
+                    plant,
+                    backend,
+                    run_config,
+                    operator=cfg.agents.operator,
+                    twin_params=cfg.twin,
+                    on_episode=writer.write_episode,
+                )
+                aborted = ""
+            finally:
+                # a served plant confirms its last queued commands as it closes
+                resources.close()
         except PlantIoError as exc:
-            print(f"plant error, aborting run (partial log kept): {exc}", file=sys.stderr)
+            print(f"plant error{aborted}: {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
-        try:
-            # a served plant confirms its last queued commands as it closes
-            resources.close()
-        except PlantIoError as exc:
-            print(f"plant error: {exc}", file=sys.stderr)
-            return EXIT_PLANT_IO
+        except (OutputError, ReplayExhausted) as exc:
+            print(f"config error{aborted}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
     m = run_metrics(episodes, run_config.thresholds, run_config.duration)
     print(report(m))
@@ -318,7 +273,7 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
     try:
         address = _host_port("--listen", args.listen)
         params_doc = _json_object("params", args.params) if args.params else {}
-        params = from_doc(twin.TwinParams, params_doc, "twin", defaults=True)
+        params = from_doc(TwinParams, params_doc, "twin", defaults=True)
         plant = TwinPlant(params, mode=args.mode)
     except (ConfigError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -329,7 +284,7 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
     try:
         server = PlantServer(address, plant)
     except OSError as exc:
-        print(f"cannot bind {args.listen}: {exc}", file=sys.stderr)
+        print(f"config error: cannot bind {args.listen}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"serving plant on {args.listen} ({args.mode})", flush=True)
     try:

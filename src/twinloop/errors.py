@@ -38,6 +38,10 @@ class ConfigError(TwinloopError):
     """A configuration document or environment prerequisite is invalid."""
 
 
+class OutputError(TwinloopError):
+    """A run output, the run log or a transcript, could not be written."""
+
+
 class ReplayExhausted(TwinloopError):
     """A replay backend received more calls than its transcript holds."""
 

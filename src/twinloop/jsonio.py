@@ -191,7 +191,7 @@ class _Mismatch(Exception):
         self.keys = [] if key is None else [key]
 
 
-def from_doc(cls: type, doc, where: str = "", defaults: bool = False, given: dict | None = None):
+def from_doc(cls: type, doc, where: str = "", defaults: bool = False):
     """Build the dataclass ``cls`` from a decoded JSON object.
 
     Every key must name a field, and each value must fit the field's type
@@ -199,14 +199,14 @@ def from_doc(cls: type, doc, where: str = "", defaults: bool = False, given: dic
     a str, a value of an enum, a list for a tuple, an object for a nested
     dataclass; ``null`` only for ``X | None`` and where the default is
     infinite.  A missing key takes the field's default if ``defaults`` is
-    set, else it is an error.  ``given`` supplies fields the document may
-    not hold.  Every mismatch, and any :class:`TwinloopError` the class
-    raises as it checks itself at construction, raises :class:`InvalidInput`
-    naming the dotted key below ``where``.
+    set, else it is an error.  Every mismatch, and any
+    :class:`TwinloopError` the class raises as it checks itself at
+    construction, raises :class:`InvalidInput` naming the dotted key below
+    ``where``.
     """
     try:
-        if defaults or given is not None:
-            return _decode(cls, doc, defaults, given)
+        if defaults:
+            return _decode(cls, doc, True)
         return _read(cls, doc)
     except _Mismatch as exc:
         path = ".".join(([where] if where else []) + exc.keys[::-1])
@@ -235,7 +235,7 @@ def loads_record(line: str, cls: type | None = None):
     return doc if cls is None else from_doc(cls, doc)
 
 
-def _decode(cls: type, doc, defaults: bool, given: dict | None = None):
+def _decode(cls: type, doc, defaults: bool):
     plan = _plan(cls)
     if type(doc) is not dict:
         raise _Mismatch("'{path}' must be an object")
@@ -245,9 +245,8 @@ def _decode(cls: type, doc, defaults: bool, given: dict | None = None):
             raise _Mismatch("missing key '{path}'", key)
         if found != value:
             raise _Mismatch(f"'{{path}}' must be {value!r}", key)
-    keys = plan.keys if given is None else plan.keys.difference(given)
-    if not keys.issuperset(doc):
-        raise _Mismatch("unknown key '{path}'", next(k for k in doc if k not in keys))
+    if not plan.keys.issuperset(doc):
+        raise _Mismatch("unknown key '{path}'", next(k for k in doc if k not in plan.keys))
     args = []
     for key, convert, default in plan.reads:
         value = doc.get(key, _MISSING)
@@ -257,8 +256,6 @@ def _decode(cls: type, doc, defaults: bool, given: dict | None = None):
             except _Mismatch as exc:
                 exc.keys.append(key)
                 raise
-        elif given is not None and key in given:
-            args.append(given[key])
         elif defaults and default is not _MISSING:
             args.append(default)
         else:

@@ -41,6 +41,7 @@ from .errors import (
     InvalidInput,
     InvalidState,
     LogFormatError,
+    OutputError,
     ParseError,
 )
 from .jsonio import dumps_record, from_doc, loads_record
@@ -344,9 +345,11 @@ def config_digest(config: RunConfig) -> str:
 
 class RunLogWriter:
     """Streams a run to disk: header first, then one episode line per
-    completed episode, flushed immediately so partial runs stay readable."""
+    completed episode, flushed immediately so partial runs stay readable.
+    A failed episode write or close raises :class:`OutputError`."""
 
     def __init__(self, path: str | Path, config: RunConfig):
+        self._path = path
         self._fh = open(path, "w", encoding="utf-8")
         header = {
             "kind": "header",
@@ -358,11 +361,17 @@ class RunLogWriter:
         self._fh.flush()
 
     def write_episode(self, record: EpisodeRecord) -> None:
-        self._fh.write(dumps_record(record) + "\n")
-        self._fh.flush()
+        try:
+            self._fh.write(dumps_record(record) + "\n")
+            self._fh.flush()
+        except OSError as exc:
+            raise OutputError(f"cannot write run log {self._path}: {exc}") from exc
 
     def close(self) -> None:
-        self._fh.close()
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise OutputError(f"cannot write run log {self._path}: {exc}") from exc
 
     def __enter__(self) -> "RunLogWriter":
         return self

@@ -82,6 +82,8 @@ class PlantServer(socketserver.TCPServer):
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], plant: TwinPlant):
+        if ":" in address[0]:  # an IPv6 literal
+            self.address_family = socket.AF_INET6
         super().__init__(address, _LineHandler)
         self.plant = plant
         self.protocol = PlantProtocol(plant)

@@ -3,6 +3,7 @@ validation, and cross-format report agreement."""
 
 import contextlib
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinloop import backends, orchestrator
 from twinloop.agents import AgentSpec, TaskSpec, render_prompt
 from twinloop.backends import ScriptedBackend
 from twinloop.cli import main, load_config
@@ -40,17 +42,30 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+def ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6 = pytest.mark.skipif(not ipv6_loopback(), reason="needs an IPv6 loopback")
+
+
 @contextlib.contextmanager
-def serving(plant):
-    """Serve ``plant`` on a loopback port from a thread; yields the plant spec."""
-    server = PlantServer(("127.0.0.1", 0), plant)
+def serving(plant, host="127.0.0.1"):
+    """Serve ``plant`` on a loopback port from a thread; yields the plant
+    spec, with an IPv6 host in brackets."""
+    server = PlantServer((host, 0), plant)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
     try:
-        host, port = server.server_address
-        yield f"tcp:{host}:{port}"
+        port = server.server_address[1]
+        yield f"tcp:[{host}]:{port}" if ":" in host else f"tcp:{host}:{port}"
     finally:
         server.shutdown()
         server.server_close()
@@ -75,14 +90,14 @@ class TestLoadConfig:
         assert cfg.run.thresholds.low == 25.0
         assert cfg.run.duration == 2400.0
         assert cfg.backend.kind == "scripted"
-        assert cfg.operator == AgentSpec()
+        assert cfg.agents.operator == AgentSpec()
 
     def test_empty_config_gets_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text("{}")
         cfg = load_config(path)
         assert cfg.run.max_reprompts == 3
-        assert cfg.twin_params.t_amb == 23.0
+        assert cfg.twin.t_amb == 23.0
 
     def test_unknown_top_level_key_named(self, tmp_path):
         path = write_config(tmp_path, {"plant": {}})
@@ -95,7 +110,7 @@ class TestLoadConfig:
             load_config(path)
 
     def test_bad_thresholds_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"thresholds.low": 28.0})
+        path = write_config(tmp_path, {"run.thresholds.low": 28.0})
         with pytest.raises(ConfigError, match="thresholds"):
             load_config(path)
 
@@ -125,7 +140,7 @@ class TestLoadConfig:
         path = write_config(
             tmp_path, {"agents": {"operator": {"task": {"description_template": "T={temperature}"}}}}
         )
-        operator = load_config(path).operator
+        operator = load_config(path).agents.operator
         assert (operator.role, operator.goal) == (AgentSpec().role, AgentSpec().goal)
         assert operator.task == TaskSpec("T={temperature}")
 
@@ -142,7 +157,7 @@ class TestLoadConfig:
             ("run.max_reprompts", 2.7),
             ("backend.script.seed", 1.5),
             ("agents.operator.role", None),
-            ("thresholds.low", "25"),
+            ("run.thresholds.low", "25"),
             ("run.initial_action", "DIM"),
         ],
     )
@@ -152,26 +167,45 @@ class TestLoadConfig:
             load_config(path)
 
     def test_twin_validator_without_a_finite_bound_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 300}})
-        with pytest.raises(ConfigError, match=r"'run\.validator_mode'.*finite bound"):
+        path = write_config(tmp_path, {"run.validator": {"kind": "twin", "horizon": 300}})
+        with pytest.raises(ConfigError, match=r"'run\.validator'.*finite bound"):
             load_config(path)
-        path = write_config(tmp_path, {"run.validator_mode": {"kind": "twin", "envelope": [None, 30]}})
+        path = write_config(tmp_path, {"run.validator": {"kind": "twin", "envelope": [None, 30]}})
         assert load_config(path).run.validator.envelope == (-math.inf, 30.0)
 
     def test_twin_horizon_longer_than_the_run_rejected(self, tmp_path):
         path = write_config(
-            tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 1e12, "envelope": [20, 30]}}
+            tmp_path, {"run.validator": {"kind": "twin", "horizon": 1e12, "envelope": [20, 30]}}
         )
         with pytest.raises(ConfigError, match=r"'run'.*horizon.*exceeds the run duration"):
             load_config(path)
         path = write_config(
-            tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 2400, "envelope": [20, 30]}}
+            tmp_path, {"run.validator": {"kind": "twin", "horizon": 2400, "envelope": [20, 30]}}
         )
         assert load_config(path).run.validator.horizon == 2400.0
 
     def test_integral_float_accepted_for_integer_field(self, tmp_path):
         path = write_config(tmp_path, {"run.max_reprompts": 2.0})
         assert load_config(path).run.max_reprompts == 2
+
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"thresholds": {"low": 25.0, "high": 27.0}}, "unknown key 'thresholds'"),
+            ({"run.validator_mode": "rule"}, "unknown key 'run.validator_mode'"),
+            ({"run.monitor_mode": "continuous"}, "unknown key 'run.monitor_mode'"),
+            ({"run.validator": "rule"}, "'run.validator' must be an object"),
+            ({"run.monitor": "anomaly"}, "'run.monitor' must be an object"),
+            # without a kind these keys would silently configure the rule validator
+            ({"run.validator": {"horizon": 300, "envelope": [20, 30]}}, "missing key 'run.validator.kind'"),
+        ],
+    )
+    def test_old_spellings_and_a_validator_without_a_kind_exit_2(self, tmp_path, capsys, overrides, message):
+        path, log = write_config(tmp_path, overrides), tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(path), "--out", str(log)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not log.exists()
 
 
 def dotted_keys(doc, prefix=""):
@@ -221,7 +255,7 @@ def test_loaded_config_is_finite_and_renders(tmp_path_factory, dotted, value):
     for where, x in config_floats(cfg):
         # null writes an infinite envelope bound; nothing else is infinite
         assert math.isfinite(x) or where.startswith("run.validator.envelope") and math.isinf(x), where
-    render_prompt(cfg.operator, PlantSample(0.0, 26.0), HeaterAction.ON, cfg.run.thresholds, "retry")
+    render_prompt(cfg.agents.operator, PlantSample(0.0, 26.0), HeaterAction.ON, cfg.run.thresholds, "retry")
 
 
 def unwritable(tmp_path, where):
@@ -363,6 +397,70 @@ class TestCmdRun:
         _, episodes_b = read_run_log(log_b)
         assert episodes_a == episodes_b
 
+    def test_replay_that_runs_out_exits_2_keeping_the_partial_log(self, tmp_path, capsys):
+        transcript, recorded, replayed = tmp_path / "t.jsonl", tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        base = ["run", "--config", str(CASE_CONFIG)]
+        assert main([*base, "--duration", "30", "--record", str(transcript), "--out", str(recorded)]) == 0
+        capsys.readouterr()
+        calls = len(transcript.read_text().splitlines())
+        code = main([*base, "--backend", f"replay:{transcript}", "--duration", "60", "--out", str(replayed)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "config error, aborting run (partial log kept): "
+            f"transcript holds {calls} exchanges; call {calls + 1} has no recording"
+        )
+        assert read_run_log(replayed)[1] == read_run_log(recorded)[1]
+
+    @pytest.mark.parametrize(
+        "module, flag, what",
+        [(orchestrator, "--out", "run log"), (backends, "--record", "transcript")],
+    )
+    def test_failed_output_write_exits_2_keeping_the_partial_log(
+        self, tmp_path, capsys, monkeypatch, module, flag, what
+    ):
+        failing = {"--out": tmp_path / "r.jsonl", "--record": tmp_path / "t.jsonl"}[flag]
+
+        class FullDisk:
+            """A file with room for 5000 characters, which then fails every
+            write, and its close, as a buffered file on a full disk does."""
+
+            def __init__(self, fh):
+                self._fh, self._room, self._failed = fh, 5000, False
+
+            def write(self, text):
+                if len(text) > self._room:
+                    self._failed = True
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self._room -= len(text)
+                return self._fh.write(text)
+
+            def flush(self):
+                self._fh.flush()
+
+            def close(self):
+                self._fh.close()
+                if self._failed:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_failing(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return FullDisk(fh) if Path(path) == failing and "w" in mode else fh
+
+        monkeypatch.setattr(module, "open", open_failing, raising=False)
+        log, transcript = tmp_path / "r.jsonl", tmp_path / "t.jsonl"
+        code = main([
+            "run", "--config", str(CASE_CONFIG), "--out", str(log), "--record", str(transcript),
+        ])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "config error, aborting run (partial log kept): "
+            f"cannot write {what} {failing}: [Errno 28] No space left on device"
+        )
+        _, episodes = read_run_log(log)
+        assert 0 < len(episodes) < 100
+
     def test_duration_override(self, tmp_path, capsys):
         log = tmp_path / "short.jsonl"
         assert main([
@@ -374,7 +472,7 @@ class TestCmdRun:
 
     def test_duration_shorter_than_twin_horizon_exits_2(self, tmp_path, capsys):
         path = write_config(
-            tmp_path, {"run.validator_mode": {"kind": "twin", "horizon": 300, "envelope": [20, 30]}}
+            tmp_path, {"run.validator": {"kind": "twin", "horizon": 300, "envelope": [20, 30]}}
         )
         log = tmp_path / "r.jsonl"
         code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
@@ -482,7 +580,7 @@ class TestCmdRun:
             ("backend.latency.seconds", "Infinity"),
             ("backend.latency.seconds", "1e999"),
             ("run.sample_period_floor", "NaN"),
-            ("run.monitor_mode", '{"kind": "anomaly", "margin": NaN}'),
+            ("run.monitor", '{"kind": "anomaly", "margin": NaN}'),
         ],
     )
     def test_non_finite_number_in_config_exits_2(self, tmp_path, capsys, dotted, literal):
@@ -609,6 +707,15 @@ class TestCmdRun:
             _, episodes = read_run_log(log)
             assert len(episodes) > 10
             assert all(not e.override for e in episodes)
+
+    @needs_ipv6
+    def test_run_against_a_bracketed_ipv6_plant(self, tmp_path, capsys):
+        args = ["run", "--config", str(CASE_CONFIG), "--duration", "120"]
+        assert main([*args, "--out", str(tmp_path / "sim.jsonl")]) == 0
+        with serving(TwinPlant(mode="lockstep"), host="::1") as plant:
+            assert plant.startswith("tcp:[::1]:")
+            assert main([*args, "--plant", plant, "--out", str(tmp_path / "tcp.jsonl")]) == 0
+        assert read_run_log(tmp_path / "tcp.jsonl") == read_run_log(tmp_path / "sim.jsonl")
 
     def test_lockstep_run_refuses_a_realtime_served_plant(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -877,6 +984,31 @@ class TestCmdPlantServe:
             assert code == 2
         finally:
             blocker.close()
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", pytest.param("::1", marks=needs_ipv6)])
+    def test_bind_failure_is_a_config_error(self, capsys, host):
+        family, endpoint = (socket.AF_INET6, f"[{host}]") if ":" in host else (socket.AF_INET, host)
+        with socket.socket(family) as blocker:
+            blocker.bind((host, 0))
+            blocker.listen(1)
+            listen = f"{endpoint}:{blocker.getsockname()[1]}"
+            assert main(["plant-serve", "--listen", listen]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot bind {listen}: ")
+
+    @needs_ipv6
+    def test_bracketed_ipv6_listen_serves(self, capsys, monkeypatch):
+        bound = []
+
+        def interrupt(server, poll_interval=0.5):
+            bound.append(server.server_address[0])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(PlantServer, "serve_forever", interrupt)
+        assert main(["plant-serve", "--listen", "[::1]:0"]) == 0
+        assert bound == ["::1"]
+        out = capsys.readouterr().out
+        assert out.startswith("serving plant on [::1]:0 (lockstep)\nplant stopped at t=0.000s")
 
     def test_bad_listen_spec_exits_2(self, capsys):
         assert main(["plant-serve", "--listen", "nonsense"]) == 2

@@ -146,14 +146,15 @@ def test_cli_without_a_served_plant_loads_no_socket(tmp_path, run_log, command):
 
 
 @pytest.mark.parametrize(
-    "validator", ["rule", {"kind": "twin", "horizon": 300.0, "envelope": [20.0, 30.0]}]
+    "validator",
+    [pytest.param({"kind": "rule"}, id="rule"), {"kind": "twin", "horizon": 300.0, "envelope": [20.0, 30.0]}],
 )
 def test_the_loop_imports_nothing(tmp_path, validator):
     """A deferred import belongs in set-up; a module first loaded by an
     episode would land in that episode's decision time."""
     doc = json.loads(CASE_CONFIG.read_text())
     doc["backend"]["script"]["kind"] = "flip"
-    doc["run"]["validator_mode"] = validator
+    doc["run"]["validator"] = validator
     # the plant starts at ambient, so the first reading takes the rare
     # decimal path of a rounding tie
     doc["twin"]["t_amb"] = 23.005
@@ -167,7 +168,7 @@ def test_the_loop_imports_nothing(tmp_path, validator):
         "from twinloop.plantio import TwinPlant\n"
         "cfg = load_config(sys.argv[1])\n"
         "backend = ScriptedBackend(cfg.backend.script, cfg.backend.latency)\n"
-        "plant = TwinPlant(cfg.twin_params, mode=cfg.run.clock_mode)\n"
+        "plant = TwinPlant(cfg.twin, mode=cfg.run.clock_mode)\n"
         "snapshots = []\n"
         "with RunLogWriter(sys.argv[2], cfg.run) as writer:\n"
         "    def on_episode(record):\n"
@@ -175,8 +176,8 @@ def test_the_loop_imports_nothing(tmp_path, validator):
         "            snapshots.append(sorted(sys.modules))\n"
         "        writer.write_episode(record)\n"
         "    snapshots.append(sorted(sys.modules))\n"
-        "    episodes = run_loop(plant, backend, cfg.run, operator=cfg.operator,\n"
-        "                        twin_params=cfg.twin_params, on_episode=on_episode)\n"
+        "    episodes = run_loop(plant, backend, cfg.run, operator=cfg.agents.operator,\n"
+        "                        twin_params=cfg.twin, on_episode=on_episode)\n"
         "    snapshots.append(sorted(sys.modules))\n"
         "print(json.dumps({'episodes': len(episodes), 'first': episodes[0].t_sensor,\n"
         "                  'snapshots': snapshots}))\n",

@@ -9,10 +9,13 @@ import enum
 import json
 import math
 import pickle
+import re
 import types
 import typing
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,7 +23,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
 from twinloop import jsonio
-from twinloop.errors import InvalidInput
+from twinloop.cli import load_config
+from twinloop.errors import ConfigError, InvalidInput
 from twinloop.jsonio import dumps_record, format_float, from_doc
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
@@ -349,11 +353,18 @@ RECORDS = {
 }
 
 
+def refuse_every_document(doc):
+    raise TypeError("refused")
+
+
 def decoded(cls, doc, generic: bool):
-    """``from_doc(cls, doc)``, or its InvalidInput text.  A ``given`` with no
-    fields changes nothing but the path: it reads by the generic decoder."""
+    """``from_doc(cls, doc)``, or its InvalidInput text.  With ``generic``,
+    the class's generated reader refuses every document, so the generic
+    decoder reads it."""
+    readers = {cls: refuse_every_document} if generic else {}
     try:
-        return from_doc(cls, doc, "rec", given={} if generic else None)
+        with mock.patch.dict(jsonio._READERS, readers):
+            return from_doc(cls, doc, "rec")
     except InvalidInput as exc:
         return f"InvalidInput: {exc}"
 
@@ -461,6 +472,29 @@ def test_a_record_that_fits_is_read_without_the_walk(monkeypatch):
     with pytest.raises(InvalidInput, match="'attempts.1.latency' must be a number"):
         from_doc(EpisodeRecord, json.loads(dumps_record(episode).replace("0.500", '"slow"')))
     assert walked[0] is EpisodeRecord
+
+
+CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=run_configs())
+def test_a_run_config_record_is_a_config_file_run_section(tmp_path_factory, config):
+    # a config file's run section is the encoding a run log header's config has
+    doc = json.loads(CASE_CONFIG.read_text(encoding="utf-8"))
+    doc["run"] = json.loads(dumps_record(config))
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        logged = from_doc(RunConfig, doc["run"], "run")
+    except InvalidInput as exc:
+        # what the log reader refuses (an int field holding a bool, a rule
+        # validator's infinite horizon), the config loader refuses in the same words
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            load_config(path)
+        return
+    assert logged == config
+    assert load_config(path).run == config
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ oracles, the exact propagator's structural properties, and the envelope
 search against a scan of the rollout."""
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -419,6 +420,21 @@ def test_twin_validator_run_log_is_pinned(tmp_path):
 
 def test_lower_bound_twin_validator_run_log_is_pinned(tmp_path):
     assert_run_log_pinned(lower_guard_run, LOWER_GUARD_LOG_SHA256, tmp_path / "run.jsonl")
+
+
+@pytest.mark.parametrize("run", [case_study_run, twin_guard_run])
+def test_a_log_header_config_as_the_run_section_reproduces_the_log(tmp_path, run):
+    # both pinned runs use the case study's twin, operator and backend, with
+    # the flip policy at seed 7
+    run(tmp_path / "first.jsonl")
+    first = (tmp_path / "first.jsonl").read_bytes()
+    doc = json.loads(CASE_CONFIG.read_text(encoding="utf-8"))
+    doc["run"] = json.loads(first.splitlines()[0])["config"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    args = ["run", "--config", str(config), "--backend", "scripted:flip", "--seed", "7"]
+    assert main([*args, "--out", str(tmp_path / "again.jsonl")]) == 0
+    assert (tmp_path / "again.jsonl").read_bytes() == first
 
 
 class TestAgainstRk4Oracle:
