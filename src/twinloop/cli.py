@@ -286,7 +286,10 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"config error: cannot bind {args.listen}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"serving plant on {args.listen} ({args.mode})", flush=True)
+    # the bound port, which port 0 leaves to the system
+    host, port = server.server_address[:2]
+    endpoint = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    print(f"serving plant on {endpoint} ({args.mode})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

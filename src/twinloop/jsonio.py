@@ -23,14 +23,20 @@ by the value's own type; either way the line is the same bytes, so an
 ``int`` in a float field is still written in float form and a ``bool`` in an
 int field as ``true``.  A float field always goes through the float writer.
 
-Reading is the mirror image.  A document that must hold every field (a run
+Reading is the mirror image.  A record line is scanned once by json's C
+scanner, from its first character; only a line that does not scan cleanly
+(leading whitespace, a BOM, trailing data, no value) goes through
+``json.loads``, which words the error.  NaN and Infinity are refused, as in
+every file the package reads.  A document that must hold every field (a run
 log's header and episodes, a report's metrics) is read by one function
-generated per class on first use: it compares the key set in one step and
-takes each value of exactly its annotated type inline.  On any mismatch it
-hands the whole document to the generic walk, :func:`_decode`, which stays
-the reference and the only code that words an error, so every message and
-dotted key is the same either way.  Config files, whose keys may be missing,
-are read by the walk alone.
+generated per class on first use: it compares the key set in one step,
+takes each value of exactly its annotated type inline (a float only if
+finite, so an overflowing number is refused), and stores the fields into
+the new instance's ``__dict__`` without a call per field.  On any mismatch
+it hands the whole document to the generic walk, :func:`_decode`, which
+stays the reference and the only code that words an error, so every
+message and dotted key is the same either way.  Config files, whose keys
+may be missing, are read by the walk alone.
 """
 
 from __future__ import annotations
@@ -225,14 +231,38 @@ loads_finite = json.JSONDecoder(
 ).decode
 
 
+# The C scanner json.loads runs after its Python-level checks, with NaN and
+# Infinity refused as in loads_finite; a number beyond a float's range scans
+# as an infinity, which a record's float fields refuse.  Only JSON
+# whitespace may follow a record on its line.
+_scan = json.JSONDecoder(parse_constant=_refuse).scan_once
+_JSON_SPACE = " \t\n\r"
+
+
 def loads_record(line: str, cls: type | None = None):
     """Decode one record line: a dict, or with ``cls`` an instance of that
-    dataclass with every field present.  A line that is not a JSON object
-    raises ValueError; a record that does not fit ``cls``, InvalidInput."""
-    doc = json.loads(line)
-    if not isinstance(doc, dict):
+    dataclass with every field present.  A line that is not a JSON object,
+    or holds NaN or Infinity, raises ValueError; a record that does not fit
+    ``cls``, InvalidInput.
+
+    The line is scanned once, from its first character; a value followed by
+    JSON whitespace alone is taken as it is.  Anything else (leading
+    whitespace, a BOM, trailing data, no value) goes to ``json.loads``, which
+    accepts or words the error as it always has."""
+    try:
+        doc, end = _scan(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end < 0 or line[end:].strip(_JSON_SPACE):
+        doc = json.loads(line, parse_constant=_refuse)
+    if type(doc) is not dict:
         raise ValueError("record line is not a JSON object")
-    return doc if cls is None else from_doc(cls, doc)
+    if cls is None:
+        return doc
+    try:
+        return (_READERS.get(cls) or _reader(cls))(doc)
+    except _REFUSALS:
+        return from_doc(cls, doc)
 
 
 def _decode(cls: type, doc, defaults: bool):
@@ -295,12 +325,17 @@ def _generate_reader(cls: type, plan: _Plan):
     """One function building ``cls`` from a document holding every field,
     generated as the writer is.  It compares the key set and the constant
     fields in one test and reads each value inline: a value of exactly its
-    annotated type is taken as it is, any other goes to the field's
-    converter, and whatever does not fit raises.  A class without
-    ``__post_init__`` is not called: its fields are set in order by
-    ``object.__setattr__``, as its frozen ``__init__`` sets them, so the
-    instance is laid out as a constructed one.  Any other class is called."""
-    namespace = {"_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_new": object.__new__}
+    annotated type is taken as it is (a float only if finite), any other goes
+    to the field's converter, and whatever does not fit raises.  A class
+    without ``__post_init__`` is not called: its fields are stored in order
+    straight into the new instance's ``__dict__``, the dict its frozen
+    ``__init__`` would fill through ``object.__setattr__``, so the instance
+    holds the same attributes in the same order as a constructed one.  Any
+    other class is called."""
+    namespace = {
+        "_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_new": object.__new__,
+        "_isfinite": math.isfinite,
+    }
     test = "type(doc) is not dict or doc.keys() != _keys"
     for key, value in plan.constants:
         test += f" or doc[{key!r}] != {_bind(namespace, value)}"
@@ -312,9 +347,8 @@ def _generate_reader(cls: type, plan: _Plan):
     if hasattr(cls, "__post_init__") or factories:
         body.append(f"return _cls({', '.join(f'a{i}' for i in range(len(plan.reads)))})")
     else:
-        namespace["_set"] = object.__setattr__
-        body.append("obj = _new(_cls)")
-        body += [f"_set(obj, {key!r}, a{i})" for i, (key, _, _) in enumerate(plan.reads)]
+        body += ["obj = _new(_cls)", "d = obj.__dict__"]
+        body += [f"d[{key!r}] = a{i}" for i, (key, _, _) in enumerate(plan.reads)]
         body.append("return obj")
     exec("def read(doc):\n" + "".join(f"    {line}\n" for line in body), namespace)
     return namespace["read"]
@@ -332,7 +366,8 @@ def _read_expr(tp, default, v: str, namespace: dict) -> str:
     field annotated ``tp`` with ``default``, as the field's converter does."""
     if tp in _SCALARS or tp is float:
         convert = _bind(namespace, _field_reader(tp, default))
-        return f"({v} if type({v}) is {tp.__name__} else {convert}({v}, False))"
+        finite = f" and _isfinite({v})" if tp is float else ""
+        return f"({v} if type({v}) is {tp.__name__}{finite} else {convert}({v}, False))"
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return f"{_bind(namespace, {m.value: m for m in tp})}[{v}]"
     if dataclasses.is_dataclass(tp):
@@ -342,9 +377,12 @@ def _read_expr(tp, default, v: str, namespace: dict) -> str:
         variadic, items = _tuple_items(args, default)
         convert = _bind(namespace, _field_reader(tp, default))
         if variadic:
-            x = f"x{len(namespace)}"
-            item = _read_expr(*items[0], x, namespace)
-            return f"(tuple([{item} for {x} in {v}]) if type({v}) is list else {convert}({v}, False))"
+            if dataclasses.is_dataclass(items[0][0]):
+                read = f"tuple(map({_bind(namespace, _reader(items[0][0]))}, {v}))"
+            else:
+                x = f"x{len(namespace)}"
+                read = f"tuple([{_read_expr(*items[0], x, namespace)} for {x} in {v}])"
+            return f"({read} if type({v}) is list else {convert}({v}, False))"
         parts = "".join(_read_expr(a, d, f"{v}[{i}]", namespace) + ", " for i, (a, d) in enumerate(items))
         return f"(({parts}) if type({v}) is list and len({v}) == {len(items)} else {convert}({v}, False))"
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
@@ -420,7 +458,10 @@ def _number(default):
 
     def convert(v, _defaults):
         if type(v) is float:
-            return v
+            # json reads a number beyond a float's range as an infinity
+            if math.isfinite(v):
+                return v
+            raise _Mismatch("'{path}' does not fit a float")
         if type(v) is int:
             try:
                 return float(v)

@@ -54,6 +54,8 @@ EXPECTED_RULE = "expected_rule"
 FORCE_OFF = "force_off"
 
 LOG_FORMAT = "twinloop-run-log/1"
+# JSON's whitespace; a run-log line holding nothing else is skipped.
+_JSON_SPACE = b" \t\n\r"
 
 # Idle poll period when the anomaly monitor declines a sample and no explicit
 # sample_period_floor is set; without it a lockstep clock would never move.
@@ -73,11 +75,17 @@ class ValidatorMode:
     def __post_init__(self):
         if self.kind not in (RULE, TWIN):
             raise InvalidInput(f"unknown validator mode {self.kind!r}")
+        # The run log holds both fields for either kind.  It writes an
+        # infinity as null, which reads back only as a field's infinite
+        # default: a horizon must be finite, an envelope's lower bound below
+        # +inf and its upper bound above -inf.
+        if not math.isfinite(self.horizon):
+            raise InvalidInput(f"validation horizon must be finite, got {self.horizon!r}")
+        if not self.envelope[0] < self.envelope[1]:
+            raise InvalidInput(f"envelope must be well ordered, got {self.envelope!r}")
         if self.kind == TWIN:
             if not self.horizon > 0.0:
                 raise InvalidInput("twin validation horizon must be > 0")
-            if not self.envelope[0] < self.envelope[1]:
-                raise InvalidInput(f"envelope must be well ordered, got {self.envelope!r}")
             # an envelope open on both sides would pass every proposal
             if not (math.isfinite(self.envelope[0]) or math.isfinite(self.envelope[1])):
                 raise InvalidInput("twin validation envelope needs at least one finite bound")
@@ -91,8 +99,8 @@ class MonitorMode:
     def __post_init__(self):
         if self.kind not in ("continuous", "anomaly"):
             raise InvalidInput(f"unknown monitor mode {self.kind!r}")
-        if not self.margin >= 0.0:
-            raise InvalidInput("monitor margin must be >= 0")
+        if not 0.0 <= self.margin < math.inf:
+            raise InvalidInput("monitor margin must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,10 +118,12 @@ class RunConfig:
     def __post_init__(self):
         if self.duration <= 0.0 or not math.isfinite(self.duration):
             raise InvalidInput("duration must be > 0")
-        if self.max_reprompts < 0:
-            raise InvalidInput("max_reprompts must be >= 0")
-        if not self.sample_period_floor >= 0.0:
-            raise InvalidInput("sample_period_floor must be >= 0")
+        # a bool is an int to Python, but not to the run log's reader
+        count = self.max_reprompts
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InvalidInput("max_reprompts must be an integer >= 0")
+        if not 0.0 <= self.sample_period_floor < math.inf:
+            raise InvalidInput("sample_period_floor must be finite and >= 0")
         if self.clock_mode not in CLOCK_MODES:
             raise InvalidInput(f"unknown clock mode {self.clock_mode!r}")
         if self.safe_action_policy not in (EXPECTED_RULE, FORCE_OFF):
@@ -384,44 +394,49 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
     """Parse a run log back into its config and episode records.
 
     The header must name :data:`LOG_FORMAT`, every field of its config and
-    of each episode must be present, and every line must be UTF-8.
+    of each episode must be present, and every line must be UTF-8.  A line
+    of JSON whitespace alone is skipped.
     A writer killed mid-line leaves a final episode line with no newline
     that is not JSON; given ``on_torn_tail``, such a line is dropped and the
     callback gets its line number, otherwise it is an error like any other.
     """
-    config: RunConfig | None = None
-    episodes: list[EpisodeRecord] = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
-            if not line.strip():
+        lines = enumerate(fh, start=1)
+        for lineno, raw in lines:
+            if not raw.strip(_JSON_SPACE):
                 continue
             try:
-                if config is None:
-                    header = loads_record(line)
-                    if header.get("kind") != "header":
-                        raise LogFormatError("first log record must be the header", line_number=lineno)
-                    if header.get("format") != LOG_FORMAT:
-                        raise LogFormatError(
-                            f"unknown log format {header.get('format')!r}, expected {LOG_FORMAT!r}",
-                            line_number=lineno,
-                        )
-                    config = from_doc(RunConfig, header.get("config"), "config")
-                else:
-                    episodes.append(loads_record(line, EpisodeRecord))
-            except json.JSONDecodeError as exc:
-                # only the last line can lack its newline
-                if on_torn_tail is not None and config is not None and not line.endswith("\n"):
-                    on_torn_tail(lineno)
-                    break
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+                header = loads_record(raw.decode())
+                if header.get("kind") != "header":
+                    raise LogFormatError("first log record must be the header", line_number=lineno)
+                if header.get("format") != LOG_FORMAT:
+                    raise LogFormatError(
+                        f"unknown log format {header.get('format')!r}, expected {LOG_FORMAT!r}",
+                        line_number=lineno,
+                    )
+                config = from_doc(RunConfig, header.get("config"), "config")
             except ValueError as exc:
                 raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
             except InvalidInput as exc:
                 raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
-    if config is None:
-        raise LogFormatError("log is empty")
+            break
+        else:
+            raise LogFormatError("log is empty")
+
+        episodes: list[EpisodeRecord] = []
+        for lineno, raw in lines:
+            try:
+                episodes.append(loads_record(raw.decode(), EpisodeRecord))
+            except ValueError as exc:
+                # a blank line does not parse either: look for one only here
+                if not raw.strip(_JSON_SPACE):
+                    continue
+                # only the last line can lack its newline
+                torn = isinstance(exc, json.JSONDecodeError) and not raw.endswith(b"\n")
+                if torn and on_torn_tail is not None:
+                    on_torn_tail(lineno)
+                    break
+                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+            except InvalidInput as exc:
+                raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
     return config, episodes

@@ -921,6 +921,19 @@ class TestCmdReport:
         assert err.startswith(f"report error (line {lineno}): bad log line:")
         assert "utf-8" in err and "warning" not in err
 
+    @pytest.mark.parametrize(
+        "value, error",
+        [("NaN", "bad log line: NaN is not"), ("1e999", "bad log record: 't_sensor' does not fit a float")],
+    )
+    def test_non_finite_sensor_reading_exits_2(self, oracle_log, tmp_path, capsys, value, error):
+        lines = oracle_log.read_text().splitlines(keepends=True)
+        lines[2] = re.sub('"t_sensor":[^,]+', '"t_sensor":' + value, lines[2])
+        broken = tmp_path / "non_finite.jsonl"
+        broken.write_text("".join(lines))
+        assert main(["report", "--log", str(broken)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"report error (line 3): {error}")
+
     def test_crlf_log_reports_as_written(self, oracle_log, tmp_path, capsys):
         crlf = tmp_path / "crlf.jsonl"
         crlf.write_bytes(oracle_log.read_bytes().replace(b"\n", b"\r\n"))
@@ -996,19 +1009,34 @@ class TestCmdPlantServe:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"config error: cannot bind {listen}: ")
 
-    @needs_ipv6
-    def test_bracketed_ipv6_listen_serves(self, capsys, monkeypatch):
+    @staticmethod
+    def serve_until_interrupted(monkeypatch, listen):
+        """Run ``plant-serve --listen listen``, interrupted as it starts to
+        serve; returns the host and port it bound."""
         bound = []
 
         def interrupt(server, poll_interval=0.5):
-            bound.append(server.server_address[0])
+            bound.append(server.server_address[:2])
             raise KeyboardInterrupt
 
         monkeypatch.setattr(PlantServer, "serve_forever", interrupt)
-        assert main(["plant-serve", "--listen", "[::1]:0"]) == 0
-        assert bound == ["::1"]
+        assert main(["plant-serve", "--listen", listen]) == 0
+        ((host, port),) = bound
+        assert port > 0
+        return host, port
+
+    def test_listen_on_port_0_prints_the_bound_port(self, capsys, monkeypatch):
+        host, port = self.serve_until_interrupted(monkeypatch, "127.0.0.1:0")
+        assert host == "127.0.0.1"
         out = capsys.readouterr().out
-        assert out.startswith("serving plant on [::1]:0 (lockstep)\nplant stopped at t=0.000s")
+        assert out.startswith(f"serving plant on 127.0.0.1:{port} (lockstep)\nplant stopped at t=0.000s")
+
+    @needs_ipv6
+    def test_bracketed_ipv6_listen_serves(self, capsys, monkeypatch):
+        host, port = self.serve_until_interrupted(monkeypatch, "[::1]:0")
+        assert host == "::1"
+        out = capsys.readouterr().out
+        assert out.startswith(f"serving plant on [::1]:{port} (lockstep)\nplant stopped at t=0.000s")
 
     def test_bad_listen_spec_exits_2(self, capsys):
         assert main(["plant-serve", "--listen", "nonsense"]) == 2

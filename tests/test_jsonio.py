@@ -24,12 +24,13 @@ from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
 from twinloop import jsonio
 from twinloop.cli import load_config
-from twinloop.errors import ConfigError, InvalidInput
+from twinloop.errors import InvalidInput, LogFormatError
 from twinloop.jsonio import dumps_record, format_float, from_doc
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
     EXPECTED_RULE,
     FORCE_OFF,
+    LOG_FORMAT,
     RULE,
     TWIN,
     AttemptRecord,
@@ -37,6 +38,7 @@ from twinloop.orchestrator import (
     MonitorMode,
     RunConfig,
     ValidatorMode,
+    read_run_log,
 )
 from twinloop.plantio import CLOCK_MODES, HeaterAction, round_half_away
 
@@ -166,11 +168,12 @@ non_negative = st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 1
 
 @st.composite
 def validator_modes(draw, duration):
-    if draw(st.booleans()):
-        return ValidatorMode(RULE, draw(numbers), draw(st.tuples(numbers, numbers)))
     lo, hi = sorted(draw(st.tuples(finite, finite)))
     assume(lo < hi)
-    envelope = draw(st.sampled_from([(lo, hi), (-math.inf, hi), (lo, math.inf)]))
+    envelope = draw(st.sampled_from([(lo, hi), (-math.inf, hi), (lo, math.inf), (-math.inf, math.inf)]))
+    if draw(st.booleans()):
+        return ValidatorMode(RULE, draw(finite), envelope)
+    assume(envelope != (-math.inf, math.inf))
     horizon = draw(st.just(duration) | st.floats(min_value=0.0, max_value=duration, exclude_min=True))
     return ValidatorMode(TWIN, horizon, envelope)
 
@@ -180,7 +183,7 @@ def run_configs(draw):
     duration = draw(positive)
     return RunConfig(
         duration=duration,
-        max_reprompts=draw(st.integers(0, 10**9) | st.booleans()),
+        max_reprompts=draw(st.integers(0, 10**9)),
         sample_period_floor=draw(non_negative),
         thresholds=draw(st.builds(Thresholds, low=st.just(25.0) | st.just(20), high=st.just(27.0) | st.just(30))),
         validator=draw(validator_modes(duration)),
@@ -485,16 +488,166 @@ def test_a_run_config_record_is_a_config_file_run_section(tmp_path_factory, conf
     doc["run"] = json.loads(dumps_record(config))
     path = tmp_path_factory.mktemp("config") / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    try:
-        logged = from_doc(RunConfig, doc["run"], "run")
-    except InvalidInput as exc:
-        # what the log reader refuses (an int field holding a bool, a rule
-        # validator's infinite horizon), the config loader refuses in the same words
-        with pytest.raises(ConfigError, match=re.escape(str(exc))):
-            load_config(path)
-        return
-    assert logged == config
+    assert from_doc(RunConfig, doc["run"], "run") == config
     assert load_config(path).run == config
+
+
+# --- the scan fast path against json.loads and the generic walk ----------------
+
+
+def ref_refuse(text):
+    raise ValueError(f"{text} is not a finite JSON number")
+
+
+def ref_loads_record(line: str, cls=None):
+    """``loads_record`` as ``json.loads`` and the generic walk read a line."""
+    doc = json.loads(line, parse_constant=ref_refuse)
+    if not isinstance(doc, dict):
+        raise ValueError("record line is not a JSON object")
+    return doc if cls is None else ref_from_doc(cls, doc)
+
+
+def ref_from_doc(cls, doc, where=""):
+    try:
+        return jsonio._decode(cls, doc, False)
+    except jsonio._Mismatch as exc:
+        path = ".".join(([where] if where else []) + exc.keys[::-1])
+        raise InvalidInput(str(exc).replace("{path}", path)) from None
+
+
+def ref_read_run_log(path, on_torn_tail=None):
+    """``read_run_log`` line by line: a line of JSON whitespace is skipped,
+    the first other one is the header, and every later one an episode."""
+    config, episodes = None, []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+            if not line.strip(" \t\n\r"):
+                continue
+            try:
+                if config is None:
+                    header = ref_loads_record(line)
+                    if header.get("kind") != "header":
+                        raise LogFormatError("first log record must be the header", line_number=lineno)
+                    if header.get("format") != LOG_FORMAT:
+                        raise LogFormatError(
+                            f"unknown log format {header.get('format')!r}, expected {LOG_FORMAT!r}",
+                            line_number=lineno,
+                        )
+                    config = ref_from_doc(RunConfig, header.get("config"), "config")
+                else:
+                    episodes.append(ref_loads_record(line, EpisodeRecord))
+            except json.JSONDecodeError as exc:
+                if on_torn_tail is not None and config is not None and not line.endswith("\n"):
+                    on_torn_tail(lineno)
+                    break
+                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+            except ValueError as exc:
+                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+            except InvalidInput as exc:
+                raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
+    if config is None:
+        raise LogFormatError("log is empty")
+    return config, episodes
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or the type, text and line number of
+    what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # the reads are compared on whatever they raise
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+KEY = re.compile(r'"([a-z_]+)":')
+OTHER_SPACE = ["\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000", "\ufeff"]
+JSON_SPACE = [" ", "\t", "\r", "\n"]
+LINE_CHANGES = [
+    "as written", "truncated", "leading space", "trailing space", "BOM", "trailing data",
+    "two objects", "not an object", "non-finite number", "other space", "renamed key", "wrong type",
+]
+
+
+@st.composite
+def mutated_lines(draw, line: str, how: str):
+    """``line``, a record's line with its newline, changed as ``how`` says:
+    one of the ways a torn, edited or foreign line differs from a written one."""
+    body = line[:-1]
+    if how == "truncated":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    if how in ("leading space", "trailing space"):
+        space = "".join(draw(st.lists(st.sampled_from(JSON_SPACE + OTHER_SPACE), min_size=1, max_size=3)))
+        return space + line if how == "leading space" else body + space + "\n"
+    if how == "BOM":
+        return "\ufeff" + line
+    if how == "trailing data":
+        return body + draw(st.sampled_from([" x", "]", "}", ",", "\x00", " 1", '"'])) + "\n"
+    if how == "two objects":
+        return body + draw(st.sampled_from(["", " ", "\n"])) + line
+    if how == "not an object":
+        return draw(st.sampled_from(["[" + body + "]", "[]", "1", '"x"', "null", "true"])) + "\n"
+    if how == "other space":
+        return draw(st.sampled_from(OTHER_SPACE)) + "\n"
+    pattern = KEY if how == "renamed key" else NUMBER
+    spans = [m.span() for m in pattern.finditer(body)]
+    if how == "as written" or not spans:
+        return line
+    start, end = draw(st.sampled_from(spans))
+    if how == "renamed key":
+        new = body[start:end - 2] + 'x":'
+    elif how == "non-finite number":
+        new = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1E400"]))
+    else:
+        new = draw(st.sampled_from(['"x"', "true", "null", "[]", "{}", "1.5", "-1"]))
+    return body[:start] + new + body[end:] + "\n"
+
+
+@pytest.mark.parametrize("how", LINE_CHANGES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loads_record_reads_as_json_loads_and_the_walk(how, data):
+    record = data.draw(st.one_of(episode_records, run_configs(), run_metrics))
+    line = data.draw(mutated_lines(dumps_record(record) + "\n", how))
+    cls = data.draw(st.sampled_from([None, type(record)]))
+    fast, ref = outcome(jsonio.loads_record, line, cls), outcome(ref_loads_record, line, cls)
+    assert fast == ref
+    assert repr(fast) == repr(ref)
+
+
+@pytest.mark.parametrize("how", LINE_CHANGES)
+@settings(max_examples=15, deadline=None)
+@given(
+    config=run_configs(),
+    episodes=st.lists(episode_records, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_read_run_log_reads_as_json_loads_and_the_walk(tmp_path_factory, how, config, episodes, data):
+    # the header, an episode line and the last line are read by different
+    # code, so each line takes the change in turn, the last with and without
+    # its newline
+    header = {"kind": "header", "format": LOG_FORMAT, "config": config, "config_digest": ""}
+    written = [dumps_record(r) + "\n" for r in (header, *episodes)]
+    path = tmp_path_factory.mktemp("log") / "run.jsonl"
+    for index in range(len(written)):
+        lines = list(written)
+        lines[index] = data.draw(mutated_lines(lines[index], how))
+        for torn_tail in (False, True):
+            if torn_tail:
+                lines[-1] = lines[-1].rstrip("\n")
+            path.write_text("".join(lines), encoding="utf-8")
+            fast_torn, ref_torn = [], []
+            for fast, ref in [
+                (outcome(read_run_log, path), outcome(ref_read_run_log, path)),
+                (outcome(read_run_log, path, fast_torn.append), outcome(ref_read_run_log, path, ref_torn.append)),
+            ]:
+                assert fast == ref
+                assert repr(fast) == repr(ref)
+            assert fast_torn == ref_torn
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ clock accounting, and run-log round trips."""
 
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -490,6 +491,49 @@ class TestRunLogRoundTrip:
             read_run_log(broken)
         assert excinfo.value.line_number == 3
 
+    def test_lines_of_json_whitespace_are_skipped(self, tmp_path):
+        path, config, episodes = self.run_and_log(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text(" \t\r\n" + lines[0] + "\n" + "".join(lines[1:3]) + "  \n" + "".join(lines[3:]) + "\t")
+        assert read_run_log(spaced) == (config, episodes)
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("blank", ["\xa0", "\x0b", "\x0c", "\x1c", "\u2028", "\u3000", " \x85 "])
+    def test_a_line_of_other_whitespace_is_an_error(self, tmp_path, blank, index):
+        # str.strip() calls these whitespace; JSON does not
+        path, _, _ = self.run_and_log(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(index, blank + "\n")
+        broken = tmp_path / "blank.jsonl"
+        broken.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(LogFormatError, match="^bad log line: Expecting value") as excinfo:
+            read_run_log(broken)
+        assert excinfo.value.line_number == index + 1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ('"t_sensor":', "NaN", "bad log line: NaN is not a finite JSON number"),
+            ('"t_sensor":', "Infinity", "bad log line: Infinity is not a finite JSON number"),
+            ('"t_start":', "-Infinity", "bad log line: -Infinity is not a finite JSON number"),
+            ('"t_sensor":', "1e999", "bad log record: 't_sensor' does not fit a float"),
+            ('"latency":', "-1e999", "bad log record: 'attempts.0.latency' does not fit a float"),
+            ('"duration":', "1E400", "bad log record: 'config.duration' does not fit a float"),
+            ('"margin":', "NaN", "bad log line: NaN is not a finite JSON number"),
+        ],
+    )
+    def test_non_finite_numbers_are_refused(self, tmp_path, field, value, message):
+        path, _, _ = self.run_and_log(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        index = 0 if field in lines[0] else 1
+        lines[index] = re.sub(f"{field}[^,}}]+", field + value, lines[index], count=1)
+        broken = tmp_path / "non_finite.jsonl"
+        broken.write_text("".join(lines))
+        with pytest.raises(LogFormatError) as excinfo:
+            read_run_log(broken, on_torn_tail=pytest.fail)
+        assert (str(excinfo.value), excinfo.value.line_number) == (message, index + 1)
+
     def test_missing_header_rejected(self, tmp_path):
         path, _, episodes = self.run_and_log(tmp_path)
         headerless = tmp_path / "headerless.jsonl"
@@ -598,3 +642,25 @@ class TestRunConfigValidation:
     def test_negative_reprompts(self):
         with pytest.raises(InvalidInput):
             RunConfig(max_reprompts=-1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RunConfig(validator=ValidatorMode(horizon=math.inf)),
+            lambda: ValidatorMode(kind="twin", horizon=math.inf, envelope=(20.0, 30.0)),
+            lambda: ValidatorMode(envelope=(0.0, -math.inf)),
+            lambda: ValidatorMode(envelope=(math.inf, 30.0)),
+            lambda: RunConfig(max_reprompts=True),
+            lambda: RunConfig(max_reprompts=2.5),
+            lambda: RunConfig(sample_period_floor=math.inf),
+            lambda: RunConfig(monitor=MonitorMode(margin=math.inf)),
+        ],
+        ids=[
+            "infinite rule horizon", "infinite twin horizon", "upper bound -inf", "lower bound +inf",
+            "bool reprompts", "float reprompts", "infinite floor", "infinite margin",
+        ],
+    )
+    def test_a_config_the_run_log_cannot_hold_is_refused(self, build):
+        # each would write a log line that reads back as an error, or as another config
+        with pytest.raises(InvalidInput):
+            build()
