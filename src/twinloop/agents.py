@@ -220,11 +220,10 @@ def validate_twin(
     ``twin.first_exit`` finds the first sample outside from the trajectory's
     single turning point, without building the rollout.  No expected action
     exists in this mode; the reason reports the first violation instant, and
-    the criterion states the envelope and the horizon.
+    the criterion states the envelope and the horizon.  The envelope is well
+    ordered, as :class:`ValidatorMode` makes it.
     """
     lo, hi = envelope
-    if not lo < hi:
-        raise InvalidInput(f"envelope must be well ordered, got {envelope!r}")
     exit_sample = twin.first_exit(params, state, proposal.duty, horizon, lo, hi)
     if exit_sample is None:
         return Verdict(True, None, "simulated trajectory stays inside the safe envelope")
@@ -281,18 +280,9 @@ def compose_feedback(
     )
 
 
-def monitor_trigger(
-    sample: PlantSample, mode: str, th: Thresholds, margin: float = 0.0
-) -> bool:
-    """Decide whether a reading spawns a decision episode.
-
-    Continuous mode triggers on every sample; anomaly mode only when the
-    reading strays more than ``margin`` beyond the band.
+def monitor_trigger(sample: PlantSample, th: Thresholds, margin: float = 0.0) -> bool:
+    """Whether a reading spawns a decision episode under the anomaly monitor:
+    only when it strays more than ``margin`` beyond the band.  The continuous
+    monitor spawns one at every sample and asks nothing.
     """
-    if margin < 0.0:
-        raise InvalidInput(f"margin must be >= 0, got {margin!r}")
-    if mode == CONTINUOUS:
-        return True
-    if mode == ANOMALY:
-        return sample.t_sensor < th.low - margin or sample.t_sensor > th.high + margin
-    raise InvalidInput(f"unknown monitor mode {mode!r}")
+    return sample.t_sensor < th.low - margin or sample.t_sensor > th.high + margin

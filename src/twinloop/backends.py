@@ -2,10 +2,10 @@
 seeded error behaviour and injected inference latency, and record/replay.
 
 Every backend exposes one method, ``complete(system_text, user_text, ctx)``,
-returning an :class:`Exchange`.  Scripted backends decide from the structured
-fields in ``ctx`` (the rendered texts are carried along for the transcript);
-the HTTP backend sends the texts and ignores ``ctx``; replay ignores both and
-returns the recorded stream, failed calls included.
+returning an :class:`Exchange` stamped with ``ctx.timestamp``.  Scripted
+backends decide from the structured fields in ``ctx`` (the rendered texts
+are carried along for the transcript); the HTTP backend sends the texts;
+replay ignores both and returns the recorded stream, failed calls included.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .agents import Thresholds, expected_action
-from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, OutputError, ReplayExhausted
-from .jsonio import dumps_record, loads_finite
+from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted
+from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, loads_finite
 from .plantio import HeaterAction
 
 if TYPE_CHECKING:
@@ -205,7 +205,7 @@ class HttpBackend:
         self._http = http
         self._urllib = urllib
 
-    def complete(self, system_text: str, user_text: str, ctx: DecisionContext | None = None) -> Exchange:
+    def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         body = {
             "model": self.config.model,
             "temperature": self.config.temperature,
@@ -246,10 +246,7 @@ class HttpBackend:
             raise BackendError(f"malformed response body: {exc}", elapsed=latency) from exc
         if not isinstance(content, str):
             raise BackendError("malformed response body: content is not text", elapsed=latency)
-        return Exchange(
-            system_text, user_text, content, latency, self.config.model,
-            ctx.timestamp if ctx else 0.0,
-        )
+        return Exchange(system_text, user_text, content, latency, self.config.model, ctx.timestamp)
 
     def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
         """One POST; an HTTP error status is returned, not raised."""
@@ -313,7 +310,7 @@ class ReplayBackend:
     def calls_made(self) -> int:
         return self._cursor
 
-    def complete(self, system_text: str, user_text: str, ctx: DecisionContext | None = None) -> Exchange:
+    def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         if self._cursor >= len(self._entries):
             raise ReplayExhausted(
                 f"transcript holds {len(self._entries)} exchanges; call {self._cursor + 1} has no recording"
@@ -323,12 +320,8 @@ class ReplayBackend:
         if "error" in entry:
             raise BackendError(entry["error"], status=entry.get("status"), elapsed=entry["elapsed"])
         return Exchange(
-            system_text,
-            user_text,
-            entry["response_text"],
-            entry["latency"],
-            entry.get("model", "replay"),
-            ctx.timestamp if ctx else entry.get("timestamp", 0.0),
+            system_text, user_text, entry["response_text"], entry["latency"], entry.get("model", "replay"),
+            ctx.timestamp,
         )
 
 
@@ -343,10 +336,11 @@ def _replayable(doc: dict) -> bool:
 def load_replay(transcript_path: str | Path) -> ReplayBackend:
     """Build a replay backend from a recorded transcript file, checking
     each line before the run starts."""
-    entries = []
+    entries, space = [], _JSON_SPACE.encode()
     with open(transcript_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            # as in a run log, only a line of JSON whitespace is blank
+            if not line.strip(space):
                 continue
             try:
                 doc = loads_finite(line.decode("utf-8"))
@@ -369,27 +363,17 @@ class TranscriptRecorder:
 
     def __init__(self, inner, path: str | Path):
         self._inner = inner
-        self._path = path
-        self._fh = open(path, "w", encoding="utf-8")
+        self._file = RecordWriter(path, "transcript")
 
-    def complete(self, system_text: str, user_text: str, ctx: DecisionContext | None = None) -> Exchange:
+    def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         try:
             exchange = self._inner.complete(system_text, user_text, ctx)
         except BackendError as exc:
-            self.record({"error": str(exc), "elapsed": exc.elapsed, "status": exc.status})
+            failure = {"error": str(exc), "elapsed": exc.elapsed, "status": exc.status}
+            self._file.write_line(dumps_record(failure))
             raise
-        self.record(exchange)
+        self._file.write_line(dumps_record(exchange))
         return exchange
 
-    def record(self, entry: Exchange | dict) -> None:
-        try:
-            self._fh.write(dumps_record(entry) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            raise OutputError(f"cannot write transcript {self._path}: {exc}") from exc
-
     def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError as exc:
-            raise OutputError(f"cannot write transcript {self._path}: {exc}") from exc
+        self._file.close()

@@ -235,7 +235,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer = resources.enter_context(
                 _opened("open run log", args.out, RunLogWriter, args.out, run_config)
             )
-        except (ConfigError, InvalidInput, OSError) as exc:
+        except (ConfigError, InvalidInput, OutputError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except PlantIoError as exc:

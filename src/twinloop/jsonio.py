@@ -23,20 +23,19 @@ by the value's own type; either way the line is the same bytes, so an
 ``int`` in a float field is still written in float form and a ``bool`` in an
 int field as ``true``.  A float field always goes through the float writer.
 
-Reading is the mirror image.  A record line is scanned once by json's C
-scanner, from its first character; only a line that does not scan cleanly
-(leading whitespace, a BOM, trailing data, no value) goes through
-``json.loads``, which words the error.  NaN and Infinity are refused, as in
-every file the package reads.  A document that must hold every field (a run
-log's header and episodes, a report's metrics) is read by one function
-generated per class on first use: it compares the key set in one step,
-takes each value of exactly its annotated type inline (a float only if
-finite, so an overflowing number is refused), and stores the fields into
+Reading is the mirror image, and :func:`loads_record` is its only fast
+path.  It scans a record line once by json's C scanner; NaN, Infinity and
+nesting beyond the recursion limit are refused, as in every file the
+package reads.  A record that must hold every field (a run log's episodes, a
+report's metrics) is read by one function generated per class on first
+use: it compares the key set in one step, takes each value of exactly its
+annotated type inline (a float only if finite), and stores the fields into
 the new instance's ``__dict__`` without a call per field.  On any mismatch
-it hands the whole document to the generic walk, :func:`_decode`, which
-stays the reference and the only code that words an error, so every
-message and dotted key is the same either way.  Config files, whose keys
-may be missing, are read by the walk alone.
+it hands the document to the generic walk, :func:`_decode`, the reference
+and the only code that words an error.  :func:`from_doc` is the walk alone:
+it reads config files, whose keys may be missing, and the config in a run
+log's header, once per log.  Run logs and transcripts are written through
+:class:`RecordWriter`.
 """
 
 from __future__ import annotations
@@ -48,8 +47,9 @@ import math
 import types
 import typing
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
-from .errors import InvalidInput, TwinloopError
+from .errors import InvalidInput, OutputError, TwinloopError
 
 _MISSING = dataclasses.MISSING
 
@@ -184,6 +184,35 @@ def dumps_record(record) -> str:
     return _encode(record)
 
 
+class RecordWriter:
+    """A file of record lines, opened for writing.  Each line is flushed as
+    it is written, so a partial file stays readable.  A failed write or
+    close raises :class:`OutputError` naming the file as ``what``."""
+
+    def __init__(self, path: str | Path, what: str):
+        self._fh = open(path, "w", encoding="utf-8")
+        self._failed = f"cannot write {what} {path}: "
+
+    def write_line(self, line: str) -> None:
+        try:
+            self._fh.write(line + "\n")
+            self._fh.flush()
+        except OSError as exc:
+            raise OutputError(self._failed + str(exc)) from exc
+
+    def close(self) -> None:
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise OutputError(self._failed + str(exc)) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 # --- decoding ------------------------------------------------------------------
 
 
@@ -211,9 +240,7 @@ def from_doc(cls: type, doc, where: str = "", defaults: bool = False):
     ``where``.
     """
     try:
-        if defaults:
-            return _decode(cls, doc, True)
-        return _read(cls, doc)
+        return _decode(cls, doc, defaults)
     except _Mismatch as exc:
         path = ".".join(([where] if where else []) + exc.keys[::-1])
         raise InvalidInput(str(exc).replace("{path}", path)) from None
@@ -223,38 +250,50 @@ def _refuse(text: str):
     raise ValueError(f"{text} is not a finite JSON number")
 
 
+class _Decoder(json.JSONDecoder):
+    """json's decoder, with nesting beyond the interpreter's recursion limit
+    a ValueError like any other text that is not JSON."""
+
+    def decode(self, s: str):
+        try:
+            return super().decode(s)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
 # json.loads for the files a run starts from: config, twin parameters and
 # transcripts.  NaN and Infinity, which JSON lacks, and numbers beyond a
 # float's range are refused; null is how an infinite bound is written.
-loads_finite = json.JSONDecoder(
+loads_finite = _Decoder(
     parse_constant=_refuse, parse_float=lambda t: x if math.isfinite(x := float(t)) else _refuse(t)
 ).decode
 
 
 # The C scanner json.loads runs after its Python-level checks, with NaN and
 # Infinity refused as in loads_finite; a number beyond a float's range scans
-# as an infinity, which a record's float fields refuse.  Only JSON
-# whitespace may follow a record on its line.
+# as an infinity, which a record's float fields refuse.
 _scan = json.JSONDecoder(parse_constant=_refuse).scan_once
+# JSON's whitespace, the only text a record line may hold besides its value;
+# str.strip() and bytes.strip() strip more.
 _JSON_SPACE = " \t\n\r"
 
 
 def loads_record(line: str, cls: type | None = None):
     """Decode one record line: a dict, or with ``cls`` an instance of that
     dataclass with every field present.  A line that is not a JSON object,
-    or holds NaN or Infinity, raises ValueError; a record that does not fit
-    ``cls``, InvalidInput.
+    holds NaN or Infinity or nests too deeply raises ValueError; a record
+    that does not fit ``cls``, InvalidInput.
 
-    The line is scanned once, from its first character; a value followed by
+    A value that scans from the line's first character and is followed by
     JSON whitespace alone is taken as it is.  Anything else (leading
-    whitespace, a BOM, trailing data, no value) goes to ``json.loads``, which
-    accepts or words the error as it always has."""
+    whitespace, a BOM, trailing data, no value) goes to ``json.loads``,
+    which accepts it or words the error."""
     try:
         doc, end = _scan(line, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         end = -1
     if end < 0 or line[end:].strip(_JSON_SPACE):
-        doc = json.loads(line, parse_constant=_refuse)
+        doc = json.loads(line, cls=_Decoder, parse_constant=_refuse)
     if type(doc) is not dict:
         raise ValueError("record line is not a JSON object")
     if cls is None:
@@ -300,15 +339,6 @@ def _decode(cls: type, doc, defaults: bool):
 # lets through from a field's converter, an enum lookup or the class's own
 # check.  _decode then reads the document again and words the error.
 _REFUSALS = (_Mismatch, KeyError, TypeError, TwinloopError)
-
-
-def _read(cls: type, doc):
-    """``_decode(cls, doc, False)``, by the class's generated reader unless
-    the document does not fit it."""
-    try:
-        return (_READERS.get(cls) or _reader(cls))(doc)
-    except _REFUSALS:
-        return _decode(cls, doc, False)
 
 
 _READERS: dict = {}

@@ -23,9 +23,10 @@ from pathlib import Path
 
 from . import twin
 from .agents import (
+    ANOMALY,
+    CONTINUOUS,
     AgentSpec,
     Thresholds,
-    Verdict,
     compose_feedback,
     expected_action,
     monitor_trigger,
@@ -41,10 +42,9 @@ from .errors import (
     InvalidInput,
     InvalidState,
     LogFormatError,
-    OutputError,
     ParseError,
 )
-from .jsonio import dumps_record, from_doc, loads_record
+from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, from_doc, loads_record
 from .plantio import HeaterAction, LOCKSTEP, CLOCK_MODES
 
 RULE = "rule"
@@ -54,8 +54,6 @@ EXPECTED_RULE = "expected_rule"
 FORCE_OFF = "force_off"
 
 LOG_FORMAT = "twinloop-run-log/1"
-# JSON's whitespace; a run-log line holding nothing else is skipped.
-_JSON_SPACE = b" \t\n\r"
 
 # Idle poll period when the anomaly monitor declines a sample and no explicit
 # sample_period_floor is set; without it a lockstep clock would never move.
@@ -93,11 +91,11 @@ class ValidatorMode:
 
 @dataclass(frozen=True)
 class MonitorMode:
-    kind: str = "continuous"
+    kind: str = CONTINUOUS
     margin: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("continuous", "anomaly"):
+        if self.kind not in (CONTINUOUS, ANOMALY):
             raise InvalidInput(f"unknown monitor mode {self.kind!r}")
         if not 0.0 <= self.margin < math.inf:
             raise InvalidInput("monitor margin must be finite and >= 0")
@@ -190,19 +188,6 @@ def _twin_snapshot(plant, t_sensor: float) -> twin.TwinState:
     return twin.TwinState(t_sensor, t_sensor, plant.clock)
 
 
-def _validate_twin(
-    proposal: HeaterAction,
-    t_sensor: float,
-    validator: ValidatorMode,
-    plant,
-    twin_params: twin.TwinParams | None,
-) -> Verdict:
-    if twin_params is None:
-        raise InvalidState("twin validator mode requires twin parameters")
-    state = _twin_snapshot(plant, t_sensor)
-    return validate_twin(twin_params, state, proposal, validator.horizon, validator.envelope)
-
-
 def run_episode(
     plant,
     backend,
@@ -218,10 +203,13 @@ def run_episode(
     the episode.  Parse failures and backend errors consume an attempt just
     like a failed validation; a backend error's elapsed time is its attempt's
     latency.  If no attempt passes within ``max_reprompts + 1``, the safety
-    action is applied and the episode is marked as overridden.
+    action is applied and the episode is marked as overridden.  A twin
+    validator rolls each proposal out from the plant's state with
+    ``twin_params``, which :func:`run_loop` has checked are given.
     """
     th = config.thresholds
     rule = config.validator.kind == RULE
+    horizon, envelope = config.validator.horizon, config.validator.envelope
     sample = plant.read_temperature()
     t_sensor = sample.t_sensor
     attempts: list[AttemptRecord] = []
@@ -256,7 +244,8 @@ def run_episode(
                 if rule:
                     verdict = validate_rule(proposal, t_sensor, prev, th)
                 else:
-                    verdict = _validate_twin(proposal, t_sensor, config.validator, plant, twin_params)
+                    state = _twin_snapshot(plant, t_sensor)
+                    verdict = validate_twin(twin_params, state, proposal, horizon, envelope)
                 reason, error = verdict.reason, None
         passed = verdict is not None and verdict.passed
         attempts.append(
@@ -313,11 +302,8 @@ def run_loop(
     while plant.clock < config.duration:
         # the cold-start episode always runs; afterwards the anomaly monitor
         # (when configured) gates on a fresh reading
-        if episodes and config.monitor.kind == "anomaly":
-            sample = plant.read_temperature()
-            if not monitor_trigger(
-                sample, config.monitor.kind, config.thresholds, config.monitor.margin
-            ):
+        if episodes and config.monitor.kind == ANOMALY:
+            if not monitor_trigger(plant.read_temperature(), config.thresholds, config.monitor.margin):
                 floor = config.sample_period_floor
                 poll = max(floor, MIN_IDLE_TICK) if floor > 0 else DEFAULT_IDLE_POLL
                 plant.advance(poll)
@@ -353,41 +339,18 @@ def config_digest(config: RunConfig) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-class RunLogWriter:
-    """Streams a run to disk: header first, then one episode line per
-    completed episode, flushed immediately so partial runs stay readable.
-    A failed episode write or close raises :class:`OutputError`."""
+class RunLogWriter(RecordWriter):
+    """Streams a run to disk, a line at a time as :class:`RecordWriter`
+    writes: the header first, then one line per completed episode."""
 
     def __init__(self, path: str | Path, config: RunConfig):
-        self._path = path
-        self._fh = open(path, "w", encoding="utf-8")
-        header = {
-            "kind": "header",
-            "format": LOG_FORMAT,
-            "config": config,
-            "config_digest": config_digest(config),
-        }
-        self._fh.write(dumps_record(header) + "\n")
-        self._fh.flush()
+        super().__init__(path, "run log")
+        self.write_line(dumps_record({
+            "kind": "header", "format": LOG_FORMAT, "config": config, "config_digest": config_digest(config),
+        }))
 
     def write_episode(self, record: EpisodeRecord) -> None:
-        try:
-            self._fh.write(dumps_record(record) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            raise OutputError(f"cannot write run log {self._path}: {exc}") from exc
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError as exc:
-            raise OutputError(f"cannot write run log {self._path}: {exc}") from exc
-
-    def __enter__(self) -> "RunLogWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.write_line(dumps_record(record))
 
 
 def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[EpisodeRecord]]:
@@ -400,10 +363,11 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
     that is not JSON; given ``on_torn_tail``, such a line is dropped and the
     callback gets its line number, otherwise it is an error like any other.
     """
+    space = _JSON_SPACE.encode()
     with open(path, "rb") as fh:
         lines = enumerate(fh, start=1)
         for lineno, raw in lines:
-            if not raw.strip(_JSON_SPACE):
+            if not raw.strip(space):
                 continue
             try:
                 header = loads_record(raw.decode())
@@ -429,7 +393,7 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
                 episodes.append(loads_record(raw.decode(), EpisodeRecord))
             except ValueError as exc:
                 # a blank line does not parse either: look for one only here
-                if not raw.strip(_JSON_SPACE):
+                if not raw.strip(space):
                     continue
                 # only the last line can lack its newline
                 torn = isinstance(exc, json.JSONDecodeError) and not raw.endswith(b"\n")

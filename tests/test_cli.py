@@ -20,14 +20,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinloop import backends, orchestrator
+from twinloop import jsonio
 from twinloop.agents import AgentSpec, TaskSpec, render_prompt
 from twinloop.backends import ScriptedBackend
 from twinloop.cli import main, load_config
 from twinloop.errors import ConfigError, LogFormatError
-from twinloop.jsonio import loads_record
+from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
-from twinloop.orchestrator import read_run_log
+from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
 from twinloop.plantio import HeaterAction, PlantProtocol, PlantSample, TwinPlant
 from twinloop.tcp import PlantServer
 
@@ -412,12 +412,9 @@ class TestCmdRun:
         )
         assert read_run_log(replayed)[1] == read_run_log(recorded)[1]
 
-    @pytest.mark.parametrize(
-        "module, flag, what",
-        [(orchestrator, "--out", "run log"), (backends, "--record", "transcript")],
-    )
+    @pytest.mark.parametrize("flag, what", [("--out", "run log"), ("--record", "transcript")])
     def test_failed_output_write_exits_2_keeping_the_partial_log(
-        self, tmp_path, capsys, monkeypatch, module, flag, what
+        self, tmp_path, capsys, monkeypatch, flag, what
     ):
         failing = {"--out": tmp_path / "r.jsonl", "--record": tmp_path / "t.jsonl"}[flag]
 
@@ -447,7 +444,8 @@ class TestCmdRun:
             fh = open(path, mode, **kwargs)
             return FullDisk(fh) if Path(path) == failing and "w" in mode else fh
 
-        monkeypatch.setattr(module, "open", open_failing, raising=False)
+        # both files are opened by jsonio's RecordWriter
+        monkeypatch.setattr(jsonio, "open", open_failing, raising=False)
         log, transcript = tmp_path / "r.jsonl", tmp_path / "t.jsonl"
         code = main([
             "run", "--config", str(CASE_CONFIG), "--out", str(log), "--record", str(transcript),
@@ -460,6 +458,18 @@ class TestCmdRun:
         )
         _, episodes = read_run_log(log)
         assert 0 < len(episodes) < 100
+
+    def test_failed_header_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        class FullDisk:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(jsonio, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        log = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(CASE_CONFIG), "--out", str(log)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write run log {log}: [Errno 28] No space left on device\n"
+        )
 
     def test_duration_override(self, tmp_path, capsys):
         log = tmp_path / "short.jsonl"
@@ -1136,3 +1146,53 @@ print(sorted(m for m in {HTTP_STACK!r} if m in sys.modules))
     after_import, after_backend = proc.stdout.splitlines()
     assert after_import == "[]"
     assert after_backend == repr(sorted(HTTP_STACK))
+
+
+# --- an odd input file is one error line and exit 2 ----------------------------
+
+ODD_LINES = {
+    "deep nesting": b"[" * 100000,
+    "NaN": b'{"latency": NaN}',
+    "non-UTF-8 byte": b'{"model": "\xff"}',
+    "vertical tab and form feed": b"\x0b\x0c",
+}
+
+# the first line of a run log, as RunLogWriter writes it
+RUN_LOG_HEADER = dumps_record({
+    "kind": "header", "format": LOG_FORMAT, "config": RunConfig(), "config_digest": config_digest(RunConfig()),
+})
+
+# Per input: the argv naming the file as {file} and any output as {out}, the
+# file's lines before the odd one, and how the error line starts.
+ODD_FILE_COMMANDS = {
+    "report --log": (
+        ["report", "--log", "{file}"], [RUN_LOG_HEADER], "report error (line 2): bad log line: ",
+    ),
+    "run --config": (
+        ["run", "--config", "{file}", "--out", "{out}"], [],
+        "config error: config file {file} is not valid JSON: ",
+    ),
+    "run --backend replay:": (
+        ["run", "--config", str(CASE_CONFIG), "--backend", "replay:{file}", "--out", "{out}"],
+        ['{"response_text": "ACTION: ON", "latency": 1.0}'],
+        "config error: bad transcript {file} (line 2): bad transcript line: ",
+    ),
+    "plant-serve --params": (
+        ["plant-serve", "--listen", "127.0.0.1:0", "--params", "{file}"], [],
+        "config error: params file {file} is not valid JSON: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("odd", list(ODD_LINES))
+@pytest.mark.parametrize("command", list(ODD_FILE_COMMANDS))
+def test_an_odd_input_file_is_one_error_line_and_exit_2(tmp_path, capsys, command, odd):
+    argv, before, message = ODD_FILE_COMMANDS[command]
+    names = {"file": tmp_path / "input", "out": tmp_path / "out.jsonl"}
+    names["file"].write_bytes("".join(line + "\n" for line in before).encode() + ODD_LINES[odd] + b"\n")
+    code = main([arg.format(**names) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(message.format(**names))

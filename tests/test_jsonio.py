@@ -15,7 +15,6 @@ import typing
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,7 +24,7 @@ from twinloop.backends import Exchange
 from twinloop import jsonio
 from twinloop.cli import load_config
 from twinloop.errors import InvalidInput, LogFormatError
-from twinloop.jsonio import dumps_record, format_float, from_doc
+from twinloop.jsonio import dumps_record, format_float, from_doc, loads_record
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
     EXPECTED_RULE,
@@ -356,18 +355,12 @@ RECORDS = {
 }
 
 
-def refuse_every_document(doc):
-    raise TypeError("refused")
-
-
 def decoded(cls, doc, generic: bool):
-    """``from_doc(cls, doc)``, or its InvalidInput text.  With ``generic``,
-    the class's generated reader refuses every document, so the generic
-    decoder reads it."""
-    readers = {cls: refuse_every_document} if generic else {}
+    """``doc``'s line read by ``loads_record(line, cls)``, or its InvalidInput
+    text.  With ``generic``, the walk alone, ``from_doc``, reads the line."""
+    line = json.dumps(doc)
     try:
-        with mock.patch.dict(jsonio._READERS, readers):
-            return from_doc(cls, doc, "rec")
+        return from_doc(cls, json.loads(line)) if generic else loads_record(line, cls)
     except InvalidInput as exc:
         return f"InvalidInput: {exc}"
 
@@ -470,10 +463,10 @@ def test_a_record_that_fits_is_read_without_the_walk(monkeypatch):
     episode = EpisodeRecord(3, 1.5, 26.0, HeaterAction.ON, ATTEMPTS, HeaterAction.ON, True, 3.0)
     config = RunConfig(validator=ValidatorMode(TWIN, 60.0, (20.0, math.inf)))
     for record in (episode, config):
-        assert from_doc(type(record), json.loads(dumps_record(record))) == record
+        assert loads_record(dumps_record(record), type(record)) == record
     assert walked == []
     with pytest.raises(InvalidInput, match="'attempts.1.latency' must be a number"):
-        from_doc(EpisodeRecord, json.loads(dumps_record(episode).replace("0.500", '"slow"')))
+        loads_record(dumps_record(episode).replace("0.500", '"slow"'), EpisodeRecord)
     assert walked[0] is EpisodeRecord
 
 

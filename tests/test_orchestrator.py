@@ -664,3 +664,17 @@ class TestRunConfigValidation:
         # each would write a log line that reads back as an error, or as another config
         with pytest.raises(InvalidInput):
             build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MonitorMode(kind="sometimes"),
+            lambda: MonitorMode(margin=-0.1),
+            lambda: ValidatorMode(kind="twin", horizon=60.0, envelope=(30.0, 20.0)),
+        ],
+        ids=["unknown monitor mode", "negative margin", "ill-ordered twin envelope"],
+    )
+    def test_a_mode_the_loop_does_not_check_again_is_refused(self, build):
+        # monitor_trigger and validate_twin take these values as given
+        with pytest.raises(InvalidInput):
+            build()
