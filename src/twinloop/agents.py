@@ -14,10 +14,10 @@ import functools
 import math
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import twin
-from .errors import InvalidInput, InvalidState, ParseError, TemplateError
+from .errors import InvalidInput, InvalidState, ParseError, TemplateError, frozen
 from .plantio import HeaterAction, PlantSample
 
 CONTINUOUS = "continuous"
@@ -29,7 +29,7 @@ _ACTION_RE = re.compile(r"action\s*:\s*(on|off)\b", re.IGNORECASE)
 _ACTIONS = {a._value_: a for a in HeaterAction}
 
 
-@dataclass(frozen=True)
+@frozen
 class Thresholds:
     """Hysteresis band: heater OFF above ``high``, ON below ``low``."""
 
@@ -58,7 +58,7 @@ class Thresholds:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class TaskSpec:
     """The operator's task template; the live readings fill its placeholders."""
 
@@ -86,7 +86,7 @@ class TaskSpec:
             raise TemplateError(f"task template cannot be rendered: {exc}") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class AgentSpec:
     """The operator agent: the role and goal form its system text, the task
     its user text.  Validation and reprompting are code, not agents."""
@@ -106,7 +106,7 @@ class AgentSpec:
         return f"{self.role}\n\n{self.goal}", template, "{feedback}" in template
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     """A validator's judgement of one proposal.  ``criterion`` states, for
     the corrective feedback, the check a failing verdict applied."""

@@ -17,12 +17,12 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .agents import Thresholds, expected_action
-from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted
+from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted, frozen
 from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, loads_finite
 from .plantio import HeaterAction
 
@@ -51,7 +51,7 @@ MODEL_LATENCY_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class Exchange:
     """One backend call: both prompt texts, the reply, and its latency."""
 
@@ -67,7 +67,7 @@ class Exchange:
             raise InvalidInput(f"latency must be >= 0, got {self.latency!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class DecisionContext:
     """Structured view of the decision a prompt asks for.
 
@@ -86,7 +86,7 @@ class DecisionContext:
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@frozen
 class LatencySpec:
     """Injected inference latency: none, a fixed value, or lognormal draws."""
 
@@ -123,7 +123,7 @@ class LatencySampler:
             self.sample = lambda: seconds
 
 
-@dataclass(frozen=True)
+@frozen
 class ScriptedPolicy:
     """Deterministic stand-in for a language model.
 
@@ -148,7 +148,7 @@ class ScriptedPolicy:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class BackendConfig:
     """Union config for the three backend kinds; only the selected kind's
     fields may be set."""

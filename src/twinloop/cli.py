@@ -29,7 +29,9 @@ from .backends import (
     REPLAY,
     SCRIPTED,
 )
-from .errors import ConfigError, InvalidInput, LogFormatError, OutputError, PlantIoError, ReplayExhausted
+from .errors import (
+    ConfigError, InvalidInput, LogFormatError, OutputError, PlantIoError, ReplayExhausted, frozen,
+)
 from .jsonio import from_doc, loads_finite
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import MIN_IDLE_TICK, RunConfig, RunLogWriter, read_run_log, run_loop
@@ -41,7 +43,7 @@ EXIT_CONFIG = 2
 EXIT_PLANT_IO = 3
 
 
-@dataclasses.dataclass(frozen=True)
+@frozen
 class _Agents:
     """The ``agents`` section of a config file.  Only the operator is an
     agent with a prompt; validation and reprompting are code."""
@@ -49,7 +51,7 @@ class _Agents:
     operator: AgentSpec = dataclasses.field(default_factory=AgentSpec)
 
 
-@dataclasses.dataclass(frozen=True)
+@frozen
 class LoadedConfig:
     """A run configuration file: one section per field, each written as
     the run log writes its class, so a run log header's ``config`` is a

@@ -358,10 +358,10 @@ def _generate_reader(cls: type, plan: _Plan):
     annotated type is taken as it is (a float only if finite), any other goes
     to the field's converter, and whatever does not fit raises.  A class
     without ``__post_init__`` is not called: its fields are stored in order
-    straight into the new instance's ``__dict__``, the dict its frozen
-    ``__init__`` would fill through ``object.__setattr__``, so the instance
-    holds the same attributes in the same order as a constructed one.  Any
-    other class is called."""
+    straight into the new instance's ``__dict__``, as the ``__init__`` that
+    ``errors.frozen`` generates stores them, so the instance holds the same
+    attributes in the same order as a constructed one.  Any other class is
+    called."""
     namespace = {
         "_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_new": object.__new__,
         "_isfinite": math.isfinite,

@@ -9,10 +9,10 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .agents import Thresholds
-from .errors import LogFormatError
+from .errors import LogFormatError, frozen
 from .jsonio import dumps_record
 from .orchestrator import EpisodeRecord
 from .plantio import round_half_away
@@ -40,7 +40,7 @@ _ROWS = (
 CSV_COLUMNS = tuple(column for _, column in _ROWS)
 
 
-@dataclass(frozen=True)
+@frozen
 class AccuracyMetrics:
     """Decision accuracy counters; percentages are pre-rounded to 2 decimals
     (ties away from zero)."""
@@ -54,7 +54,7 @@ class AccuracyMetrics:
     accuracy_with_reprompts: float
 
 
-@dataclass(frozen=True)
+@frozen
 class ControlMetrics:
     """Band-keeping figures: seconds spent outside the band and the
     time-weighted mean deviation from its midpoint."""
@@ -66,7 +66,7 @@ class ControlMetrics:
     midpoint: float
 
 
-@dataclass(frozen=True)
+@frozen
 class RunMetrics:
     accuracy: AccuracyMetrics
     control: ControlMetrics

@@ -16,9 +16,10 @@ control metrics.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 
 from . import twin
@@ -42,7 +43,9 @@ from .errors import (
     InvalidInput,
     InvalidState,
     LogFormatError,
+    OutputError,
     ParseError,
+    frozen,
 )
 from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, from_doc, loads_record
 from .plantio import HeaterAction, LOCKSTEP, CLOCK_MODES
@@ -62,9 +65,12 @@ DEFAULT_IDLE_POLL = 1.0
 # after at most duration / MIN_IDLE_TICK episodes even with a zero or
 # vanishing backend latency.
 MIN_IDLE_TICK = 1e-3
+# Longest run a config may ask for: one week, 252 times the case study.  A
+# mistyped duration such as 1e12 would run without end and fill the disk.
+MAX_DURATION_S = 604800.0
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidatorMode:
     kind: str = RULE
     horizon: float = 300.0
@@ -89,7 +95,7 @@ class ValidatorMode:
                 raise InvalidInput("twin validation envelope needs at least one finite bound")
 
 
-@dataclass(frozen=True)
+@frozen
 class MonitorMode:
     kind: str = CONTINUOUS
     margin: float = 0.0
@@ -101,7 +107,7 @@ class MonitorMode:
             raise InvalidInput("monitor margin must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
     duration: float = 2400.0
     max_reprompts: int = 3
@@ -114,8 +120,8 @@ class RunConfig:
     safe_action_policy: str = EXPECTED_RULE
 
     def __post_init__(self):
-        if self.duration <= 0.0 or not math.isfinite(self.duration):
-            raise InvalidInput("duration must be > 0")
+        if not 0.0 < self.duration <= MAX_DURATION_S:
+            raise InvalidInput(f"duration must lie in (0, {MAX_DURATION_S:g}] s, got {self.duration!r}")
         # a bool is an int to Python, but not to the run log's reader
         count = self.max_reprompts
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
@@ -134,7 +140,7 @@ class RunConfig:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class AttemptRecord:
     """One backend invocation inside an episode.
 
@@ -152,7 +158,7 @@ class AttemptRecord:
     latency: float
 
 
-@dataclass(frozen=True)
+@frozen
 class EpisodeRecord:
     """One full decision cycle, from sensor sample to applied action."""
 
@@ -344,10 +350,17 @@ class RunLogWriter(RecordWriter):
     writes: the header first, then one line per completed episode."""
 
     def __init__(self, path: str | Path, config: RunConfig):
-        super().__init__(path, "run log")
-        self.write_line(dumps_record({
+        header = dumps_record({
             "kind": "header", "format": LOG_FORMAT, "config": config, "config_digest": config_digest(config),
-        }))
+        })
+        super().__init__(path, "run log")
+        try:
+            self.write_line(header)
+        except OutputError:
+            # no caller holds the writer yet: close it here, and report the write
+            with contextlib.suppress(OutputError):
+                self.close()
+            raise
 
     def write_episode(self, record: EpisodeRecord) -> None:
         self.write_line(dumps_record(record))

@@ -14,11 +14,10 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import twin
-from .errors import InvalidInput
+from .errors import InvalidInput, frozen
 
 PROTOCOL_VERSION = "AGENTIC-TWIN 1.0"
 
@@ -72,7 +71,7 @@ class HeaterAction(enum.Enum):
 HeaterAction.ON.opposite, HeaterAction.OFF.opposite = HeaterAction.OFF, HeaterAction.ON
 
 
-@dataclass(frozen=True)
+@frozen
 class PlantSample:
     """One sensor reading: run-relative timestamp (s) and temperature (degC).
 

@@ -34,9 +34,7 @@ O(log horizon) samples instead of a scan of the whole rollout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .errors import InvalidInput, InvalidState
+from .errors import InvalidInput, InvalidState, frozen
 
 # Defaults give a 33 degC sensor steady state at full duty and heater/sensor
 # time constants of roughly 33 s / 100 s, so a 40 minute run cycles several
@@ -58,7 +56,7 @@ _MIN_FULL_DUTY_SENSOR_SS = 27.0
 MAX_TEMPERATURE_C = 1e12
 
 
-@dataclass(frozen=True)
+@frozen
 class TwinParams:
     """Physical coefficients of the two-node model.
 
@@ -115,7 +113,7 @@ class TwinParams:
         object.__setattr__(self, "_propagators", {100.0: full})
 
 
-@dataclass(frozen=True)
+@frozen
 class TwinState:
     """Instantaneous node temperatures (degC) and simulation clock (s)."""
 

@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,13 +19,13 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from twinloop import jsonio
+from twinloop import cli, jsonio
 from twinloop.agents import AgentSpec, TaskSpec, render_prompt
 from twinloop.backends import ScriptedBackend
 from twinloop.cli import main, load_config
-from twinloop.errors import ConfigError, LogFormatError
+from twinloop.errors import BackendError, ConfigError, LogFormatError, PlantIoError, ReplayExhausted
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
@@ -461,8 +462,15 @@ class TestCmdRun:
 
     def test_failed_header_write_exits_2(self, tmp_path, capsys, monkeypatch):
         class FullDisk:
+            closed = False
+
             def write(self, text):
                 raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                # a buffered file's close fails too; the write's error is reported
+                FullDisk.closed = True
+                raise OSError(errno.EIO, "Input/output error")
 
         monkeypatch.setattr(jsonio, "open", lambda *args, **kwargs: FullDisk(), raising=False)
         log = tmp_path / "r.jsonl"
@@ -470,6 +478,8 @@ class TestCmdRun:
         assert capsys.readouterr().err == (
             f"config error: cannot write run log {log}: [Errno 28] No space left on device\n"
         )
+        # no caller holds a writer whose header failed: it closes its own file
+        assert FullDisk.closed
 
     def test_duration_override(self, tmp_path, capsys):
         log = tmp_path / "short.jsonl"
@@ -479,6 +489,18 @@ class TestCmdRun:
         config, episodes = read_run_log(log)
         assert config.duration == 60.0
         assert episodes[-1].t_start < 60.0
+
+    def test_duration_beyond_a_week_exits_2_before_the_log_is_opened(self, tmp_path):
+        # in a child with a timeout: a run that is not refused would not end
+        log = tmp_path / "long.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinloop", "run", "--config", str(CASE_CONFIG),
+             "--duration", "1e12", "--out", str(log)],
+            capture_output=True, text=True, timeout=30, env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: duration must lie in (0, 604800] s, got 1000000000000.0\n"
+        assert not log.exists()
 
     def test_duration_shorter_than_twin_horizon_exits_2(self, tmp_path, capsys):
         path = write_config(
@@ -1196,3 +1218,148 @@ def test_an_odd_input_file_is_one_error_line_and_exit_2(tmp_path, capsys, comman
     assert "Traceback" not in err
     (line,) = err.splitlines()
     assert line.startswith(message.format(**names))
+
+
+# --- the exit-code contract, drawn ---------------------------------------------------
+
+
+class Faulty:
+    """``inner`` with the ``nth`` call of its method ``name`` raising
+    ``error()`` instead; every other attribute is ``inner``'s."""
+
+    def __init__(self, inner, name: str, nth: int, error):
+        self._inner, self._name, self._left, self._error = inner, name, nth, error
+
+    def __getattr__(self, attr):
+        value = getattr(self._inner, attr)
+        if attr != self._name:
+            return value
+
+        def call(*args, **kwargs):
+            self._left -= 1
+            if self._left == 0:
+                raise self._error()
+            return value(*args, **kwargs)
+
+        return call
+
+
+class FailingFile:
+    """A file whose ``nth`` write fails as a full disk does, and its close
+    after that too."""
+
+    def __init__(self, fh, nth: int):
+        self._fh, self._left = fh, nth
+
+    def write(self, text):
+        self._left -= 1
+        if self._left <= 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(text)
+
+    def flush(self):
+        self._fh.flush()
+
+    def close(self):
+        self._fh.close()
+        if self._left <= 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@st.composite
+def accepted_configs(draw):
+    """A config document that loads: a short lockstep run of the case study
+    with a drawn validator, monitor, reprompt budget, policy and latency."""
+    duration = draw(st.sampled_from([5.0, 30.0, 120.0]))
+    twin = {"kind": "twin", "horizon": draw(st.sampled_from([1.0, duration])), "envelope": [20.0, 30.0]}
+    latency = draw(st.sampled_from([
+        {"kind": "fixed", "seconds": 5.67}, {"kind": "fixed", "seconds": 0.5},
+        {"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
+    ]))
+    return {
+        "backend": {
+            "kind": "scripted",
+            "script": {
+                "kind": draw(st.sampled_from(["oracle", "flip", "always_wrong"])),
+                "p_wrong_first": draw(st.sampled_from([0.0, 0.4, 1.0])),
+                "p_correct_on_feedback": draw(st.sampled_from([0.0, 0.63, 1.0])),
+                "seed": draw(st.integers(0, 3)),
+            },
+            "latency": latency,
+        },
+        "run": {
+            "duration": duration,
+            "max_reprompts": draw(st.integers(0, 3)),
+            "validator": draw(st.sampled_from([{"kind": "rule"}, twin])),
+            "monitor": draw(st.sampled_from([{"kind": "continuous"}, {"kind": "anomaly", "margin": 0.5}])),
+            "initial_action": draw(st.sampled_from(["ON", "OFF"])),
+            "safe_action_policy": draw(st.sampled_from(["expected_rule", "force_off"])),
+        },
+    }
+
+
+# a fresh exception per raise: a re-raised one keeps growing its traceback
+BACKEND_ERRORS = {
+    "backend error": lambda: BackendError("service unavailable", status=503, elapsed=2.0),
+    "transcript runs out": lambda: ReplayExhausted("no recording"),
+}
+backend_faults = st.none() | st.tuples(st.integers(1, 30), st.sampled_from(list(BACKEND_ERRORS)))
+plant_faults = st.none() | st.tuples(
+    st.sampled_from(["read_temperature", "apply_heater", "advance"]), st.integers(1, 30)
+)
+
+
+@settings(max_examples=100, deadline=None)
+# a failed header write: the run log is closed before exit 2
+@example(doc={"backend": {"latency": {"kind": "fixed", "seconds": 1.0}}, "run": {"duration": 5.0}},
+         backend_fault=None, plant_fault=None, write_fault=1)
+@given(
+    doc=accepted_configs(),
+    backend_fault=backend_faults,
+    plant_fault=plant_faults,
+    write_fault=st.none() | st.integers(1, 30),
+)
+def test_every_failure_after_set_up_is_an_exit_code_and_one_line(
+    tmp_path_factory, doc, backend_fault, plant_fault, write_fault
+):
+    # a backend that fails on a drawn call, a plant that fails on a drawn
+    # call and a run log whose drawn write fails, each or none
+    tmp = tmp_path_factory.mktemp("contract")
+    config, log = tmp / "config.json", tmp / "run.jsonl"
+    config.write_text(json.dumps(doc))
+    build_backend, build_plant = cli._build_backend, cli._build_plant
+
+    def faulty_backend(backend_config):
+        backend = build_backend(backend_config)
+        if backend_fault is None:
+            return backend
+        nth, error = backend_fault
+        return Faulty(backend, "complete", nth, BACKEND_ERRORS[error])
+
+    def faulty_plant(*args):
+        plant = build_plant(*args)
+        if plant_fault is None:
+            return plant
+        name, nth = plant_fault
+        return Faulty(plant, name, nth, lambda: PlantIoError(f"link lost on {name} call {nth}"))
+
+    def open_failing(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return FailingFile(fh, write_fault) if write_fault and Path(path) == log else fh
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        patch.setattr(cli, "_build_backend", faulty_backend)
+        patch.setattr(cli, "_build_plant", faulty_plant)
+        patch.setattr(jsonio, "open", open_failing, raising=False)
+        code = main(["run", "--config", str(config), "--out", str(log)])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert lines == []
+        assert read_run_log(log)[1]
+    else:
+        (line,) = lines
+        assert line.startswith("config error" if code == 2 else "plant error")

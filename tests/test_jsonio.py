@@ -30,6 +30,7 @@ from twinloop.orchestrator import (
     EXPECTED_RULE,
     FORCE_OFF,
     LOG_FORMAT,
+    MAX_DURATION_S,
     RULE,
     TWIN,
     AttemptRecord,
@@ -179,7 +180,9 @@ def validator_modes(draw, duration):
 
 @st.composite
 def run_configs(draw):
-    duration = draw(positive)
+    duration = draw(
+        st.floats(min_value=0.0, max_value=MAX_DURATION_S, exclude_min=True) | st.integers(1, int(MAX_DURATION_S))
+    )
     return RunConfig(
         duration=duration,
         max_reprompts=draw(st.integers(0, 10**9)),

@@ -611,6 +611,13 @@ class TestRunConfigValidation:
         with pytest.raises(InvalidInput):
             RunConfig(duration=0.0)
 
+    def test_duration_beyond_a_week_refused(self):
+        # a mistyped duration would run without end and fill the disk
+        assert RunConfig(duration=604800.0).duration == 604800.0
+        for duration in (604800.5, 1e12, math.inf, math.nan):
+            with pytest.raises(InvalidInput, match=r"duration must lie in \(0, 604800\] s"):
+                RunConfig(duration=duration)
+
     def test_bad_clock_mode(self):
         with pytest.raises(InvalidInput):
             RunConfig(clock_mode="sundial")

@@ -1,0 +1,281 @@
+"""Every frozen dataclass of the package against the ``__init__`` it replaced.
+
+The record and config classes are declared through ``errors.frozen``, whose
+generated ``__init__`` stores the fields straight into ``__dict__``.  The
+oracle is the ``__init__`` that ``dataclasses.dataclass(frozen=True)``
+generates, which sets each field through ``object.__setattr__`` and then
+calls ``__post_init__``: a subclass declared that way gets it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twinloop.agents import AgentSpec, TaskSpec, Thresholds, Verdict
+from twinloop.backends import BackendConfig, DecisionContext, Exchange, LatencySpec, ScriptedPolicy
+from twinloop.cli import LoadedConfig, _Agents
+from twinloop.errors import frozen
+from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
+from twinloop.orchestrator import (
+    MAX_DURATION_S,
+    AttemptRecord,
+    EpisodeRecord,
+    MonitorMode,
+    RunConfig,
+    ValidatorMode,
+)
+from twinloop.plantio import HeaterAction, PlantSample
+from twinloop.twin import TwinParams, TwinState
+
+ON, OFF = HeaterAction.ON, HeaterAction.OFF
+ATTEMPT = AttemptRecord(0, "ACTION: OFF", OFF, False, ON, "expected ON", None, 0.5)
+
+# Positional arguments that build each class; () takes every default.
+CASES = {
+    TwinParams: (),
+    TwinState: (30.0, 26.0, 1.5),
+    PlantSample: (1.5, 26.01),
+    Thresholds: (24.0, 28.0),
+    TaskSpec: (),
+    AgentSpec: ("role", "goal", TaskSpec("{temperature} {feedback}")),
+    Verdict: (False, ON, "expected ON", "Rule: ..."),
+    Exchange: ("system", "user", "ACTION: ON", 1.25, "scripted:flip", 3.0),
+    DecisionContext: (26.0, OFF, Thresholds(), True, 3.0),
+    LatencySpec: ("lognormal", 0.0, 0.0, 0.5, 7),
+    ScriptedPolicy: ("flip", 0.4, 0.63, 3),
+    BackendConfig: (),
+    ValidatorMode: ("twin", 300.0, (20.0, 30.0)),
+    MonitorMode: ("anomaly", 0.5),
+    RunConfig: (600.0, 2),
+    AttemptRecord: tuple(ATTEMPT.__dict__.values()),
+    EpisodeRecord: (3, 1.5, 26.0, ON, (ATTEMPT,), ON, True, 3.0),
+    AccuracyMetrics: (10, 7, 3, 2, 1, 70.0, 90.0),
+    ControlMetrics: (0.75, 12.0, 3.0, 15.0, 26.0),
+    RunMetrics: (AccuracyMetrics(1, 1, 0, 0, 0, 100.0, 100.0), ControlMetrics(0.1, 0.0, 0.0, 0.0, 26.0)),
+    _Agents: (),
+    LoadedConfig: (),
+}
+
+# A change each class's __post_init__ refuses, with the refusal's text.
+INVALID = {
+    TwinParams: ({"c_h": -1.0}, "twin parameter c_h must be strictly positive"),
+    Thresholds: ({"low": 30.0}, "thresholds must satisfy low < high"),
+    TaskSpec: ({"description_template": "{setpoint}"}, "unknown placeholder {setpoint}"),
+    Verdict: ({"reason": ""}, "a failing verdict needs a reason"),
+    Exchange: ({"latency": -1.0}, "latency must be >= 0"),
+    LatencySpec: ({"kind": "gamma"}, "unknown latency kind 'gamma'"),
+    ScriptedPolicy: ({"p_wrong_first": 2.0}, "p_wrong_first must lie in [0, 1]"),
+    BackendConfig: ({"timeout": 0.0}, "backend timeout must be > 0"),
+    ValidatorMode: ({"envelope": (30.0, 20.0)}, "envelope must be well ordered"),
+    MonitorMode: ({"margin": -1.0}, "monitor margin must be finite and >= 0"),
+    RunConfig: ({"duration": MAX_DURATION_S * 2}, "duration must lie in (0, 604800] s"),
+}
+
+MODULES = ("twin", "plantio", "agents", "backends", "orchestrator", "metrics", "jsonio", "tcp", "cli", "errors")
+
+
+def package_dataclasses() -> set:
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"twinloop.{name}")
+        found |= {
+            v for v in vars(module).values()
+            if isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == module.__name__
+        }
+    return found
+
+
+_ORACLES: dict = {}
+
+
+def oracle(cls: type) -> type:
+    """``cls`` with the frozen ``__init__`` of dataclasses."""
+    if cls not in _ORACLES:
+        _ORACLES[cls] = dataclasses.dataclass(frozen=True)(type(cls.__name__, (cls,), {}))
+    return _ORACLES[cls]
+
+
+def init_kwargs(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.init}
+
+
+def outcome(build):
+    """What ``build()`` stores, in order, or the type and text of what it raises."""
+    try:
+        return list(build().__dict__.items())
+    except Exception as exc:  # noqa: BLE001 - the oracle's exception is the expectation
+        return type(exc), str(exc)
+
+
+def assert_built_as_the_oracle_builds(cls, *args, **kwargs):
+    got = outcome(lambda: cls(*args, **kwargs))
+    assert got == outcome(lambda: oracle(cls)(*args, **kwargs))
+    return got
+
+
+def test_every_package_dataclass_has_a_case():
+    assert package_dataclasses() == set(CASES)
+    assert set(INVALID) == {cls for cls in CASES if hasattr(cls, "__post_init__")}
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_the_package_init_fills_dict_as_the_frozen_init(cls):
+    # no field goes through __setattr__; a class's own checks may
+    assert "__setattr__" not in cls.__init__.__code__.co_names
+    record = cls(*CASES[cls])
+    items = assert_built_as_the_oracle_builds(cls, *CASES[cls])
+    assert list(record.__dict__.items()) == items
+    assert assert_built_as_the_oracle_builds(cls, **init_kwargs(record)) == items
+    assert record == cls(**init_kwargs(record)) and hash(record) == hash(cls(*CASES[cls]))
+    assert repr(record) == repr(oracle(cls)(*CASES[cls]))
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_instances_stay_frozen(cls):
+    record = cls(*CASES[cls])
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_defaults_factories_and_init_false_fields(cls):
+    factories = {f.name for f in dataclasses.fields(cls) if f.default_factory is not dataclasses.MISSING}
+    given = {k: v for k, v in init_kwargs(cls(*CASES[cls])).items() if k not in factories}
+    first = assert_built_as_the_oracle_builds(cls, **given)
+    record, other = cls(**given), cls(**given)
+    for f in dataclasses.fields(cls):
+        if f.name in factories:
+            assert getattr(record, f.name) == f.default_factory()
+            assert getattr(record, f.name) is not getattr(other, f.name)
+        elif not f.init:
+            # a plain default stays the class attribute
+            assert f.name not in record.__dict__ and getattr(record, f.name) == f.default
+    assert list(record.__dict__.items()) == first
+
+
+@pytest.mark.parametrize("cls", list(INVALID), ids=lambda cls: cls.__name__)
+def test_checks_run_at_construction_and_on_replace(cls):
+    changes, message = INVALID[cls]
+    valid = init_kwargs(cls(*CASES[cls]))
+    error, text = assert_built_as_the_oracle_builds(cls, **{**valid, **changes})
+    assert message in text
+    with pytest.raises(error) as raised:
+        dataclasses.replace(cls(*CASES[cls]), **changes)
+    assert str(raised.value) == text
+
+
+def test_twin_params_keep_their_propagators_after_the_fields():
+    params = TwinParams()
+    assert list(params.__dict__)[-1] == "_propagators"
+    assert TwinParams().__dict__["_propagators"] is not params.__dict__["_propagators"]
+
+
+def test_episode_kind_is_refused_as_an_argument():
+    with pytest.raises(TypeError):
+        EpisodeRecord(3, 1.5, 26.0, ON, (), ON, True, 3.0, kind="episode")
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(EpisodeRecord(*CASES[EpisodeRecord]), kind="other")
+
+
+# --- the decorator on its own ----------------------------------------------------
+
+
+def test_unsupported_fields_are_refused_when_the_class_is_declared():
+    with pytest.raises(TypeError, match="InitVar"):
+        @frozen
+        class WithInitVar:
+            scale: dataclasses.InitVar[float]
+
+    with pytest.raises(TypeError, match="keyword-only"):
+        @frozen
+        class KeywordField:
+            a: int = dataclasses.field(kw_only=True)
+
+    with pytest.raises(TypeError, match="keyword-only"):
+        @frozen
+        class AfterKwOnly:
+            a: int
+            _: dataclasses.KW_ONLY
+            b: int
+
+    with pytest.raises(TypeError, match="non-default argument 'b' follows default argument"):
+        @frozen
+        class Misordered:
+            a: int = 0
+            b: int
+
+
+def test_an_init_false_factory_field_is_filled_in_order():
+    @frozen
+    class Tagged:
+        a: int
+        tags: list = dataclasses.field(default_factory=list, init=False, compare=False, hash=False)
+        b: float = 1.0
+
+    assert assert_built_as_the_oracle_builds(Tagged, 1) == [("a", 1), ("tags", []), ("b", 1.0)]
+    assert Tagged(1).tags is not Tagged(1).tags
+
+
+# --- the seven classes each attempt builds, drawn ----------------------------------
+
+texts = st.text(max_size=20)
+numbers = st.floats(allow_nan=False) | st.integers(-(10**6), 10**6)
+actions = st.sampled_from(HeaterAction)
+attempt_records = st.builds(
+    AttemptRecord,
+    attempt_index=st.integers(0, 10),
+    raw_response=st.none() | texts,
+    parsed=st.none() | actions,
+    passed=st.booleans(),
+    expected=st.none() | actions,
+    reason=texts,
+    error=st.none() | texts,
+    latency=numbers,
+)
+HOT = {
+    "DecisionContext": st.builds(
+        DecisionContext, t_sensor=numbers, prev_action=actions,
+        thresholds=st.builds(Thresholds, low=st.just(25.0), high=st.floats(26.0, 30.0)),
+        has_feedback=st.booleans(), timestamp=numbers,
+    ),
+    "Exchange": st.builds(
+        Exchange, system_text=texts, user_text=texts, response_text=texts,
+        latency=st.floats(min_value=0.0) | st.integers(0, 10**6), model=texts, timestamp=numbers,
+    ),
+    "TwinState": st.builds(TwinState, t_heater=numbers, t_sensor=numbers, clock=numbers),
+    "AttemptRecord": attempt_records,
+    "Verdict": st.builds(
+        Verdict, passed=st.booleans(), expected=st.none() | actions, reason=st.text(min_size=1, max_size=20),
+        criterion=texts,
+    ),
+    "PlantSample": st.builds(PlantSample, timestamp=numbers, t_sensor=numbers),
+    "EpisodeRecord": st.builds(
+        EpisodeRecord, index=st.integers(0, 10**6), t_start=numbers, t_sensor=numbers, prev_action=actions,
+        attempts=st.lists(attempt_records, max_size=3).map(tuple), applied=actions, override=st.booleans(),
+        t_end=numbers,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HOT))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_hot_records_are_built_as_the_frozen_init_builds_them(name, data):
+    record = data.draw(HOT[name])
+    cls, kwargs = type(record), init_kwargs(record)
+    items = list(record.__dict__.items())
+    assert assert_built_as_the_oracle_builds(cls, **kwargs) == items
+    assert assert_built_as_the_oracle_builds(cls, *kwargs.values()) == items
+    # nan != nan, so equality and hashing are checked where they hold
+    if not any(isinstance(v, float) and math.isnan(v) for v in kwargs.values()):
+        assert record == cls(**kwargs) and hash(record) == hash(cls(**kwargs))
