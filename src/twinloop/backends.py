@@ -41,16 +41,6 @@ CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 MAX_OUTPUT_TOKENS = 512
 DEFAULT_API_KEY_ENV = "LLM_API_KEY"
 
-# Emulated single-attempt inference latencies (s) for popular hosted models,
-# derived from observed decision throughput over a 40-minute session.
-MODEL_LATENCY_PROFILES = {
-    "gpt-3.5": 5.67,
-    "gpt-4o-mini": 6.09,
-    "gpt-4o": 4.33,
-    "gpt-4": 18.75,
-}
-
-
 @frozen
 class Exchange:
     """One backend call: both prompt texts, the reply, and its latency."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -245,6 +246,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             return EXIT_PLANT_IO
 
         aborted = ", aborting run (partial log kept)"
+        # The modules and config live as long as the run: frozen, they are
+        # left out of the collections the loop's garbage sets off.
+        gc.freeze()
         try:
             try:
                 episodes = run_loop(
@@ -257,6 +261,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 )
                 aborted = ""
             finally:
+                gc.unfreeze()
                 # a served plant confirms its last queued commands as it closes
                 resources.close()
         except PlantIoError as exc:

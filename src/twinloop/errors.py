@@ -2,6 +2,8 @@
 declares its frozen record and config classes."""
 
 import dataclasses
+import operator
+import reprlib
 
 
 class TwinloopError(Exception):
@@ -57,28 +59,57 @@ class LogFormatError(TwinloopError):
         self.line_number = line_number
 
 
-def frozen(cls: type) -> type:
-    """``dataclasses.dataclass(frozen=True)`` with an ``__init__`` that
-    stores the fields straight into the new instance's ``__dict__``.
+# The methods ``frozen`` supplies; a class that defines one itself is refused.
+_SUPPLIED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 
-    The frozen ``__init__`` of dataclasses sets each field through
-    ``object.__setattr__``.  This one, generated the same way, fills
-    ``__dict__`` in one pass with the same keys in the same order, then
-    calls ``__post_init__``.  Defaults, ``default_factory`` and
-    ``init=False`` fields work as they do there; ``InitVar`` and keyword-only
-    fields are refused.  The instance stays frozen, and equality, hashing,
-    ``repr``, ``replace`` and ``fields`` are dataclasses' own.
+
+def frozen(cls: type) -> type:
+    """A frozen dataclass declared with one ``exec`` of its own generated source.
+
+    ``dataclasses.dataclass(frozen=True)`` generates six methods per class
+    and, before Python 3.13, ``exec``s each on its own; a process start-up
+    pays for every one.  Here dataclasses collects the fields and sets
+    ``__match_args__`` only; one ``exec`` then builds two methods:
+
+    - ``__init__`` stores the arguments straight into the new instance's
+      ``__dict__``, with the frozen ``__init__``'s keys in its order, then
+      calls ``__post_init__``.  Defaults, ``default_factory`` and
+      ``init=False`` fields work as in dataclasses; ``InitVar`` and
+      keyword-only fields are refused.
+    - ``__repr__`` is the dataclasses text, ``Name(a=1, b=2)`` over the
+      ``repr`` fields, with the same guard against recursion.
+
+    ``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__`` are
+    closures over the class and its field names, with dataclasses'
+    semantics.  Equality compares the tuples of the ``compare`` fields of
+    two instances of the same class; Python 3.13's field-by-field
+    comparison differs from it only for a value unequal to itself.  The
+    hash is that of the tuple of the ``hash`` fields.  Setting or deleting
+    a field, or any attribute of the class's own instances, raises
+    ``FrozenInstanceError``.  The class reads as ``dataclass(frozen=True)``,
+    so a stdlib frozen dataclass may subclass it, and ``fields``,
+    ``replace`` and ``asdict`` are dataclasses' own.
+
+    From Python 3.13 on, dataclasses ``exec``s one source per class, all
+    its methods together, and does so even when it generates none; a class
+    there costs two ``exec``s, as it did with the stdlib's methods, but the
+    stdlib's compiles no method.
     """
-    cls = dataclasses.dataclass(frozen=True, init=False)(cls)
+    for name in _SUPPLIED:
+        if name in cls.__dict__:
+            raise TypeError(f"{cls.__name__} defines {name}, which frozen supplies")
+    cls = dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+    # what dataclass(frozen=True, init=False) records
+    recorded = cls.__dataclass_params__
+    recorded.repr = recorded.eq = recorded.frozen = True
+    fields = [f for f in cls.__dataclass_fields__.values() if f._field_type is not dataclasses._FIELD_CLASSVAR]
     # Generated names start with two underscores: a field so named in a
     # class body is mangled, so none can shadow them.
-    namespace = {"__factory": dataclasses._HAS_DEFAULT_FACTORY}
+    namespace = {"__factory": dataclasses._HAS_DEFAULT_FACTORY, "__guard": reprlib.recursive_repr()}
     params, body = ["__self"], ["__d = __self.__dict__"]
-    for f in cls.__dataclass_fields__.values():
+    for f in fields:
         if f._field_type is dataclasses._FIELD_INITVAR or f.kw_only is True:
             raise TypeError(f"{cls.__name__}.{f.name}: InitVar and keyword-only fields are not supported")
-        if f._field_type is not dataclasses._FIELD:
-            continue
         if f.default_factory is not dataclasses.MISSING:
             namespace[f"__make_{f.name}"] = f.default_factory
             if f.init:
@@ -101,7 +132,48 @@ def frozen(cls: type) -> type:
         body.append(f"__d[{f.name!r}] = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("__self.__post_init__()")
-    exec(f"def __init__({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body), namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    shown = ", ".join(f"{f.name}={{__self.{f.name}!r}}" for f in fields if f.repr)
+    exec(
+        f"def __init__({', '.join(params)}):\n"
+        + "".join(f"    {line}\n" for line in body)
+        + "@__guard\ndef __repr__(__self):\n"
+        + f'    return __self.__class__.__qualname__ + f"({shown})"\n',
+        namespace,
+    )
+
+    names = tuple(f.name for f in fields)
+    compared = _fields_tuple([f.name for f in fields if f.compare])
+    hashed = _fields_tuple([f.name for f in fields if (f.compare if f.hash is None else f.hash)])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(hashed(self))
+
+    # Every attribute of the class's own instances is frozen; a plain
+    # subclass's instances may add attributes, but not change a field.
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for method in (namespace["__init__"], namespace["__repr__"], __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     return cls
+
+
+def _fields_tuple(names: list):
+    """A function from an instance to the tuple of its ``names`` fields."""
+    if len(names) == 1:
+        get = operator.attrgetter(names[0])
+        return lambda self: (get(self),)
+    return operator.attrgetter(*names) if names else lambda self: ()

@@ -68,6 +68,8 @@ class ControlMetrics:
 
 @frozen
 class RunMetrics:
+    """A run's report: its accuracy counters and its control figures."""
+
     accuracy: AccuracyMetrics
     control: ControlMetrics
 

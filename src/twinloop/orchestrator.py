@@ -72,6 +72,10 @@ MAX_DURATION_S = 604800.0
 
 @frozen
 class ValidatorMode:
+    """How a proposal is judged: by the hysteresis rule, or by a twin
+    rollout of ``horizon`` seconds that must keep the sensor inside
+    ``envelope``."""
+
     kind: str = RULE
     horizon: float = 300.0
     envelope: tuple[float, float] = (-math.inf, math.inf)
@@ -97,6 +101,9 @@ class ValidatorMode:
 
 @frozen
 class MonitorMode:
+    """Which samples start an episode: every one, or, for ``anomaly``, only
+    a reading more than ``margin`` beyond the band."""
+
     kind: str = CONTINUOUS
     margin: float = 0.0
 
@@ -109,6 +116,10 @@ class MonitorMode:
 
 @frozen
 class RunConfig:
+    """The ``run`` section of a config and the run log header's ``config``:
+    how long the loop runs, how often it reprompts, and how it validates,
+    monitors, keeps time and falls back to a safety action."""
+
     duration: float = 2400.0
     max_reprompts: int = 3
     sample_period_floor: float = 0.0

@@ -21,7 +21,6 @@ from twinloop.backends import (
     ScriptedPolicy,
     TranscriptRecorder,
     load_replay,
-    MODEL_LATENCY_PROFILES,
 )
 from twinloop.errors import (
     BackendError,
@@ -37,6 +36,15 @@ from twinloop.twin import TwinParams
 TH = Thresholds()
 ON = HeaterAction.ON
 OFF = HeaterAction.OFF
+
+# Emulated single-attempt inference latencies (s) for popular hosted models,
+# derived from observed decision throughput over a 40-minute session.
+MODEL_LATENCY_PROFILES = {
+    "gpt-3.5": 5.67,
+    "gpt-4o-mini": 6.09,
+    "gpt-4o": 4.33,
+    "gpt-4": 18.75,
+}
 
 
 def ctx(t, prev=OFF, has_feedback=False, timestamp=0.0):

@@ -282,6 +282,27 @@ class TestCmdRun:
         assert len(episodes) > 0
         assert all(not e.override for e in episodes)
 
+    def test_the_loop_runs_with_set_up_frozen_and_leaves_nothing_frozen(self, tmp_path, capsys, monkeypatch):
+        frozen_in_loop = []
+        run_loop = cli.run_loop
+
+        def counted(*args, **kwargs):
+            frozen_in_loop.append(gc.get_freeze_count())
+            return run_loop(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            frozen_in_loop.append(gc.get_freeze_count())
+            raise PlantIoError("connection lost")
+
+        argv = ["run", "--config", str(CASE_CONFIG), "--duration", "600", "--out"]
+        monkeypatch.setattr(cli, "run_loop", counted)
+        assert main([*argv, str(tmp_path / "run.jsonl")]) == 0
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(cli, "run_loop", failing)
+        assert main([*argv, str(tmp_path / "failed.jsonl")]) == 3
+        assert gc.get_freeze_count() == 0
+        assert len(frozen_in_loop) == 2 and min(frozen_in_loop) > 0
+
     def test_missing_config_exits_2_naming_path(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "r.jsonl")])
         assert code == 2

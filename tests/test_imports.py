@@ -117,6 +117,44 @@ def test_plant_server_loads_no_loop_module():
     assert "twinloop.tcp" in loaded
 
 
+
+def test_cli_import_generates_one_code_object_per_frozen_class():
+    """Start-up compiles generated source once per record class, and never
+    builds a signature (dataclasses' docstring of an undocumented class)."""
+    got = run_child(
+        "import builtins, inspect, json, sys\n"
+        "generated, signatures = [], []\n"
+        "def counting(call):\n"
+        "    def counted(source, *args, **kwargs):\n"
+        "        if isinstance(source, str):\n"
+        "            generated.append(call.__name__)\n"
+        "        return call(source, *args, **kwargs)\n"
+        "    return counted\n"
+        "for name in ('exec', 'eval', 'compile'):\n"
+        "    setattr(builtins, name, counting(getattr(builtins, name)))\n"
+        "signature = inspect.signature\n"
+        "inspect.signature = lambda *args, **kwargs: signatures.append(args) or signature(*args, **kwargs)\n"
+        "import twinloop.cli\n"
+        "imported = len(generated)\n"
+        "classes = {\n"
+        "    v for m in list(sys.modules.values()) if m.__name__.startswith('twinloop.')\n"
+        "    for v in vars(m).values() if '__dataclass_fields__' in getattr(v, '__dict__', ())\n"
+        "}\n"
+        "import dataclasses\n"
+        "bare = type('Bare', (), {'__doc__': 'A bare class.', '__annotations__': {'x': int}})\n"
+        "dataclasses.dataclass(init=False, repr=False, eq=False)(bare)\n"
+        "print(json.dumps({'generated': imported, 'classes': len(classes),\n"
+        "                  'stdlib': len(generated) - imported, 'signatures': len(signatures)}))\n"
+    )
+    # ``stdlib`` is what the dataclasses call inside frozen compiles for one
+    # class: nothing before Python 3.13, from 3.13 on one source that holds
+    # no method; the constant covers generated source elsewhere, such as a
+    # namedtuple's
+    assert got["classes"] == 22
+    assert got["stdlib"] <= 1
+    assert got["generated"] <= got["classes"] * (1 + got["stdlib"]) + 3
+    assert got["signatures"] == 0
+
 @pytest.fixture(scope="module")
 def run_log(tmp_path_factory):
     from twinloop.cli import main

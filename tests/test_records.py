@@ -1,17 +1,23 @@
-"""Every frozen dataclass of the package against the ``__init__`` it replaced.
+"""Every frozen dataclass of the package against the methods it replaced.
 
 The record and config classes are declared through ``errors.frozen``, whose
-generated ``__init__`` stores the fields straight into ``__dict__``.  The
-oracle is the ``__init__`` that ``dataclasses.dataclass(frozen=True)``
-generates, which sets each field through ``object.__setattr__`` and then
-calls ``__post_init__``: a subclass declared that way gets it.
+generated ``__init__`` stores the fields straight into ``__dict__`` and
+whose ``__repr__``, ``__eq__``, ``__hash__``, ``__setattr__`` and
+``__delattr__`` are its own.  The oracle is what
+``dataclasses.dataclass(frozen=True)`` generates: an ``__init__`` that sets
+each field through ``object.__setattr__`` and then calls
+``__post_init__``, and the other five methods.  A subclass declared that way
+gets them.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +82,17 @@ INVALID = {
     RunConfig: ({"duration": MAX_DURATION_S * 2}, "duration must lie in (0, 604800] s"),
 }
 
+
+@frozen
+class Tagged:
+    """Field options no package class uses: an ``init=False`` factory that is
+    neither compared nor hashed, and a compared field left out of the hash."""
+
+    a: int
+    tags: list = dataclasses.field(default_factory=list, init=False, compare=False, hash=False)
+    b: float = dataclasses.field(default=1.0, hash=False)
+
+
 MODULES = ("twin", "plantio", "agents", "backends", "orchestrator", "metrics", "jsonio", "tcp", "cli", "errors")
 
 
@@ -136,18 +153,6 @@ def test_the_package_init_fills_dict_as_the_frozen_init(cls):
 
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
-def test_instances_stay_frozen(cls):
-    record = cls(*CASES[cls])
-    for f in dataclasses.fields(cls):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, f.name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(record, f.name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        record.extra = 1
-
-
-@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 def test_defaults_factories_and_init_false_fields(cls):
     factories = {f.name for f in dataclasses.fields(cls) if f.default_factory is not dataclasses.MISSING}
     given = {k: v for k, v in init_kwargs(cls(*CASES[cls])).items() if k not in factories}
@@ -187,6 +192,118 @@ def test_episode_kind_is_refused_as_an_argument():
         dataclasses.replace(EpisodeRecord(*CASES[EpisodeRecord]), kind="other")
 
 
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_docstrings_are_written_not_generated(cls):
+    # dataclasses writes ``Name(...)`` from inspect.signature, at import time
+    assert cls.__doc__ and not re.fullmatch(rf"{cls.__name__}\(.*\)", cls.__doc__, re.S)
+
+
+# --- the methods frozen supplies, against the oracle's ------------------------------
+
+
+def as_oracle(record):
+    """An instance of the oracle class with ``record``'s state."""
+    twin = object.__new__(oracle(type(record)))
+    twin.__dict__.update(record.__dict__)
+    return twin
+
+
+def assert_compared_as_the_oracle_compares(a, b):
+    oa, ob = as_oracle(a), as_oracle(b)
+    assert (a == b, a != b, b == a) == (oa == ob, oa != ob, ob == oa)
+    assert (hash(a), hash(b)) == (hash(oa), hash(ob))
+    assert (repr(a), repr(b)) == (repr(oa), repr(ob))
+
+
+def raised(action, *args):
+    try:
+        action(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle's exception is the expectation
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_equality_hash_and_repr_are_the_oracles(cls):
+    record = cls(*CASES[cls])
+    assert_compared_as_the_oracle_compares(record, cls(**init_kwargs(record)))
+    assert record == cls(*CASES[cls]) and not record != cls(*CASES[cls])
+    # another class's instance, the oracle's too, is never equal
+    assert record.__eq__(as_oracle(record)) is NotImplemented and record.__eq__(None) is NotImplemented
+    assert record != as_oracle(record) and as_oracle(record) != record
+
+
+def test_fields_left_out_of_compare_and_hash_as_the_oracle_leaves_them():
+    episode = EpisodeRecord(*CASES[EpisodeRecord])
+    renamed = EpisodeRecord(*CASES[EpisodeRecord])
+    object.__setattr__(renamed, "kind", "other")
+    tagged = Tagged(1)
+    tagged.tags.append("x")
+    pairs = [(episode, renamed), (Tagged(1, 2.0), Tagged(1, 3.0)), (Tagged(1), Tagged(2)), (tagged, Tagged(1))]
+    for a, b in pairs:
+        assert_compared_as_the_oracle_compares(a, b)
+    assert episode == renamed and hash(episode) == hash(renamed) and repr(episode) == repr(renamed)
+    assert Tagged(1, 2.0) != Tagged(1, 3.0) and hash(Tagged(1, 2.0)) == hash(Tagged(1, 3.0))
+    assert tagged == Tagged(1)
+
+
+def test_a_record_inside_itself_is_shown_as_the_oracle_shows_it():
+    tagged, twin = Tagged(1), oracle(Tagged)(1)
+    tagged.tags.append(tagged)
+    twin.tags.append(twin)
+    assert repr(tagged) == repr(twin) == "Tagged(a=1, tags=[...], b=1.0)"
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_instances_stay_frozen(cls):
+    record, twin = cls(*CASES[cls]), oracle(cls)(*CASES[cls])
+    for name in [f.name for f in dataclasses.fields(cls)] + ["extra"]:
+        for action, args in ((setattr, (name, None)), (delattr, (name,))):
+            refused = raised(action, record, *args)
+            assert refused[0] is dataclasses.FrozenInstanceError and refused == raised(action, twin, *args)
+    # a plain subclass may add attributes, but not set or delete a field
+    plain = type(cls.__name__, (cls,), {})(*CASES[cls])
+    plain.extra = 1
+    assert plain.extra == 1
+    del plain.extra
+    assert "extra" not in plain.__dict__
+    for f in dataclasses.fields(cls):
+        assert raised(setattr, plain, f.name, None) == (
+            dataclasses.FrozenInstanceError, f"cannot assign to field {f.name!r}"
+        )
+        assert raised(delattr, plain, f.name) == (dataclasses.FrozenInstanceError, f"cannot delete field {f.name!r}")
+
+
+@pytest.mark.parametrize("cls", list(CASES) + [Tagged], ids=lambda cls: cls.__name__)
+def test_the_class_reads_as_a_stdlib_frozen_dataclass(cls):
+    declared = dataclasses.dataclass(frozen=True, init=False)(type("Declared", (), {}))
+    assert repr(cls.__dataclass_params__) == repr(declared.__dataclass_params__)
+    # the oracle, a stdlib frozen subclass, takes the fields as they are
+    assert dataclasses.fields(oracle(cls)) == dataclasses.fields(cls)
+    assert cls.__match_args__ == oracle(cls).__match_args__
+    with pytest.raises(TypeError, match="cannot inherit non-frozen dataclass from a frozen one"):
+        dataclasses.dataclass(type(cls.__name__, (cls,), {}))
+
+
+def test_records_match_by_position():
+    match AttemptRecord(*CASES[AttemptRecord]):
+        case AttemptRecord(index, _, parsed, passed, _, _, _, latency):
+            assert (index, parsed, passed, latency) == (0, OFF, False, 0.5)
+        case _:
+            pytest.fail("no match")
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_replace_astuple_copy_and_pickle_keep_the_record(cls):
+    record = cls(*CASES[cls])
+    for made in (dataclasses.replace(record), copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(made) is cls and made == record
+        assert list(made.__dict__.items()) == list(record.__dict__.items())
+    twin = oracle(cls)(*CASES[cls])
+    assert dataclasses.astuple(record) == dataclasses.astuple(twin)
+    assert dataclasses.asdict(record) == dataclasses.asdict(twin)
+
+
 # --- the decorator on its own ----------------------------------------------------
 
 
@@ -215,13 +332,13 @@ def test_unsupported_fields_are_refused_when_the_class_is_declared():
             b: int
 
 
-def test_an_init_false_factory_field_is_filled_in_order():
-    @frozen
-    class Tagged:
-        a: int
-        tags: list = dataclasses.field(default_factory=list, init=False, compare=False, hash=False)
-        b: float = 1.0
+@pytest.mark.parametrize("method", ["__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"])
+def test_a_class_defining_a_supplied_method_is_refused(method):
+    with pytest.raises(TypeError, match=f"Own defines {method}, which frozen supplies"):
+        frozen(type("Own", (), {"__annotations__": {"a": int}, method: lambda self, *args: None}))
 
+
+def test_an_init_false_factory_field_is_filled_in_order():
     assert assert_built_as_the_oracle_builds(Tagged, 1) == [("a", 1), ("tags", []), ("b", 1.0)]
     assert Tagged(1).tags is not Tagged(1).tags
 
@@ -279,3 +396,16 @@ def test_drawn_hot_records_are_built_as_the_frozen_init_builds_them(name, data):
     # nan != nan, so equality and hashing are checked where they hold
     if not any(isinstance(v, float) and math.isnan(v) for v in kwargs.values()):
         assert record == cls(**kwargs) and hash(record) == hash(cls(**kwargs))
+
+
+@pytest.mark.parametrize("name", list(HOT))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_hot_records_compare_hash_and_show_as_the_oracle(name, data):
+    # the draws hold no nan, where tuple equality and the field-by-field
+    # equality of newer dataclasses part ways
+    record, drawn = data.draw(HOT[name]), data.draw(HOT[name])
+    field = data.draw(st.sampled_from([f.name for f in dataclasses.fields(record) if f.init]))
+    near = dataclasses.replace(record, **{field: getattr(drawn, field)})
+    for other in (drawn, near, type(record)(**init_kwargs(record))):
+        assert_compared_as_the_oracle_compares(record, other)
