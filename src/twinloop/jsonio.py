@@ -15,7 +15,8 @@ and an infinite value there as ``null``.  :func:`from_doc` is the inverse.
 Each dataclass is written by one function generated on its first encoding,
 the way ``dataclasses`` generates ``__init__``: one f-string joins the key
 texts with an expression per field that its annotation picks (float, str,
-int, bool, enum, ``X | None``, ``tuple[X, ...]``, nested dataclass).  The
+int, bool, enum, ``X | None``, nested dataclass, and a tuple whose items
+share one annotation, ``tuple[X, ...]`` or ``tuple[X, X]``).  The
 expression tests the value for exactly the annotated type and writes it
 inline -- a bool or an enum member by a text lookup, a str, int or nested
 dataclass by its writer -- and hands any other value to the generic writer
@@ -23,14 +24,16 @@ by the value's own type; either way the line is the same bytes, so an
 ``int`` in a float field is still written in float form and a ``bool`` in an
 int field as ``true``.  A float field always goes through the float writer.
 
-Reading is the mirror image, and :func:`loads_record` is its only fast
-path.  It scans a record line once by json's C scanner; NaN, Infinity and
-nesting beyond the recursion limit are refused, as in every file the
-package reads.  A record that must hold every field (a run log's episodes, a
-report's metrics) is read by one function generated per class on first
-use: it compares the key set in one step, takes each value of exactly its
-annotated type inline (a float only if finite), and stores the fields into
-the new instance's ``__dict__`` without a call per field.  On any mismatch
+Reading is the mirror image, and :func:`loads_record` is its only fast path.
+It scans a record line once by json's C scanner; NaN, Infinity and nesting
+beyond the recursion limit are refused, as in every file the package reads.
+A record that must hold every field (a run log's episodes, a report's
+metrics) is read by one function generated per class on first use: it
+compares the key set in one step, takes each value of exactly its annotated
+type inline (a float only if finite) where the field holds what an episode
+line holds -- a scalar, an enum, a nested record, a tuple of records, or
+``None`` for one of these -- hands any other field to its converter, and
+calls the class, whose own ``__init__`` builds the record.  On any mismatch
 it hands the document to the generic walk, :func:`_decode`, the reference
 and the only code that words an error.  :func:`from_doc` is the walk alone:
 it reads config files, whose keys may be missing, and the config in a run
@@ -154,7 +157,8 @@ def _write_expr(tp, v: str, namespace: dict) -> str:
     annotated ``tp``.  A value of exactly the annotated type is written
     inline, a bool or an enum member by a text lookup; any other value as
     _encode writes it, None as null.  A float annotation, also inside tuples
-    and optionals, fixes the float form."""
+    and optionals, fixes the float form.  A tuple is written item by item
+    with one expression, so its items must share one annotation."""
     if tp is float:
         return f"_f({v})"
     if tp in _SCALARS or isinstance(tp, type) and (issubclass(tp, enum.Enum) or dataclasses.is_dataclass(tp)):
@@ -166,12 +170,9 @@ def _write_expr(tp, v: str, namespace: dict) -> str:
             inline = f"{_bind(namespace, _writer(tp))}({v})"
         return f"({inline} if type({v}) is {_bind(namespace, tp)} else _e({v}))"
     args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple and args:
-        if args[-1] is Ellipsis:
-            x = f"x{len(namespace)}"
-            return f"('[' + ','.join([{_write_expr(args[0], x, namespace)} for {x} in {v}]) + ']')"
-        items = tuple(eval(f"lambda x: {_write_expr(a, 'x', namespace)}", namespace) for a in args)
-        return f"('[' + ','.join([{_bind(namespace, items)}[i](x) for i, x in enumerate({v})]) + ']')"
+    if typing.get_origin(tp) is tuple and len(set(args) - {Ellipsis}) == 1:
+        x = f"x{len(namespace)}"
+        return f"('[' + ','.join([{_write_expr(args[0], x, namespace)} for {x} in {v}]) + ']')"
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = args[0] if args[1] is type(None) else args[1]
         return f"('null' if {v} is None else {_write_expr(inner, v, namespace)})"
@@ -354,18 +355,12 @@ def _reader(cls: type):
 def _generate_reader(cls: type, plan: _Plan):
     """One function building ``cls`` from a document holding every field,
     generated as the writer is.  It compares the key set and the constant
-    fields in one test and reads each value inline: a value of exactly its
-    annotated type is taken as it is (a float only if finite), any other goes
-    to the field's converter, and whatever does not fit raises.  A class
-    without ``__post_init__`` is not called: its fields are stored in order
-    straight into the new instance's ``__dict__``, as the ``__init__`` that
-    ``errors.frozen`` generates stores them, so the instance holds the same
-    attributes in the same order as a constructed one.  Any other class is
-    called."""
-    namespace = {
-        "_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_new": object.__new__,
-        "_isfinite": math.isfinite,
-    }
+    fields in one test and reads each value by its :func:`_read_expr`: a
+    value of exactly its annotated type is taken as it is (a float only if
+    finite), any other goes to the field's converter, and whatever does not
+    fit raises.  The record is built by calling ``cls``, so its own
+    ``__init__`` lays it out as it lays out every constructed one."""
+    namespace = {"_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_isfinite": math.isfinite}
     test = "type(doc) is not dict or doc.keys() != _keys"
     for key, value in plan.constants:
         test += f" or doc[{key!r}] != {_bind(namespace, value)}"
@@ -373,13 +368,7 @@ def _generate_reader(cls: type, plan: _Plan):
     hints = dict(plan.fields)
     for i, (key, _, default) in enumerate(plan.reads):
         body += [f"v = doc[{key!r}]", f"a{i} = {_read_expr(hints[key], default, 'v', namespace)}"]
-    factories = any(not f.init and f.default_factory is not _MISSING for f in dataclasses.fields(cls))
-    if hasattr(cls, "__post_init__") or factories:
-        body.append(f"return _cls({', '.join(f'a{i}' for i in range(len(plan.reads)))})")
-    else:
-        body += ["obj = _new(_cls)", "d = obj.__dict__"]
-        body += [f"d[{key!r}] = a{i}" for i, (key, _, _) in enumerate(plan.reads)]
-        body.append("return obj")
+    body.append(f"return _cls({', '.join(f'a{i}' for i in range(len(plan.reads)))})")
     exec("def read(doc):\n" + "".join(f"    {line}\n" for line in body), namespace)
     return namespace["read"]
 
@@ -393,32 +382,24 @@ def _bind(namespace: dict, value) -> str:
 
 def _read_expr(tp, default, v: str, namespace: dict) -> str:
     """Source of an expression reading the JSON value named ``v`` into a
-    field annotated ``tp`` with ``default``, as the field's converter does."""
-    if tp in _SCALARS or tp is float:
-        convert = _bind(namespace, _field_reader(tp, default))
-        finite = f" and _isfinite({v})" if tp is float else ""
-        return f"({v} if type({v}) is {tp.__name__}{finite} else {convert}({v}, False))"
+    field annotated ``tp`` with ``default``, as the field's converter does.
+    Scalars, enums, nested records, tuples of records and ``X | None`` of
+    these are read inline; any other annotation calls the converter."""
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return f"{_bind(namespace, {m.value: m for m in tp})}[{v}]"
     if dataclasses.is_dataclass(tp):
         return f"{_bind(namespace, _reader(tp))}({v})"
     args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple and args:
-        variadic, items = _tuple_items(args, default)
-        convert = _bind(namespace, _field_reader(tp, default))
-        if variadic:
-            if dataclasses.is_dataclass(items[0][0]):
-                read = f"tuple(map({_bind(namespace, _reader(items[0][0]))}, {v}))"
-            else:
-                x = f"x{len(namespace)}"
-                read = f"tuple([{_read_expr(*items[0], x, namespace)} for {x} in {v}])"
-            return f"({read} if type({v}) is list else {convert}({v}, False))"
-        parts = "".join(_read_expr(a, d, f"{v}[{i}]", namespace) + ", " for i, (a, d) in enumerate(items))
-        return f"(({parts}) if type({v}) is list and len({v}) == {len(items)} else {convert}({v}, False))"
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = args[0] if args[1] is type(None) else args[1]
         return f"(None if {v} is None else {_read_expr(inner, default, v, namespace)})"
-    raise TypeError(f"no JSON codec for fields of type {tp!r}")
+    convert = f"{_bind(namespace, _field_reader(tp, default))}({v}, False)"
+    if tp in _SCALARS or tp is float:
+        finite = f" and _isfinite({v})" if tp is float else ""
+        return f"({v} if type({v}) is {tp.__name__}{finite} else {convert})"
+    if typing.get_origin(tp) is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
+        return f"(tuple(map({_bind(namespace, _reader(args[0]))}, {v})) if type({v}) is list else {convert})"
+    return convert
 
 
 # --- one plan per dataclass ----------------------------------------------------
@@ -464,22 +445,15 @@ def _field_reader(tp, default):
         return lambda v, defaults: _decode(tp, v, defaults)
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple and args:
-        variadic, items = _tuple_items(args, default)
-        return _tuple([_field_reader(a, d) for a, d in items], variadic)
+        variadic = args[-1] is Ellipsis
+        items = args[:1] if variadic else args
+        if not isinstance(default, tuple) or len(default) != len(items):
+            default = (_MISSING,) * len(items)
+        return _tuple([_field_reader(a, d) for a, d in zip(items, default)], variadic)
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         convert = _field_reader(args[0] if args[1] is type(None) else args[1], default)
         return lambda v, defaults: None if v is None else convert(v, defaults)
     raise TypeError(f"no JSON codec for fields of type {tp!r}")
-
-
-def _tuple_items(args: tuple, default) -> tuple[bool, list]:
-    """Whether a tuple annotation with ``args`` is variadic, and its item
-    annotations with their defaults: one for a variadic tuple."""
-    variadic = args[-1] is Ellipsis
-    items = args[:1] if variadic else args
-    if not isinstance(default, tuple) or len(default) != len(items):
-        default = (_MISSING,) * len(items)
-    return variadic, list(zip(items, default))
 
 
 def _number(default):

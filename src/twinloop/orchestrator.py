@@ -89,6 +89,8 @@ class ValidatorMode:
         # +inf and its upper bound above -inf.
         if not math.isfinite(self.horizon):
             raise InvalidInput(f"validation horizon must be finite, got {self.horizon!r}")
+        if len(self.envelope) != 2:
+            raise InvalidInput(f"envelope must be a pair of bounds, got {self.envelope!r}")
         if not self.envelope[0] < self.envelope[1]:
             raise InvalidInput(f"envelope must be well ordered, got {self.envelope!r}")
         if self.kind == TWIN:
@@ -323,7 +325,8 @@ def run_loop(
             if not monitor_trigger(plant.read_temperature(), config.thresholds, config.monitor.margin):
                 floor = config.sample_period_floor
                 poll = max(floor, MIN_IDLE_TICK) if floor > 0 else DEFAULT_IDLE_POLL
-                plant.advance(poll)
+                if _wait_ends_run(plant, plant.clock, poll, config.duration):
+                    break
                 continue
         record = run_episode(
             plant, backend, config, prev, len(episodes), operator, twin_params
@@ -336,14 +339,27 @@ def run_loop(
         # one clock read per wait: a realtime clock moves between reads; the
         # clock never runs back, so without a floor there is nothing to wait
         if config.sample_period_floor > 0.0:
-            floor_wait = record.t_start + config.sample_period_floor - plant.clock
-            if floor_wait > 0.0:
-                plant.advance(floor_wait)
+            clock = plant.clock
+            floor_wait = record.t_start + config.sample_period_floor - clock
+            if floor_wait > 0.0 and _wait_ends_run(plant, clock, floor_wait, config.duration):
+                break
         # a zero-latency episode (elapsed 0.0) advances by exactly MIN_IDLE_TICK
         elapsed = plant.clock - record.t_start
         if elapsed < MIN_IDLE_TICK:
             plant.advance(MIN_IDLE_TICK - elapsed)
     return episodes
+
+
+def _wait_ends_run(plant, clock: float, wait: float, end: float) -> bool:
+    """Let ``wait`` seconds pass from ``clock``, but not past ``end``; true
+    if the wait reached ``end``, where the caller stops the run rather than
+    test a clock that ``clock + (end - clock)`` may leave an ulp short."""
+    if clock + wait < end:
+        plant.advance(wait)
+        return False
+    if clock < end:
+        plant.advance(end - clock)
+    return True
 
 
 # --- run log ----------------------------------------------------------------

@@ -165,7 +165,8 @@ class PlantProtocol:
       VER       -> fixed version string
       MODE      -> the plant's clock mode, "lockstep" or "realtime"
       X_ADV <s> -> lockstep only: advance the sim clock by s seconds; "OK"
-    Anything else, including malformed arguments, replies "ERR".  Each line
+    Anything else, including malformed arguments and an X_ADV that would
+    leave the clock infinite, replies "ERR"; no line raises.  Each line
     is answered on its own, so a client may send several lines before it
     reads their replies.
     """
@@ -202,7 +203,8 @@ class PlantProtocol:
                 seconds = float(parts[1])
             except ValueError:
                 return "ERR"
-            if not (math.isfinite(seconds) and seconds > 0.0):
+            # a finite step to a finite clock: an infinite clock refuses every later step
+            if not (seconds > 0.0 and math.isfinite(self.plant.clock + seconds)):
                 return "ERR"
             self.plant.advance(seconds)
             return "OK"

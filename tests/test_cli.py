@@ -15,6 +15,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -606,6 +607,17 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--duration", "60", "--out", str(log)]) == 0
         _, episodes = read_run_log(log)
         assert len(episodes) == 60
+
+    def test_realtime_run_with_a_floor_past_the_end_ends_at_the_end(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "run.clock_mode": "realtime", "run.sample_period_floor": 1e300, "backend.latency": {"kind": "none"},
+        })
+        log = tmp_path / "r.jsonl"
+        t0 = time.monotonic()
+        assert main(["run", "--config", str(path), "--duration", "0.5", "--out", str(log)]) == 0
+        assert time.monotonic() - t0 < 1.5
+        _, episodes = read_run_log(log)
+        assert len(episodes) == 1
 
     def test_case_study_output_is_pinned(self, tmp_path, capsys):
         # a config refactor must not move a byte of the case study's output;

@@ -23,7 +23,7 @@ from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
 from twinloop import jsonio
 from twinloop.cli import load_config
-from twinloop.errors import InvalidInput, LogFormatError
+from twinloop.errors import InvalidInput, LogFormatError, frozen
 from twinloop.jsonio import dumps_record, format_float, from_doc, loads_record
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
@@ -471,6 +471,43 @@ def test_a_record_that_fits_is_read_without_the_walk(monkeypatch):
     with pytest.raises(InvalidInput, match="'attempts.1.latency' must be a number"):
         loads_record(dumps_record(episode).replace("0.500", '"slow"'), EpisodeRecord)
     assert walked[0] is EpisodeRecord
+
+
+@frozen
+class Sampled:
+    """A record with an ``init=False`` factory field between the fields its
+    constructor takes, and a check of its own."""
+
+    count: int
+    unit: str = dataclasses.field(default_factory=lambda: "degC", init=False)
+    level: float = 0.0
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise InvalidInput("count must be >= 0")
+
+
+def test_a_record_is_read_as_its_constructor_builds_it():
+    built = Sampled(2, 0.5)
+    read = loads_record(dumps_record(built), Sampled)
+    assert read == built
+    assert list(read.__dict__.items()) == list(built.__dict__.items()) == [("count", 2), ("unit", "degC"), ("level", 0.5)]
+    assert pickle.dumps(read) == pickle.dumps(built)
+    # the class's own check refuses a line as the walk words it
+    with pytest.raises(InvalidInput, match="^'': count must be >= 0$"):
+        loads_record('{"count":-1,"unit":"degC","level":0.5}', Sampled)
+    assert_same_decoding(Sampled, {"count": 2, "unit": "K", "level": 0.5})
+
+
+@dataclasses.dataclass(frozen=True)
+class Mixed:
+    pair: tuple[int, str]
+
+
+def test_a_tuple_of_items_of_two_annotations_has_no_writer():
+    # a tuple is written with one item expression
+    with pytest.raises(TypeError, match=r"^no JSON codec for fields of type tuple\[int, str\]$"):
+        dumps_record(Mixed((1, "a")))
 
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"

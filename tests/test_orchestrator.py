@@ -1,6 +1,7 @@
 """Control loop tests: episode anatomy, reprompting, safety override, gating,
 clock accounting, and run-log round trips."""
 
+import hashlib
 import json
 import math
 import re
@@ -317,6 +318,44 @@ class TestRunLoop:
         assert plant.clock >= 1.0
         assert plant.advances <= 1000
 
+    # each run's log as written when these waits still ran past the end:
+    # cutting them at the end moves no episode, only the plant's last clock
+    FLOOR_PAST_THE_END_LOGS = {
+        ("continuous", 7.3): "9122d0d88500e61355589237f7348084f2781b315d0d7791db2e95103371eddd",
+        ("continuous", 1e300): "57a10fc8b8011542a779fedef98375859b7734c57e73b4710489e16058cc04d3",
+        ("anomaly", 7.3): "b019f0b4598528374ad914b0a6a7c4b1c8dc66de1ecdfa1595599c934ad6a8e2",
+        ("anomaly", 1e300): "23de88d8844ff92639dd3a19f5b63bb3349bb49376d70f141c6c5c620bf2c8ee",
+    }
+
+    @pytest.mark.parametrize("monitor, floor", list(FLOOR_PAST_THE_END_LOGS))
+    def test_a_wait_past_the_end_stops_at_the_end(self, tmp_path, monitor, floor):
+        plant = make_plant()
+        config = RunConfig(duration=100.0, sample_period_floor=floor, monitor=MonitorMode(kind=monitor))
+        path = tmp_path / "run.jsonl"
+        with RunLogWriter(path, config) as writer:
+            run_loop(plant, scripted(kind="flip", latency=1.0, seed=3), config, on_episode=writer.write_episode)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FLOOR_PAST_THE_END_LOGS[monitor, floor]
+        assert plant.clock == 100.0
+
+    def test_an_idle_poll_past_the_end_stops_at_the_end(self):
+        # inside the band the anomaly monitor idles, 7.3 s a poll from 7.3 s
+        plant = make_plant(t_heater=26.0, t_sensor=26.0)
+        config = RunConfig(
+            duration=60.0, sample_period_floor=7.3, monitor=MonitorMode(kind="anomaly", margin=10.0)
+        )
+        episodes = run_loop(plant, scripted(latency=1.0), config)
+        assert len(episodes) == 1
+        assert 60.0 - 1e-9 < plant.clock <= 60.0
+
+    def test_a_wait_cut_at_the_end_starts_no_episode_an_ulp_before_it(self):
+        # 0.0456 + (0.3 - 0.0456) is 0.29999999999999993, short of the end
+        assert 0.0456 + (0.3 - 0.0456) < 0.3
+        plant = make_plant()
+        config = RunConfig(duration=0.3, sample_period_floor=1.0)
+        episodes = run_loop(plant, scripted(latency=0.0456), config)
+        assert len(episodes) == 1
+        assert plant.clock <= 0.3
+
     def test_safety_guarantee_regardless_of_backend(self):
         plant = make_plant()
         backend = scripted(kind="flip", latency=6.0, seed=21, p_wrong=0.8, p_correct=0.2)
@@ -406,6 +445,29 @@ class TestPlantOwnsTheClock:
         for e in episodes:
             # the slack covers float rounding of the run-relative clock
             assert e.t_end - e.t_start >= len(e.attempts) * 0.02 - 1e-9
+
+    @pytest.mark.parametrize("monitor", ["continuous", "anomaly"])
+    def test_realtime_floor_past_the_end_is_not_waited(self, monitor):
+        config = RunConfig(
+            duration=0.5, sample_period_floor=3.0, clock_mode="realtime", monitor=MonitorMode(kind=monitor)
+        )
+        t0 = time.monotonic()
+        episodes = run_loop(TwinPlant(mode="realtime"), scripted(latency=0.02), config, on_episode=stop_after(50))
+        assert len(episodes) == 1
+        assert 0.5 <= time.monotonic() - t0 < 1.5
+
+    def test_realtime_idle_poll_past_the_end_is_not_waited(self):
+        # the plant sits inside the band: after its floor wait the monitor
+        # idles for 1 s a poll, from 1 s into a 1.2 s run
+        plant = TwinPlant(mode="realtime", initial_state=TwinState(26.0, 26.0, 0.0))
+        config = RunConfig(
+            duration=1.2, sample_period_floor=1.0, clock_mode="realtime",
+            monitor=MonitorMode(kind="anomaly", margin=10.0),
+        )
+        t0 = time.monotonic()
+        episodes = run_loop(plant, scripted(latency=0.02), config, on_episode=stop_after(50))
+        assert len(episodes) == 1
+        assert 1.2 <= time.monotonic() - t0 < 1.8
 
     def test_call_that_spent_its_latency_is_not_waited_again(self):
         plant = TwinPlant(mode="realtime")
@@ -625,6 +687,13 @@ class TestRunConfigValidation:
     def test_bad_envelope(self):
         with pytest.raises(InvalidInput):
             ValidatorMode(kind="twin", horizon=60.0, envelope=(5.0, 5.0))
+
+    @pytest.mark.parametrize("kind", ["rule", "twin"])
+    @pytest.mark.parametrize("envelope", [(), (20.0,), (20.0, 30.0, 40.0)])
+    def test_envelope_must_be_a_pair(self, kind, envelope):
+        # validate_twin unpacks two bounds, and the run log writes each item
+        with pytest.raises(InvalidInput, match=r"^envelope must be a pair of bounds, got \("):
+            ValidatorMode(kind=kind, horizon=60.0, envelope=envelope)
 
     def test_twin_envelope_open_on_both_sides_rejected(self):
         with pytest.raises(InvalidInput, match="finite bound"):

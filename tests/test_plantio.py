@@ -7,7 +7,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, PlantIoError
@@ -164,6 +164,35 @@ class TestProtocol:
     def test_malformed_lines_reply_err(self, line):
         assert self.make().handle_command(line) == "ERR"
 
+    def test_x_adv_to_a_clock_that_is_not_finite_replies_err(self):
+        protocol = self.make()
+        assert protocol.handle_command("X_ADV 1e308") == "OK"
+        state = protocol.plant.state
+        assert protocol.handle_command("X_ADV 1e308") == "ERR"
+        assert protocol.plant.state == state
+        # the plant still serves every verb
+        assert protocol.handle_command("Q1 100") == "100.00"
+        assert protocol.handle_command("X_ADV 1") == "OK"
+        assert protocol.handle_command("T1") == "23.00"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from([LOCKSTEP, REALTIME]),
+        lines=st.lists(
+            st.builds(
+                "{} {}".format,
+                st.sampled_from(["T1", "Q1", "X_ADV", "x_adv", "VER", "MODE", "FROB"]),
+                st.sampled_from(["", "1", "5e-324", "1e308", "1.7976931348623157e308", "-1", "inf", "nan", "?"]),
+            ),
+            max_size=8,
+        ),
+    )
+    @example(mode=LOCKSTEP, lines=["X_ADV 1e308", "X_ADV 1e308", "X_ADV 1", "T1"])
+    def test_no_line_raises(self, mode, lines):
+        protocol = self.make(mode)
+        for line in lines:
+            assert isinstance(protocol.handle_command(line), str)
+
     def test_protocol_reports_two_decimal_quantized_reading(self):
         state = TwinState(30.0, 26.434999, 0.0)
         assert self.make(state=state).handle_command("T1") == "26.43"
@@ -257,6 +286,10 @@ def client_sockets(monkeypatch):
 class TestServer:
     def test_serves_basic_session(self, served_plant):
         assert raw_session(served_plant, ["T1"]) == ["23.00"]
+
+    def test_a_refused_x_adv_keeps_the_connection_and_the_plant(self, served_plant):
+        assert raw_session(served_plant, ["X_ADV 1e308", "X_ADV 1e308", "T1"]) == ["OK", "ERR", "23.00"]
+        assert raw_session(served_plant, ["X_ADV 1e308", "X_ADV 1", "VER"]) == ["ERR", "OK", "AGENTIC-TWIN 1.0"]
 
     def test_two_sequential_connections(self, served_plant):
         first = raw_session(served_plant, ["VER", "Q1 100", "X_ADV 60"])
