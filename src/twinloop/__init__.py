@@ -32,8 +32,8 @@ _EXPORTS = {
             "load_replay",
         ),
         "errors": (
-            "BackendError", "ConfigError", "InvalidInput", "InvalidState", "LogFormatError",
-            "ParseError", "PlantIoError", "ReplayExhausted", "TemplateError", "TwinloopError",
+            "BackendError", "ConfigError", "InvalidInput", "LogFormatError", "ParseError",
+            "PlantIoError", "ReplayExhausted", "TwinloopError",
         ),
         "metrics": (
             "AccuracyMetrics", "ControlMetrics", "RunMetrics", "accuracy_metrics",
@@ -43,7 +43,7 @@ _EXPORTS = {
             "AttemptRecord", "EpisodeRecord", "MonitorMode", "RunConfig", "RunLogWriter",
             "ValidatorMode", "read_run_log", "run_episode", "run_loop", "safety_action",
         ),
-        "plantio": ("HeaterAction", "PlantProtocol", "PlantSample", "TwinPlant"),
+        "plantio": ("HeaterAction", "PlantProtocol", "TwinPlant"),
         "tcp": ("PlantServer", "TcpPlantClient"),
         "twin": ("TwinParams", "TwinState", "rollout", "steady_state", "step"),
     }.items()

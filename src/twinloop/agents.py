@@ -17,8 +17,8 @@ import string
 from dataclasses import field
 
 from . import twin
-from .errors import InvalidInput, InvalidState, ParseError, TemplateError, frozen
-from .plantio import HeaterAction, PlantSample
+from .errors import InvalidInput, ParseError, frozen
+from .plantio import HeaterAction
 
 CONTINUOUS = "continuous"
 ANOMALY = "anomaly"
@@ -76,14 +76,14 @@ class TaskSpec:
                 if name is None:
                     continue
                 if name not in PLACEHOLDERS:
-                    raise TemplateError(f"unknown placeholder {{{name}}} in task template")
+                    raise InvalidInput(f"unknown placeholder {{{name}}} in task template")
                 if "{" in spec:
-                    raise TemplateError(f"nested field in the format spec of {{{name}}} in task template")
+                    raise InvalidInput(f"nested field in the format spec of {{{name}}} in task template")
             # render_prompt binds strings only, so one rendering with empty
             # strings tries every conversion and format spec
             self.description_template.format(**dict.fromkeys(PLACEHOLDERS, ""))
         except ValueError as exc:
-            raise TemplateError(f"task template cannot be rendered: {exc}") from None
+            raise InvalidInput(f"task template cannot be rendered: {exc}") from None
 
 
 @frozen
@@ -130,7 +130,7 @@ _RULE_PASSES = {a._name_: Verdict(True, a, "proposal matches the control rule") 
 
 def render_prompt(
     spec: AgentSpec,
-    sample: PlantSample,
+    t: float,
     prev: HeaterAction,
     thresholds: Thresholds,
     feedback: str | None = None,
@@ -140,15 +140,15 @@ def render_prompt(
     The system text is the agent's role and goal verbatim.  The user text is
     its task template with the live readings bound; validator feedback, when
     present, is appended (or substituted where the template places it).
-    ``sample.t_sensor`` is the plant's two-decimal reading, so its text is
-    exact.  The system text, and the thresholds' texts, are built once per
-    ``spec`` and per ``thresholds`` instance; an attempt formats only the
-    reading and binds the template.
+    ``t`` is the plant's two-decimal reading, so its text is exact.  The
+    system text, and the thresholds' texts, are built once per ``spec`` and
+    per ``thresholds`` instance; an attempt formats only the reading and
+    binds the template.
     """
     system_text, template, places_feedback = spec._prompt
     low, high, _ = thresholds._texts
     user_text = template.format_map({
-        "temperature": f"{sample.t_sensor:.2f}",
+        "temperature": f"{t:.2f}",
         "prev_action": prev._value_,
         "low": low,
         "high": high,
@@ -272,7 +272,7 @@ def compose_feedback(
             f"no ACTION line found. {respond}"
         )
     if verdict is None or verdict.passed:
-        raise InvalidState("feedback is only composed for failed attempts")
+        raise InvalidInput("feedback is only composed for failed attempts")
     criterion = f"{verdict.criterion} " if verdict.criterion else ""
     return (
         f"VALIDATION FAILED {head}{situation}, your proposed action "
@@ -280,9 +280,9 @@ def compose_feedback(
     )
 
 
-def monitor_trigger(sample: PlantSample, th: Thresholds, margin: float = 0.0) -> bool:
+def monitor_trigger(t: float, th: Thresholds, margin: float = 0.0) -> bool:
     """Whether a reading spawns a decision episode under the anomaly monitor:
     only when it strays more than ``margin`` beyond the band.  The continuous
     monitor spawns one at every sample and asks nothing.
     """
-    return sample.t_sensor < th.low - margin or sample.t_sensor > th.high + margin
+    return t < th.low - margin or t > th.high + margin

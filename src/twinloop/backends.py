@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from .agents import Thresholds, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted, frozen
 from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, loads_finite
-from .plantio import HeaterAction
+from .plantio import MAX_DURATION_S, HeaterAction
 
 if TYPE_CHECKING:
     import urllib.request
@@ -88,29 +88,14 @@ class LatencySpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "fixed", "lognormal"):
-            raise ConfigError(f"unknown latency kind {self.kind!r}")
+            raise InvalidInput(f"unknown latency kind {self.kind!r}")
         if self.kind == "fixed" and not self.seconds >= 0.0:
-            raise ConfigError("fixed latency must be >= 0")
+            raise InvalidInput("fixed latency must be >= 0")
         if self.kind == "lognormal" and not self.sigma >= 0.0:
-            raise ConfigError("lognormal sigma must be >= 0")
+            raise InvalidInput("lognormal sigma must be >= 0")
         # a draw is exp of a normal one, so no draw within 30 sigma overflows
         if self.kind == "lognormal" and not self.mu + 30.0 * self.sigma < _LOG_FLOAT_MAX:
-            raise ConfigError(f"lognormal mu + 30 * sigma must be below log(max float), {_LOG_FLOAT_MAX:.2f}")
-
-
-class LatencySampler:
-    """Draws latencies from a spec; its RNG stream is independent of any
-    decision stream so injected latency can never change a decision.
-    ``sample()`` is picked once, by the spec's kind."""
-
-    def __init__(self, spec: LatencySpec):
-        self.spec = spec
-        self._rng = random.Random(spec.seed)
-        if spec.kind == "lognormal":
-            self.sample = functools.partial(self._rng.lognormvariate, spec.mu, spec.sigma)
-        else:
-            seconds = spec.seconds if spec.kind == "fixed" else 0.0
-            self.sample = lambda: seconds
+            raise InvalidInput(f"lognormal mu + 30 * sigma must be below log(max float), {_LOG_FLOAT_MAX:.2f}")
 
 
 @frozen
@@ -131,11 +116,11 @@ class ScriptedPolicy:
 
     def __post_init__(self):
         if self.kind not in (ORACLE, FLIP, ALWAYS_WRONG):
-            raise ConfigError(f"unknown scripted policy {self.kind!r}")
+            raise InvalidInput(f"unknown scripted policy {self.kind!r}")
         for name in ("p_wrong_first", "p_correct_on_feedback"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {p!r}")
+                raise InvalidInput(f"{name} must lie in [0, 1], got {p!r}")
 
 
 @frozen
@@ -155,18 +140,21 @@ class BackendConfig:
 
     def __post_init__(self):
         if self.kind not in (HTTP, SCRIPTED, REPLAY):
-            raise ConfigError(f"unknown backend kind {self.kind!r}")
+            raise InvalidInput(f"unknown backend kind {self.kind!r}")
         if not self.timeout > 0.0:
-            raise ConfigError("backend timeout must be > 0")
+            raise InvalidInput("backend timeout must be > 0")
+        # a socket timeout beyond time_t overflows on the first call
+        if not self.timeout <= MAX_DURATION_S:
+            raise InvalidInput(f"backend timeout may not exceed {MAX_DURATION_S:g} s, got {self.timeout!r}")
         if self.kind == HTTP:
             if not self.base_url:
-                raise ConfigError("http backend requires base_url")
+                raise InvalidInput("http backend requires base_url")
             if not self.model:
-                raise ConfigError("http backend requires model")
+                raise InvalidInput("http backend requires model")
             if not self.temperature >= 0.0:
-                raise ConfigError("http temperature must be >= 0")
+                raise InvalidInput("http temperature must be >= 0")
         if self.kind == REPLAY and not self.transcript_path:
-            raise ConfigError("replay backend requires transcript_path")
+            raise InvalidInput("replay backend requires transcript_path")
 
 
 class HttpBackend:
@@ -261,7 +249,14 @@ class ScriptedBackend:
         self.model = f"scripted-{policy.kind}"
         # fixed for the backend's life, so read once here, not per call
         self._kind, self._draw = policy.kind, random.Random(policy.seed).random
-        self._sample = LatencySampler(latency or LatencySpec()).sample
+        # latencies draw from a stream of their own, so they never change a decision
+        latency = latency or LatencySpec()
+        if latency.kind == "lognormal":
+            draw = random.Random(latency.seed).lognormvariate
+            self._sample = functools.partial(draw, latency.mu, latency.sigma)
+        else:
+            seconds = latency.seconds if latency.kind == "fixed" else 0.0
+            self._sample = lambda: seconds
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         expected = expected_action(ctx.t_sensor, ctx.prev_action, ctx.thresholds)
@@ -292,13 +287,6 @@ class ReplayBackend:
     def __init__(self, entries: list[dict]):
         self._entries = entries
         self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def calls_made(self) -> int:
-        return self._cursor
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         if self._cursor >= len(self._entries):

@@ -10,20 +10,12 @@ class TwinloopError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidState(TwinloopError):
-    """An object is in a state that makes the requested operation meaningless."""
-
-
 class InvalidInput(TwinloopError):
-    """An argument violates a documented precondition."""
+    """An argument, or a record or config field, violates a documented precondition."""
 
 
 class PlantIoError(TwinloopError):
     """Transport or protocol failure while talking to a plant."""
-
-
-class TemplateError(TwinloopError):
-    """A prompt template could not be rendered."""
 
 
 class ParseError(TwinloopError):
@@ -40,7 +32,7 @@ class BackendError(TwinloopError):
 
 
 class ConfigError(TwinloopError):
-    """A configuration document or environment prerequisite is invalid."""
+    """A config file, a command-line flag or the environment is invalid."""
 
 
 class OutputError(TwinloopError):

@@ -52,7 +52,7 @@ import typing
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import InvalidInput, OutputError, TwinloopError
+from .errors import InvalidInput, OutputError
 
 _MISSING = dataclasses.MISSING
 
@@ -235,8 +235,8 @@ def from_doc(cls: type, doc, where: str = "", defaults: bool = False):
     a str, a value of an enum, a list for a tuple, an object for a nested
     dataclass; ``null`` only for ``X | None`` and where the default is
     infinite.  A missing key takes the field's default if ``defaults`` is
-    set, else it is an error.  Every mismatch, and any
-    :class:`TwinloopError` the class raises as it checks itself at
+    set, else it is an error.  Every mismatch, and the
+    :class:`InvalidInput` the class raises as it checks itself at
     construction, raises :class:`InvalidInput` naming the dotted key below
     ``where``.
     """
@@ -332,14 +332,14 @@ def _decode(cls: type, doc, defaults: bool):
             raise _Mismatch("missing key '{path}'", key)
     try:
         return cls(*args)
-    except TwinloopError as exc:
+    except InvalidInput as exc:
         raise _Mismatch("'{path}': " + str(exc)) from exc
 
 
 # What a generated reader raises when a document does not fit its class, or
 # lets through from a field's converter, an enum lookup or the class's own
 # check.  _decode then reads the document again and words the error.
-_REFUSALS = (_Mismatch, KeyError, TypeError, TwinloopError)
+_REFUSALS = (_Mismatch, KeyError, TypeError, InvalidInput)
 
 
 _READERS: dict = {}

@@ -9,9 +9,9 @@ previously applied action stays in force and the clock advances by that
 attempt's inference latency, whether the call succeeded or failed.  After
 each call the loop waits out the part of the latency the call did not
 already spend on the plant's clock: all of it in lockstep and for an
-emulated latency, next to nothing for a real HTTP call in realtime.  Slow
-models therefore hold stale actions longer, and that shows up in the
-control metrics.
+emulated latency, next to nothing for a real HTTP call in realtime, where
+no wait runs past the run's end.  Slow models therefore hold stale actions
+longer, and that shows up in the control metrics.
 """
 
 from __future__ import annotations
@@ -38,17 +38,9 @@ from .agents import (
     DEFAULT_OPERATOR,
 )
 from .backends import DecisionContext
-from .errors import (
-    BackendError,
-    InvalidInput,
-    InvalidState,
-    LogFormatError,
-    OutputError,
-    ParseError,
-    frozen,
-)
+from .errors import BackendError, InvalidInput, LogFormatError, OutputError, ParseError, frozen
 from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, from_doc, loads_record
-from .plantio import HeaterAction, LOCKSTEP, CLOCK_MODES
+from .plantio import CLOCK_MODES, LOCKSTEP, MAX_DURATION_S, REALTIME, HeaterAction
 
 RULE = "rule"
 TWIN = "twin"
@@ -65,9 +57,10 @@ DEFAULT_IDLE_POLL = 1.0
 # after at most duration / MIN_IDLE_TICK episodes even with a zero or
 # vanishing backend latency.
 MIN_IDLE_TICK = 1e-3
-# Longest run a config may ask for: one week, 252 times the case study.  A
-# mistyped duration such as 1e12 would run without end and fill the disk.
-MAX_DURATION_S = 604800.0
+# Most reprompts an episode may make: 33 times the paper's 3.  Each costs a
+# backend call and a logged attempt, and a lockstep episode makes them all,
+# however long they take.
+MAX_REPROMPTS = 100
 
 
 @frozen
@@ -139,6 +132,8 @@ class RunConfig:
         count = self.max_reprompts
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise InvalidInput("max_reprompts must be an integer >= 0")
+        if count > MAX_REPROMPTS:
+            raise InvalidInput(f"max_reprompts may not exceed {MAX_REPROMPTS}, got {count}")
         if not 0.0 <= self.sample_period_floor < math.inf:
             raise InvalidInput("sample_period_floor must be finite and >= 0")
         if self.clock_mode not in CLOCK_MODES:
@@ -222,22 +217,26 @@ def run_episode(
     the episode.  Parse failures and backend errors consume an attempt just
     like a failed validation; a backend error's elapsed time is its attempt's
     latency.  If no attempt passes within ``max_reprompts + 1``, the safety
-    action is applied and the episode is marked as overridden.  A twin
-    validator rolls each proposal out from the plant's state with
-    ``twin_params``, which :func:`run_loop` has checked are given.
+    action is applied and the episode is marked as overridden.  In realtime
+    a wait that would pass ``config.duration`` ends there, and so do the
+    episode's attempts.  A twin validator rolls each proposal out from the
+    plant's state with ``twin_params``, which :func:`run_loop` has checked
+    are given.
     """
     th = config.thresholds
     rule = config.validator.kind == RULE
     horizon, envelope = config.validator.horizon, config.validator.envelope
-    sample = plant.read_temperature()
-    t_sensor = sample.t_sensor
+    t_sensor = plant.read_temperature()
+    t_start = plant.clock
+    realtime = config.clock_mode == REALTIME
+    ended = False
     attempts: list[AttemptRecord] = []
     feedback: str | None = None
     applied: HeaterAction | None = None
     budget = config.max_reprompts + 1
 
     for attempt_index in range(budget):
-        system_text, user_text = render_prompt(operator, sample, prev, th, feedback)
+        system_text, user_text = render_prompt(operator, t_sensor, prev, th, feedback)
         ctx = DecisionContext(t_sensor, prev, th, feedback is not None, plant.clock)
         response = proposal = verdict = None
         try:
@@ -249,10 +248,15 @@ def run_episode(
             latency = exchange.latency
         # The previous action stays in force while "inference" runs, and a
         # failed call takes as long as it took.  Only the part of it the call
-        # did not already spend on the plant's clock is still to pass.
-        wait = latency - (plant.clock - ctx.timestamp)
+        # did not already spend on the plant's clock is still to pass; in
+        # realtime not past the run's end, where the episode ends.
+        clock = plant.clock
+        wait = latency - (clock - ctx.timestamp)
         if wait > 0.0:
-            plant.advance(wait)
+            if realtime:
+                ended = _wait_ends_run(plant, clock, wait, config.duration)
+            else:
+                plant.advance(wait)
         if exchange is not None:
             response = exchange.response_text
             try:
@@ -275,6 +279,7 @@ def run_episode(
         )
         if passed:
             applied = proposal
+        if passed or ended:
             break
         if attempt_index < config.max_reprompts:
             feedback = compose_feedback(
@@ -287,7 +292,7 @@ def run_episode(
         applied = safety_action(config.safe_action_policy, t_sensor, prev, th)
     plant.apply_heater(applied)
     return EpisodeRecord(
-        index, sample.timestamp, t_sensor, prev, tuple(attempts), applied, override, plant.clock
+        index, t_start, t_sensor, prev, tuple(attempts), applied, override, plant.clock
     )
 
 
@@ -312,7 +317,7 @@ def run_loop(
     if config.validator.kind == TWIN and twin_params is None:
         twin_params = getattr(plant, "params", None)
         if twin_params is None:
-            raise InvalidState("twin validator mode requires twin parameters")
+            raise InvalidInput("twin validator mode requires twin parameters")
 
     plant.apply_heater(config.initial_action)
     prev = config.initial_action

@@ -17,13 +17,17 @@ import time
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import twin
-from .errors import InvalidInput, frozen
+from .errors import InvalidInput
 
 PROTOCOL_VERSION = "AGENTIC-TWIN 1.0"
 
 LOCKSTEP = "lockstep"
 REALTIME = "realtime"
 CLOCK_MODES = (LOCKSTEP, REALTIME)
+# Longest run a config may ask for, and longest backend timeout: one week,
+# 252 times the case study.  A mistyped duration such as 1e12 would run
+# without end and fill the disk.
+MAX_DURATION_S = 604800.0
 
 
 def round_half_away(x: float, ndigits: int = 2) -> float:
@@ -71,19 +75,6 @@ class HeaterAction(enum.Enum):
 HeaterAction.ON.opposite, HeaterAction.OFF.opposite = HeaterAction.OFF, HeaterAction.ON
 
 
-@frozen
-class PlantSample:
-    """One sensor reading: run-relative timestamp (s) and temperature (degC).
-
-    Every plant reads two decimals, as the wire protocol's ``T1`` does, so
-    the prompt, the rule, the feedback and the log all see one number and an
-    in-process run equals the same run over TCP.
-    """
-
-    timestamp: float
-    t_sensor: float
-
-
 class TwinPlant:
     """The simulated plant: a twin instance plus the currently applied duty.
 
@@ -92,8 +83,11 @@ class TwinPlant:
     :meth:`advance` (or the protocol's X_ADV), so 40 simulated minutes take
     milliseconds.  In ``realtime`` mode the clock is wall time,
     :meth:`advance` sleeps, and the model is integrated lazily up to "now" on
-    every read or apply.  A reading is the sensor temperature rounded once
-    to two decimals, ties away from zero; :attr:`state` stays exact.
+    every read or apply.  :meth:`read_temperature` returns the sensor
+    temperature rounded once to two decimals, ties away from zero, as ``T1``
+    prints it: the prompt, the rule, the feedback and the log all see that
+    one float, and an in-process run equals the same run over TCP.
+    :attr:`state` stays exact.
     """
 
     def __init__(
@@ -131,10 +125,10 @@ class TwinPlant:
     def duty(self) -> float:
         return self._duty
 
-    def read_temperature(self) -> PlantSample:
+    def read_temperature(self) -> float:
         if self.mode == REALTIME:
             self._sync_to_wall()
-        return PlantSample(self._state.clock, round_half_away(self._state.t_sensor, 2))
+        return round_half_away(self._state.t_sensor, 2)
 
     def apply_heater(self, action: HeaterAction) -> None:
         self.set_duty(action.duty)
@@ -180,7 +174,7 @@ class PlantProtocol:
             return "ERR"
         verb = parts[0].upper()
         if verb == "T1" and len(parts) == 1:
-            return f"{self.plant.read_temperature().t_sensor:.2f}"
+            return f"{self.plant.read_temperature():.2f}"
         if verb == "Q1" and len(parts) == 2:
             try:
                 value = float(parts[1])

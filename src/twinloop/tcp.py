@@ -14,23 +14,20 @@ import time
 from collections.abc import Callable
 
 from .errors import InvalidInput, PlantIoError
-from .plantio import (
-    CLOCK_MODES,
-    LOCKSTEP,
-    REALTIME,
-    HeaterAction,
-    PlantProtocol,
-    PlantSample,
-    TwinPlant,
-)
+from .plantio import CLOCK_MODES, LOCKSTEP, REALTIME, HeaterAction, PlantProtocol, TwinPlant
 
 # A served connection that sends no complete line this long after connecting
 # is dropped, so a silent client cannot hold the single-connection server.
 FIRST_LINE_TIMEOUT_S = 10.0
+# The longest line the server reads, in bytes, newline excluded; the longest
+# command the client sends is about 30.  A longer line is answered ERR and
+# ends the connection, so no client makes the server hold a line without end.
+MAX_LINE_BYTES = 1024
 
 
 class _LineHandler(socketserver.BaseRequestHandler):
-    """Answers every complete line of one read, in order, with one send."""
+    """Answers every complete line of one read, in order, with one send;
+    a line longer than ``MAX_LINE_BYTES`` is the connection's last."""
 
     def handle(self) -> None:
         protocol: PlantProtocol = self.server.protocol  # type: ignore[attr-defined]
@@ -50,14 +47,19 @@ class _LineHandler(socketserver.BaseRequestHandler):
             except TimeoutError:
                 return
             *lines, pending = (pending + data).split(b"\n")
-            if not data and pending:
-                lines.append(pending)  # an unterminated last line before EOF
+            # an unterminated last line is answered at EOF, or once it is too long
+            if pending and (not data or len(pending) > MAX_LINE_BYTES):
+                lines.append(pending)
             if lines:
                 if deadline is not None:
                     deadline = None
                     sock.settimeout(None)
                 replies = []
                 for raw in lines:
+                    if len(raw) > MAX_LINE_BYTES:
+                        replies.append("ERR")
+                        data = b""  # the connection ends with this reply
+                        break
                     try:
                         line = raw.decode("utf-8")
                     except UnicodeDecodeError:
@@ -76,7 +78,8 @@ class PlantServer(socketserver.TCPServer):
     of the connection being served.  A connection that sends no complete
     line within ``FIRST_LINE_TIMEOUT_S`` of connecting is closed, so a silent
     client cannot hold the plant; once a line has arrived the connection may
-    idle for as long as its controller thinks.
+    idle for as long as its controller thinks.  A line longer than
+    ``MAX_LINE_BYTES`` is answered ``ERR`` and closes the connection.
     """
 
     allow_reuse_address = True
@@ -184,7 +187,7 @@ class TcpPlantClient:
         self._queue(line, None)
         return self._confirm()
 
-    def read_temperature(self) -> PlantSample:
+    def read_temperature(self) -> float:
         reply = self._request("T1")
         try:
             t_sensor = float(reply)
@@ -192,7 +195,7 @@ class TcpPlantClient:
             t_sensor = math.nan  # refused below, as a non-finite reply is
         if not math.isfinite(t_sensor):
             raise PlantIoError(f"unparseable temperature reply {reply!r}")
-        return PlantSample(self.clock, t_sensor)
+        return t_sensor
 
     def apply_heater(self, action: HeaterAction) -> None:
         line = f"Q1 {action.duty:.0f}"

@@ -34,7 +34,7 @@ O(log horizon) samples instead of a scan of the whole rollout.
 from __future__ import annotations
 
 import math
-from .errors import InvalidInput, InvalidState, frozen
+from .errors import InvalidInput, frozen
 
 # Defaults give a 33 degC sensor steady state at full duty and heater/sensor
 # time constants of roughly 33 s / 100 s, so a 40 minute run cycles several
@@ -81,19 +81,19 @@ class TwinParams:
     def __post_init__(self):
         for name in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidState(f"twin parameter {name} is not finite")
+                raise InvalidInput(f"twin parameter {name} is not finite")
         for name in ("c_h", "c_s", "u_ha", "u_hs", "u_sa"):
             if getattr(self, name) <= 0.0:
-                raise InvalidState(f"twin parameter {name} must be strictly positive")
+                raise InvalidInput(f"twin parameter {name} must be strictly positive")
         if self.alpha < 0.0:
-            raise InvalidState("twin parameter alpha must be >= 0")
+            raise InvalidInput("twin parameter alpha must be >= 0")
         if not 0.0 < self.dt_internal <= 1.0:
-            raise InvalidState("twin parameter dt_internal must lie in (0, 1]")
+            raise InvalidInput("twin parameter dt_internal must lie in (0, 1]")
         # Without headroom above the upper control threshold the plant can
         # never oscillate through the band.
         _, ts_full = steady_state(self, 100.0)
         if ts_full <= _MIN_FULL_DUTY_SENSOR_SS:
-            raise InvalidState(
+            raise InvalidInput(
                 f"sensor steady state at full duty ({ts_full:.2f} degC) must exceed "
                 f"{_MIN_FULL_DUTY_SENSOR_SS} degC"
             )
@@ -103,9 +103,9 @@ class TwinParams:
         except (OverflowError, ZeroDivisionError):
             fits = False
         if not fits:
-            raise InvalidState("twin parameters give a propagator that does not fit a float")
+            raise InvalidInput("twin parameters give a propagator that does not fit a float")
         if not (abs(self.t_amb) <= MAX_TEMPERATURE_C and xh <= MAX_TEMPERATURE_C):
-            raise InvalidState(
+            raise InvalidInput(
                 f"twin temperatures reach {max(abs(self.t_amb), xh):g} degC in magnitude, beyond the "
                 f"{MAX_TEMPERATURE_C:g} degC a reading resolves to two decimals"
             )
@@ -124,7 +124,7 @@ class TwinState:
 
 def _check_step_args(state: TwinState, duty: float, dt: float) -> None:
     if not (math.isfinite(state.t_heater) and math.isfinite(state.t_sensor) and math.isfinite(state.clock)):
-        raise InvalidState(f"twin state is not finite: {state}")
+        raise InvalidInput(f"twin state is not finite: {state}")
     if not (math.isfinite(duty) and 0.0 <= duty <= 100.0):
         raise InvalidInput(f"duty must lie in [0, 100], got {duty!r}")
     if not (math.isfinite(dt) and dt > 0.0):
@@ -151,7 +151,7 @@ def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
         raise InvalidInput(f"duty must lie in [0, 100], got {duty!r}")
     det = params.u_ha * params.u_hs + params.u_ha * params.u_sa + params.u_hs * params.u_sa
     if det <= 0.0 or not math.isfinite(det):
-        raise InvalidState("conductances admit no unique steady state")
+        raise InvalidInput("conductances admit no unique steady state")
     q = params.alpha * duty
     t_heater = params.t_amb + q * (params.u_hs + params.u_sa) / det
     t_sensor = params.t_amb + q * params.u_hs / det

@@ -21,18 +21,14 @@ from twinloop.agents import (
     DEFAULT_OPERATOR,
 )
 from twinloop.backends import ALWAYS_WRONG, LatencySpec, ScriptedBackend, ScriptedPolicy
-from twinloop.errors import InvalidInput, InvalidState, ParseError, TemplateError
+from twinloop.errors import InvalidInput, ParseError
 from twinloop.orchestrator import RunConfig, run_loop
-from twinloop.plantio import HeaterAction, PlantSample, TwinPlant
+from twinloop.plantio import HeaterAction, TwinPlant
 from twinloop.twin import TwinParams, TwinState
 
 TH = Thresholds()
 ON = HeaterAction.ON
 OFF = HeaterAction.OFF
-
-
-def sample(t, timestamp=0.0):
-    return PlantSample(timestamp, t)
 
 
 class TestThresholds:
@@ -50,11 +46,11 @@ class TestThresholds:
 
 class TestRenderPrompt:
     def test_system_text_is_role_and_goal(self):
-        system_text, _ = render_prompt(DEFAULT_OPERATOR, sample(26.0), OFF, TH)
+        system_text, _ = render_prompt(DEFAULT_OPERATOR, 26.0, OFF, TH)
         assert system_text == f"{DEFAULT_OPERATOR.role}\n\n{DEFAULT_OPERATOR.goal}"
 
     def test_no_feedback_block_without_feedback(self):
-        _, user_text = render_prompt(DEFAULT_OPERATOR, sample(26.0), OFF, TH)
+        _, user_text = render_prompt(DEFAULT_OPERATOR, 26.0, OFF, TH)
         assert "VALIDATION FAILED" not in user_text
 
     def test_feedback_is_appended(self):
@@ -62,32 +58,32 @@ class TestRenderPrompt:
             validate_rule(OFF, 24.0, OFF, TH), 1, 3, 24.0, OFF, OFF
         )
         _, user_text = render_prompt(
-            DEFAULT_OPERATOR, sample(24.0), OFF, TH, feedback
+            DEFAULT_OPERATOR, 24.0, OFF, TH, feedback
         )
         assert user_text.endswith(feedback)
         assert "VALIDATION FAILED" in user_text
 
     def test_temperature_rendered_with_two_decimals(self):
-        _, user_text = render_prompt(DEFAULT_OPERATOR, sample(26.434999), OFF, TH)
+        _, user_text = render_prompt(DEFAULT_OPERATOR, 26.434999, OFF, TH)
         assert "26.43" in user_text
 
     def test_deterministic(self):
-        args = (DEFAULT_OPERATOR, sample(25.5), ON, TH, "try harder")
+        args = (DEFAULT_OPERATOR, 25.5, ON, TH, "try harder")
         assert render_prompt(*args) == render_prompt(*args)
 
     def test_no_unresolved_placeholders(self):
-        _, user_text = render_prompt(DEFAULT_OPERATOR, sample(26.0), OFF, TH)
+        _, user_text = render_prompt(DEFAULT_OPERATOR, 26.0, OFF, TH)
         assert not re.search(r"\{[a-z_]+\}", user_text)
 
     def test_inline_feedback_placeholder_is_substituted(self):
         spec = AgentSpec(task=TaskSpec("T={temperature} prev={prev_action} notes: {feedback}"))
-        _, with_feedback = render_prompt(spec, sample(26.0), OFF, TH, "do better")
+        _, with_feedback = render_prompt(spec, 26.0, OFF, TH, "do better")
         assert with_feedback.endswith("notes: do better")
-        _, without = render_prompt(spec, sample(26.0), OFF, TH)
+        _, without = render_prompt(spec, 26.0, OFF, TH)
         assert without.endswith("notes: ")
 
     def test_unknown_placeholder_rejected_at_validation(self):
-        with pytest.raises(TemplateError):
+        with pytest.raises(InvalidInput):
             TaskSpec("T={temperature} setpoint={setpoint}")
 
     def test_unbound_placeholder_raises_template_error(self):
@@ -101,7 +97,7 @@ class TestRenderPrompt:
             "T={temperature",
             "T=temperature}",
         ):
-            with pytest.raises(TemplateError):
+            with pytest.raises(InvalidInput):
                 TaskSpec(template)
 
 
@@ -271,18 +267,18 @@ class TestComposeFeedback:
 
     def test_passing_verdict_rejected(self):
         verdict = validate_rule(OFF, 28.0, ON, TH)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             compose_feedback(verdict, 1, 3, 28.0, ON, OFF)
 
 
 class TestMonitorTrigger:
     def test_anomaly_quiet_inside_band(self):
-        assert not monitor_trigger(sample(26.0), TH, margin=0.0)
+        assert not monitor_trigger(26.0, TH, margin=0.0)
 
     def test_anomaly_boundary_arithmetic(self):
-        assert monitor_trigger(sample(27.6), TH, margin=0.5)
-        assert not monitor_trigger(sample(27.4), TH, margin=0.5)
-        assert monitor_trigger(sample(24.4), TH, margin=0.5)
+        assert monitor_trigger(27.6, TH, margin=0.5)
+        assert not monitor_trigger(27.4, TH, margin=0.5)
+        assert monitor_trigger(24.4, TH, margin=0.5)
 
 
 # --- texts built once per instance read as the per-call formatting did ---------
@@ -308,7 +304,7 @@ readings = st.floats(-1e17, 1e17) | band_edges
 def ref_render(spec, reading, prev, th, feedback):
     template = spec.task.description_template
     user = template.format(
-        temperature=f"{reading.t_sensor:.2f}", prev_action=prev.value,
+        temperature=f"{reading:.2f}", prev_action=prev.value,
         low=f"{th.low:g}", high=f"{th.high:g}", feedback=feedback or "",
     )
     if feedback and "{feedback}" not in template:
@@ -342,9 +338,9 @@ class TestTextsBuiltOnce:
         feedback=st.none() | st.just("") | st.just("VALIDATION FAILED (attempt 1/4): x"),
     )
     def test_render_prompt(self, th, t, prev, spec, feedback):
-        expected = ref_render(spec, sample(t), prev, th, feedback)
+        expected = ref_render(spec, t, prev, th, feedback)
         for _ in range(2):  # the second call reads the kept texts
-            assert render_prompt(spec, sample(t), prev, th, feedback) == expected
+            assert render_prompt(spec, t, prev, th, feedback) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(th=bands(), t=readings, prev=actions, proposal=actions)

@@ -14,7 +14,6 @@ from twinloop.backends import (
     DecisionContext,
     Exchange,
     HttpBackend,
-    LatencySampler,
     LatencySpec,
     ReplayBackend,
     ScriptedBackend,
@@ -49,6 +48,18 @@ MODEL_LATENCY_PROFILES = {
 
 def ctx(t, prev=OFF, has_feedback=False, timestamp=0.0):
     return DecisionContext(t, prev, TH, has_feedback, timestamp)
+
+
+def latencies(spec, calls=3):
+    """The latencies of a scripted backend's first ``calls`` exchanges."""
+    backend = ScriptedBackend(ScriptedPolicy(), spec)
+    return [backend.complete("s", "u", ctx(26.0)).latency for _ in range(calls)]
+
+
+def assert_spent(replay, calls):
+    """The replay has answered ``calls`` calls, which its transcript holds."""
+    with pytest.raises(ReplayExhausted, match=f"holds {calls} exchanges; call {calls + 1} has no recording"):
+        replay.complete("s", "u", ctx(26.0))
 
 
 class TestScriptedOracle:
@@ -135,27 +146,26 @@ class TestScriptedFlip:
             assert b.latency > 0.0
 
     def test_probability_bounds_checked(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             ScriptedPolicy(kind="flip", p_wrong_first=1.2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             ScriptedPolicy(kind="maybe")
 
 
 class TestLatencySampler:
+    """Injected latency, as a scripted backend draws it for each exchange."""
+
     def test_fixed(self):
-        sampler = LatencySampler(LatencySpec(kind="fixed", seconds=5.67))
-        assert [sampler.sample() for _ in range(3)] == [5.67, 5.67, 5.67]
+        assert latencies(LatencySpec(kind="fixed", seconds=5.67)) == [5.67, 5.67, 5.67]
 
     def test_none(self):
-        assert LatencySampler(LatencySpec()).sample() == 0.0
+        assert latencies(LatencySpec()) == latencies(None) == [0.0, 0.0, 0.0]
 
     def test_lognormal_seeded(self):
-        a = LatencySampler(LatencySpec(kind="lognormal", mu=1.5, sigma=0.3, seed=3))
-        b = LatencySampler(LatencySpec(kind="lognormal", mu=1.5, sigma=0.3, seed=3))
-        draws_a = [a.sample() for _ in range(50)]
-        draws_b = [b.sample() for _ in range(50)]
-        assert draws_a == draws_b
-        assert all(d > 0 for d in draws_a)
+        draws = latencies(LatencySpec(kind="lognormal", mu=1.5, sigma=0.3, seed=3), 50)
+        assert draws == latencies(LatencySpec(kind="lognormal", mu=1.5, sigma=0.3, seed=3), 50)
+        assert all(d > 0 for d in draws)
+        assert draws != latencies(LatencySpec(kind="lognormal", mu=1.5, sigma=0.3, seed=4), 50)
 
     def test_model_profiles_cover_forty_minute_throughput(self):
         # 2400 s / samples-per-run for each emulated model
@@ -170,9 +180,9 @@ class TestLatencySampler:
 
     def test_lognormal_that_can_overflow_rejected(self):
         # log(max float) is about 709.78: 30 sigma above mu must stay below it
-        LatencySampler(LatencySpec(kind="lognormal", mu=700.0, sigma=0.3)).sample()
+        latencies(LatencySpec(kind="lognormal", mu=700.0, sigma=0.3), 1)
         for mu, sigma in ((700.0, 0.4), (1000.0, 1.0), (709.8, 0.0), (float("nan"), 0.5)):
-            with pytest.raises(ConfigError, match="mu \\+ 30 \\* sigma"):
+            with pytest.raises(InvalidInput, match="mu \\+ 30 \\* sigma"):
                 LatencySpec(kind="lognormal", mu=mu, sigma=sigma)
         LatencySpec(kind="fixed", mu=1000.0)  # mu is read by the lognormal kind only
 
@@ -300,9 +310,9 @@ class TestHttpBackend:
         assert backend.complete("s", "u", ctx(28.0, ON)).response_text == "ACTION: OFF"
 
     def test_config_requires_base_url_and_model(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             BackendConfig(kind="http", model="m")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             BackendConfig(kind="http", base_url="http://x")
 
 
@@ -316,11 +326,10 @@ class TestRecordReplay:
         recorder.close()
 
         replay = load_replay(path)
-        assert len(replay) == 3
         replayed = [replay.complete("s2", f"v{i}", c) for i, c in enumerate(contexts)]
         assert [e.response_text for e in replayed] == recorded
         assert all(e.latency == 2.5 for e in replayed)
-        assert replay.calls_made == 3
+        assert_spent(replay, 3)
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "short.jsonl"
@@ -367,7 +376,7 @@ class TestRecordReplay:
             replay.complete("s", "u", ctx(28.0, ON))
         for exc in (recorded.value, replayed.value):
             assert (str(exc), exc.status, exc.elapsed) == ("stub outage", 503, 1.25)
-        assert replay.calls_made == 1
+        assert_spent(replay, 1)
 
     def test_transcript_line_without_reply_or_error_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -393,7 +402,7 @@ class TestRecordReplay:
 
         replay = load_replay(tmp_path / "session.jsonl")
         run(replay, tmp_path / "replayed.jsonl")
-        assert replay.calls_made == len(replay)
+        assert_spent(replay, len((tmp_path / "session.jsonl").read_bytes().splitlines()))
         assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "recorded.jsonl").read_bytes()
 
 

@@ -30,7 +30,7 @@ from twinloop.errors import BackendError, ConfigError, LogFormatError, PlantIoEr
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
-from twinloop.plantio import HeaterAction, PlantProtocol, PlantSample, TwinPlant
+from twinloop.plantio import HeaterAction, PlantProtocol, TwinPlant
 from twinloop.tcp import PlantServer
 
 CASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "case_study.json"
@@ -257,7 +257,7 @@ def test_loaded_config_is_finite_and_renders(tmp_path_factory, dotted, value):
     for where, x in config_floats(cfg):
         # null writes an infinite envelope bound; nothing else is infinite
         assert math.isfinite(x) or where.startswith("run.validator.envelope") and math.isinf(x), where
-    render_prompt(cfg.agents.operator, PlantSample(0.0, 26.0), HeaterAction.ON, cfg.run.thresholds, "retry")
+    render_prompt(cfg.agents.operator, 26.0, HeaterAction.ON, cfg.run.thresholds, "retry")
 
 
 def unwritable(tmp_path, where):
@@ -523,6 +523,42 @@ class TestCmdRun:
         assert proc.returncode == 2
         assert proc.stderr == "config error: duration must lie in (0, 604800] s, got 1000000000000.0\n"
         assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"run.max_reprompts": 101}, "'run': max_reprompts may not exceed 100, got 101"),
+            (
+                {"backend": {"kind": "http", "base_url": "http://x", "model": "m", "timeout": 1e300}},
+                "'backend': backend timeout may not exceed 604800 s, got 1e+300",
+            ),
+        ],
+        ids=["max_reprompts", "timeout"],
+    )
+    def test_unbounded_reprompts_or_timeout_exit_2_before_the_log_is_opened(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(write_config(tmp_path, overrides)), "--out", str(log)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not log.exists()
+
+    def test_realtime_latency_beyond_a_clock_ends_at_the_run_end(self, tmp_path):
+        # the wait is cut at the run's end: no sleep past it, no overflow
+        path = write_config(
+            tmp_path, {"run.clock_mode": "realtime", "backend.latency": {"kind": "fixed", "seconds": 1e300}}
+        )
+        log = tmp_path / "r.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinloop", "run", "--config", str(path), "--duration", "0.5",
+             "--out", str(log)],
+            capture_output=True, text=True, timeout=30, env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (episode,) = read_run_log(log)[1]
+        assert 0.5 <= episode.t_end < 5.0
 
     def test_duration_shorter_than_twin_horizon_exits_2(self, tmp_path, capsys):
         path = write_config(

@@ -26,8 +26,8 @@ PUBLIC = {
         "ReplayBackend", "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder", "load_replay",
     ],
     "errors": [
-        "BackendError", "ConfigError", "InvalidInput", "InvalidState", "LogFormatError",
-        "ParseError", "PlantIoError", "ReplayExhausted", "TemplateError", "TwinloopError",
+        "BackendError", "ConfigError", "InvalidInput", "LogFormatError", "ParseError",
+        "PlantIoError", "ReplayExhausted", "TwinloopError",
     ],
     "metrics": [
         "AccuracyMetrics", "ControlMetrics", "RunMetrics", "accuracy_metrics", "control_metrics",
@@ -37,7 +37,7 @@ PUBLIC = {
         "AttemptRecord", "EpisodeRecord", "MonitorMode", "RunConfig", "RunLogWriter",
         "ValidatorMode", "read_run_log", "run_episode", "run_loop", "safety_action",
     ],
-    "plantio": ["HeaterAction", "PlantProtocol", "PlantSample", "TwinPlant"],
+    "plantio": ["HeaterAction", "PlantProtocol", "TwinPlant"],
     "tcp": ["PlantServer", "TcpPlantClient"],
     "twin": ["TwinParams", "TwinState", "rollout", "steady_state", "step"],
 }
@@ -67,7 +67,7 @@ def test_public_names_are_pinned():
     import twinloop
 
     assert sorted(twinloop.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(twinloop.__all__) == 59
+    assert len(twinloop.__all__) == 56
     assert twinloop.__version__ == "0.1.0"
 
 
@@ -150,7 +150,7 @@ def test_cli_import_generates_one_code_object_per_frozen_class():
     # class: nothing before Python 3.13, from 3.13 on one source that holds
     # no method; the constant covers generated source elsewhere, such as a
     # namedtuple's
-    assert got["classes"] == 22
+    assert got["classes"] == 21
     assert got["stdlib"] <= 1
     assert got["generated"] <= got["classes"] * (1 + got["stdlib"]) + 3
     assert got["signatures"] == 0

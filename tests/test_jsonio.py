@@ -31,6 +31,7 @@ from twinloop.orchestrator import (
     FORCE_OFF,
     LOG_FORMAT,
     MAX_DURATION_S,
+    MAX_REPROMPTS,
     RULE,
     TWIN,
     AttemptRecord,
@@ -185,7 +186,7 @@ def run_configs(draw):
     )
     return RunConfig(
         duration=duration,
-        max_reprompts=draw(st.integers(0, 10**9)),
+        max_reprompts=draw(st.integers(0, MAX_REPROMPTS)),
         sample_period_floor=draw(non_negative),
         thresholds=draw(st.builds(Thresholds, low=st.just(25.0) | st.just(20), high=st.just(27.0) | st.just(30))),
         validator=draw(validator_modes(duration)),

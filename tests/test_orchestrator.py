@@ -12,7 +12,7 @@ import pytest
 
 from twinloop.agents import Thresholds, expected_action
 from twinloop.backends import Exchange, LatencySpec, ScriptedBackend, ScriptedPolicy
-from twinloop.errors import BackendError, InvalidInput, InvalidState, LogFormatError
+from twinloop.errors import BackendError, InvalidInput, LogFormatError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.orchestrator import (
     EpisodeRecord,
@@ -125,7 +125,7 @@ class TestRunEpisode:
         plant = make_plant(t_sensor=26.0, t_heater=35.0)
         plant.apply_heater(ON)
         run_episode(plant, scripted(latency=30.0), RunConfig(), prev=ON, index=0)
-        assert plant.read_temperature().t_sensor > 26.0
+        assert plant.read_temperature() > 26.0
 
     def test_backend_error_counts_as_failed_attempt(self):
         plant = make_plant(t_sensor=28.0, t_heater=40.0)
@@ -395,7 +395,7 @@ class TestRunLoop:
                 pass
 
         config = RunConfig(validator=ValidatorMode(kind="twin", horizon=60.0, envelope=(0.0, 50.0)))
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="twin validator mode requires twin parameters"):
             run_loop(BarePlant(), scripted(), config)
 
 
@@ -444,7 +444,24 @@ class TestPlantOwnsTheClock:
         assert any(len(e.attempts) > 1 for e in episodes)
         for e in episodes:
             # the slack covers float rounding of the run-relative clock
-            assert e.t_end - e.t_start >= len(e.attempts) * 0.02 - 1e-9
+            if e.t_end - e.t_start >= len(e.attempts) * 0.02 - 1e-9:
+                continue
+            # only the run's last attempt may be cut, and it ends at the run's end
+            assert e is episodes[-1] and e.t_end >= config.duration
+            assert e.t_end - e.t_start >= (len(e.attempts) - 1) * 0.02 - 1e-9
+
+    @pytest.mark.parametrize("kind", ["oracle", "always_wrong"])
+    def test_realtime_latency_past_the_end_is_not_waited(self, kind):
+        config = RunConfig(duration=0.5, clock_mode="realtime")
+        t0 = time.monotonic()
+        backend = scripted(kind, latency=3.0)
+        episodes = run_loop(TwinPlant(mode="realtime"), backend, config, on_episode=stop_after(50))
+        assert time.monotonic() - t0 < 1.0
+        # the one attempt's wait ends at the run's end, and so does its episode
+        (episode,) = episodes
+        assert [a.latency for a in episode.attempts] == [3.0]
+        assert 0.5 <= episode.t_end < 1.0
+        assert episode.override is (kind == "always_wrong")
 
     @pytest.mark.parametrize("monitor", ["continuous", "anomaly"])
     def test_realtime_floor_past_the_end_is_not_waited(self, monitor):

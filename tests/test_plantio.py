@@ -38,7 +38,7 @@ class TestHeaterAction:
 def reading(t_sensor):
     """The plant's reading, and the T1 text, at a sensor temperature."""
     plant = TwinPlant(initial_state=TwinState(30.0, t_sensor, 0.0))
-    return plant.read_temperature().t_sensor, PlantProtocol(plant).handle_command("T1")
+    return plant.read_temperature(), PlantProtocol(plant).handle_command("T1")
 
 
 class TestFormatCelsius:
@@ -68,9 +68,8 @@ class TestFormatCelsius:
 class TestTwinPlant:
     def test_initial_sample(self):
         plant = TwinPlant()
-        sample = plant.read_temperature()
-        assert sample.timestamp == 0.0
-        assert sample.t_sensor == 23.0
+        assert plant.read_temperature() == 23.0
+        assert plant.clock == 0.0
 
     def test_read_does_not_advance_lockstep_clock(self):
         plant = TwinPlant()
@@ -82,14 +81,13 @@ class TestTwinPlant:
         plant = TwinPlant()
         plant.apply_heater(HeaterAction.ON)
         plant.advance(60.0)
-        assert plant.read_temperature().t_sensor > 23.0
+        assert plant.read_temperature() > 23.0
 
     def test_apply_off_at_equilibrium_changes_nothing(self):
         plant = TwinPlant()
         plant.apply_heater(HeaterAction.OFF)
         plant.advance(300.0)
-        sample = plant.read_temperature()
-        assert sample.t_sensor == pytest.approx(23.0, abs=1e-12)
+        assert plant.read_temperature() == pytest.approx(23.0, abs=1e-12)
 
     def test_zero_duration_on_off_is_a_no_op(self):
         toggled = TwinPlant()
@@ -98,7 +96,7 @@ class TestTwinPlant:
         toggled.advance(120.0)
         untouched = TwinPlant()
         untouched.advance(120.0)
-        assert toggled.read_temperature().t_sensor == untouched.read_temperature().t_sensor
+        assert toggled.read_temperature() == untouched.read_temperature()
 
     def test_longer_heating_is_strictly_hotter(self):
         short, long = TwinPlant(), TwinPlant()
@@ -106,7 +104,7 @@ class TestTwinPlant:
             plant.apply_heater(HeaterAction.ON)
         short.advance(60.0)
         long.advance(120.0)
-        assert long.read_temperature().t_sensor > short.read_temperature().t_sensor
+        assert long.read_temperature() > short.read_temperature()
 
     def test_realtime_advance_sleeps(self):
         plant = TwinPlant(mode=REALTIME)
@@ -116,9 +114,9 @@ class TestTwinPlant:
 
     def test_realtime_clock_moves_by_itself(self):
         plant = TwinPlant(mode=REALTIME)
-        first = plant.read_temperature()
-        second = plant.read_temperature()
-        assert second.timestamp >= first.timestamp
+        first = plant.clock
+        plant.read_temperature()
+        assert plant.clock >= first
 
     def test_invalid_mode(self):
         with pytest.raises(InvalidInput):
@@ -314,6 +312,23 @@ class TestServer:
     def test_lines_of_one_segment_answered_in_order(self, served_plant, data, replies):
         assert one_segment_session(served_plant, data) == replies
 
+    @pytest.mark.parametrize("first", [b"", b"VER\n"], ids=["first-line", "after-a-line"])
+    def test_an_overlong_line_is_answered_err_and_ends_the_connection(self, served_plant, first):
+        t0 = time.monotonic()
+        with socket.create_connection(served_plant, timeout=5.0) as sock:
+            # the server may close before it has read every byte
+            with contextlib.suppress(OSError):
+                sock.sendall(first + b"x" * 2**20)
+            with sock.makefile("rb") as fh:
+                replies = fh.read()
+        assert replies == (b"AGENTIC-TWIN 1.0\n" if first else b"") + b"ERR\n"
+        assert time.monotonic() - t0 < 1.0
+        assert raw_session(served_plant, ["VER"]) == ["AGENTIC-TWIN 1.0"]
+
+    def test_a_line_of_the_longest_length_is_answered(self, served_plant):
+        line = b"T1" + b" " * (tcp.MAX_LINE_BYTES - 2)
+        assert one_segment_session(served_plant, line + b"\n" + line) == ["23.00", "23.00"]
+
     @pytest.mark.parametrize("greeting", [b"", b"T1"])
     def test_client_without_a_complete_line_is_dropped(self, monkeypatch, greeting):
         monkeypatch.setattr(tcp, "FIRST_LINE_TIMEOUT_S", 0.2)
@@ -323,24 +338,35 @@ class TestServer:
                 # queued behind the silent connection until it is dropped
                 client = TcpPlantClient(*server.server_address, mode=LOCKSTEP)
                 try:
-                    assert client.read_temperature().t_sensor == 23.0
+                    assert client.read_temperature() == 23.0
                 finally:
                     client.close()
                 assert silent.recv(64) == b""
+
+
+@pytest.mark.parametrize("t_sensor", [23.0, 26.445, -0.004, 1e11 + 0.125])
+@pytest.mark.parametrize("served", [False, True], ids=["in-process", "served"])
+def test_a_reading_is_the_float_of_the_t1_reply(served, t_sensor):
+    plant = TwinPlant(initial_state=TwinState(30.0, t_sensor, 0.0))
+    reply = PlantProtocol(plant).handle_command("T1")
+    with serving(plant) if served else contextlib.nullcontext() as server:
+        reader = TcpPlantClient(*server.server_address, mode=LOCKSTEP) if served else plant
+        value = reader.read_temperature()
+        if served:
+            reader.close()
+    assert type(value) is float and value == float(reply)
 
 
 class TestTcpClient:
     def test_client_round_trip(self, served_plant):
         client = TcpPlantClient(*served_plant, mode=LOCKSTEP)
         try:
-            sample = client.read_temperature()
-            assert sample.timestamp == 0.0
-            assert sample.t_sensor == 23.0
+            assert client.read_temperature() == 23.0
+            assert client.clock == 0.0
             client.apply_heater(HeaterAction.ON)
             client.advance(120.0)
-            after = client.read_temperature()
-            assert after.timestamp == 120.0
-            assert after.t_sensor > 23.0
+            assert client.read_temperature() > 23.0
+            assert client.clock == 120.0
         finally:
             client.close()
 

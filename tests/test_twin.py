@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from twinloop import twin
 from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.cli import main
-from twinloop.errors import InvalidInput, InvalidState
+from twinloop.errors import InvalidInput
 from twinloop.orchestrator import RunConfig, RunLogWriter, ValidatorMode, read_run_log, run_loop
 from twinloop.plantio import TwinPlant
 from twinloop.twin import TwinParams, TwinState, first_exit, rollout, steady_state, step
@@ -172,7 +172,7 @@ class TestSteadyState:
     def test_degenerate_conductances_rejected(self):
         # positive and finite, but their determinant overflows; construction
         # asks steady_state for the full-duty sensor temperature
-        with pytest.raises(InvalidState, match="no unique steady state"):
+        with pytest.raises(InvalidInput, match="no unique steady state"):
             TwinParams(u_ha=1e200, u_hs=1e200, u_sa=1e200)
 
     def test_duty_out_of_range(self):
@@ -223,9 +223,9 @@ class TestStep:
             step(PARAMS, TwinState(23.0, 23.0, 0.0), 0.0, 0.0)
 
     def test_non_finite_state_rejected(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             step(PARAMS, TwinState(math.nan, 23.0, 0.0), 0.0, 1.0)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             step(PARAMS, TwinState(23.0, math.inf, 0.0), 0.0, 1.0)
 
 
@@ -600,16 +600,16 @@ class TestParamValidation:
         TwinParams()
 
     def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             TwinParams(c_h=0.0)
 
     def test_dt_internal_range(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             TwinParams(dt_internal=1.5)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             TwinParams(dt_internal=0.0)
 
     def test_underpowered_heater_rejected(self):
         # Full duty must be able to push the sensor past the upper threshold.
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput):
             TwinParams(alpha=0.005)
