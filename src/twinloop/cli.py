@@ -304,8 +304,9 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
     finally:
         server.server_close()
         state = plant.state
+        # three decimals resolve a clock below 1e12 s; X_ADV may leave one near 1e308
         print(
-            f"plant stopped at t={state.clock:.3f}s: "
+            f"plant stopped at t={state.clock:{'.3f' if state.clock < 1e12 else '.6g'}}s: "
             f"heater {state.t_heater:.2f} degC, sensor {state.t_sensor:.2f} degC, "
             f"duty {plant.duty:.2f}%"
         )

@@ -219,9 +219,9 @@ def run_episode(
     latency.  If no attempt passes within ``max_reprompts + 1``, the safety
     action is applied and the episode is marked as overridden.  In realtime
     a wait that would pass ``config.duration`` ends there, and so do the
-    episode's attempts.  A twin validator rolls each proposal out from the
-    plant's state with ``twin_params``, which :func:`run_loop` has checked
-    are given.
+    episode's attempts, as they do after a call that ran past it.  A twin
+    validator rolls each proposal out from the plant's state with
+    ``twin_params``, which :func:`run_loop` has checked are given.
     """
     th = config.thresholds
     rule = config.validator.kind == RULE
@@ -249,14 +249,13 @@ def run_episode(
         # The previous action stays in force while "inference" runs, and a
         # failed call takes as long as it took.  Only the part of it the call
         # did not already spend on the plant's clock is still to pass; in
-        # realtime not past the run's end, where the episode ends.
-        clock = plant.clock
+        # realtime none past the run's end, where the episode ends.
+        clock, end = plant.clock, config.duration
         wait = latency - (clock - ctx.timestamp)
-        if wait > 0.0:
-            if realtime:
-                ended = _wait_ends_run(plant, clock, wait, config.duration)
-            else:
-                plant.advance(wait)
+        if realtime:
+            ended = _wait_ends_run(plant, clock, wait, end) if wait > 0.0 else clock >= end
+        elif wait > 0.0:
+            plant.advance(wait)
         if exchange is not None:
             response = exchange.response_text
             try:

@@ -28,7 +28,10 @@ q e^{l2 t}``, so each sample is solved directly from the start state.  That
 curve turns at most once, so the samples are monotone on either side of the
 turning point, and ``first_exit`` finds the first sample outside an envelope
 by checking the ends of the two monotone pieces and bisecting, in
-O(log horizon) samples instead of a scan of the whole rollout.
+O(log horizon) samples instead of a scan of the whole rollout.  A check costs
+only its samples: the grid and constants are computed once per call, and
+each sample is one closed-form expression with two ``exp`` calls that builds
+nothing.
 """
 
 from __future__ import annotations
@@ -138,8 +141,13 @@ def step(params: TwinParams, state: TwinState, duty: float, dt: float) -> TwinSt
     propagator.  Identical inputs produce identical outputs bit for bit.
     """
     _check_step_args(state, duty, dt)
-    th, ts = _propagate(_zoh(params, duty), state.t_heater, state.t_sensor, dt)
-    return TwinState(th, ts, state.clock + dt)
+    # x(t + dt) = x_ss + e^{A dt} (x(t) - x_ss), e^{A dt} = e2 I + e12 G
+    xh, xs, l1, l2, g_hh, g_hs, g_sh, g_ss = _zoh(params, duty)
+    e2 = math.exp(l2 * dt)
+    e12 = math.exp(l1 * dt) - e2
+    yh, ys = state.t_heater - xh, state.t_sensor - xs
+    th = xh + (e2 + e12 * g_hh) * yh + e12 * g_hs * ys
+    return TwinState(th, xs + e12 * g_sh * yh + (e2 + e12 * g_ss) * ys, state.clock + dt)
 
 
 def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
@@ -191,39 +199,25 @@ def _solve_zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, 
     return xh, xs, l1, l2, k * (a - l2), k * b, k * c, k * (d - l2)
 
 
-def _transition(z: tuple[float, ...], dt: float) -> tuple[float, float, float, float]:
-    """``(m_hh, m_hs, m_sh, m_ss)`` of ``e^{A dt}``: two ``exp`` calls."""
-    _, _, l1, l2, g_hh, g_hs, g_sh, g_ss = z
-    e2 = math.exp(l2 * dt)
-    e12 = math.exp(l1 * dt) - e2
-    return e2 + e12 * g_hh, e12 * g_hs, e12 * g_sh, e2 + e12 * g_ss
+def _grid(params: TwinParams, state: TwinState, duty: float, horizon: float):
+    """The rollout grid and the closed-form constants of its samples.
 
-
-def _propagate(z: tuple[float, ...], th: float, ts: float, dt: float) -> tuple[float, float]:
-    """``x(t + dt) = x_ss + e^{A dt} (x(t) - x_ss)`` under the duty of ``z``."""
-    m_hh, m_hs, m_sh, m_ss = _transition(z, dt)
-    xh, xs = z[0], z[1]
-    yh, ys = th - xh, ts - xs
-    return xh + m_hh * yh + m_hs * ys, xs + m_sh * yh + m_ss * ys
-
-
-def _sampler(params: TwinParams, state: TwinState, duty: float, horizon: float):
-    """The rollout grid and the exact sensor temperature on it.
-
-    Returns ``(last, time, value, split)``: samples are indexed ``0..last``,
-    ``time(i)`` is the clock of sample ``i`` and ``value(i)`` the sensor
-    temperature there, solved from the start state (sample 0 is the state's
-    own reading).  Under a held duty the sensor's deviation from steady state
-    is ``p e^{l1 dt} + q e^{l2 dt}``, which turns at most once, so the
-    samples are monotone on ``[0, split]`` and on ``[split + 1, last]``.
+    Returns ``(clock, end, first, last, split, xs, p, q, l1, l2)``.  Samples
+    are indexed ``0..last``: sample 0 is the state's own reading at
+    ``clock``, sample ``i`` of ``1..last - 1`` lies at the whole second
+    ``first + i - 1``, and sample ``last`` at ``end``.  Under a held duty the
+    sensor's deviation from steady state is ``p e^{l1 dt} + q e^{l2 dt}``, so
+    the sample at ``t`` reads ``xs + (p e^{l1 dt} + q e^{l2 dt})`` with
+    ``dt = t - clock``.  That curve turns at most once, so the samples are
+    monotone on ``[0, split]`` and on ``[split + 1, last]``.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
     _check_step_args(state, duty, horizon)
 
     xh, xs, l1, l2, _, _, g_sh, g_ss = _zoh(params, duty)
-    clock, ts = state.clock, state.t_sensor
-    ys = ts - xs
+    clock = state.clock
+    ys = state.t_sensor - xs
     p = g_sh * (state.t_heater - xh) + g_ss * ys
     q = ys - p
     end = clock + horizon
@@ -231,25 +225,13 @@ def _sampler(params: TwinParams, state: TwinState, duty: float, horizon: float):
     first = math.floor(clock) + 1
     seconds = max(0, math.ceil(end - 1e-9) - first)
     last = seconds + 1
-
-    def time(i: int) -> float:
-        if i == 0:
-            return clock
-        return end if i == last else float(first + i - 1)
-
-    def value(i: int) -> float:
-        if i == 0:
-            return ts
-        dt = time(i) - clock
-        return xs + (p * math.exp(l1 * dt) + q * math.exp(l2 * dt))
-
     split = last
     if p * q < 0.0:
         # the deviation's slope p l1 e^{l1 t} + q l2 e^{l2 t} vanishes at t = turn
         turn = math.log(-(q / p) * (l2 / l1)) / (l1 - l2)
         if 0.0 < turn < horizon:
             split = min(seconds, max(0, math.floor(clock + turn) - first + 1))
-    return last, time, value, split
+    return clock, end, first, last, split, xs, p, q, l1, l2
 
 
 def rollout(
@@ -262,8 +244,13 @@ def rollout(
     the start state, so the samples agree with chained ``step`` calls to
     rounding error.
     """
-    last, time, value, _ = _sampler(params, state, duty, horizon)
-    return [(time(i), value(i)) for i in range(last + 1)]
+    clock, end, first, last, _, xs, p, q, l1, l2 = _grid(params, state, duty, horizon)
+    exp = math.exp
+    samples = [(clock, state.t_sensor)]
+    for t in (*map(float, range(first, first + last - 1)), end):
+        dt = t - clock
+        samples.append((t, xs + (p * exp(l1 * dt) + q * exp(l2 * dt))))
+    return samples
 
 
 def first_exit(
@@ -274,24 +261,36 @@ def first_exit(
     Each of the trajectory's two monotone pieces is checked at its ends; a
     piece that starts inside and ends outside holds its outside samples as a
     suffix, found by bisection.  A passing check costs four samples whatever
-    the horizon, a failing one O(log horizon).
+    the horizon, a failing one O(log horizon), and each sample is the one
+    expression of :func:`rollout`.
     """
-    last, time, value, split = _sampler(params, state, duty, horizon)
+    clock, end, first, last, split, xs, p, q, l1, l2 = _grid(params, state, duty, horizon)
+    exp = math.exp
+    v = state.t_sensor
+    if not lo <= v <= hi:
+        return clock, v
+    # sample 0, the first piece's start, is inside: it needs no probe
     for a, b in ((0, split), (split + 1, last)):
         if a > b:
             break
-        v = value(a)
-        if not lo <= v <= hi:
-            return time(a), v
-        v = value(b)
+        if a:
+            t = end if a == last else float(first + a - 1)
+            v = xs + (p * exp(l1 * (dt := t - clock)) + q * exp(l2 * dt))
+            if not lo <= v <= hi:
+                return t, v
+        if a == b:
+            continue
+        t = end if b == last else float(first + b - 1)
+        v = xs + (p * exp(l1 * (dt := t - clock)) + q * exp(l2 * dt))
         if lo <= v <= hi:
             continue
         while b - a > 1:
             mid = (a + b) // 2
-            w = value(mid)
+            u = float(first + mid - 1)
+            w = xs + (p * exp(l1 * (dt := u - clock)) + q * exp(l2 * dt))
             if lo <= w <= hi:
                 a = mid
             else:
-                b, v = mid, w
-        return time(b), v
+                b, t, v = mid, u, w
+        return t, v
     return None

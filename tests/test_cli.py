@@ -1111,13 +1111,16 @@ class TestCmdPlantServe:
         assert line.startswith(f"config error: cannot bind {listen}: ")
 
     @staticmethod
-    def serve_until_interrupted(monkeypatch, listen):
+    def serve_until_interrupted(monkeypatch, listen, advance=None):
         """Run ``plant-serve --listen listen``, interrupted as it starts to
-        serve; returns the host and port it bound."""
+        serve, after an ``X_ADV advance`` if one is given; returns the host
+        and port it bound."""
         bound = []
 
         def interrupt(server, poll_interval=0.5):
             bound.append(server.server_address[:2])
+            if advance is not None:
+                assert server.protocol.handle_command(f"X_ADV {advance!r}") == "OK"
             raise KeyboardInterrupt
 
         monkeypatch.setattr(PlantServer, "serve_forever", interrupt)
@@ -1131,6 +1134,13 @@ class TestCmdPlantServe:
         assert host == "127.0.0.1"
         out = capsys.readouterr().out
         assert out.startswith(f"serving plant on 127.0.0.1:{port} (lockstep)\nplant stopped at t=0.000s")
+
+    @pytest.mark.parametrize("advance, clock", [(12345.6789, "12345.679"), (1e308, "1e+308")])
+    def test_the_stop_line_prints_its_clock_short(self, capsys, monkeypatch, advance, clock):
+        self.serve_until_interrupted(monkeypatch, "127.0.0.1:0", advance)
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith(f"plant stopped at t={clock}s: heater ")
+        assert len(last) < 100
 
     @needs_ipv6
     def test_bracketed_ipv6_listen_serves(self, capsys, monkeypatch):

@@ -411,15 +411,19 @@ def stop_after(n):
 
 class SleepingBackend:
     """Spends its latency on the wall clock before returning, as HttpBackend
-    does, and reports the time it took as the latency."""
+    does, and reports the time it took as the latency.  It answers the rule's
+    action, or with ``wrong`` the other one."""
 
-    def __init__(self, seconds):
+    def __init__(self, seconds, wrong=False):
         self.seconds = seconds
+        self.wrong = wrong
 
     def complete(self, system_text, user_text, ctx):
         t0 = time.monotonic()
         time.sleep(self.seconds)
         action = expected_action(ctx.t_sensor, ctx.prev_action, ctx.thresholds)
+        if self.wrong:
+            action = OFF if action == ON else ON
         return Exchange(
             system_text, user_text, f"ACTION: {action}", time.monotonic() - t0, "sleeper",
             ctx.timestamp,
@@ -492,6 +496,18 @@ class TestPlantOwnsTheClock:
         record = run_episode(plant, SleepingBackend(0.05), config, prev=OFF, index=0)
         assert record.attempts[0].latency >= 0.05
         assert record.t_end - record.t_start < 0.09
+
+    def test_a_call_that_ran_past_the_end_ends_its_episode(self):
+        # every call takes 0.08 s and fails validation: the first call that
+        # ends past the 0.1 s run ends the episode with the safety action,
+        # instead of all six attempts running on to about 0.48 s
+        plant = TwinPlant(mode="realtime")
+        config = RunConfig(duration=0.1, max_reprompts=5, clock_mode="realtime")
+        record = run_episode(plant, SleepingBackend(0.08, wrong=True), config, prev=OFF, index=0)
+        assert len(record.attempts) <= 2
+        assert not any(a.passed for a in record.attempts)
+        assert record.override and record.t_end >= config.duration
+        assert record.applied == expected_action(record.t_sensor, OFF, TH)
 
 
 class TestRunLogRoundTrip:

@@ -365,12 +365,25 @@ class TestFirstExit:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(twin, "math", counter)
             assert first_exit(params, state, duty, horizon, lo, hi) == expected
-        # a pass reads at most four samples, two exp calls each
-        assert counter.exp_calls <= (8 if expected is None else 60)
+        # A 3600 s horizon from any clock has at most 3602 samples.  A check
+        # reads the ends of the two monotone pieces, four samples, and a
+        # failing one then bisects a piece of at most 3601 gaps in at most
+        # ceil(log2(3602)) = 12 probes.  Every sample costs two exp calls.
+        probes = 4 if expected is None else 4 + math.ceil(math.log2(3602))
+        assert counter.exp_calls <= 2 * probes
 
     def test_bad_horizon(self):
         with pytest.raises(InvalidInput):
             first_exit(PARAMS, OVERSHOOT, 0.0, 0.0, 20.0, 30.0)
+
+
+@pytest.mark.parametrize("duty, dt", [(0.0, 1.0), (100.0, 0.25), (37.5, 3600.0)])
+def test_a_step_costs_two_exp_calls(monkeypatch, duty, dt):
+    expected = step(PARAMS, OVERSHOOT, duty, dt)
+    counter = ExpCounter()
+    monkeypatch.setattr(twin, "math", counter)
+    assert step(PARAMS, OVERSHOOT, duty, dt) == expected
+    assert counter.exp_calls == 2
 
 
 # sha256 of the logs twin_guard_run and lower_guard_run write;
