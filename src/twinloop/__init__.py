@@ -22,18 +22,17 @@ _EXPORTS = {
     name: module
     for module, names in {
         "agents": (
-            "AgentSpec", "TaskSpec", "Thresholds", "Verdict", "compose_feedback",
-            "expected_action", "monitor_trigger", "parse_action", "render_prompt",
-            "validate_rule", "validate_twin",
+            "AgentSpec", "DecisionContext", "TaskSpec", "Thresholds", "Verdict",
+            "compose_feedback", "expected_action", "monitor_trigger", "parse_action",
+            "render_prompt", "validate_rule", "validate_twin",
         ),
         "backends": (
-            "BackendConfig", "DecisionContext", "Exchange", "HttpBackend", "LatencySpec",
-            "ReplayBackend", "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder",
-            "load_replay",
+            "BackendConfig", "Exchange", "HttpBackend", "LatencySpec", "ReplayBackend",
+            "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder", "load_replay",
         ),
         "errors": (
             "BackendError", "ConfigError", "InvalidInput", "LogFormatError", "ParseError",
-            "PlantIoError", "ReplayExhausted", "TwinloopError",
+            "PlantIoError", "TwinloopError",
         ),
         "metrics": (
             "AccuracyMetrics", "ControlMetrics", "RunMetrics", "accuracy_metrics",

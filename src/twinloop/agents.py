@@ -3,9 +3,9 @@
 The operator is declarative: a role, a goal and a task template.  The
 validator and the reprompter are the pure functions of this module --
 hysteresis-rule and twin-rollout validation and corrective-feedback
-composition -- next to prompt rendering and action parsing.  The verdicts
-come from code, not from a model: accuracy accounting needs an oracle that
-cannot hallucinate.
+composition -- next to prompt rendering, action parsing and the decision
+context a backend answers.  The verdicts come from code, not from a model:
+accuracy accounting needs an oracle that cannot hallucinate.
 """
 
 from __future__ import annotations
@@ -56,6 +56,22 @@ class Thresholds:
         return low, high, (
             f"Rule: turn OFF above {high}°C, turn ON below {low}°C, otherwise hold the previous state."
         )
+
+
+@frozen
+class DecisionContext:
+    """Structured view of the decision a prompt asks for.
+
+    Scripted backends act on this instead of parsing their own prompt text;
+    it also carries the run clock so recorded exchanges are timestamped in
+    simulation time, not wall time.
+    """
+
+    t_sensor: float
+    prev_action: HeaterAction
+    thresholds: Thresholds
+    has_feedback: bool
+    timestamp: float
 
 
 @frozen

@@ -21,10 +21,10 @@ from dataclasses import field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .agents import Thresholds, expected_action
-from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ReplayExhausted, frozen
+from .agents import DecisionContext, expected_action
+from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, frozen
 from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, loads_finite
-from .plantio import MAX_DURATION_S, HeaterAction
+from .plantio import MAX_DURATION_S
 
 if TYPE_CHECKING:
     import urllib.request
@@ -55,22 +55,6 @@ class Exchange:
     def __post_init__(self):
         if self.latency < 0.0:
             raise InvalidInput(f"latency must be >= 0, got {self.latency!r}")
-
-
-@frozen
-class DecisionContext:
-    """Structured view of the decision a prompt asks for.
-
-    Scripted backends act on this instead of parsing their own prompt text;
-    it also carries the run clock so recorded exchanges are timestamped in
-    simulation time, not wall time.
-    """
-
-    t_sensor: float
-    prev_action: HeaterAction
-    thresholds: Thresholds
-    has_feedback: bool
-    timestamp: float
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -174,6 +158,9 @@ class HttpBackend:
         key = os.environ.get(config.api_key_env, "")
         if not key:
             raise ConfigError(f"missing API key: set ${config.api_key_env}")
+        # it goes into a header line, which http.client refuses mid-run otherwise
+        if not (key.isascii() and key.isprintable()):
+            raise ConfigError(f"API key in ${config.api_key_env} must be printable ASCII")
         self._key = key
         self._url = config.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         import http.client
@@ -219,7 +206,7 @@ class HttpBackend:
                 f"HTTP {status} from completion endpoint", status=status, elapsed=latency
             )
         try:
-            content = json.loads(raw)["choices"][0]["message"]["content"]
+            content = loads_finite(raw.decode("utf-8"))["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed response body: {exc}", elapsed=latency) from exc
         if not isinstance(content, str):
@@ -290,7 +277,7 @@ class ReplayBackend:
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         if self._cursor >= len(self._entries):
-            raise ReplayExhausted(
+            raise ConfigError(
                 f"transcript holds {len(self._entries)} exchanges; call {self._cursor + 1} has no recording"
             )
         entry = self._entries[self._cursor]
@@ -337,7 +324,7 @@ class TranscriptRecorder:
     """Wraps any backend and appends each call to a transcript file: an
     exchange, or a failed call's ``error``, ``elapsed`` and ``status``, after
     which the :class:`BackendError` propagates unchanged.  A failed write or
-    close raises :class:`OutputError`."""
+    close raises :class:`ConfigError`."""
 
     def __init__(self, inner, path: str | Path):
         self._inner = inner

@@ -1,9 +1,10 @@
 """Operator commands: run a control experiment, serve the simulated plant
 over TCP, and turn run logs into reports.
 
-Exit codes are contract values: 0 clean finish, 2 configuration problems
-(a replayed transcript that runs out and a failed output write among them),
-3 plant I/O failures.  Partial run logs survive an abort because every
+Exit codes are contract values: 0 clean finish, 2 a :class:`ConfigError`
+(a bad config, flag or environment during set-up; after it, an output that
+cannot be written or a replayed transcript that runs out), 3 a
+:class:`PlantIoError`.  Partial run logs survive an abort because every
 completed episode is flushed before the next one starts.
 """
 
@@ -30,9 +31,7 @@ from .backends import (
     REPLAY,
     SCRIPTED,
 )
-from .errors import (
-    ConfigError, InvalidInput, LogFormatError, OutputError, PlantIoError, ReplayExhausted, frozen,
-)
+from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError, frozen
 from .jsonio import from_doc, loads_finite
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import MIN_IDLE_TICK, RunConfig, RunLogWriter, read_run_log, run_loop
@@ -238,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer = resources.enter_context(
                 _opened("open run log", args.out, RunLogWriter, args.out, run_config)
             )
-        except (ConfigError, InvalidInput, OutputError, OSError) as exc:
+        except (ConfigError, InvalidInput, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except PlantIoError as exc:
@@ -267,7 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except PlantIoError as exc:
             print(f"plant error{aborted}: {exc}", file=sys.stderr)
             return EXIT_PLANT_IO
-        except (OutputError, ReplayExhausted) as exc:
+        except ConfigError as exc:
             print(f"config error{aborted}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 

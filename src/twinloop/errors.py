@@ -32,15 +32,9 @@ class BackendError(TwinloopError):
 
 
 class ConfigError(TwinloopError):
-    """A config file, a command-line flag or the environment is invalid."""
-
-
-class OutputError(TwinloopError):
-    """A run output, the run log or a transcript, could not be written."""
-
-
-class ReplayExhausted(TwinloopError):
-    """A replay backend received more calls than its transcript holds."""
+    """A config file, a command-line flag or the environment is invalid, or
+    a file the run names cannot serve it: an output that cannot be written,
+    or a replayed transcript that runs out."""
 
 
 class LogFormatError(TwinloopError):

@@ -52,7 +52,7 @@ import typing
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import InvalidInput, OutputError
+from .errors import ConfigError, InvalidInput
 
 _MISSING = dataclasses.MISSING
 
@@ -188,7 +188,7 @@ def dumps_record(record) -> str:
 class RecordWriter:
     """A file of record lines, opened for writing.  Each line is flushed as
     it is written, so a partial file stays readable.  A failed write or
-    close raises :class:`OutputError` naming the file as ``what``."""
+    close raises :class:`ConfigError` naming the file as ``what``."""
 
     def __init__(self, path: str | Path, what: str):
         self._fh = open(path, "w", encoding="utf-8")
@@ -199,13 +199,13 @@ class RecordWriter:
             self._fh.write(line + "\n")
             self._fh.flush()
         except OSError as exc:
-            raise OutputError(self._failed + str(exc)) from exc
+            raise ConfigError(self._failed + str(exc)) from exc
 
     def close(self) -> None:
         try:
             self._fh.close()
         except OSError as exc:
-            raise OutputError(self._failed + str(exc)) from exc
+            raise ConfigError(self._failed + str(exc)) from exc
 
     def __enter__(self):
         return self

@@ -27,6 +27,7 @@ from .agents import (
     ANOMALY,
     CONTINUOUS,
     AgentSpec,
+    DecisionContext,
     Thresholds,
     compose_feedback,
     expected_action,
@@ -37,8 +38,7 @@ from .agents import (
     validate_twin,
     DEFAULT_OPERATOR,
 )
-from .backends import DecisionContext
-from .errors import BackendError, InvalidInput, LogFormatError, OutputError, ParseError, frozen
+from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ParseError, frozen
 from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, from_doc, loads_record
 from .plantio import CLOCK_MODES, LOCKSTEP, MAX_DURATION_S, REALTIME, HeaterAction
 
@@ -387,9 +387,9 @@ class RunLogWriter(RecordWriter):
         super().__init__(path, "run log")
         try:
             self.write_line(header)
-        except OutputError:
+        except ConfigError:
             # no caller holds the writer yet: close it here, and report the write
-            with contextlib.suppress(OutputError):
+            with contextlib.suppress(ConfigError):
                 self.close()
             raise
 

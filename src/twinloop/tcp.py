@@ -19,9 +19,10 @@ from .plantio import CLOCK_MODES, LOCKSTEP, REALTIME, HeaterAction, PlantProtoco
 # A served connection that sends no complete line this long after connecting
 # is dropped, so a silent client cannot hold the single-connection server.
 FIRST_LINE_TIMEOUT_S = 10.0
-# The longest line the server reads, in bytes, newline excluded; the longest
-# command the client sends is about 30.  A longer line is answered ERR and
-# ends the connection, so no client makes the server hold a line without end.
+# The longest line either end reads, in bytes, newline excluded: the client's
+# longest command is about 30 and a reply at most 313 (a float with two
+# decimals).  A longer line ends the connection, with ERR from the server and
+# a failed run at the client, so neither end holds a line without end.
 MAX_LINE_BYTES = 1024
 
 
@@ -169,11 +170,13 @@ class TcpPlantClient:
         try:
             for line, check in unread:
                 try:
-                    raw = self._rfile.readline()
+                    raw = self._rfile.readline(MAX_LINE_BYTES + 1)
                 except OSError as exc:
                     raise PlantIoError(f"plant link failed during {line!r}: {exc}") from exc
                 if not raw:
                     raise PlantIoError(f"plant closed the connection during {line!r}")
+                if len(raw) > MAX_LINE_BYTES and raw[-1:] != b"\n":
+                    raise PlantIoError(f"plant reply to {line!r} is longer than {MAX_LINE_BYTES} bytes")
                 # undecodable bytes fail the reply's check, not the decoder
                 reply = raw.decode("utf-8", "replace").rstrip("\n")
                 if check is not None:

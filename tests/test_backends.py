@@ -8,10 +8,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from twinloop.agents import Thresholds
+from twinloop.agents import DecisionContext, Thresholds
 from twinloop.backends import (
     BackendConfig,
-    DecisionContext,
     Exchange,
     HttpBackend,
     LatencySpec,
@@ -26,7 +25,6 @@ from twinloop.errors import (
     ConfigError,
     InvalidInput,
     LogFormatError,
-    ReplayExhausted,
 )
 from twinloop.orchestrator import RunConfig, RunLogWriter, run_loop
 from twinloop.plantio import HeaterAction, TwinPlant
@@ -58,7 +56,7 @@ def latencies(spec, calls=3):
 
 def assert_spent(replay, calls):
     """The replay has answered ``calls`` calls, which its transcript holds."""
-    with pytest.raises(ReplayExhausted, match=f"holds {calls} exchanges; call {calls + 1} has no recording"):
+    with pytest.raises(ConfigError, match=f"holds {calls} exchanges; call {calls + 1} has no recording"):
         replay.complete("s", "u", ctx(26.0))
 
 
@@ -291,10 +289,35 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.complete("s", "u", ctx(24.0, OFF))
 
+    @pytest.mark.parametrize(
+        "body, detail",
+        [
+            ("[" * 100000, "JSON nested too deeply"),
+            ('{"choices": [{"message": {"content": "ACTION: ON"}}], "usage": {"total_tokens": NaN}}',
+             "NaN is not a finite JSON number"),
+        ],
+        ids=["deep-nesting", "NaN"],
+    )
+    def test_a_body_of_deep_nesting_or_nan_is_a_malformed_reply(self, stub_server, monkeypatch, body, detail):
+        # decoded as every other JSON input: a failed call, never a RecursionError
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        stub_server.script.append(("garbage", body))
+        backend = HttpBackend(http_config(stub_server))
+        with pytest.raises(BackendError, match=f"^malformed response body: {detail}$"):
+            backend.complete("s", "u", ctx(24.0, OFF))
+
     def test_missing_api_key(self, stub_server, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
         with pytest.raises(ConfigError):
             HttpBackend(http_config(stub_server))
+
+    @pytest.mark.parametrize("key", ["sk-abc\n", "sk-\tabc", "sk-abc\u00e9"], ids=["newline", "tab", "non-ascii"])
+    def test_an_api_key_that_is_not_printable_ascii_is_refused(self, stub_server, monkeypatch, key):
+        # a header may not carry it, so it is refused with the config, not at the first call
+        monkeypatch.setenv("LLM_API_KEY", key)
+        with pytest.raises(ConfigError, match=r"^API key in \$LLM_API_KEY must be printable ASCII$"):
+            HttpBackend(http_config(stub_server))
+        assert stub_server.requests == []
 
     def test_api_key_env_override(self, stub_server, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
@@ -338,7 +361,7 @@ class TestRecordReplay:
         recorder.close()
         replay = load_replay(path)
         replay.complete("s", "u", ctx(28.0, ON))
-        with pytest.raises(ReplayExhausted):
+        with pytest.raises(ConfigError):
             replay.complete("s", "u", ctx(28.0, ON))
 
     def test_replay_ignores_prompt_content(self, tmp_path):

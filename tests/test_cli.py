@@ -26,7 +26,7 @@ from twinloop import cli, jsonio
 from twinloop.agents import AgentSpec, TaskSpec, render_prompt
 from twinloop.backends import ScriptedBackend
 from twinloop.cli import main, load_config
-from twinloop.errors import BackendError, ConfigError, LogFormatError, PlantIoError, ReplayExhausted
+from twinloop.errors import BackendError, ConfigError, LogFormatError, PlantIoError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
@@ -543,6 +543,16 @@ class TestCmdRun:
         code = main(["run", "--config", str(write_config(tmp_path, overrides)), "--out", str(log)])
         assert code == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not log.exists()
+
+    def test_an_api_key_a_header_cannot_carry_exits_2_before_the_log_is_opened(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("LLM_API_KEY", "sk-abc\n")
+        log = tmp_path / "r.jsonl"
+        path = write_config(tmp_path, {"backend": {"kind": "http", "base_url": "http://127.0.0.1:9", "model": "m"}})
+        assert main(["run", "--config", str(path), "--out", str(log)]) == 2
+        assert capsys.readouterr().err == "config error: API key in $LLM_API_KEY must be printable ASCII\n"
         assert not log.exists()
 
     def test_realtime_latency_beyond_a_clock_ends_at_the_run_end(self, tmp_path):
@@ -1380,7 +1390,7 @@ def accepted_configs(draw):
 # a fresh exception per raise: a re-raised one keeps growing its traceback
 BACKEND_ERRORS = {
     "backend error": lambda: BackendError("service unavailable", status=503, elapsed=2.0),
-    "transcript runs out": lambda: ReplayExhausted("no recording"),
+    "transcript runs out": lambda: ConfigError("no recording"),
 }
 backend_faults = st.none() | st.tuples(st.integers(1, 30), st.sampled_from(list(BACKEND_ERRORS)))
 plant_faults = st.none() | st.tuples(

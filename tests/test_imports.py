@@ -18,16 +18,17 @@ CASE_CONFIG = ROOT / "configs" / "case_study.json"
 # The public names of the package, by the module that defines them.
 PUBLIC = {
     "agents": [
-        "AgentSpec", "TaskSpec", "Thresholds", "Verdict", "compose_feedback", "expected_action",
-        "monitor_trigger", "parse_action", "render_prompt", "validate_rule", "validate_twin",
+        "AgentSpec", "DecisionContext", "TaskSpec", "Thresholds", "Verdict", "compose_feedback",
+        "expected_action", "monitor_trigger", "parse_action", "render_prompt", "validate_rule",
+        "validate_twin",
     ],
     "backends": [
-        "BackendConfig", "DecisionContext", "Exchange", "HttpBackend", "LatencySpec",
-        "ReplayBackend", "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder", "load_replay",
+        "BackendConfig", "Exchange", "HttpBackend", "LatencySpec", "ReplayBackend",
+        "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder", "load_replay",
     ],
     "errors": [
         "BackendError", "ConfigError", "InvalidInput", "LogFormatError", "ParseError",
-        "PlantIoError", "ReplayExhausted", "TwinloopError",
+        "PlantIoError", "TwinloopError",
     ],
     "metrics": [
         "AccuracyMetrics", "ControlMetrics", "RunMetrics", "accuracy_metrics", "control_metrics",
@@ -67,7 +68,7 @@ def test_public_names_are_pinned():
     import twinloop
 
     assert sorted(twinloop.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(twinloop.__all__) == 56
+    assert len(twinloop.__all__) == 55
     assert twinloop.__version__ == "0.1.0"
 
 
@@ -163,6 +164,19 @@ def run_log(tmp_path_factory):
     argv = ["run", "--config", str(CASE_CONFIG), "--backend", "scripted:flip"]
     assert main(argv + ["--duration", "240", "--out", str(log)]) == 0
     return log
+
+
+def test_reading_a_run_log_loads_no_backend(run_log):
+    loaded = run_child(
+        "import json, sys\n"
+        "from twinloop import read_run_log, run_metrics, report\n"
+        "config, episodes = read_run_log(sys.argv[1])\n"
+        "report(run_metrics(episodes, config.thresholds, config.duration))\n"
+        f"print({LOADED})",
+        str(run_log),
+    )
+    assert "twinloop.orchestrator" in loaded and "twinloop.metrics" in loaded
+    assert "twinloop.backends" not in loaded
 
 
 @pytest.mark.parametrize("command", ["run", "report"])

@@ -253,6 +253,30 @@ def one_segment_session(address, data):
             return fh.read().decode().splitlines()
 
 
+@contextlib.contextmanager
+def fake_plant(reply):
+    """A client of a lockstep plant that answers every line after ``MODE``
+    with the bytes ``reply``."""
+
+    def serve(listener):
+        conn, _ = listener.accept()
+        # the client may close with the rest of a long reply unread
+        with conn, conn.makefile("rb") as lines, contextlib.suppress(OSError):
+            for raw in lines:
+                conn.sendall(b"lockstep\n" if raw.strip() == b"MODE" else reply)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+        thread.start()
+        client = TcpPlantClient(*listener.getsockname(), mode=LOCKSTEP)
+        try:
+            yield client
+        finally:
+            client.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+
 class CountingSocket:
     """A client socket that counts its writes."""
 
@@ -466,43 +490,29 @@ class TestTcpClient:
                 TcpPlantClient(*server.server_address, mode=LOCKSTEP)
 
     def test_undecodable_reply_raises_plant_io_error(self):
-        def serve(listener):
-            conn, _ = listener.accept()
-            with conn, conn.makefile("rb") as lines:
-                for raw in lines:
-                    conn.sendall(b"lockstep\n" if raw.strip() == b"MODE" else b"\xff\n")
-
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            thread = threading.Thread(target=serve, args=(listener,), daemon=True)
-            thread.start()
-            client = TcpPlantClient(*listener.getsockname(), mode=LOCKSTEP)
-            try:
-                with pytest.raises(PlantIoError, match="unparseable temperature reply"):
-                    client.read_temperature()
-            finally:
-                client.close()
-            thread.join(5.0)
-            assert not thread.is_alive()
+        with fake_plant(b"\xff\n") as client:
+            with pytest.raises(PlantIoError, match="unparseable temperature reply"):
+                client.read_temperature()
 
     @pytest.mark.parametrize("reply", ["nan", "inf", "-inf"])
     def test_non_finite_temperature_reply_raises_plant_io_error(self, reply):
-        def serve(listener):
-            conn, _ = listener.accept()
-            with conn, conn.makefile("rb") as lines:
-                for raw in lines:
-                    conn.sendall(b"lockstep\n" if raw.strip() == b"MODE" else reply.encode() + b"\n")
+        with fake_plant(reply.encode() + b"\n") as client:
+            with pytest.raises(PlantIoError, match=f"unparseable temperature reply '{reply}'"):
+                client.read_temperature()
 
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            thread = threading.Thread(target=serve, args=(listener,), daemon=True)
-            thread.start()
-            client = TcpPlantClient(*listener.getsockname(), mode=LOCKSTEP)
-            try:
-                with pytest.raises(PlantIoError, match=f"unparseable temperature reply '{reply}'"):
+    @pytest.mark.parametrize(
+        "pad, refused", [(tcp.MAX_LINE_BYTES - 5, False), (tcp.MAX_LINE_BYTES - 4, True), (2**23, True)]
+    )
+    def test_a_reply_beyond_the_line_limit_raises_plant_io_error(self, pad, refused):
+        # the client reads at most MAX_LINE_BYTES of a reply, newline excluded,
+        # and refuses a longer one without quoting it, however long it runs
+        with fake_plant(b" " * pad + b"23.00\n") as client:
+            if refused:
+                with pytest.raises(PlantIoError) as excinfo:
                     client.read_temperature()
-            finally:
-                client.close()
-            thread.join(5.0)
-            assert not thread.is_alive()
+                assert str(excinfo.value) == f"plant reply to 'T1' is longer than {tcp.MAX_LINE_BYTES} bytes"
+            else:
+                assert client.read_temperature() == 23.0
 
     def test_connection_refused_raises_plant_io_error(self):
         with pytest.raises(PlantIoError):

@@ -22,8 +22,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinloop.agents import AgentSpec, TaskSpec, Thresholds, Verdict
-from twinloop.backends import BackendConfig, DecisionContext, Exchange, LatencySpec, ScriptedPolicy
+from twinloop.agents import AgentSpec, DecisionContext, TaskSpec, Thresholds, Verdict
+from twinloop.backends import BackendConfig, Exchange, LatencySpec, ScriptedPolicy
 from twinloop.cli import LoadedConfig, _Agents
 from twinloop.errors import InvalidInput, frozen
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
