@@ -22,9 +22,9 @@ _EXPORTS = {
     name: module
     for module, names in {
         "agents": (
-            "AgentSpec", "DecisionContext", "TaskSpec", "Thresholds", "Verdict",
-            "compose_feedback", "expected_action", "monitor_trigger", "parse_action",
-            "render_prompt", "validate_rule", "validate_twin",
+            "AgentSpec", "DecisionContext", "Thresholds", "Verdict", "compose_feedback",
+            "expected_action", "monitor_trigger", "parse_action", "render_prompt",
+            "validate_rule", "validate_twin",
         ),
         "backends": (
             "BackendConfig", "Exchange", "HttpBackend", "LatencySpec", "ReplayBackend",

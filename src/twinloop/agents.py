@@ -14,7 +14,6 @@ import functools
 import math
 import re
 import string
-from dataclasses import field
 
 from . import twin
 from .errors import InvalidInput, ParseError, frozen
@@ -75,10 +74,17 @@ class DecisionContext:
 
 
 @frozen
-class TaskSpec:
-    """The operator's task template; the live readings fill its placeholders."""
+class AgentSpec:
+    """The operator agent: the role and goal form its system text, the task
+    template its user text, whose placeholders the live readings fill.
+    Validation and reprompting are code, not agents."""
 
-    description_template: str = (
+    role: str = "Heater operator for a benchtop two-heater temperature rig."
+    goal: str = (
+        "Keep the sensor temperature inside the configured comfort band by "
+        "switching the heater fully on or fully off at each reading."
+    )
+    task: str = (
         "Current sensor temperature: {temperature} degC.\n"
         "Previous heater state: {prev_action}.\n"
         "Control rule: turn the heater OFF when the temperature exceeds {high} degC, "
@@ -88,7 +94,7 @@ class TaskSpec:
 
     def __post_init__(self):
         try:
-            for _, name, spec, _ in string.Formatter().parse(self.description_template):
+            for _, name, spec, _ in string.Formatter().parse(self.task):
                 if name is None:
                     continue
                 if name not in PLACEHOLDERS:
@@ -97,29 +103,15 @@ class TaskSpec:
                     raise InvalidInput(f"nested field in the format spec of {{{name}}} in task template")
             # render_prompt binds strings only, so one rendering with empty
             # strings tries every conversion and format spec
-            self.description_template.format(**dict.fromkeys(PLACEHOLDERS, ""))
+            self.task.format(**dict.fromkeys(PLACEHOLDERS, ""))
         except ValueError as exc:
             raise InvalidInput(f"task template cannot be rendered: {exc}") from None
-
-
-@frozen
-class AgentSpec:
-    """The operator agent: the role and goal form its system text, the task
-    its user text.  Validation and reprompting are code, not agents."""
-
-    role: str = "Heater operator for a benchtop two-heater temperature rig."
-    goal: str = (
-        "Keep the sensor temperature inside the configured comfort band by "
-        "switching the heater fully on or fully off at each reading."
-    )
-    task: TaskSpec = field(default_factory=TaskSpec)
 
     @functools.cached_property
     def _prompt(self) -> tuple[str, str, bool]:
         """``(system text, task template, whether the template places the
         feedback)``, built on first use and kept on this instance."""
-        template = self.task.description_template
-        return f"{self.role}\n\n{self.goal}", template, "{feedback}" in template
+        return f"{self.role}\n\n{self.goal}", self.task, "{feedback}" in self.task
 
 
 @frozen

@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -53,8 +52,8 @@ class Exchange:
     timestamp: float
 
     def __post_init__(self):
-        if self.latency < 0.0:
-            raise InvalidInput(f"latency must be >= 0, got {self.latency!r}")
+        if not 0.0 <= self.latency < math.inf:
+            raise InvalidInput(f"latency must be finite and >= 0, got {self.latency!r}")
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -118,9 +117,9 @@ class BackendConfig:
     temperature: float = 0.0
     timeout: float = 30.0
     api_key_env: str = DEFAULT_API_KEY_ENV
-    script: ScriptedPolicy = field(default_factory=ScriptedPolicy)
+    script: ScriptedPolicy = ScriptedPolicy()
     transcript_path: str = ""
-    latency: LatencySpec = field(default_factory=LatencySpec)
+    latency: LatencySpec = LatencySpec()
 
     def __post_init__(self):
         if self.kind not in (HTTP, SCRIPTED, REPLAY):

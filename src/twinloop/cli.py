@@ -44,23 +44,16 @@ EXIT_PLANT_IO = 3
 
 
 @frozen
-class _Agents:
-    """The ``agents`` section of a config file.  Only the operator is an
-    agent with a prompt; validation and reprompting are code."""
-
-    operator: AgentSpec = dataclasses.field(default_factory=AgentSpec)
-
-
-@frozen
 class LoadedConfig:
     """A run configuration file: one section per field, each written as
     the run log writes its class, so a run log header's ``config`` is a
-    valid ``run`` section."""
+    valid ``run`` section.  Only the operator is an agent with a prompt;
+    validation and reprompting are code."""
 
-    twin: TwinParams = dataclasses.field(default_factory=TwinParams)
-    agents: _Agents = dataclasses.field(default_factory=_Agents)
-    backend: BackendConfig = dataclasses.field(default_factory=BackendConfig)
-    run: RunConfig = dataclasses.field(default_factory=RunConfig)
+    twin: TwinParams = TwinParams()
+    operator: AgentSpec = AgentSpec()
+    backend: BackendConfig = BackendConfig()
+    run: RunConfig = RunConfig()
 
 
 # The keys a backend section may hold, by backend kind.
@@ -254,7 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     plant,
                     backend,
                     run_config,
-                    operator=cfg.agents.operator,
+                    operator=cfg.operator,
                     twin_params=cfg.twin,
                     on_episode=writer.write_episode,
                 )

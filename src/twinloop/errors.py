@@ -59,9 +59,10 @@ def frozen(cls: type) -> type:
 
     - ``__init__`` stores the arguments straight into the new instance's
       ``__dict__``, with the frozen ``__init__``'s keys in its order, then
-      calls ``__post_init__``.  Defaults, ``default_factory`` and
-      ``init=False`` fields work as in dataclasses; ``InitVar`` and
-      keyword-only fields are refused.
+      calls ``__post_init__``.  Plain defaults, ``init=False`` fields with
+      a default, and the ``repr``, ``compare`` and ``hash`` options work as
+      in dataclasses.  ``InitVar``, keyword-only and ``default_factory``
+      fields are refused: a record's default is one shared frozen value.
     - ``__repr__`` is the dataclasses text, ``Name(a=1, b=2)`` over the
       ``repr`` fields, with the same guard against recursion.
 
@@ -91,31 +92,24 @@ def frozen(cls: type) -> type:
     fields = [f for f in cls.__dataclass_fields__.values() if f._field_type is not dataclasses._FIELD_CLASSVAR]
     # Generated names start with two underscores: a field so named in a
     # class body is mangled, so none can shadow them.
-    namespace = {"__factory": dataclasses._HAS_DEFAULT_FACTORY, "__guard": reprlib.recursive_repr()}
+    namespace = {"__guard": reprlib.recursive_repr()}
     params, body = ["__self"], ["__d = __self.__dict__"]
     for f in fields:
-        if f._field_type is dataclasses._FIELD_INITVAR or f.kw_only is True:
-            raise TypeError(f"{cls.__name__}.{f.name}: InitVar and keyword-only fields are not supported")
-        if f.default_factory is not dataclasses.MISSING:
-            namespace[f"__make_{f.name}"] = f.default_factory
-            if f.init:
-                params.append(f"{f.name}=__factory")
-                value = f"__make_{f.name}() if {f.name} is __factory else {f.name}"
-            else:
-                value = f"__make_{f.name}()"
-        elif not f.init:
+        unsupported = f._field_type is dataclasses._FIELD_INITVAR or f.kw_only is True
+        if unsupported or f.default_factory is not dataclasses.MISSING:
+            name = f"{cls.__name__}.{f.name}"
+            raise TypeError(f"{name}: InitVar, keyword-only and default_factory fields are not supported")
+        if not f.init:
             # a plain default stays the class attribute, as in dataclasses
             continue
-        elif f.default is not dataclasses.MISSING:
+        if f.default is not dataclasses.MISSING:
             namespace[f"__default_{f.name}"] = f.default
             params.append(f"{f.name}=__default_{f.name}")
-            value = f.name
         elif "=" in params[-1]:
             raise TypeError(f"non-default argument {f.name!r} follows default argument")
         else:
             params.append(f.name)
-            value = f.name
-        body.append(f"__d[{f.name!r}] = {value}")
+        body.append(f"__d[{f.name!r}] = {f.name}")
     if hasattr(cls, "__post_init__"):
         body.append("__self.__post_init__()")
     shown = ", ".join(f"{f.name}={{__self.{f.name}!r}}" for f in fields if f.repr)

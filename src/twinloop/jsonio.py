@@ -37,8 +37,11 @@ calls the class, whose own ``__init__`` builds the record.  On any mismatch
 it hands the document to the generic walk, :func:`_decode`, the reference
 and the only code that words an error.  :func:`from_doc` is the walk alone:
 it reads config files, whose keys may be missing, and the config in a run
-log's header, once per log.  Run logs and transcripts are written through
-:class:`RecordWriter`.
+log's header, once per log.  A missing key takes the field's default, the
+very value its constructor takes: ``errors.frozen`` supports plain and
+``init=False`` defaults and the ``repr``, ``compare`` and ``hash`` options,
+and refuses ``default_factory``.  Run logs and transcripts are written
+through :class:`RecordWriter`.
 """
 
 from __future__ import annotations
@@ -414,12 +417,11 @@ class _Plan:
         self.reads = []  # (key, converter, default) per constructor argument, in order
         self.constants = []  # (key, value) per field the constructor does not take
         for f in dataclasses.fields(cls):
-            default = f.default if f.default_factory is _MISSING else f.default_factory()
             self.fields.append((f.name, hints[f.name]))
             if f.init:
-                self.reads.append((f.name, _field_reader(hints[f.name], default), default))
+                self.reads.append((f.name, _field_reader(hints[f.name], f.default), f.default))
             else:
-                self.constants.append((f.name, default))
+                self.constants.append((f.name, f.default))
         self.keys = frozenset(f.name for f in dataclasses.fields(cls))
 
 

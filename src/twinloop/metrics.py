@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .agents import Thresholds
-from .errors import LogFormatError, frozen
+from .errors import InvalidInput, LogFormatError, frozen
 from .jsonio import dumps_record
 from .orchestrator import EpisodeRecord
 from .plantio import round_half_away
@@ -174,7 +174,7 @@ def report(m: RunMetrics, fmt: str = TABLE) -> str:
         return ",".join(CSV_COLUMNS) + "\n" + ",".join(_cells(m))
     if fmt == MACHINE:
         return dumps_record(m)
-    raise LogFormatError(f"unknown report format {fmt!r}")
+    raise InvalidInput(f"unknown report format {fmt!r}")
 
 
 def points_dump(episodes: list[EpisodeRecord]) -> str:

@@ -118,9 +118,9 @@ class RunConfig:
     duration: float = 2400.0
     max_reprompts: int = 3
     sample_period_floor: float = 0.0
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    validator: ValidatorMode = field(default_factory=ValidatorMode)
-    monitor: MonitorMode = field(default_factory=MonitorMode)
+    thresholds: Thresholds = Thresholds()
+    validator: ValidatorMode = ValidatorMode()
+    monitor: MonitorMode = MonitorMode()
     clock_mode: str = LOCKSTEP
     initial_action: HeaterAction = HeaterAction.OFF
     safe_action_policy: str = EXPECTED_RULE

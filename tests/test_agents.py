@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twinloop.agents import (
     AgentSpec,
-    TaskSpec,
     Thresholds,
     Verdict,
     compose_feedback,
@@ -76,7 +75,7 @@ class TestRenderPrompt:
         assert not re.search(r"\{[a-z_]+\}", user_text)
 
     def test_inline_feedback_placeholder_is_substituted(self):
-        spec = AgentSpec(task=TaskSpec("T={temperature} prev={prev_action} notes: {feedback}"))
+        spec = AgentSpec(task="T={temperature} prev={prev_action} notes: {feedback}")
         _, with_feedback = render_prompt(spec, 26.0, OFF, TH, "do better")
         assert with_feedback.endswith("notes: do better")
         _, without = render_prompt(spec, 26.0, OFF, TH)
@@ -84,7 +83,7 @@ class TestRenderPrompt:
 
     def test_unknown_placeholder_rejected_at_validation(self):
         with pytest.raises(InvalidInput):
-            TaskSpec("T={temperature} setpoint={setpoint}")
+            AgentSpec(task="T={temperature} setpoint={setpoint}")
 
     def test_unbound_placeholder_raises_template_error(self):
         # templates that got past the placeholder check and then failed at
@@ -98,7 +97,7 @@ class TestRenderPrompt:
             "T=temperature}",
         ):
             with pytest.raises(InvalidInput):
-                TaskSpec(template)
+                AgentSpec(task=template)
 
 
 class TestParseAction:
@@ -302,7 +301,7 @@ readings = st.floats(-1e17, 1e17) | band_edges
 
 
 def ref_render(spec, reading, prev, th, feedback):
-    template = spec.task.description_template
+    template = spec.task
     user = template.format(
         temperature=f"{reading:.2f}", prev_action=prev.value,
         low=f"{th.low:g}", high=f"{th.high:g}", feedback=feedback or "",
@@ -327,7 +326,7 @@ def ref_rule_texts(t, prev, th):
     return reason, criterion
 
 
-INLINE_FEEDBACK = AgentSpec(task=TaskSpec(description_template="{feedback}|{low}|{high}|{prev_action}"))
+INLINE_FEEDBACK = AgentSpec(task="{feedback}|{low}|{high}|{prev_action}")
 
 
 class TestTextsBuiltOnce:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import typing
 import warnings
 from pathlib import Path
 
@@ -23,9 +24,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twinloop import cli, jsonio
-from twinloop.agents import AgentSpec, TaskSpec, render_prompt
+from twinloop.agents import AgentSpec, render_prompt
 from twinloop.backends import ScriptedBackend
-from twinloop.cli import main, load_config
+from twinloop.cli import LoadedConfig, main, load_config
 from twinloop.errors import BackendError, ConfigError, LogFormatError, PlantIoError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
@@ -86,13 +87,40 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+# Every leaf key a config file may set, by dotted name.
+SETTABLE_KEYS = sorted(
+    [f"twin.{k}" for k in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal")]
+    + ["operator.role", "operator.goal", "operator.task"]
+    + [f"backend.{k}" for k in ("kind", "base_url", "model", "temperature", "timeout", "api_key_env")]
+    + [f"backend.script.{k}" for k in ("kind", "p_wrong_first", "p_correct_on_feedback", "seed")]
+    + ["backend.transcript_path"]
+    + [f"backend.latency.{k}" for k in ("kind", "seconds", "mu", "sigma", "seed")]
+    + [f"run.{k}" for k in ("duration", "max_reprompts", "sample_period_floor")]
+    + ["run.thresholds.low", "run.thresholds.high"]
+    + ["run.validator.kind", "run.validator.horizon", "run.validator.envelope"]
+    + ["run.monitor.kind", "run.monitor.margin"]
+    + ["run.clock_mode", "run.initial_action", "run.safe_action_policy"]
+)
+
+
+def settable_keys(cls, prefix=""):
+    """The dotted name of every constructor argument of ``cls`` that is not
+    itself a record, found through the records it holds."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from settable_keys(hints[f.name], f"{prefix}{f.name}.")
+        elif f.init:
+            yield prefix + f.name
+
+
 class TestLoadConfig:
     def test_case_study_config_loads(self):
         cfg = load_config(CASE_CONFIG)
         assert cfg.run.thresholds.low == 25.0
         assert cfg.run.duration == 2400.0
         assert cfg.backend.kind == "scripted"
-        assert cfg.agents.operator == AgentSpec()
+        assert cfg.operator == AgentSpec()
 
     def test_empty_config_gets_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -100,6 +128,12 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.run.max_reprompts == 3
         assert cfg.twin.t_amb == 23.0
+        # one default rule: a missing section is the very record the class declares
+        default = LoadedConfig()
+        assert all(getattr(cfg, f.name) is getattr(default, f.name) for f in dataclasses.fields(cfg))
+
+    def test_no_setting_is_added_or_lost(self):
+        assert sorted(settable_keys(LoadedConfig)) == SETTABLE_KEYS
 
     def test_unknown_top_level_key_named(self, tmp_path):
         path = write_config(tmp_path, {"plant": {}})
@@ -128,29 +162,26 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unknown_backend_reference_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"agents.operator.backend": "gpu-farm"})
-        with pytest.raises(ConfigError, match=re.escape("unknown key 'agents.operator.backend'")):
+        path = write_config(tmp_path, {"operator.backend": "gpu-farm"})
+        with pytest.raises(ConfigError, match=re.escape("unknown key 'operator.backend'")):
             load_config(path)
 
     @pytest.mark.parametrize("agent", ["validator", "reprompter"])
     def test_only_the_operator_is_configurable(self, tmp_path, agent):
-        path = write_config(tmp_path, {f"agents.{agent}": {"role": "r", "goal": "g"}})
-        with pytest.raises(ConfigError, match=re.escape(f"unknown key 'agents.{agent}'")):
+        path = write_config(tmp_path, {agent: {"role": "r", "goal": "g"}})
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{agent}'")):
             load_config(path)
 
     def test_operator_keys_default_one_by_one(self, tmp_path):
-        path = write_config(
-            tmp_path, {"agents": {"operator": {"task": {"description_template": "T={temperature}"}}}}
-        )
-        operator = load_config(path).agents.operator
+        path = write_config(tmp_path, {"operator": {"task": "T={temperature}"}})
+        operator = load_config(path).operator
         assert (operator.role, operator.goal) == (AgentSpec().role, AgentSpec().goal)
-        assert operator.task == TaskSpec("T={temperature}")
+        assert operator.task == "T={temperature}"
 
     def test_bad_task_placeholder_rejected(self, tmp_path):
-        path = write_config(
-            tmp_path, {"agents.operator.task.description_template": "T={setpoint}"}
-        )
-        with pytest.raises(ConfigError, match="task"):
+        path = write_config(tmp_path, {"operator.task": "T={setpoint}"})
+        message = "'operator': unknown placeholder {setpoint} in task template"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -158,7 +189,7 @@ class TestLoadConfig:
         [
             ("run.max_reprompts", 2.7),
             ("backend.script.seed", 1.5),
-            ("agents.operator.role", None),
+            ("operator.role", None),
             ("run.thresholds.low", "25"),
             ("run.initial_action", "DIM"),
         ],
@@ -201,6 +232,8 @@ class TestLoadConfig:
             ({"run.monitor": "anomaly"}, "'run.monitor' must be an object"),
             # without a kind these keys would silently configure the rule validator
             ({"run.validator": {"horizon": 300, "envelope": [20, 30]}}, "missing key 'run.validator.kind'"),
+            # the operator's section before it left the one-field agents wrapper
+            ({"agents.operator.task.description_template": "T={temperature}"}, "unknown key 'agents'"),
         ],
     )
     def test_old_spellings_and_a_validator_without_a_kind_exit_2(self, tmp_path, capsys, overrides, message):
@@ -257,7 +290,7 @@ def test_loaded_config_is_finite_and_renders(tmp_path_factory, dotted, value):
     for where, x in config_floats(cfg):
         # null writes an infinite envelope bound; nothing else is infinite
         assert math.isfinite(x) or where.startswith("run.validator.envelope") and math.isinf(x), where
-    render_prompt(cfg.agents.operator, 26.0, HeaterAction.ON, cfg.run.thresholds, "retry")
+    render_prompt(cfg.operator, 26.0, HeaterAction.ON, cfg.run.thresholds, "retry")
 
 
 def unwritable(tmp_path, where):
@@ -741,12 +774,12 @@ class TestCmdRun:
          "T={temperature!z}", "T={temperature:d}"],
     )
     def test_unrenderable_task_template_exits_2(self, tmp_path, capsys, template):
-        path = write_config(tmp_path, {"agents.operator.task.description_template": template})
+        path = write_config(tmp_path, {"operator.task": template})
         log = tmp_path / "r.jsonl"
         code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("config error: 'agents.operator.task':")
+        assert line.startswith("config error: 'operator':") and "task template" in line
         assert not log.exists()
 
     @pytest.mark.parametrize(

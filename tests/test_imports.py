@@ -18,7 +18,7 @@ CASE_CONFIG = ROOT / "configs" / "case_study.json"
 # The public names of the package, by the module that defines them.
 PUBLIC = {
     "agents": [
-        "AgentSpec", "DecisionContext", "TaskSpec", "Thresholds", "Verdict", "compose_feedback",
+        "AgentSpec", "DecisionContext", "Thresholds", "Verdict", "compose_feedback",
         "expected_action", "monitor_trigger", "parse_action", "render_prompt", "validate_rule",
         "validate_twin",
     ],
@@ -68,7 +68,7 @@ def test_public_names_are_pinned():
     import twinloop
 
     assert sorted(twinloop.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(twinloop.__all__) == 55
+    assert len(twinloop.__all__) == 54
     assert twinloop.__version__ == "0.1.0"
 
 
@@ -151,7 +151,7 @@ def test_cli_import_generates_one_code_object_per_frozen_class():
     # class: nothing before Python 3.13, from 3.13 on one source that holds
     # no method; the constant covers generated source elsewhere, such as a
     # namedtuple's
-    assert got["classes"] == 21
+    assert got["classes"] == 19
     assert got["stdlib"] <= 1
     assert got["generated"] <= got["classes"] * (1 + got["stdlib"]) + 3
     assert got["signatures"] == 0
@@ -228,7 +228,7 @@ def test_the_loop_imports_nothing(tmp_path, validator):
         "            snapshots.append(sorted(sys.modules))\n"
         "        writer.write_episode(record)\n"
         "    snapshots.append(sorted(sys.modules))\n"
-        "    episodes = run_loop(plant, backend, cfg.run, operator=cfg.agents.operator,\n"
+        "    episodes = run_loop(plant, backend, cfg.run, operator=cfg.operator,\n"
         "                        twin_params=cfg.twin, on_episode=on_episode)\n"
         "    snapshots.append(sorted(sys.modules))\n"
         "print(json.dumps({'episodes': len(episodes), 'first': episodes[0].t_sensor,\n"

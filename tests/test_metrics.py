@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinloop.agents import Thresholds
-from twinloop.errors import LogFormatError
+from twinloop.errors import InvalidInput, LogFormatError
 from twinloop.jsonio import loads_record
 from twinloop.metrics import (
     CSV_COLUMNS,
@@ -209,8 +209,10 @@ class TestReport:
         assert by_name["time_outside_s"] == f"{parsed.control.time_outside:.2f}"
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(LogFormatError):
-            report(self.METRICS, "yaml")
+        # a bad argument, not a malformed log line
+        for fmt in ("yaml", "xml"):
+            with pytest.raises(InvalidInput, match=f"^unknown report format '{fmt}'$"):
+                report(self.METRICS, fmt)
 
     def test_points_dump_one_line_per_episode(self):
         episodes = synthetic_log(5, 3, 1)
