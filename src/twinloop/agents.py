@@ -17,6 +17,7 @@ import string
 
 from . import twin
 from .errors import InvalidInput, ParseError, frozen
+from .jsonio import _bind
 from .plantio import HeaterAction
 
 CONTINUOUS = "continuous"
@@ -26,6 +27,7 @@ PLACEHOLDERS = frozenset({"temperature", "prev_action", "low", "high", "feedback
 
 _ACTION_RE = re.compile(r"action\s*:\s*(on|off)\b", re.IGNORECASE)
 _ACTIONS = {a._value_: a for a in HeaterAction}
+_CONVERSIONS = {"r": "repr", "s": "str", "a": "ascii"}
 
 
 @frozen
@@ -93,25 +95,40 @@ class AgentSpec:
     )
 
     def __post_init__(self):
-        try:
-            for _, name, spec, _ in string.Formatter().parse(self.task):
-                if name is None:
-                    continue
-                if name not in PLACEHOLDERS:
-                    raise InvalidInput(f"unknown placeholder {{{name}}} in task template")
-                if "{" in spec:
-                    raise InvalidInput(f"nested field in the format spec of {{{name}}} in task template")
-            # render_prompt binds strings only, so one rendering with empty
-            # strings tries every conversion and format spec
-            self.task.format(**dict.fromkeys(PLACEHOLDERS, ""))
-        except ValueError as exc:
-            raise InvalidInput(f"task template cannot be rendered: {exc}") from None
+        _compile_prompt(self.role, self.goal, self.task)
 
-    @functools.cached_property
-    def _prompt(self) -> tuple[str, str, bool]:
-        """``(system text, task template, whether the template places the
-        feedback)``, built on first use and kept on this instance."""
-        return f"{self.role}\n\n{self.goal}", self.task, "{feedback}" in self.task
+
+@functools.lru_cache(maxsize=32)
+def _compile_prompt(role: str, goal: str, task: str) -> tuple:
+    """``(system text, render, whether the task template places the
+    feedback)`` for a spec's texts, after checking its template.  Kept in this
+    cache, not on the spec, so a spec that rendered a prompt still pickles and
+    compares as a plain record.  ``render(temperature, prev_action, low, high,
+    feedback)`` is generated the way ``jsonio`` generates record writers: one
+    f-string whose source holds only the placeholder names and names bound to
+    each literal chunk and format spec.  A conversion calls ``repr``, ``str``
+    or ``ascii``, a spec calls ``format``; no template text enters the source."""
+    namespace, fields = {}, []
+    try:
+        for literal, name, spec, conversion in string.Formatter().parse(task):
+            if literal:
+                fields.append(_bind(namespace, literal))
+            if name is None:
+                continue
+            if name not in PLACEHOLDERS:
+                raise InvalidInput(f"unknown placeholder {{{name}}} in task template")
+            if "{" in spec:
+                raise InvalidInput(f"nested field in the format spec of {{{name}}} in task template")
+            value = f"{_CONVERSIONS[conversion]}({name})" if conversion in _CONVERSIONS else name
+            fields.append(f"format({value}, {_bind(namespace, spec)})" if spec else value)
+        # the renderer binds strings only, so one rendering with empty
+        # strings tries every conversion and format spec
+        task.format(**dict.fromkeys(PLACEHOLDERS, ""))
+    except ValueError as exc:
+        raise InvalidInput(f"task template cannot be rendered: {exc}") from None
+    source = "".join(f"{{{field}}}" for field in fields)
+    exec(f'def render(temperature, prev_action, low, high, feedback):\n    return f"{source}"\n', namespace)
+    return f"{role}\n\n{goal}", namespace["render"], "{feedback}" in task
 
 
 @frozen
@@ -134,6 +151,7 @@ DEFAULT_OPERATOR = AgentSpec()
 # One passing verdict per expected action, by name (a str caches its hash, a
 # member's hash is a Python call); a frozen Verdict can be shared.
 _RULE_PASSES = {a._name_: Verdict(True, a, "proposal matches the control rule") for a in HeaterAction}
+_TWIN_PASSES = Verdict(True, None, "simulated trajectory stays inside the safe envelope")
 
 
 def render_prompt(
@@ -149,19 +167,13 @@ def render_prompt(
     its task template with the live readings bound; validator feedback, when
     present, is appended (or substituted where the template places it).
     ``t`` is the plant's two-decimal reading, so its text is exact.  The
-    system text, and the thresholds' texts, are built once per ``spec`` and
-    per ``thresholds`` instance; an attempt formats only the reading and
-    binds the template.
+    system text and the template's compiled renderer are built once per spec
+    text, the thresholds' texts once per ``thresholds`` instance; an attempt
+    formats only the reading and calls the renderer.
     """
-    system_text, template, places_feedback = spec._prompt
+    system_text, render, places_feedback = _compile_prompt(spec.role, spec.goal, spec.task)
     low, high, _ = thresholds._texts
-    user_text = template.format_map({
-        "temperature": f"{t:.2f}",
-        "prev_action": prev._value_,
-        "low": low,
-        "high": high,
-        "feedback": feedback or "",
-    })
+    user_text = render(f"{t:.2f}", prev._value_, low, high, feedback or "")
     if feedback and not places_feedback:
         user_text = f"{user_text}\n\n{feedback}"
     return system_text, user_text
@@ -234,7 +246,7 @@ def validate_twin(
     lo, hi = envelope
     exit_sample = twin.first_exit(params, state, proposal.duty, horizon, lo, hi)
     if exit_sample is None:
-        return Verdict(True, None, "simulated trajectory stays inside the safe envelope")
+        return _TWIN_PASSES
     clock, t_sensor = exit_sample
     bounds = f"[{lo:g}, {hi:g}]"
     return Verdict(

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from twinloop import agents
 from twinloop.agents import (
     AgentSpec,
     Thresholds,
@@ -204,6 +205,9 @@ class TestValidateTwin:
         )
         assert verdict.passed
         assert verdict.expected is None
+        assert verdict.reason == "simulated trajectory stays inside the safe envelope"
+        # one shared passing verdict, as the rule validator's
+        assert validate_twin(self.PARAMS, TwinState(23.0, 23.0, 0.0), ON, 1.0, (20.0, 35.0)) is verdict
 
     def test_heating_a_hot_plant_breaks_the_envelope(self):
         verdict = validate_twin(
@@ -326,6 +330,21 @@ def ref_rule_texts(t, prev, th):
     return reason, criterion
 
 
+RENDER_ARGS = ("temperature", "prev_action", "low", "high", "feedback")
+# Literal chunks with braces escaped, quotes, backslashes, newlines,
+# non-ASCII and text that reads as Python; fields with every conversion and
+# string specs.
+literal_chunks = st.sampled_from(
+    ["{{", "}}", '"', "'", '"""', "\\", "\\N{{BULLET}}", "\n", "°C", "é", " "]
+    + ["__import__('os')", "{{feedback}}", "f'{{x}}'"]
+) | st.text(st.characters(blacklist_characters="{}", blacklist_categories=("Cs",)), max_size=5)
+template_fields = st.builds(
+    lambda name, conversion, spec: f"{{{name}{conversion}{spec and ':' + spec}}}",
+    st.sampled_from(RENDER_ARGS), st.sampled_from(["", "!r", "!s", "!a"]),
+    st.sampled_from(["", ">8", "^5", ".3", "x<4"]),
+)
+templates = st.lists(literal_chunks | template_fields, max_size=8).map("".join)
+
 INLINE_FEEDBACK = AgentSpec(task="{feedback}|{low}|{high}|{prev_action}")
 
 
@@ -340,6 +359,39 @@ class TestTextsBuiltOnce:
         expected = ref_render(spec, t, prev, th, feedback)
         for _ in range(2):  # the second call reads the kept texts
             assert render_prompt(spec, t, prev, th, feedback) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        template=templates, values=st.lists(st.text(max_size=6), min_size=5, max_size=5),
+        th=bands(), t=readings, prev=actions, feedback=st.none() | st.text(max_size=12),
+    )
+    def test_compiled_template_renders_as_str_format(self, template, values, th, t, prev, feedback):
+        spec = AgentSpec(task=template)
+        render = agents._compile_prompt(spec.role, spec.goal, template)[1]
+        for _ in range(2):  # the second call takes the cached renderer
+            assert render(*values) == template.format(**dict(zip(RENDER_ARGS, values)))
+            for fb in (None, feedback):
+                assert render_prompt(spec, t, prev, th, fb) == ref_render(spec, t, prev, th, fb)
+
+    def test_generated_source_holds_only_identifiers(self, monkeypatch):
+        sources = []
+
+        def spy(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(agents, "exec", spy, raising=False)
+        task = "{{__import__('os')}}\\n\"'\n°{low!r:>8}{high!a}{temperature:.3}{feedback!s}{prev_action}\")"
+        render = agents._compile_prompt.__wrapped__("role", "goal", task)[1]
+        values = dict(zip(RENDER_ARGS, ["12.34", "ON", "25", "27", "x"]))
+        assert render(*values.values()) == task.format(**values)
+        (source,) = sources
+        head, body = source.split('return f"')
+        assert head == f"def render({', '.join(RENDER_ARGS)}):\n    " and body.endswith('"\n')
+        assert re.fullmatch(r"(\{[\w(), ]+\})+", body[:-2])
+        names = set(re.findall(r"\w+", body))
+        bound = {name for name in names if re.fullmatch(r"_n\d+", name)}
+        assert names - bound == {"format", "repr", "str", "ascii", *RENDER_ARGS}
 
     @settings(max_examples=200, deadline=None)
     @given(th=bands(), t=readings, prev=actions, proposal=actions)

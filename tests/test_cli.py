@@ -718,6 +718,30 @@ class TestCmdRun:
         )
 
     @pytest.mark.parametrize(
+        "task, digest",
+        [
+            (None, "16aadd8c0da694a70a45b610b6b93345b66f403fb727d29e1fcdc256804960b6"),
+            (
+                "Notes: {feedback}\nSensor {temperature:>8} °C, band {low!r} to {high!s:^7}, "
+                "previous {prev_action!a}.\nReply {{ACTION: ON}} or {{ACTION: OFF}} as 'ACTION: ON' or 'ACTION: OFF'.",
+                "2bd6584ed530f0aea637707c6459d34e0706a554c08c532a202065d521806b98",
+            ),
+        ],
+        ids=["case-study", "placed-feedback"],
+    )
+    def test_transcript_is_pinned(self, tmp_path, capsys, task, digest):
+        # a transcript is the only file that holds prompt text; the flip
+        # policy fails first attempts, so reprompts carry feedback
+        config = write_config(tmp_path, {"operator.task": task} if task else {})
+        transcript = tmp_path / "t.jsonl"
+        assert main([
+            "run", "--config", str(config), "--backend", "scripted:flip", "--seed", "7",
+            "--duration", "600", "--record", str(transcript), "--out", str(tmp_path / "r.jsonl"),
+        ]) == 0
+        assert "VALIDATION FAILED" in transcript.read_text()
+        assert hashlib.sha256(transcript.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "dotted, literal",
         [
             ("backend.latency.seconds", "NaN"),

@@ -22,7 +22,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinloop.agents import AgentSpec, DecisionContext, Thresholds, Verdict
+from twinloop.agents import AgentSpec, DecisionContext, Thresholds, Verdict, render_prompt
 from twinloop.backends import BackendConfig, Exchange, LatencySpec, ScriptedPolicy
 from twinloop.cli import LoadedConfig
 from twinloop.errors import InvalidInput, frozen
@@ -299,6 +299,9 @@ def test_records_match_by_position():
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 def test_replace_astuple_copy_and_pickle_keep_the_record(cls):
     record = cls(*CASES[cls])
+    if cls in (AgentSpec, LoadedConfig):
+        # rendering a prompt leaves nothing on the spec
+        render_prompt(record if cls is AgentSpec else record.operator, 26.0, OFF, Thresholds())
     for made in (dataclasses.replace(record), copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert type(made) is cls and made == record
         assert list(made.__dict__.items()) == list(record.__dict__.items())
