@@ -42,21 +42,16 @@ class Thresholds:
             raise InvalidInput("thresholds must be finite")
         if not self.low < self.high:
             raise InvalidInput(f"thresholds must satisfy low < high, got {self.low} >= {self.high}")
+        # ``(low, high, criterion)``: the band as the prompt and the rule's
+        # feedback print it, on this instance, not shared by equal ones:
+        # ``-0.0 == 0.0``, yet the first prints as ``-0``
+        low, high = f"{self.low:g}", f"{self.high:g}"
+        criterion = f"Rule: turn OFF above {high}°C, turn ON below {low}°C, otherwise hold the previous state."
+        object.__setattr__(self, "_texts", (low, high, criterion))
 
     @property
     def midpoint(self) -> float:
         return (self.low + self.high) / 2.0
-
-    @functools.cached_property
-    def _texts(self) -> tuple[str, str, str]:
-        """``(low, high, criterion)``: the band as the prompt and the rule's
-        feedback print it, formatted on first use and kept on this instance.
-        Equal thresholds do not share them: ``-0.0 == 0.0``, yet the first
-        prints as ``-0``."""
-        low, high = f"{self.low:g}", f"{self.high:g}"
-        return low, high, (
-            f"Rule: turn OFF above {high}°C, turn ON below {low}°C, otherwise hold the previous state."
-        )
 
 
 @frozen

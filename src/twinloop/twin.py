@@ -39,18 +39,6 @@ from __future__ import annotations
 import math
 from .errors import InvalidInput, frozen
 
-# Defaults give a 33 degC sensor steady state at full duty and heater/sensor
-# time constants of roughly 33 s / 100 s, so a 40 minute run cycles several
-# times through a 25..27 degC band.
-DEFAULT_T_AMB = 23.0
-DEFAULT_ALPHA = 0.02
-DEFAULT_C_H = 5.0
-DEFAULT_C_S = 20.0
-DEFAULT_U_HA = 0.05
-DEFAULT_U_HS = 0.10
-DEFAULT_U_SA = 0.10
-DEFAULT_DT_INTERNAL = 0.1
-
 _MIN_FULL_DUTY_SENSOR_SS = 27.0
 # Largest magnitude (degC) of ambient and full-duty heater steady state, the
 # bounds of every temperature a run from ambient reaches.  A float below it
@@ -72,14 +60,17 @@ class TwinParams:
     within ``MAX_TEMPERATURE_C``.
     """
 
-    t_amb: float = DEFAULT_T_AMB
-    alpha: float = DEFAULT_ALPHA
-    c_h: float = DEFAULT_C_H
-    c_s: float = DEFAULT_C_S
-    u_ha: float = DEFAULT_U_HA
-    u_hs: float = DEFAULT_U_HS
-    u_sa: float = DEFAULT_U_SA
-    dt_internal: float = DEFAULT_DT_INTERNAL
+    # Defaults give a 33 degC sensor steady state at full duty and heater/sensor
+    # time constants of roughly 33 s / 100 s, so a 40 minute run cycles several
+    # times through a 25..27 degC band.
+    t_amb: float = 23.0
+    alpha: float = 0.02
+    c_h: float = 5.0
+    c_s: float = 20.0
+    u_ha: float = 0.05
+    u_hs: float = 0.10
+    u_sa: float = 0.10
+    dt_internal: float = 0.1
 
     def __post_init__(self):
         for name in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal"):

@@ -22,7 +22,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinloop.agents import AgentSpec, DecisionContext, Thresholds, Verdict, render_prompt
+from twinloop.agents import AgentSpec, DecisionContext, Thresholds, Verdict, render_prompt, validate_rule
 from twinloop.backends import BackendConfig, Exchange, LatencySpec, ScriptedPolicy
 from twinloop.cli import LoadedConfig
 from twinloop.errors import InvalidInput, frozen
@@ -302,6 +302,10 @@ def test_replace_astuple_copy_and_pickle_keep_the_record(cls):
     if cls in (AgentSpec, LoadedConfig):
         # rendering a prompt leaves nothing on the spec
         render_prompt(record if cls is AgentSpec else record.operator, 26.0, OFF, Thresholds())
+    if cls is Thresholds:
+        # a band that printed a prompt and a failing verdict holds what a new one holds
+        render_prompt(AgentSpec(), 26.0, OFF, record)
+        assert not validate_rule(ON, 30.0, OFF, record).passed
     for made in (dataclasses.replace(record), copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert type(made) is cls and made == record
         assert list(made.__dict__.items()) == list(record.__dict__.items())
