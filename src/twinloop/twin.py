@@ -18,9 +18,9 @@ negative eigenvalues, and ``e^{A dt}`` has a closed form with two ``exp``
 calls (Moler & Van Loan, *Nineteen Dubious Ways to Compute the Exponential of
 a Matrix*, 2003).  ``exp`` comes from the platform's libm, as it does for the
 lognormal latency stream, so trajectories are deterministic and bit-for-bit
-replayable on one platform.  Each parameter set keeps its per-duty
-constants, so a step at a known duty pays a dict lookup instead of hashing
-the parameters.
+replayable on one platform.  Each parameter set holds one propagator, the
+same at every duty, and its steady states at duty 0 and 100, the duties a
+heater action sets; any other duty solves its steady state per call.
 
 ``step`` applies the propagator to both nodes.  A rollout needs the sensor
 alone: from a start state its deviation from steady state is ``p e^{l1 t} +
@@ -52,12 +52,11 @@ class TwinParams:
     """Physical coefficients of the two-node model.
 
     Temperatures in degC, capacities in J/K, conductances in W/K, alpha in
-    W per percent duty.  ``dt_internal`` (seconds) is still accepted and
-    checked, but the exact propagator reads no internal step.  Every
-    invariant is checked at construction, among them that the propagator's
-    constants are finite, with distinct negative eigenvalues (a rollout
-    divides by them), and that the ambient and full-duty temperatures stay
-    within ``MAX_TEMPERATURE_C``.
+    W per percent duty.  Every invariant is checked at construction, among
+    them that the propagator's constants are finite, with distinct negative
+    eigenvalues (a rollout divides by them), and that the ambient and
+    full-duty temperatures stay within ``MAX_TEMPERATURE_C``; the propagator
+    and the steady states at duty 0 and 100 are then stored, once.
     """
 
     # Defaults give a 33 degC sensor steady state at full duty and heater/sensor
@@ -70,10 +69,10 @@ class TwinParams:
     u_ha: float = 0.05
     u_hs: float = 0.10
     u_sa: float = 0.10
-    dt_internal: float = 0.1
+    dt_internal = 0.1  # not a field; only perfbench/tracing.py reads it, to count substeps
 
     def __post_init__(self):
-        for name in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal"):
+        for name in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInput(f"twin parameter {name} is not finite")
         for name in ("c_h", "c_s", "u_ha", "u_hs", "u_sa"):
@@ -81,18 +80,16 @@ class TwinParams:
                 raise InvalidInput(f"twin parameter {name} must be strictly positive")
         if self.alpha < 0.0:
             raise InvalidInput("twin parameter alpha must be >= 0")
-        if not 0.0 < self.dt_internal <= 1.0:
-            raise InvalidInput("twin parameter dt_internal must lie in (0, 1]")
         # Without headroom above the upper control threshold the plant can
         # never oscillate through the band.
-        _, ts_full = steady_state(self, 100.0)
+        xh, ts_full = full = steady_state(self, 100.0)
         if ts_full <= _MIN_FULL_DUTY_SENSOR_SS:
             raise InvalidInput(
                 f"sensor steady state at full duty ({ts_full:.2f} degC) must exceed "
                 f"{_MIN_FULL_DUTY_SENSOR_SS} degC"
             )
         try:
-            xh, _, l1, l2, *gains = full = _solve_zoh(self, 100.0)
+            l1, l2, *gains = propagator = _propagator(self)
             fits = l2 < l1 < 0.0 and all(map(math.isfinite, (l2, *gains)))
         except (OverflowError, ZeroDivisionError):
             fits = False
@@ -103,8 +100,9 @@ class TwinParams:
                 f"twin temperatures reach {max(abs(self.t_amb), xh):g} degC in magnitude, beyond the "
                 f"{MAX_TEMPERATURE_C:g} degC a reading resolves to two decimals"
             )
-        # _zoh's per-duty constants of this instance, not shared by equal ones
-        object.__setattr__(self, "_propagators", {100.0: full})
+        object.__setattr__(self, "_propagator", propagator)
+        object.__setattr__(self, "_off", steady_state(self, 0.0))
+        object.__setattr__(self, "_full", full)
 
 
 @frozen
@@ -133,7 +131,8 @@ def step(params: TwinParams, state: TwinState, duty: float, dt: float) -> TwinSt
     """
     _check_step_args(state, duty, dt)
     # x(t + dt) = x_ss + e^{A dt} (x(t) - x_ss), e^{A dt} = e2 I + e12 G
-    xh, xs, l1, l2, g_hh, g_hs, g_sh, g_ss = _zoh(params, duty)
+    l1, l2, g_hh, g_hs, g_sh, g_ss = params._propagator
+    xh, xs = _steady(params, duty)
     e2 = math.exp(l2 * dt)
     e12 = math.exp(l1 * dt) - e2
     yh, ys = state.t_heater - xh, state.t_sensor - xs
@@ -157,27 +156,22 @@ def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
     return t_heater, t_sensor
 
 
-def _zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float, float, float]:
-    """:func:`_solve_zoh`, kept on ``p`` per duty; at most 64 duties, since a
-    served plant holds whatever duty its client sends."""
-    z = p._propagators.get(duty)
-    if z is None:
-        if len(p._propagators) >= 64:
-            p._propagators.clear()
-        z = p._propagators[duty] = _solve_zoh(p, duty)
-    return z
+def _steady(p: TwinParams, duty: float) -> tuple[float, float]:
+    """:func:`steady_state`, stored on ``p`` for duty 0 and 100."""
+    if duty == 100.0:
+        return p._full
+    return p._off if duty == 0.0 else steady_state(p, duty)
 
 
-def _solve_zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, float, float, float, float]:
-    """Per-duty constants ``(xh, xs, l1, l2, g_hh, g_hs, g_sh, g_ss)`` of the
-    exact propagator.
+def _propagator(p: TwinParams) -> tuple[float, float, float, float, float, float]:
+    """Constants ``(l1, l2, g_hh, g_hs, g_sh, g_ss)`` of the exact propagator,
+    the same at every duty.
 
-    With ``x' = A x + f`` and steady state ``(xh, xs)``, ``A``'s eigenvalues
-    ``l1 > l2`` are real, distinct and negative for a passive RC network, and
-    Sylvester's formula gives ``e^{A dt} = e2 I + (e1 - e2) G`` with
-    ``ek = exp(lk dt)`` and ``G = (A - l2 I) / (l1 - l2)``.
+    With ``x' = A x + f``, ``A``'s eigenvalues ``l1 > l2`` are real, distinct
+    and negative for a passive RC network, and Sylvester's formula gives
+    ``e^{A dt} = e2 I + (e1 - e2) G`` with ``ek = exp(lk dt)`` and
+    ``G = (A - l2 I) / (l1 - l2)``.
     """
-    xh, xs = steady_state(p, duty)
     a = -(p.u_ha + p.u_hs) / p.c_h
     b = p.u_hs / p.c_h
     c = p.u_hs / p.c_s
@@ -187,7 +181,7 @@ def _solve_zoh(p: TwinParams, duty: float) -> tuple[float, float, float, float, 
     # det(A) = l1 * l2, written without the cancellation in a*d - b*c
     l1 = (p.u_ha * p.u_hs + p.u_ha * p.u_sa + p.u_hs * p.u_sa) / (p.c_h * p.c_s * l2)
     k = 1.0 / (l1 - l2)
-    return xh, xs, l1, l2, k * (a - l2), k * b, k * c, k * (d - l2)
+    return l1, l2, k * (a - l2), k * b, k * c, k * (d - l2)
 
 
 def _grid(params: TwinParams, state: TwinState, duty: float, horizon: float):
@@ -206,7 +200,8 @@ def _grid(params: TwinParams, state: TwinState, duty: float, horizon: float):
         raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
     _check_step_args(state, duty, horizon)
 
-    xh, xs, l1, l2, _, _, g_sh, g_ss = _zoh(params, duty)
+    l1, l2, _, _, g_sh, g_ss = params._propagator
+    xh, xs = _steady(params, duty)
     clock = state.clock
     ys = state.t_sensor - xs
     p = g_sh * (state.t_heater - xh) + g_ss * ys

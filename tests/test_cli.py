@@ -89,7 +89,7 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 
 # Every leaf key a config file may set, by dotted name.
 SETTABLE_KEYS = sorted(
-    [f"twin.{k}" for k in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa", "dt_internal")]
+    [f"twin.{k}" for k in ("t_amb", "alpha", "c_h", "c_s", "u_ha", "u_hs", "u_sa")]
     + ["operator.role", "operator.goal", "operator.task"]
     + [f"backend.{k}" for k in ("kind", "base_url", "model", "temperature", "timeout", "api_key_env")]
     + [f"backend.script.{k}" for k in ("kind", "p_wrong_first", "p_correct_on_feedback", "seed")]
@@ -1250,12 +1250,11 @@ class TestCmdPlantServe:
         [
             ('{"c_h": -1}', "config error: 'twin': twin parameter c_h must be strictly positive"),
             ('{"c_hh": 1}', "config error: unknown key 'twin.c_hh'"),
+            ('{"dt_internal": 0.1}', "config error: unknown key 'twin.dt_internal'"),
         ],
     )
     def test_bad_params_are_named_as_the_twin_section(self, tmp_path, capsys, doc, message):
-        params = tmp_path / "params.json"
-        params.write_text(doc)
-        assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 2
+        assert serve_on_an_occupied_port(tmp_path, doc) == 2
         assert capsys.readouterr().err.strip() == message
 
     @pytest.mark.parametrize(
@@ -1263,20 +1262,24 @@ class TestCmdPlantServe:
         [('{"c_h": 1e-300}', "does not fit a float"), ('{"alpha": 1e300}', "beyond the 1e+12 degC")],
     )
     def test_extreme_params_exit_2_before_binding(self, tmp_path, capsys, twin, problem):
-        params = tmp_path / "params.json"
-        params.write_text(twin)
-        # an occupied port: params taken as valid fail to bind instead of serving
-        blocker = socket.socket()
-        blocker.bind(("127.0.0.1", 0))
-        blocker.listen(1)
-        try:
-            port = blocker.getsockname()[1]
-            code = main(["plant-serve", "--listen", f"127.0.0.1:{port}", "--params", str(params)])
-        finally:
-            blocker.close()
-        assert code == 2
+        assert serve_on_an_occupied_port(tmp_path, twin) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and problem in err
+
+
+def serve_on_an_occupied_port(tmp_path, params_doc: str) -> int:
+    """``plant-serve``'s exit code with ``params_doc`` as its ``--params``
+    file; params taken as valid fail to bind instead of serving."""
+    params = tmp_path / "params.json"
+    params.write_text(params_doc)
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", 0))
+    blocker.listen(1)
+    try:
+        port = blocker.getsockname()[1]
+        return main(["plant-serve", "--listen", f"127.0.0.1:{port}", "--params", str(params)])
+    finally:
+        blocker.close()
 
 
 class TestModuleEntryPoints:

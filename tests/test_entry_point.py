@@ -94,6 +94,10 @@ def old_agents_spelling(config: dict) -> None:
     config["agents"] = {"operator": operator}
 
 
+def twin_dt_internal(config: dict) -> None:
+    config["twin"]["dt_internal"] = 0.1
+
+
 def realtime_past_the_end(config: dict) -> None:
     config["run"]["clock_mode"] = "realtime"
     config["backend"]["latency"] = {"kind": "fixed", "seconds": 1e300}
@@ -114,6 +118,10 @@ ROWS = {
     "old-agents-spelling": Row(
         ["--duration", "60", "--out", "agents.jsonl"], 2,
         lambda err: len(err.splitlines()) == 1 and "'agents'" in err, old_agents_spelling, absent=("agents.jsonl",),
+    ),
+    "twin-dt-internal": Row(
+        ["--duration", "60", "--out", "dt.jsonl"], 2,
+        lambda err: len(err.splitlines()) == 1 and "'twin.dt_internal'" in err, twin_dt_internal, absent=("dt.jsonl",),
     ),
     "replay-runs-out": Row(
         ["--duration", "1200", "--backend", "replay:transcript.jsonl", "--out", "replayed.jsonl"], 2,
