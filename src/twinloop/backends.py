@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING
+from urllib.parse import urlsplit  # loaded with pathlib already
 
 from .agents import DecisionContext, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, frozen
@@ -132,6 +133,14 @@ class BackendConfig:
         if self.kind == HTTP:
             if not self.base_url:
                 raise InvalidInput("http backend requires base_url")
+            # any other URL fails every call, or only mid-run, or reaches a non-HTTP handler
+            try:
+                url = urlsplit(self.base_url)
+                url.port  # raises for a port urllib cannot read
+            except ValueError as exc:
+                raise InvalidInput(f"http backend base_url {self.base_url!r} is not a URL: {exc}") from None
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise InvalidInput(f"http backend base_url must be http(s)://<host>[:<port>], got {self.base_url!r}")
             if not self.model:
                 raise InvalidInput("http backend requires model")
             if not self.temperature >= 0.0:

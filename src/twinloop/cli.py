@@ -3,9 +3,12 @@ over TCP, and turn run logs into reports.
 
 Exit codes are contract values: 0 clean finish, 2 a :class:`ConfigError`
 (a bad config, flag or environment during set-up; after it, an output that
-cannot be written or a replayed transcript that runs out), 3 a
-:class:`PlantIoError`.  Partial run logs survive an abort because every
-completed episode is flushed before the next one starts.
+cannot be written or a replayed transcript that runs out), an
+:class:`InvalidInput` or a :class:`LogFormatError`, 3 a
+:class:`PlantIoError`.  Commands raise; :func:`main` is the one place that
+turns an error into its exit code and its one stderr line.  Partial run
+logs survive an abort because every completed episode is flushed before
+the next one starts.
 """
 
 from __future__ import annotations
@@ -64,14 +67,20 @@ _BACKEND_KEYS = {
 }
 
 
-def _json_object(what: str, path: str | Path) -> dict:
-    """The JSON object held by the ``what`` file at ``path``."""
+def _read(what: str, path, reader, *args, **kwargs):
+    """``reader(*args, **kwargs)``, whose OSError becomes a config error naming the ``what`` file at ``path``."""
     try:
-        doc = loads_finite(Path(path).read_text(encoding="utf-8"))
+        return reader(*args, **kwargs)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _json_object(what: str, path: str | Path) -> dict:
+    """The JSON object held by the ``what`` file at ``path``."""
+    try:
+        doc = loads_finite(_read(what, path, Path(path).read_text, encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -201,41 +210,32 @@ def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> N
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if not args.out:
+        raise ConfigError("no run log path: pass --out")
+    cfg = load_config(args.config)
+    backend_config = cfg.backend
+    if args.backend:
+        backend_config = _apply_backend_override(backend_config, args.backend)
+    if args.seed is not None:
+        backend_config = dataclasses.replace(
+            backend_config,
+            script=dataclasses.replace(backend_config.script, seed=args.seed),
+            latency=dataclasses.replace(backend_config.latency, seed=args.seed),
+        )
+    run_config = cfg.run
+    if args.duration is not None:
+        run_config = dataclasses.replace(run_config, duration=float(args.duration))
+    _refuse_unbounded(run_config, backend_config)
+    replayed = backend_config.transcript_path if backend_config.kind == REPLAY else None
+    inputs = {"--config": args.config, "the replayed transcript": replayed}
+    _refuse_overwrites(inputs, {"--out": args.out, "--record": args.record})
     with contextlib.ExitStack() as resources:
-        try:
-            if not args.out:
-                raise ConfigError("no run log path: pass --out")
-            cfg = load_config(args.config)
-            backend_config = cfg.backend
-            if args.backend:
-                backend_config = _apply_backend_override(backend_config, args.backend)
-            if args.seed is not None:
-                backend_config = dataclasses.replace(
-                    backend_config,
-                    script=dataclasses.replace(backend_config.script, seed=args.seed),
-                    latency=dataclasses.replace(backend_config.latency, seed=args.seed),
-                )
-            run_config = cfg.run
-            if args.duration is not None:
-                run_config = dataclasses.replace(run_config, duration=float(args.duration))
-            _refuse_unbounded(run_config, backend_config)
-            replayed = backend_config.transcript_path if backend_config.kind == REPLAY else None
-            inputs = {"--config": args.config, "the replayed transcript": replayed}
-            _refuse_overwrites(inputs, {"--out": args.out, "--record": args.record})
-            backend = _build_backend(backend_config)
-            if args.record:
-                backend = _opened("open transcript", args.record, TranscriptRecorder, backend, args.record)
-                resources.callback(backend.close)
-            plant = _build_plant(args.plant, cfg, resources)
-            writer = resources.enter_context(
-                _opened("open run log", args.out, RunLogWriter, args.out, run_config)
-            )
-        except (ConfigError, InvalidInput, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except PlantIoError as exc:
-            print(f"plant error: {exc}", file=sys.stderr)
-            return EXIT_PLANT_IO
+        backend = _build_backend(backend_config)
+        if args.record:
+            backend = _opened("open transcript", args.record, TranscriptRecorder, backend, args.record)
+            resources.callback(backend.close)
+        plant = _build_plant(args.plant, cfg, resources)
+        writer = resources.enter_context(_opened("open run log", args.out, RunLogWriter, args.out, run_config))
 
         aborted = ", aborting run (partial log kept)"
         # The modules and config live as long as the run: frozen, they are
@@ -256,12 +256,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 gc.unfreeze()
                 # a served plant confirms its last queued commands as it closes
                 resources.close()
-        except PlantIoError as exc:
-            print(f"plant error{aborted}: {exc}", file=sys.stderr)
-            return EXIT_PLANT_IO
-        except ConfigError as exc:
-            print(f"config error{aborted}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        except (ConfigError, InvalidInput, PlantIoError) as exc:
+            # main writes the error's line, which says whether the run was cut short
+            exc.aborted = aborted
+            raise
 
     m = run_metrics(episodes, run_config.thresholds, run_config.duration)
     print(report(m))
@@ -269,22 +267,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_plant_serve(args: argparse.Namespace) -> int:
-    try:
-        address = _host_port("--listen", args.listen)
-        params_doc = _json_object("params", args.params) if args.params else {}
-        params = from_doc(TwinParams, params_doc, "twin", defaults=True)
-        plant = TwinPlant(params, mode=args.mode)
-    except (ConfigError, InvalidInput) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    address = _host_port("--listen", args.listen)
+    params_doc = _json_object("params", args.params) if args.params else {}
+    plant = TwinPlant(from_doc(TwinParams, params_doc, "twin", defaults=True), mode=args.mode)
 
     from .tcp import PlantServer
 
-    try:
-        server = PlantServer(address, plant)
-    except OSError as exc:
-        print(f"config error: cannot bind {args.listen}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    server = _opened("bind", args.listen, PlantServer, address, plant)
     # the bound port, which port 0 leaves to the system
     host, port = server.server_address[:2]
     endpoint = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
@@ -313,28 +302,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    try:
-        config, episodes = read_run_log(args.log, on_torn_tail=warn_torn)
-        m = run_metrics(episodes, config.thresholds, config.duration)
-    except FileNotFoundError:
-        print(f"report error: log file not found: {args.log}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"report error: cannot read log file {args.log}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except LogFormatError as exc:
-        where = f" (line {exc.line_number})" if exc.line_number is not None else ""
-        print(f"report error{where}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, episodes = _read("log", args.log, read_run_log, args.log, on_torn_tail=warn_torn)
+    m = run_metrics(episodes, config.thresholds, config.duration)
     if args.points:
-        try:
-            _refuse_overwrites({"--log": args.log}, {"--points": args.points})
-            # one call opens, writes and closes, so a failed write is refused as a failed open is
-            points = points_dump(episodes) + "\n"
-            _opened("write points file", args.points, Path(args.points).write_text, points, encoding="utf-8")
-        except ConfigError as exc:
-            print(f"report error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        _refuse_overwrites({"--log": args.log}, {"--points": args.points})
+        # one call opens, writes and closes, so a failed write is refused as a failed open is
+        points = points_dump(episodes) + "\n"
+        _opened("write points file", args.points, Path(args.points).write_text, points, encoding="utf-8")
     print(report(m, args.format))
     return EXIT_OK
 
@@ -373,8 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place that turns an error into its exit code and stderr line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, InvalidInput, LogFormatError, PlantIoError) as exc:
+        plant = isinstance(exc, PlantIoError)
+        what = "report" if args.command == "report" else "plant" if plant else "config"
+        line = getattr(exc, "line_number", None)
+        where = f" (line {line})" if line is not None else getattr(exc, "aborted", "")
+        print(f"{what} error{where}: {exc}", file=sys.stderr)
+        return EXIT_PLANT_IO if plant else EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -219,7 +219,9 @@ def run_episode(
     latency.  If no attempt passes within ``max_reprompts + 1``, the safety
     action is applied and the episode is marked as overridden.  In realtime
     a wait that would pass ``config.duration`` ends there, and so do the
-    episode's attempts, as they do after a call that ran past it.  A twin
+    episode's attempts, as they do after a call that ran past it.  In
+    lockstep a wait that would make the clock infinite raises
+    :class:`InvalidInput` before the plant moves.  A twin
     validator rolls each proposal out from the plant's state with
     ``twin_params``, which :func:`run_loop` has checked are given.
     """
@@ -255,6 +257,9 @@ def run_episode(
         if realtime:
             ended = _wait_ends_run(plant, clock, wait, end) if wait > 0.0 else clock >= end
         elif wait > 0.0:
+            # an infinite clock would end the run with an episode no log reader takes
+            if not math.isfinite(clock + wait):
+                raise InvalidInput(f"a wait of {wait:g} s at t={clock:g} s would take the lockstep clock to infinity")
             plant.advance(wait)
         if exchange is not None:
             response = exchange.response_text

@@ -27,7 +27,7 @@ from twinloop import cli, jsonio
 from twinloop.agents import AgentSpec, render_prompt
 from twinloop.backends import ScriptedBackend
 from twinloop.cli import LoadedConfig, main, load_config
-from twinloop.errors import BackendError, ConfigError, LogFormatError, PlantIoError
+from twinloop.errors import BackendError, ConfigError, InvalidInput, LogFormatError, PlantIoError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
@@ -192,6 +192,11 @@ class TestLoadConfig:
             ("operator.role", None),
             ("run.thresholds.low", "25"),
             ("run.initial_action", "DIM"),
+            # a base_url the http backend cannot call: unparseable, not HTTP, or without a host
+            *(
+                ("backend", {"kind": "http", "base_url": url, "model": "m"})
+                for url in ["http://[::1", "ftp://example.invalid", "file:///etc", "localhost:8000"]
+            ),
         ],
     )
     def test_mistyped_value_rejected_by_dotted_key(self, tmp_path, dotted, value):
@@ -1512,3 +1517,53 @@ def test_every_failure_after_set_up_is_an_exit_code_and_one_line(
     else:
         (line,) = lines
         assert line.startswith("config error" if code == 2 else "plant error")
+
+
+# --- one exit path: main turns every error into its code and one line ------------
+
+# Per command: its arguments, with {tmp} for the test's directory, and the
+# owner and name of a call it makes during set-up and of one it makes mid-run.
+EXIT_PATHS = {
+    "run": (
+        ["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", "{tmp}/out.jsonl"],
+        (cli, "load_config"), (cli, "run_loop"),
+    ),
+    "plant-serve": (["plant-serve", "--listen", "127.0.0.1:0"], (cli, "TwinPlant"), (PlantServer, "serve_forever")),
+    "report": (["report", "--log", "{tmp}/run.jsonl"], (cli, "read_run_log"), (cli, "run_metrics")),
+}
+# a fresh exception per raise, each with the exit code main returns for it
+EXIT_ERRORS = [
+    (lambda: ConfigError("boom"), 2),
+    (lambda: InvalidInput("boom"), 2),
+    (lambda: PlantIoError("boom"), 3),
+]
+
+
+@pytest.mark.parametrize("stage", ["set-up", "mid-run"])
+@pytest.mark.parametrize("command", list(EXIT_PATHS))
+def test_main_alone_turns_an_error_into_its_exit_code_and_one_line(tmp_path, capsys, monkeypatch, command, stage):
+    argv, during, after = EXIT_PATHS[command]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    owner, name = during if stage == "set-up" else after
+    errors = EXIT_ERRORS
+    if command == "report":
+        # the log the report reads
+        log = str(tmp_path / "run.jsonl")
+        assert main(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", log]) == 0
+        errors = [*errors, (lambda: LogFormatError("boom", line_number=7), 2)]
+    capsys.readouterr()
+    for error, code in errors:
+        raised = error()
+
+        def fail(*args, **kwargs):
+            raise raised
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fail)
+            assert main(argv) == code, raised
+        err = capsys.readouterr().err
+        what = "report" if command == "report" else "plant" if code == 3 else "config"
+        where = " (line 7)" if isinstance(raised, LogFormatError) else ""
+        if command == "run" and stage == "mid-run":
+            where = ", aborting run (partial log kept)"
+        assert err == f"{what} error{where}: boom\n"

@@ -103,6 +103,18 @@ def realtime_past_the_end(config: dict) -> None:
     config["backend"]["latency"] = {"kind": "fixed", "seconds": 1e300}
 
 
+def unparseable_base_url(config: dict) -> None:
+    config["backend"] = {"kind": "http", "base_url": "http://[::1", "model": "m"}
+
+
+def lockstep_wait_to_infinity(config: dict) -> None:
+    config["backend"]["latency"] = {"kind": "fixed", "seconds": 1e308}
+
+
+def one_aborted_config_error(err: str) -> bool:
+    return len(err.splitlines()) == 1 and err.startswith("config error, aborting run (partial log kept): ")
+
+
 class Row(NamedTuple):
     args: list  # after ``run --config config.json``
     code: int
@@ -111,6 +123,7 @@ class Row(NamedTuple):
     first: tuple = ()  # the arguments of a run before this one, which must exit 0
     plant: Callable = lambda: contextlib.nullcontext([])  # yields more arguments
     absent: tuple = ()  # files that must not exist afterwards
+    logs: tuple = ()  # run logs whose every line must read back with a number for any t_end
     wall: float = 60.0  # seconds the run may take
 
 
@@ -131,6 +144,15 @@ ROWS = {
     "beyond-one-week": Row(["--duration", "1e12", "--out", "long.jsonl"], 2, absent=("long.jsonl",)),
     "realtime-wait-past-the-end": Row(
         ["--duration", "0.5", "--out", "realtime.jsonl"], 0, edit=realtime_past_the_end, wall=30.0,
+    ),
+    # refused as the config loads, before the API key is read
+    "unparseable-base-url": Row(
+        ["--duration", "2", "--out", "url.jsonl"], 2,
+        lambda err: len(err.splitlines()) == 1 and "'backend'" in err, unparseable_base_url, absent=("url.jsonl",),
+    ),
+    "lockstep-wait-to-infinity": Row(
+        ["--duration", "2", "--backend", "scripted:always_wrong", "--out", "inf.jsonl"], 2,
+        one_aborted_config_error, lockstep_wait_to_infinity, logs=("inf.jsonl",),
     ),
     "long-plant-reply": Row(
         ["--duration", "240", "--out", "fake.jsonl"], 3,
@@ -154,6 +176,9 @@ def test_run(tmp_path, row):
     assert row.stderr_ok(proc.stderr), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not [name for name in row.absent if (tmp_path / name).exists()]
+    for name in row.logs:
+        records = [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+        assert records and all(type(record.get("t_end", 0.0)) is float for record in records), name
 
 
 def test_quick_start_and_a_rerun_from_the_log_header(tmp_path):

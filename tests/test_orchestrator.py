@@ -5,13 +5,15 @@ import hashlib
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twinloop.agents import Thresholds, expected_action
-from twinloop.backends import Exchange, LatencySpec, ScriptedBackend, ScriptedPolicy
+from twinloop.backends import Exchange, LatencySpec, ReplayBackend, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import BackendError, InvalidInput, LogFormatError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.orchestrator import (
@@ -508,6 +510,60 @@ class TestPlantOwnsTheClock:
         assert not any(a.passed for a in record.attempts)
         assert record.override and record.t_end >= config.duration
         assert record.applied == expected_action(record.t_sensor, OFF, TH)
+
+
+# Every latency kind up to the largest it accepts: a fixed one, a lognormal
+# one with mu + 30 * sigma below log(max float), and replayed calls that
+# fail as a parse error or as a backend error after the drawn time.
+huge_latencies = st.floats(1.0, sys.float_info.max)
+lockstep_latencies = st.one_of(
+    st.tuples(st.just("fixed"), huge_latencies),
+    st.tuples(st.just("lognormal"), st.floats(0.0, 709.78), st.floats(0.0, 0.5)),
+    st.tuples(st.just("replay"), st.lists(st.tuples(st.booleans(), huge_latencies), min_size=1, max_size=3)),
+)
+
+
+def always_wrong(latency):
+    """A backend whose every answer fails validation, with ``latency``, a
+    draw of :data:`lockstep_latencies`."""
+    kind, *spec = latency
+    if kind == "replay":
+        calls = [
+            {"error": "overloaded", "elapsed": seconds} if failed else {"response_text": "ON", "latency": seconds}
+            for failed, seconds in spec[0]
+        ]
+        # enough calls for a 5 s run of one-second attempts and a last episode of 101
+        return ReplayBackend(calls * 106)
+    if kind == "fixed":
+        spec = LatencySpec(kind="fixed", seconds=spec[0])
+    else:
+        mu, sigma = spec
+        assume(mu + 30.0 * sigma < math.log(sys.float_info.max))
+        spec = LatencySpec(kind="lognormal", mu=mu, sigma=sigma)
+    return ScriptedBackend(ScriptedPolicy(kind="always_wrong"), spec)
+
+
+@settings(max_examples=60, deadline=None)
+@example(latency=("fixed", 1e308), max_reprompts=3)
+@example(latency=("lognormal", 709.0, 0.0), max_reprompts=3)
+@example(latency=("replay", [(False, 1e308)]), max_reprompts=1)
+@given(latency=lockstep_latencies, max_reprompts=st.integers(0, 100))
+def test_a_lockstep_clock_stops_short_of_infinity_and_the_log_reads_back(tmp_path_factory, latency, max_reprompts):
+    # a wait that would make the clock infinite would log an episode whose
+    # t_end no reader takes; the run stops before the plant moves instead
+    config = RunConfig(duration=5.0, max_reprompts=max_reprompts)
+    path = tmp_path_factory.mktemp("lockstep") / "run.jsonl"
+    backend, handed = always_wrong(latency), []
+    with RunLogWriter(path, config) as writer:
+        def on_episode(record):
+            handed.append(record)
+            writer.write_episode(record)
+
+        try:
+            run_loop(TwinPlant(), backend, config, on_episode=on_episode)
+        except InvalidInput as exc:
+            assert "would take the lockstep clock to infinity" in str(exc)
+    assert read_run_log(path) == (config, handed)
 
 
 class TestRunLogRoundTrip:
