@@ -23,7 +23,7 @@ from urllib.parse import urlsplit  # loaded with pathlib already
 
 from .agents import DecisionContext, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, frozen
-from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, loads_finite
+from .jsonio import RecordWriter, dumps_record, is_blank, loads_finite
 from .plantio import MAX_DURATION_S
 
 if TYPE_CHECKING:
@@ -309,11 +309,10 @@ def _replayable(doc: dict) -> bool:
 def load_replay(transcript_path: str | Path) -> ReplayBackend:
     """Build a replay backend from a recorded transcript file, checking
     each line before the run starts."""
-    entries, space = [], _JSON_SPACE.encode()
+    entries = []
     with open(transcript_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            # as in a run log, only a line of JSON whitespace is blank
-            if not line.strip(space):
+            if is_blank(line):
                 continue
             try:
                 doc = loads_finite(line.decode("utf-8"))

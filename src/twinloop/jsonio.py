@@ -40,12 +40,17 @@ it reads config files, whose keys may be missing, and the config in a run
 log's header, once per log.  A missing key takes the field's default, the
 very value its constructor takes: ``errors.frozen`` supports plain and
 ``init=False`` defaults and the ``repr``, ``compare`` and ``hash`` options,
-and refuses ``default_factory``.  Run logs and transcripts are written
-through :class:`RecordWriter`.
+and refuses ``default_factory``.
+
+Two rules hold for every record file, run log or transcript.  A line of
+JSON whitespace alone is blank and skipped (:func:`is_blank`); other
+whitespace is an error.  A file is written through :class:`RecordWriter`,
+whose failed write closes the file and raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import json
@@ -190,8 +195,9 @@ def dumps_record(record) -> str:
 
 class RecordWriter:
     """A file of record lines, opened for writing.  Each line is flushed as
-    it is written, so a partial file stays readable.  A failed write or
-    close raises :class:`ConfigError` naming the file as ``what``."""
+    it is written, so a partial file stays readable.  A failed write closes
+    the file; it, or a failed close, raises :class:`ConfigError` naming the
+    file as ``what``."""
 
     def __init__(self, path: str | Path, what: str):
         self._fh = open(path, "w", encoding="utf-8")
@@ -201,7 +207,10 @@ class RecordWriter:
         try:
             self._fh.write(line + "\n")
             self._fh.flush()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
+            # a write after a failed one meets a closed file: a ValueError
+            with contextlib.suppress(OSError):
+                self._fh.close()
             raise ConfigError(self._failed + str(exc)) from exc
 
     def close(self) -> None:
@@ -280,6 +289,12 @@ _scan = json.JSONDecoder(parse_constant=_refuse).scan_once
 # JSON's whitespace, the only text a record line may hold besides its value;
 # str.strip() and bytes.strip() strip more.
 _JSON_SPACE = " \t\n\r"
+_JSON_SPACE_BYTES = _JSON_SPACE.encode()
+
+
+def is_blank(raw: bytes) -> bool:
+    """Whether a record file's line holds JSON whitespace alone."""
+    return not raw.strip(_JSON_SPACE_BYTES)
 
 
 def loads_record(line: str, cls: type | None = None):

@@ -10,6 +10,10 @@ episodes are not logged, so every held sample is out of band and
 ``time_outside_s`` reads the whole run: a 2400 s flip-policy run with a
 fixed 5.674 s latency reports 2400.0 s on every seed, where a hold over
 every reading gives 1072.4 s on seed 1.
+
+A log that holds only its header, which a run aborted before its first
+episode leaves, reports zero samples: every count, percentage and time is
+0, and the midpoint is the band's.
 """
 
 from __future__ import annotations
@@ -85,8 +89,6 @@ def accuracy_metrics(episodes: list[EpisodeRecord]) -> AccuracyMetrics:
     A pass is an episode whose first attempt validated; a reprompt rescue is
     a pass at any later attempt; everything else ended in an override.
     """
-    if not episodes:
-        raise LogFormatError("cannot compute accuracy over an empty log")
     samples = len(episodes)
     passes = 0
     pass_after_reprompts = 0
@@ -107,9 +109,10 @@ def accuracy_metrics(episodes: list[EpisodeRecord]) -> AccuracyMetrics:
         fails=fails,
         pass_after_reprompts=pass_after_reprompts,
         overrides=overrides,
-        accuracy_first_pass=round_half_away(100.0 * passes / samples, 2),
+        # a log with no episode reports 0.00 %
+        accuracy_first_pass=round_half_away(100.0 * passes / max(samples, 1), 2),
         accuracy_with_reprompts=round_half_away(
-            100.0 * (passes + pass_after_reprompts) / samples, 2
+            100.0 * (passes + pass_after_reprompts) / max(samples, 1), 2
         ),
     )
 
@@ -118,8 +121,6 @@ def control_metrics(
     episodes: list[EpisodeRecord], thresholds: Thresholds, run_duration: float
 ) -> ControlMetrics:
     """Zero-order-hold control performance over [first sample, run_duration]."""
-    if not episodes:
-        raise LogFormatError("cannot compute control metrics over an empty log")
     midpoint = thresholds.midpoint
     time_above = 0.0
     time_below = 0.0

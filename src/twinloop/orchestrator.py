@@ -16,7 +16,6 @@ longer, and that shows up in the control metrics.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import field
@@ -38,8 +37,8 @@ from .agents import (
     validate_twin,
     DEFAULT_OPERATOR,
 )
-from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, ParseError, frozen
-from .jsonio import _JSON_SPACE, RecordWriter, dumps_record, from_doc, loads_record
+from .errors import BackendError, InvalidInput, LogFormatError, ParseError, frozen
+from .jsonio import RecordWriter, dumps_record, from_doc, is_blank, loads_record
 from .plantio import CLOCK_MODES, LOCKSTEP, MAX_DURATION_S, REALTIME, HeaterAction
 
 RULE = "rule"
@@ -390,13 +389,7 @@ class RunLogWriter(RecordWriter):
             "kind": "header", "format": LOG_FORMAT, "config": config, "config_digest": config_digest(config),
         })
         super().__init__(path, "run log")
-        try:
-            self.write_line(header)
-        except ConfigError:
-            # no caller holds the writer yet: close it here, and report the write
-            with contextlib.suppress(ConfigError):
-                self.close()
-            raise
+        self.write_line(header)
 
     def write_episode(self, record: EpisodeRecord) -> None:
         self.write_line(dumps_record(record))
@@ -412,13 +405,13 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
     that is not JSON; given ``on_torn_tail``, such a line is dropped and the
     callback gets its line number, otherwise it is an error like any other.
     """
-    space = _JSON_SPACE.encode()
+    config, episodes = None, []
     with open(path, "rb") as fh:
-        lines = enumerate(fh, start=1)
-        for lineno, raw in lines:
-            if not raw.strip(space):
-                continue
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                if config is not None:
+                    episodes.append(loads_record(raw.decode(), EpisodeRecord))
+                    continue
                 header = loads_record(raw.decode())
                 if header.get("kind") != "header":
                     raise LogFormatError("first log record must be the header", line_number=lineno)
@@ -429,27 +422,17 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
                     )
                 config = from_doc(RunConfig, header.get("config"), "config")
             except ValueError as exc:
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
-            except InvalidInput as exc:
-                raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
-            break
-        else:
-            raise LogFormatError("log is empty")
-
-        episodes: list[EpisodeRecord] = []
-        for lineno, raw in lines:
-            try:
-                episodes.append(loads_record(raw.decode(), EpisodeRecord))
-            except ValueError as exc:
                 # a blank line does not parse either: look for one only here
-                if not raw.strip(space):
+                if is_blank(raw):
                     continue
-                # only the last line can lack its newline
-                torn = isinstance(exc, json.JSONDecodeError) and not raw.endswith(b"\n")
+                # only the last line can lack its newline, and only an episode's is torn
+                torn = config is not None and isinstance(exc, json.JSONDecodeError) and not raw.endswith(b"\n")
                 if torn and on_torn_tail is not None:
                     on_torn_tail(lineno)
                     break
                 raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
             except InvalidInput as exc:
                 raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
+    if config is None:
+        raise LogFormatError("log is empty")
     return config, episodes

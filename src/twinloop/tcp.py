@@ -89,7 +89,6 @@ class PlantServer(socketserver.TCPServer):
         if ":" in address[0]:  # an IPv6 literal
             self.address_family = socket.AF_INET6
         super().__init__(address, _LineHandler)
-        self.plant = plant
         self.protocol = PlantProtocol(plant)
 
 

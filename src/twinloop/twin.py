@@ -114,11 +114,10 @@ class TwinState:
     clock: float = 0.0
 
 
-def _check_step_args(state: TwinState, duty: float, dt: float) -> None:
+def _check_step_args(state: TwinState, dt: float) -> None:
+    # the duty is checked by steady_state, which _steady calls for any duty but 0 and 100
     if not (math.isfinite(state.t_heater) and math.isfinite(state.t_sensor) and math.isfinite(state.clock)):
         raise InvalidInput(f"twin state is not finite: {state}")
-    if not (math.isfinite(duty) and 0.0 <= duty <= 100.0):
-        raise InvalidInput(f"duty must lie in [0, 100], got {duty!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInput(f"dt must be > 0, got {dt!r}")
 
@@ -129,7 +128,7 @@ def step(params: TwinParams, state: TwinState, duty: float, dt: float) -> TwinSt
     The clock moves by exactly dt; the temperatures come from the exact
     propagator.  Identical inputs produce identical outputs bit for bit.
     """
-    _check_step_args(state, duty, dt)
+    _check_step_args(state, dt)
     # x(t + dt) = x_ss + e^{A dt} (x(t) - x_ss), e^{A dt} = e2 I + e12 G
     l1, l2, g_hh, g_hs, g_sh, g_ss = params._propagator
     xh, xs = _steady(params, duty)
@@ -198,7 +197,7 @@ def _grid(params: TwinParams, state: TwinState, duty: float, horizon: float):
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
-    _check_step_args(state, duty, horizon)
+    _check_step_args(state, horizon)
 
     l1, l2, _, _, g_sh, g_ss = params._propagator
     xh, xs = _steady(params, duty)

@@ -124,6 +124,7 @@ class Row(NamedTuple):
     plant: Callable = lambda: contextlib.nullcontext([])  # yields more arguments
     absent: tuple = ()  # files that must not exist afterwards
     logs: tuple = ()  # run logs whose every line must read back with a number for any t_end
+    reports: tuple = ()  # run logs that ``report`` must read with exit 0, in every format
     wall: float = 60.0  # seconds the run may take
 
 
@@ -153,6 +154,8 @@ ROWS = {
     "lockstep-wait-to-infinity": Row(
         ["--duration", "2", "--backend", "scripted:always_wrong", "--out", "inf.jsonl"], 2,
         one_aborted_config_error, lockstep_wait_to_infinity, logs=("inf.jsonl",),
+        # aborted before its first episode: the log holds its header alone
+        reports=("inf.jsonl",),
     ),
     "long-plant-reply": Row(
         ["--duration", "240", "--out", "fake.jsonl"], 3,
@@ -179,6 +182,10 @@ def test_run(tmp_path, row):
     for name in row.logs:
         records = [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
         assert records and all(type(record.get("t_end", 0.0)) is float for record in records), name
+    for name in row.reports:
+        for fmt in ("table", "csv", "machine"):
+            proc = twinloop(["report", "--log", name, "--format", fmt], tmp_path)
+            assert proc.returncode == 0, proc.stderr
 
 
 def test_quick_start_and_a_rerun_from_the_log_header(tmp_path):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import errno
 import json
 import math
 import pickle
@@ -23,7 +24,7 @@ from twinloop.agents import Thresholds
 from twinloop.backends import Exchange
 from twinloop import jsonio
 from twinloop.cli import load_config
-from twinloop.errors import InvalidInput, LogFormatError, frozen
+from twinloop.errors import ConfigError, InvalidInput, LogFormatError, frozen
 from twinloop.jsonio import dumps_record, format_float, from_doc, loads_record
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
@@ -684,6 +685,46 @@ def test_read_run_log_reads_as_json_loads_and_the_walk(tmp_path_factory, how, co
                 assert fast == ref
                 assert repr(fast) == repr(ref)
             assert fast_torn == ref_torn
+
+
+class FullDisk:
+    """A text file whose write of a line holding ``full`` fails as a full
+    disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        if "full" in text:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+    def flush(self):
+        self.fh.flush()
+
+    def close(self):
+        self.fh.close()
+
+
+def test_a_failed_write_closes_the_record_file_and_every_later_write_fails_alike(tmp_path, monkeypatch):
+    opened = []
+
+    def open_full(*args, **kwargs):
+        opened.append(FullDisk(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(jsonio, "open", open_full, raising=False)
+    path = tmp_path / "t.jsonl"
+    writer = jsonio.RecordWriter(path, "transcript")
+    writer.write_line("{}")
+    with pytest.raises(ConfigError, match=r"^cannot write transcript .*: \[Errno 28\] No space left on device$"):
+        writer.write_line('"full"')
+    assert opened[0].fh.closed
+    # the closed file raises ValueError, which the writer reports as it reports a failed write
+    with pytest.raises(ConfigError, match="^cannot write transcript .*: I/O operation on closed file"):
+        writer.write_line("{}")
+    writer.close()
+    assert path.read_text() == "{}\n"
 
 
 @pytest.mark.parametrize(

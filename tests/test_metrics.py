@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from twinloop.agents import Thresholds
 from twinloop.errors import InvalidInput, LogFormatError
-from twinloop.jsonio import loads_record
+from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import (
     CSV_COLUMNS,
     RunMetrics,
@@ -101,9 +101,16 @@ class TestAccuracyMetrics:
         assert m.samples == m.passes + m.fails
         assert m.pass_after_reprompts + m.overrides == m.fails
 
-    def test_empty_log_rejected(self):
-        with pytest.raises(LogFormatError):
-            accuracy_metrics([])
+    def test_a_log_with_no_episode_reports_zero_samples(self):
+        # a run aborted before its first episode leaves a header-only log
+        m = run_metrics([], TH, 60.0)
+        assert dumps_record(m) == (
+            '{"accuracy":{"samples":0,"passes":0,"fails":0,"pass_after_reprompts":0,"overrides":0,'
+            '"accuracy_first_pass":0.000,"accuracy_with_reprompts":0.000},'
+            '"control":{"avg_deviation":0.000,"time_above":0.000,"time_below":0.000,'
+            f'"time_outside":0.000,"midpoint":{TH.midpoint:.3f}}}}}'
+        )
+        assert report(m, "csv").splitlines()[1] == f"0,0,0,0,0,0.00,0.00,0.00,0.00,0.00,0.00,{TH.midpoint:.2f}"
 
     @given(
         samples=st.integers(1, 300),

@@ -228,6 +228,32 @@ class TestRunLoop:
         episodes = run_loop(plant, scripted(latency=5.0), RunConfig(duration=0.001))
         assert len(episodes) == 1
 
+    def test_an_episode_ending_at_the_end_starts_no_other(self):
+        # the loop starts an episode only while the clock is short of the end
+        episodes = run_loop(make_plant(), scripted(latency=5.0), RunConfig(duration=10.0))
+        assert [(e.t_start, e.t_end) for e in episodes] == [(0.0, 5.0), (5.0, 10.0)]
+
+    def test_the_default_idle_poll_is_one_second(self):
+        class ReadClocks(TwinPlant):
+            """A plant that records its clock at each reading."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.reads = []
+
+            def read_temperature(self):
+                self.reads.append(self.clock)
+                return super().read_temperature()
+
+        plant = ReadClocks(initial_state=TwinState(23.0, 23.0, 0.0))
+        config = RunConfig(duration=120.0, sample_period_floor=0.0, monitor=MonitorMode(kind="anomaly"))
+        episodes = run_loop(plant, scripted(kind="flip", latency=5.674, seed=1), config)
+        # a reading that starts no episode is an idle poll, and the next one follows it
+        starts = {e.t_start for e in episodes}
+        idle = [b - a for a, b in zip(plant.reads, plant.reads[1:]) if a not in starts]
+        assert idle and all(gap == pytest.approx(1.0, abs=1e-9) for gap in idle)
+        assert len(plant.reads) == 51
+
     def test_anomaly_monitor_gates_after_cold_start(self):
         # start inside the band; with a wide margin nothing ever triggers
         plant = make_plant(t_heater=26.0, t_sensor=26.0)

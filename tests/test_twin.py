@@ -79,7 +79,8 @@ def rk4_oracle(params, th, ts, duty, dt, h=0.1):
 
 def rk4_step(params, state, duty, dt):
     """``step`` with its argument checks, integrated by ``rk4_oracle``."""
-    twin._check_step_args(state, duty, dt)
+    twin._check_step_args(state, dt)
+    twin.steady_state(params, duty)
     th, ts = rk4_oracle(params, state.t_heater, state.t_sensor, duty, dt)
     return TwinState(th, ts, state.clock + dt)
 
