@@ -73,7 +73,8 @@ class LatencySpec:
     def __post_init__(self):
         if self.kind not in ("none", "fixed", "lognormal"):
             raise InvalidInput(f"unknown latency kind {self.kind!r}")
-        if self.kind == "fixed" and not self.seconds >= 0.0:
+        # an infinite latency is refused here, not at the run's first call
+        if self.kind == "fixed" and not 0.0 <= self.seconds < math.inf:
             raise InvalidInput("fixed latency must be >= 0")
         if self.kind == "lognormal" and not self.sigma >= 0.0:
             raise InvalidInput("lognormal sigma must be >= 0")
@@ -143,7 +144,8 @@ class BackendConfig:
                 raise InvalidInput(f"http backend base_url must be http(s)://<host>[:<port>], got {self.base_url!r}")
             if not self.model:
                 raise InvalidInput("http backend requires model")
-            if not self.temperature >= 0.0:
+            # JSON has no Infinity for the request body to carry
+            if not 0.0 <= self.temperature < math.inf:
                 raise InvalidInput("http temperature must be >= 0")
         if self.kind == REPLAY and not self.transcript_path:
             raise InvalidInput("replay backend requires transcript_path")

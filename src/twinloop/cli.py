@@ -126,9 +126,7 @@ def _build_backend(config: BackendConfig):
         return HttpBackend(config)
     if config.kind == REPLAY:
         try:
-            return load_replay(config.transcript_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read transcript {config.transcript_path}: {exc}") from exc
+            return _opened("read transcript", config.transcript_path, load_replay, config.transcript_path)
         except LogFormatError as exc:
             raise ConfigError(
                 f"bad transcript {config.transcript_path} (line {exc.line_number}): {exc}"

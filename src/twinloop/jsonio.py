@@ -72,21 +72,26 @@ def format_float(x: float) -> str:
     return _write_float_field(float(x))  # which pads a finite float in place
 
 
+class _Table(dict):
+    """A dict that builds a missing entry as ``build(key)`` and keeps it.  A
+    hit is dict's own subscript: ``__getitem__`` is not overridden."""
+
+    def __init__(self, build, entries=()):
+        super().__init__(entries)
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 # --- encoding ------------------------------------------------------------------
 
 
 def _encode(value) -> str:
     """Write ``value`` by its own type: dicts, lists, and any value whose
     type is not exactly the one its field is annotated with."""
-    writer = _WRITERS.get(type(value)) or _writer(type(value))
-    return writer(value)
-
-
-def _writer(cls: type):
-    writer = _WRITERS.get(cls)
-    if writer is None:
-        writer = _WRITERS[cls] = _writer_for(cls)
-    return writer
+    return _WRITERS[type(value)](value)
 
 
 def _write_list(items) -> str:
@@ -110,11 +115,23 @@ def _write_float_field(x) -> str:
     return "null" if math.isinf(x) else format_float(x)
 
 
+def _writer_for(cls: type):
+    if issubclass(cls, enum.Enum):
+        texts = _member_texts(cls)
+        return lambda member: texts[member._name_]
+    if dataclasses.is_dataclass(cls):
+        return _generate_writer(_PLANS[cls].fields)
+    for base in (bool, int, float, str, list, tuple, dict):
+        if issubclass(cls, base):
+            return _WRITERS[base]
+    raise TypeError(f"cannot encode {cls.__name__} in a log record")
+
+
 _BOOL_TEXTS = {True: "true", False: "false"}
 
 # One writer per exact type; dataclasses, enums and subclasses are added on
 # first use by _writer_for.
-_WRITERS = {
+_WRITERS = _Table(_writer_for, {
     type(None): lambda _: "null",
     bool: _BOOL_TEXTS.__getitem__,
     int: int.__repr__,
@@ -123,19 +140,7 @@ _WRITERS = {
     list: _write_list,
     tuple: _write_list,
     dict: _write_dict,
-}
-
-
-def _writer_for(cls: type):
-    if issubclass(cls, enum.Enum):
-        texts = _member_texts(cls)
-        return lambda member: texts[member._name_]
-    if dataclasses.is_dataclass(cls):
-        return _generate_writer(_plan(cls).fields)
-    for base in (bool, int, float, str, list, tuple, dict):
-        if issubclass(cls, base):
-            return _WRITERS[base]
-    raise TypeError(f"cannot encode {cls.__name__} in a log record")
+})
 
 
 def _member_texts(cls: type) -> dict:
@@ -175,7 +180,7 @@ def _write_expr(tp, v: str, namespace: dict) -> str:
         elif issubclass(tp, enum.Enum):
             inline = f"{_bind(namespace, _member_texts(tp))}[{v}._name_]"
         else:
-            inline = f"{_bind(namespace, _writer(tp))}({v})"
+            inline = f"{_bind(namespace, _WRITERS[tp])}({v})"
         return f"({inline} if type({v}) is {_bind(namespace, tp)} else _e({v}))"
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple and len(set(args) - {Ellipsis}) == 1:
@@ -318,13 +323,13 @@ def loads_record(line: str, cls: type | None = None):
     if cls is None:
         return doc
     try:
-        return (_READERS.get(cls) or _reader(cls))(doc)
+        return _READERS[cls](doc)
     except _REFUSALS:
         return from_doc(cls, doc)
 
 
 def _decode(cls: type, doc, defaults: bool):
-    plan = _plan(cls)
+    plan = _PLANS[cls]
     if type(doc) is not dict:
         raise _Mismatch("'{path}' must be an object")
     for key, value in plan.constants:
@@ -360,17 +365,7 @@ def _decode(cls: type, doc, defaults: bool):
 _REFUSALS = (_Mismatch, KeyError, TypeError, InvalidInput)
 
 
-_READERS: dict = {}
-
-
-def _reader(cls: type):
-    reader = _READERS.get(cls)
-    if reader is None:
-        reader = _READERS[cls] = _generate_reader(cls, _plan(cls))
-    return reader
-
-
-def _generate_reader(cls: type, plan: _Plan):
+def _generate_reader(cls: type):
     """One function building ``cls`` from a document holding every field,
     generated as the writer is.  It compares the key set and the constant
     fields in one test and reads each value by its :func:`_read_expr`: a
@@ -378,6 +373,7 @@ def _generate_reader(cls: type, plan: _Plan):
     finite), any other goes to the field's converter, and whatever does not
     fit raises.  The record is built by calling ``cls``, so its own
     ``__init__`` lays it out as it lays out every constructed one."""
+    plan = _PLANS[cls]
     namespace = {"_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_isfinite": math.isfinite}
     test = "type(doc) is not dict or doc.keys() != _keys"
     for key, value in plan.constants:
@@ -389,6 +385,9 @@ def _generate_reader(cls: type, plan: _Plan):
     body.append(f"return _cls({', '.join(f'a{i}' for i in range(len(plan.reads)))})")
     exec("def read(doc):\n" + "".join(f"    {line}\n" for line in body), namespace)
     return namespace["read"]
+
+
+_READERS = _Table(_generate_reader)
 
 
 def _bind(namespace: dict, value) -> str:
@@ -406,7 +405,7 @@ def _read_expr(tp, default, v: str, namespace: dict) -> str:
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return f"{_bind(namespace, {m.value: m for m in tp})}[{v}]"
     if dataclasses.is_dataclass(tp):
-        return f"{_bind(namespace, _reader(tp))}({v})"
+        return f"{_bind(namespace, _READERS[tp])}({v})"
     args = typing.get_args(tp)
     if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = args[0] if args[1] is type(None) else args[1]
@@ -416,7 +415,7 @@ def _read_expr(tp, default, v: str, namespace: dict) -> str:
         finite = f" and _isfinite({v})" if tp is float else ""
         return f"({v} if type({v}) is {tp.__name__}{finite} else {convert})"
     if typing.get_origin(tp) is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
-        return f"(tuple(map({_bind(namespace, _reader(args[0]))}, {v})) if type({v}) is list else {convert})"
+        return f"(tuple(map({_bind(namespace, _READERS[args[0]])}, {v})) if type({v}) is list else {convert})"
     return convert
 
 
@@ -440,14 +439,7 @@ class _Plan:
         self.keys = frozenset(f.name for f in dataclasses.fields(cls))
 
 
-_PLANS: dict[type, _Plan] = {}
-
-
-def _plan(cls: type) -> _Plan:
-    plan = _PLANS.get(cls)
-    if plan is None:
-        plan = _PLANS[cls] = _Plan(cls)
-    return plan
+_PLANS = _Table(_Plan)
 
 
 def _field_reader(tp, default):

@@ -192,15 +192,6 @@ def safety_action(
     raise InvalidInput(f"unknown safety policy {policy!r}")
 
 
-def _twin_snapshot(plant, t_sensor: float) -> twin.TwinState:
-    state = getattr(plant, "state", None)
-    if isinstance(state, twin.TwinState):
-        return state
-    # Remote plants expose only the sensor reading; assume the nodes are in
-    # equilibrium with each other at that temperature.
-    return twin.TwinState(t_sensor, t_sensor, plant.clock)
-
-
 def run_episode(
     plant,
     backend,
@@ -270,8 +261,7 @@ def run_episode(
                 if rule:
                     verdict = validate_rule(proposal, t_sensor, prev, th)
                 else:
-                    state = _twin_snapshot(plant, t_sensor)
-                    verdict = validate_twin(twin_params, state, proposal, horizon, envelope)
+                    verdict = validate_twin(twin_params, plant.state, proposal, horizon, envelope)
                 reason, error = verdict.reason, None
         passed = verdict is not None and verdict.passed
         attempts.append(
@@ -313,14 +303,12 @@ def run_loop(
     after that the monitor gate decides.  ``on_episode`` is called with each
     completed record before the loop moves on, so an incremental log stays
     valid even if the run aborts.  The plant's clock mode must be the
-    config's.
+    config's; a twin validator needs ``twin_params``, not the plant's own.
     """
     if plant.mode != config.clock_mode:
         raise InvalidInput(f"a {plant.mode} plant cannot run a {config.clock_mode} config")
     if config.validator.kind == TWIN and twin_params is None:
-        twin_params = getattr(plant, "params", None)
-        if twin_params is None:
-            raise InvalidInput("twin validator mode requires twin parameters")
+        raise InvalidInput("twin validator mode requires twin parameters")
 
     plant.apply_heater(config.initial_action)
     prev = config.initial_action

@@ -15,6 +15,7 @@ from collections.abc import Callable
 
 from .errors import InvalidInput, PlantIoError
 from .plantio import CLOCK_MODES, LOCKSTEP, REALTIME, HeaterAction, PlantProtocol, TwinPlant
+from .twin import TwinState
 
 # A served connection that sends no complete line this long after connecting
 # is dropped, so a silent client cannot hold the single-connection server.
@@ -126,6 +127,7 @@ class TcpPlantClient:
         self._unread: list[tuple[str, Callable[[str], None] | None]] = []
         self._failed = False
         self._clock = 0.0
+        self._reading: float | None = None
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             served = self._request("MODE")
@@ -144,6 +146,13 @@ class TcpPlantClient:
         if self.mode == REALTIME:
             return time.monotonic() - self._wall0
         return self._clock
+
+    @property
+    def state(self) -> TwinState:
+        """Both nodes at the last reading, at this clock: the plant sends its sensor alone."""
+        if self._reading is None:
+            raise PlantIoError("the plant has no state before its first reading")
+        return TwinState(self._reading, self._reading, self.clock)
 
     def _queue(self, line: str, check: Callable[[str], None] | None) -> None:
         self._outbox.append(line)
@@ -197,6 +206,7 @@ class TcpPlantClient:
             t_sensor = math.nan  # refused below, as a non-finite reply is
         if not math.isfinite(t_sensor):
             raise PlantIoError(f"unparseable temperature reply {reply!r}")
+        self._reading = t_sensor
         return t_sensor
 
     def apply_heater(self, action: HeaterAction) -> None:

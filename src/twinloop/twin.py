@@ -195,8 +195,6 @@ def _grid(params: TwinParams, state: TwinState, duty: float, horizon: float):
     ``dt = t - clock``.  That curve turns at most once, so the samples are
     monotone on ``[0, split]`` and on ``[split + 1, last]``.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise InvalidInput(f"horizon must be > 0, got {horizon!r}")
     _check_step_args(state, horizon)
 
     l1, l2, _, _, g_sh, g_ss = params._propagator

@@ -2,6 +2,7 @@
 client against a local stub, and transcript record/replay."""
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -176,6 +177,12 @@ class TestLatencySampler:
         with pytest.raises(InvalidInput):
             Exchange("s", "u", "r", -0.1, "m", 0.0)
 
+    def test_an_infinite_fixed_latency_is_refused_with_the_config(self):
+        # not at the run's first call, where the exchange refuses it
+        with pytest.raises(InvalidInput):
+            LatencySpec(kind="fixed", seconds=math.inf)
+        LatencySpec(kind="fixed", seconds=1e308)
+
     def test_lognormal_that_can_overflow_rejected(self):
         # log(max float) is about 709.78: 30 sigma above mu must stay below it
         latencies(LatencySpec(kind="lognormal", mu=700.0, sigma=0.3), 1)
@@ -331,6 +338,12 @@ class TestHttpBackend:
         stub_server.script.append(("ok", "ACTION: OFF"))
         backend = HttpBackend(config)
         assert backend.complete("s", "u", ctx(28.0, ON)).response_text == "ACTION: OFF"
+
+    def test_an_infinite_temperature_is_refused_with_the_config(self):
+        # a request body cannot carry it: JSON has no Infinity
+        with pytest.raises(InvalidInput):
+            BackendConfig(kind="http", base_url="http://x", model="m", temperature=math.inf)
+        BackendConfig(kind="http", base_url="http://x", model="m", temperature=1e308)
 
     def test_config_requires_base_url_and_model(self):
         with pytest.raises(InvalidInput):

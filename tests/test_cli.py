@@ -473,6 +473,19 @@ class TestCmdRun:
         )
         assert read_run_log(replayed)[1] == read_run_log(recorded)[1]
 
+    @pytest.mark.parametrize(
+        "where, errno", [("directory", "[Errno 21] Is a directory"), ("missing", "[Errno 2] No such file or directory")]
+    )
+    def test_a_transcript_that_cannot_be_read_exits_2_before_the_log(self, tmp_path, capsys, where, errno):
+        transcript = tmp_path if where == "directory" else tmp_path / "missing.jsonl"
+        out = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(CASE_CONFIG), "--backend", f"replay:{transcript}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read transcript {transcript}: {errno}: '{transcript}'\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, what", [("--out", "run log"), ("--record", "transcript")])
     def test_failed_output_write_exits_2_keeping_the_partial_log(
         self, tmp_path, capsys, monkeypatch, flag, what

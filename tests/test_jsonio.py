@@ -503,6 +503,32 @@ def test_a_record_is_read_as_its_constructor_builds_it():
     assert_same_decoding(Sampled, {"count": 2, "unit": "K", "level": 0.5})
 
 
+@frozen
+class Probe:
+    """A record no other test reads or writes, so its codec is built here."""
+
+    action: HeaterAction
+    inner: Sampled | None
+    items: tuple[Sampled, ...]
+    level: float = 0.0
+
+
+def test_each_record_class_is_planned_read_and_written_once(monkeypatch):
+    built = []
+    for name in ("_PLANS", "_READERS", "_WRITERS"):
+        table = getattr(jsonio, name)
+        # a hit is dict's own subscript, which calls no Python code
+        assert type(table).__getitem__ is dict.__getitem__
+        monkeypatch.setattr(table, "build", lambda cls, name=name, build=table.build: built.append((name, cls)) or build(cls))
+    record = Probe(HeaterAction.ON, Sampled(1, 0.5), (Sampled(2), Sampled(3)), 1.0)
+    for _ in range(3):
+        line = dumps_record(record)
+        assert loads_record(line, Probe) == record
+        assert from_doc(Probe, json.loads(line)) == record
+    assert {("_PLANS", Probe), ("_READERS", Probe), ("_WRITERS", Probe)} <= set(built)
+    assert len(built) == len(set(built))
+
+
 @dataclasses.dataclass(frozen=True)
 class Mixed:
     pair: tuple[int, str]

@@ -168,6 +168,10 @@ class TestControlMetrics:
         ]
         with pytest.raises(LogFormatError):
             control_metrics(episodes, TH, 20.0)
+        # two episodes at one time are refused too
+        episodes = [make_episode(0, "pass", t_start=5.0), make_episode(1, "pass", t_start=5.0)]
+        with pytest.raises(LogFormatError, match="not strictly increasing at index 1"):
+            control_metrics(episodes, TH, 20.0)
 
     @given(
         temps=st.lists(st.floats(20.0, 32.0), min_size=1, max_size=40),

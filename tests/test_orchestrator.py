@@ -799,6 +799,12 @@ class TestRunConfigValidation:
         with pytest.raises(InvalidInput):
             RunConfig(clock_mode="sundial")
 
+    def test_a_twin_horizon_of_zero_is_refused(self):
+        with pytest.raises(InvalidInput, match="^twin validation horizon must be > 0$"):
+            ValidatorMode(kind="twin", horizon=0.0, envelope=(20.0, 30.0))
+        # the rule validator ignores its horizon
+        ValidatorMode(horizon=0.0)
+
     def test_bad_envelope(self):
         with pytest.raises(InvalidInput):
             ValidatorMode(kind="twin", horizon=60.0, envelope=(5.0, 5.0))

@@ -2,6 +2,7 @@
 TCP server/client pair."""
 
 import contextlib
+import hashlib
 import socket
 import threading
 import time
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, PlantIoError
 from twinloop.jsonio import dumps_record
-from twinloop.orchestrator import RunConfig, run_loop
+from twinloop.orchestrator import RunConfig, ValidatorMode, run_loop
 from twinloop import tcp
 from twinloop.plantio import (
     HeaterAction,
@@ -22,7 +23,7 @@ from twinloop.plantio import (
     REALTIME,
 )
 from twinloop.tcp import PlantServer, TcpPlantClient
-from twinloop.twin import TwinState
+from twinloop.twin import TwinParams, TwinState
 
 
 class TestHeaterAction:
@@ -121,6 +122,13 @@ class TestTwinPlant:
     def test_invalid_mode(self):
         with pytest.raises(InvalidInput):
             TwinPlant(mode="warp")
+
+    @pytest.mark.parametrize("duty", [100.01, -0.01])
+    def test_a_finite_duty_just_outside_the_range_is_refused(self, duty):
+        plant = TwinPlant()
+        with pytest.raises(InvalidInput, match=r"duty must lie in \[0, 100\]"):
+            plant.set_duty(duty)
+        assert plant.duty == 0.0
 
 
 class TestProtocol:
@@ -411,6 +419,41 @@ class TestTcpClient:
         finally:
             client.close()
         assert remote == episode_lines(TwinPlant())
+
+    @pytest.mark.parametrize(
+        ("horizon", "episodes", "overrides", "digest"),
+        [(120.0, 423, 0, "5d08d4d862676cf6"), (300.0, 198, 30, "9d381c5a7486fc62")],
+    )
+    def test_a_twin_validated_run_over_a_served_plant_is_pinned(
+        self, served_plant, horizon, episodes, overrides, digest
+    ):
+        # the twin starts each rollout with both nodes at the client's last reading
+        validator = ValidatorMode(kind="twin", horizon=horizon, envelope=(20.0, 30.0))
+        backend = ScriptedBackend(
+            ScriptedPolicy(kind="flip", p_wrong_first=0.4, p_correct_on_feedback=0.63, seed=1),
+            LatencySpec(kind="fixed", seconds=5.674),
+        )
+        client = TcpPlantClient(*served_plant, mode=LOCKSTEP)
+        try:
+            run = run_loop(client, backend, RunConfig(duration=2400.0, validator=validator), twin_params=TwinParams())
+        finally:
+            client.close()
+        lines = "\n".join(dumps_record(e) for e in run)
+        assert (len(run), sum(e.override for e in run)) == (episodes, overrides)
+        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == digest
+
+    def test_state_is_the_last_reading_at_the_client_clock(self, served_plant):
+        client = TcpPlantClient(*served_plant, mode=LOCKSTEP)
+        try:
+            with pytest.raises(PlantIoError, match="before its first reading"):
+                client.state
+            client.apply_heater(HeaterAction.ON)
+            client.advance(30.0)
+            t_sensor = client.read_temperature()
+            client.advance(5.0)
+            assert client.state == TwinState(t_sensor, t_sensor, 35.0)
+        finally:
+            client.close()
 
     def test_realtime_advance_sleeps_and_sends_nothing(self):
         with serving(TwinPlant(mode=REALTIME)) as server:

@@ -218,6 +218,8 @@ class TestStep:
             step(PARAMS, TwinState(23.0, 23.0, 0.0), -1.0, 1.0)
         with pytest.raises(InvalidInput):
             step(PARAMS, TwinState(23.0, 23.0, 0.0), 100.5, 1.0)
+        with pytest.raises(InvalidInput, match=r"duty must lie in \[0, 100\], got -0.01"):
+            step(PARAMS, TwinState(23.0, 23.0, 0.0), -0.01, 1.0)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(InvalidInput):
@@ -404,7 +406,7 @@ def twin_guard_run(path, envelope=(20.0, 30.0), seed=7):
         LatencySpec(kind="fixed", seconds=5.67),
     )
     with RunLogWriter(path, config) as writer:
-        return run_loop(TwinPlant(PARAMS), backend, config, on_episode=writer.write_episode)
+        return run_loop(TwinPlant(PARAMS), backend, config, twin_params=PARAMS, on_episode=writer.write_episode)
 
 
 def lower_guard_run(path):
@@ -614,8 +616,19 @@ class TestParamValidation:
         TwinParams()
 
     def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(InvalidInput):
-            TwinParams(c_h=0.0)
+        # a zero capacity would also divide by zero in the propagator: refused before that
+        for name in ("c_h", "c_s", "u_ha", "u_hs", "u_sa"):
+            with pytest.raises(InvalidInput, match=f"^twin parameter {name} must be strictly positive$"):
+                TwinParams(**{name: 0.0})
+
+    def test_bounds_at_equality(self):
+        # no heater gain is allowed where the ambient alone clears 27 degC
+        TwinParams(alpha=0.0, t_amb=28.0)
+        with pytest.raises(InvalidInput, match=r"steady state at full duty \(27.00 degC\) must exceed"):
+            TwinParams(alpha=0.0, t_amb=27.0)
+        TwinParams(alpha=0.0, t_amb=twin.MAX_TEMPERATURE_C)
+        with pytest.raises(InvalidInput, match="beyond the 1e\\+12 degC"):
+            TwinParams(alpha=0.0, t_amb=math.nextafter(twin.MAX_TEMPERATURE_C, math.inf))
 
     def test_underpowered_heater_rejected(self):
         # Full duty must be able to push the sensor past the upper threshold.
