@@ -75,7 +75,7 @@ class LatencySpec:
             raise InvalidInput(f"unknown latency kind {self.kind!r}")
         # an infinite latency is refused here, not at the run's first call
         if self.kind == "fixed" and not 0.0 <= self.seconds < math.inf:
-            raise InvalidInput("fixed latency must be >= 0")
+            raise InvalidInput(f"fixed latency must be finite and >= 0, got {self.seconds!r}")
         if self.kind == "lognormal" and not self.sigma >= 0.0:
             raise InvalidInput("lognormal sigma must be >= 0")
         # a draw is exp of a normal one, so no draw within 30 sigma overflows
@@ -146,7 +146,7 @@ class BackendConfig:
                 raise InvalidInput("http backend requires model")
             # JSON has no Infinity for the request body to carry
             if not 0.0 <= self.temperature < math.inf:
-                raise InvalidInput("http temperature must be >= 0")
+                raise InvalidInput(f"http temperature must be finite and >= 0, got {self.temperature!r}")
         if self.kind == REPLAY and not self.transcript_path:
             raise InvalidInput("replay backend requires transcript_path")
 

@@ -159,47 +159,39 @@ class PlantProtocol:
       VER       -> fixed version string
       MODE      -> the plant's clock mode, "lockstep" or "realtime"
       X_ADV <s> -> lockstep only: advance the sim clock by s seconds; "OK"
-    Anything else, including malformed arguments and an X_ADV that would
-    leave the clock infinite, replies "ERR"; no line raises.  Each line
-    is answered on its own, so a client may send several lines before it
-    reads their replies.
+    A verb takes no argument or one number.  Anything else, including a
+    non-finite Q1 argument and an X_ADV that would leave the clock infinite,
+    replies "ERR"; no line raises.  Each line is answered on its own, so a
+    client may send several lines before it reads their replies.
     """
 
     def __init__(self, plant: TwinPlant):
         self.plant = plant
 
     def handle_command(self, line: str) -> str:
-        parts = line.strip().split()
-        if not parts:
+        parts = line.split()
+        if len(parts) == 1:
+            verb = parts[0].upper()
+            if verb == "T1":
+                return f"{self.plant.read_temperature():.2f}"
+            if verb == "VER":
+                return PROTOCOL_VERSION
+            if verb == "MODE":
+                return self.plant.mode
             return "ERR"
-        verb = parts[0].upper()
-        if verb == "T1" and len(parts) == 1:
-            return f"{self.plant.read_temperature():.2f}"
-        if verb == "Q1" and len(parts) == 2:
-            try:
-                value = float(parts[1])
-            except ValueError:
-                return "ERR"
-            if not math.isfinite(value):
-                return "ERR"
+        try:
+            verb, arg = parts
+            value = float(arg)
+        except ValueError:
+            return "ERR"
+        verb = verb.upper()
+        if verb == "Q1" and math.isfinite(value):
             duty = min(100.0, max(0.0, value))
             self.plant.set_duty(duty)
             return f"{round_half_away(duty, 2):.2f}"
-        if verb == "VER" and len(parts) == 1:
-            return PROTOCOL_VERSION
-        if verb == "MODE" and len(parts) == 1:
-            return self.plant.mode
-        if verb == "X_ADV" and len(parts) == 2:
-            # a realtime plant's advance sleeps: no client may stall the server
-            if self.plant.mode != LOCKSTEP:
-                return "ERR"
-            try:
-                seconds = float(parts[1])
-            except ValueError:
-                return "ERR"
-            # a finite step to a finite clock: an infinite clock refuses every later step
-            if not (seconds > 0.0 and math.isfinite(self.plant.clock + seconds)):
-                return "ERR"
-            self.plant.advance(seconds)
+        # a realtime plant's advance sleeps, and no client may stall the
+        # server; a step to an infinite clock would refuse every later one
+        if verb == "X_ADV" and self.plant.mode == LOCKSTEP and value > 0.0 and math.isfinite(self.plant.clock + value):
+            self.plant.advance(value)
             return "OK"
         return "ERR"

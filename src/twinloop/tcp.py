@@ -20,6 +20,8 @@ from .twin import TwinState
 # A served connection that sends no complete line this long after connecting
 # is dropped, so a silent client cannot hold the single-connection server.
 FIRST_LINE_TIMEOUT_S = 10.0
+# The client's longest wait for a plant to accept it or to send the next bytes of a reply.
+REPLY_TIMEOUT_S = 10.0
 # The longest line either end reads, in bytes, newline excluded: the client's
 # longest command is about 30 and a reply at most 313 (a float with two
 # decimals).  A longer line ends the connection, with ERR from the server and
@@ -62,11 +64,8 @@ class _LineHandler(socketserver.BaseRequestHandler):
                         replies.append("ERR")
                         data = b""  # the connection ends with this reply
                         break
-                    try:
-                        line = raw.decode("utf-8")
-                    except UnicodeDecodeError:
-                        line = ""
-                    replies.append(protocol.handle_command(line))
+                    # a replaced byte lands inside a token, so the line gets ERR
+                    replies.append(protocol.handle_command(raw.decode("utf-8", "replace")))
                 sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
             if not data:
                 return
@@ -112,12 +111,12 @@ class TcpPlantClient:
     a plant whose clock mode is not ``mode``.
     """
 
-    def __init__(self, host: str, port: int, mode: str = LOCKSTEP, timeout: float = 10.0):
+    def __init__(self, host: str, port: int, mode: str = LOCKSTEP):
         if mode not in CLOCK_MODES:
             raise InvalidInput(f"unknown clock mode {mode!r}")
         self.mode = mode
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._sock = socket.create_connection((host, port), timeout=REPLY_TIMEOUT_S)
         except OSError as exc:
             raise PlantIoError(f"cannot connect to plant at {host}:{port}: {exc}") from exc
         self._rfile = self._sock.makefile("rb")

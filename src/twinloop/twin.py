@@ -114,12 +114,12 @@ class TwinState:
     clock: float = 0.0
 
 
-def _check_step_args(state: TwinState, dt: float) -> None:
+def _check_step_args(state: TwinState, dt: float, name: str = "dt") -> None:
     # the duty is checked by steady_state, which _steady calls for any duty but 0 and 100
     if not (math.isfinite(state.t_heater) and math.isfinite(state.t_sensor) and math.isfinite(state.clock)):
         raise InvalidInput(f"twin state is not finite: {state}")
     if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidInput(f"dt must be > 0, got {dt!r}")
+        raise InvalidInput(f"{name} must be > 0, got {dt!r}")
 
 
 def step(params: TwinParams, state: TwinState, duty: float, dt: float) -> TwinState:
@@ -195,7 +195,7 @@ def _grid(params: TwinParams, state: TwinState, duty: float, horizon: float):
     ``dt = t - clock``.  That curve turns at most once, so the samples are
     monotone on ``[0, split]`` and on ``[split + 1, last]``.
     """
-    _check_step_args(state, horizon)
+    _check_step_args(state, horizon, "horizon")
 
     l1, l2, _, _, g_sh, g_ss = params._propagator
     xh, xs = _steady(params, duty)

@@ -313,6 +313,13 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match=f"^malformed response body: {detail}$"):
             backend.complete("s", "u", ctx(24.0, OFF))
 
+    def test_a_reply_whose_content_is_not_text_is_malformed(self, stub_server, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        stub_server.script.append(("ok", 7))
+        backend = HttpBackend(http_config(stub_server))
+        with pytest.raises(BackendError, match="^malformed response body: content is not text$"):
+            backend.complete("s", "u", ctx(24.0, OFF))
+
     def test_missing_api_key(self, stub_server, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
         with pytest.raises(ConfigError):

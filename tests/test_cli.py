@@ -866,6 +866,20 @@ class TestCmdRun:
         )
         assert not log.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--backend", "replay:", "--backend replay needs a transcript path: replay:<path>"),
+            ("--plant", "serial:/dev/ttyS0", "--plant must be 'sim' or 'tcp:<host:port>', got 'serial:/dev/ttyS0'"),
+        ],
+        ids=["replay-without-a-path", "unknown-plant"],
+    )
+    def test_a_backend_or_plant_of_no_known_form_exits_2(self, tmp_path, capsys, flag, value, error):
+        log = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(CASE_CONFIG), flag, value, "--out", str(log)]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not log.exists()
+
     def test_bad_backend_override_exits_2(self, tmp_path, capsys):
         code = main([
             "run", "--config", str(CASE_CONFIG), "--backend", "psychic",
@@ -1039,6 +1053,14 @@ class TestCmdReport:
         empty.write_text("")
         assert main(["report", "--log", str(empty)]) == 2
         assert capsys.readouterr().err == "report error: log is empty\n"
+
+    def test_an_episode_without_attempts_exits_2(self, oracle_log, tmp_path, capsys):
+        lines = oracle_log.read_text().splitlines(keepends=True)
+        lines[1] = re.sub(r'"attempts":\[.*\],"applied"', '"attempts":[],"applied"', lines[1])
+        broken = tmp_path / "no_attempts.jsonl"
+        broken.write_text("".join(lines))
+        assert main(["report", "--log", str(broken)]) == 2
+        assert capsys.readouterr() == ("", "report error: episode 0 has no attempts\n")
 
     def test_directory_as_log_exits_2(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path)]) == 2

@@ -3,9 +3,13 @@ TCP server/client pair."""
 
 import contextlib
 import hashlib
+import itertools
+import math
+import re
 import socket
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,11 +20,13 @@ from twinloop.jsonio import dumps_record
 from twinloop.orchestrator import RunConfig, ValidatorMode, run_loop
 from twinloop import tcp
 from twinloop.plantio import (
+    CLOCK_MODES,
     HeaterAction,
     PlantProtocol,
     TwinPlant,
     LOCKSTEP,
     REALTIME,
+    round_half_away,
 )
 from twinloop.tcp import PlantServer, TcpPlantClient
 from twinloop.twin import TwinParams, TwinState
@@ -118,6 +124,13 @@ class TestTwinPlant:
         first = plant.clock
         plant.read_temperature()
         assert plant.clock >= first
+
+    def test_realtime_state_catches_up_with_wall_time(self):
+        plant = TwinPlant(mode=REALTIME)
+        plant.set_duty(100.0)
+        time.sleep(0.05)
+        state = plant.state
+        assert state.clock >= 0.05 and state.t_heater > 23.0
 
     def test_invalid_mode(self):
         with pytest.raises(InvalidInput):
@@ -357,6 +370,21 @@ class TestServer:
         assert time.monotonic() - t0 < 1.0
         assert raw_session(served_plant, ["VER"]) == ["AGENTIC-TWIN 1.0"]
 
+    def test_a_client_that_trickles_its_first_line_is_dropped_at_the_deadline(self, monkeypatch):
+        # each look at the handler's clock moves it one second: the deadline
+        # is set at 0 for 3 and passes at the third look, after two reads
+        # that each get a byte, so no read times out
+        ticks = itertools.count()
+        monkeypatch.setattr(tcp, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        monkeypatch.setattr(tcp, "FIRST_LINE_TIMEOUT_S", 3.0)
+        with serving(TwinPlant(mode=LOCKSTEP)) as server:
+            with socket.create_connection(server.server_address, timeout=5.0) as trickle:
+                for byte in (b"T", b"1"):
+                    trickle.sendall(byte)
+                    time.sleep(0.1)
+                assert trickle.recv(64) == b""
+            assert raw_session(server.server_address, ["VER"]) == ["AGENTIC-TWIN 1.0"]
+
     def test_a_line_of_the_longest_length_is_answered(self, served_plant):
         line = b"T1" + b" " * (tcp.MAX_LINE_BYTES - 2)
         assert one_segment_session(served_plant, line + b"\n" + line) == ["23.00", "23.00"]
@@ -374,6 +402,89 @@ class TestServer:
                 finally:
                     client.close()
                 assert silent.recv(64) == b""
+
+
+def grammar_reply(raw, plant):
+    """The pattern of the reply the wire grammar gives the line ``raw``, acting
+    on ``plant``, a twin of the plant that answers: one verb alone, or one
+    verb and one finite number; anything else, a line that is not UTF-8
+    included, is ``ERR``."""
+    try:
+        tokens = raw.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return "ERR"
+    verb = tokens[0].upper() if tokens else ""
+    if len(tokens) == 1 and verb == "T1":
+        # a realtime plant warms with wall time, which its twin cannot follow
+        return re.escape(f"{plant.read_temperature():.2f}") if plant.mode == LOCKSTEP else r"-?\d+\.\d\d"
+    if len(tokens) == 1 and verb in ("VER", "MODE"):
+        return "AGENTIC-TWIN 1.0" if verb == "VER" else plant.mode
+    try:
+        value = float(tokens[1]) if len(tokens) == 2 else math.nan
+    except ValueError:
+        value = math.nan
+    if verb == "Q1" and math.isfinite(value):
+        plant.set_duty(min(100.0, max(0.0, value)))
+        return re.escape(f"{round_half_away(plant.duty):.2f}")
+    if verb == "X_ADV" and plant.mode == LOCKSTEP and value > 0.0 and math.isfinite(plant.clock + value):
+        plant.advance(value)
+        return "OK"
+    return "ERR"
+
+
+def any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(word, upper))
+    )
+
+
+SPACE = " \t\r\x0b\x0c\u00a0"
+ARGUMENT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-200, 200).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e308", "5e-324", "1_0", "0x10", "1e", "?"]),
+    st.text(alphabet="0123456789.e+-_xQTé", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def wire_lines(draw):
+    """One line's bytes: a verb in any case, or none, with 0 to 2 arguments,
+    whitespace around them and maybe a byte that is not UTF-8."""
+    verb = draw(st.sampled_from(["", "T1", "Q1", "VER", "MODE", "X_ADV", "FROB"]).flatmap(any_case))
+    line = draw(st.text(SPACE, max_size=2))
+    for token in [verb, *draw(st.lists(ARGUMENT, max_size=2))]:
+        line += token + draw(st.text(SPACE, min_size=1, max_size=2))
+    raw = line.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """One served plant per clock mode; a test gives each connection a fresh
+    plant by setting the server's ``protocol``."""
+    with serving(TwinPlant(mode=LOCKSTEP)) as lockstep, serving(TwinPlant(mode=REALTIME)) as realtime:
+        yield {LOCKSTEP: lockstep, REALTIME: realtime}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(CLOCK_MODES), lines=st.lists(wire_lines(), min_size=1, max_size=6))
+@example(mode=LOCKSTEP, lines=[b"x_adv 1e308", b"Q1\t37.5 ", b"X_Adv 1e308", b"t1", b"T1 \xff", b"\xffT1"])
+@example(mode=REALTIME, lines=[b"\x0bmode\xc2\xa0", b"X_ADV 1", b"q1 -0.0", b"VER\r", b"Q1 nan", b"T1"])
+def test_each_line_gets_the_reply_of_the_wire_grammar(servers, mode, lines):
+    server = servers[mode]
+    server.protocol = PlantProtocol(TwinPlant(mode=mode))
+    served = one_segment_session(server.server_address, b"".join(raw + b"\n" for raw in lines))
+    direct = PlantProtocol(TwinPlant(mode=mode))
+    in_process = [direct.handle_command(raw.decode("utf-8", "replace")) for raw in lines]
+    for replies in (in_process, served):
+        twin = TwinPlant(mode=mode)
+        assert len(replies) == len(lines)
+        for raw, reply in zip(lines, replies):
+            assert re.fullmatch(grammar_reply(raw, twin), reply), (raw, reply)
 
 
 @pytest.mark.parametrize("t_sensor", [23.0, 26.445, -0.004, 1e11 + 0.125])
@@ -502,6 +613,20 @@ class TestTcpClient:
                 client.apply_heater(HeaterAction.ON)
                 with pytest.raises(PlantIoError, match="'Q1 100'"):
                     getattr(client, confirm)()
+            finally:
+                client.close()
+
+    def test_rejected_clock_advance_raises_at_the_next_reading(self):
+        with serving(TwinPlant(mode=LOCKSTEP)) as server:
+            handle = server.protocol.handle_command
+            server.protocol.handle_command = (
+                lambda line: "ERR" if line.startswith("X_ADV") else handle(line)
+            )
+            client = TcpPlantClient(*server.server_address, mode=LOCKSTEP)
+            try:
+                client.advance(5.0)
+                with pytest.raises(PlantIoError, match=r"^plant rejected clock advance of 5.0 s: 'ERR'$"):
+                    client.read_temperature()
             finally:
                 client.close()
 

@@ -65,9 +65,17 @@ CASES = {
 }
 
 # Changes each class's __post_init__ refuses, with the refusal's text.
+HTTP_BACKEND = {"kind": "http", "base_url": "http://localhost:1", "model": "m"}
 INVALID = {
-    TwinParams: [({"c_h": -1.0}, "twin parameter c_h must be strictly positive")],
-    Thresholds: [({"low": 30.0}, "thresholds must satisfy low < high, got 30.0 >= 28.0")],
+    TwinParams: [
+        ({"c_h": -1.0}, "twin parameter c_h must be strictly positive"),
+        ({"u_sa": math.nan}, "twin parameter u_sa is not finite"),
+        ({"alpha": -0.01}, "twin parameter alpha must be >= 0"),
+    ],
+    Thresholds: [
+        ({"low": 30.0}, "thresholds must satisfy low < high, got 30.0 >= 28.0"),
+        ({"high": math.inf}, "thresholds must be finite"),
+    ],
     AgentSpec: [({"task": "{setpoint}"}, "unknown placeholder {setpoint} in task template")],
     Verdict: [({"reason": ""}, "a failing verdict needs a reason")],
     Exchange: [
@@ -75,9 +83,19 @@ INVALID = {
         ({"latency": math.nan}, "latency must be finite and >= 0, got nan"),
         ({"latency": math.inf}, "latency must be finite and >= 0, got inf"),
     ],
-    LatencySpec: [({"kind": "gamma"}, "unknown latency kind 'gamma'")],
+    LatencySpec: [
+        ({"kind": "gamma"}, "unknown latency kind 'gamma'"),
+        ({"sigma": -0.5}, "lognormal sigma must be >= 0"),
+        ({"kind": "fixed", "seconds": -1.0}, "fixed latency must be finite and >= 0, got -1.0"),
+        ({"kind": "fixed", "seconds": math.inf}, "fixed latency must be finite and >= 0, got inf"),
+    ],
     ScriptedPolicy: [({"p_wrong_first": 2.0}, "p_wrong_first must lie in [0, 1], got 2.0")],
-    BackendConfig: [({"timeout": 0.0}, "backend timeout must be > 0")],
+    BackendConfig: [
+        ({"timeout": 0.0}, "backend timeout must be > 0"),
+        ({**HTTP_BACKEND, "temperature": -1.0}, "http temperature must be finite and >= 0, got -1.0"),
+        ({**HTTP_BACKEND, "temperature": math.inf}, "http temperature must be finite and >= 0, got inf"),
+        ({"kind": "replay"}, "replay backend requires transcript_path"),
+    ],
     ValidatorMode: [({"envelope": (30.0, 20.0)}, "envelope must be well ordered, got (30.0, 20.0)")],
     MonitorMode: [({"margin": -1.0}, "monitor margin must be finite and >= 0")],
     RunConfig: [({"duration": MAX_DURATION_S * 2}, "duration must lie in (0, 604800] s, got 1209600.0")],

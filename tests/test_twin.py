@@ -222,7 +222,7 @@ class TestStep:
             step(PARAMS, TwinState(23.0, 23.0, 0.0), -0.01, 1.0)
 
     def test_nonpositive_dt_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^dt must be > 0, got 0.0$"):
             step(PARAMS, TwinState(23.0, 23.0, 0.0), 0.0, 0.0)
 
     def test_non_finite_state_rejected(self):
@@ -262,7 +262,7 @@ class TestRollout:
         assert [t for t, _ in trajectory] == [0.0, 1.0, 2.0, 3.0 + 5e-10]
 
     def test_bad_horizon(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^horizon must be > 0, got 0.0$"):
             rollout(PARAMS, TwinState(23.0, 23.0, 0.0), 0.0, 0.0)
 
     @staticmethod
@@ -376,7 +376,7 @@ class TestFirstExit:
         assert counter.exp_calls <= 2 * probes
 
     def test_bad_horizon(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^horizon must be > 0, got 0.0$"):
             first_exit(PARAMS, OVERSHOOT, 0.0, 0.0, 20.0, 30.0)
 
 
