@@ -170,28 +170,28 @@ class PlantProtocol:
 
     def handle_command(self, line: str) -> str:
         parts = line.split()
-        if len(parts) == 1:
-            verb = parts[0].upper()
-            if verb == "T1":
-                return f"{self.plant.read_temperature():.2f}"
-            if verb == "VER":
-                return PROTOCOL_VERSION
-            if verb == "MODE":
-                return self.plant.mode
-            return "ERR"
-        try:
+        if len(parts) == 2:  # X_ADV and Q1 make up most of a lockstep run's lines
             verb, arg = parts
-            value = float(arg)
-        except ValueError:
+            try:
+                value = float(arg)
+            except ValueError:
+                return "ERR"
+            verb = verb.upper()
+            # a realtime plant's advance sleeps, and no client may stall the
+            # server; a step to an infinite clock would refuse every later one
+            if verb == "X_ADV" and self.plant.mode == LOCKSTEP and value > 0.0 and math.isfinite(self.plant.clock + value):
+                self.plant.advance(value)
+                return "OK"
+            if verb == "Q1" and math.isfinite(value):
+                duty = min(100.0, max(0.0, value))
+                self.plant.set_duty(duty)
+                return f"{round_half_away(duty, 2):.2f}"
             return "ERR"
-        verb = verb.upper()
-        if verb == "Q1" and math.isfinite(value):
-            duty = min(100.0, max(0.0, value))
-            self.plant.set_duty(duty)
-            return f"{round_half_away(duty, 2):.2f}"
-        # a realtime plant's advance sleeps, and no client may stall the
-        # server; a step to an infinite clock would refuse every later one
-        if verb == "X_ADV" and self.plant.mode == LOCKSTEP and value > 0.0 and math.isfinite(self.plant.clock + value):
-            self.plant.advance(value)
-            return "OK"
+        verb = parts[0].upper() if len(parts) == 1 else ""
+        if verb == "T1":
+            return f"{self.plant.read_temperature():.2f}"
+        if verb == "VER":
+            return PROTOCOL_VERSION
+        if verb == "MODE":
+            return self.plant.mode
         return "ERR"

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import socket
 import socketserver
+import struct
 import time
-from collections.abc import Callable
 
 from .errors import InvalidInput, PlantIoError
 from .plantio import CLOCK_MODES, LOCKSTEP, REALTIME, HeaterAction, PlantProtocol, TwinPlant
@@ -20,7 +20,8 @@ from .twin import TwinState
 # A served connection that sends no complete line this long after connecting
 # is dropped, so a silent client cannot hold the single-connection server.
 FIRST_LINE_TIMEOUT_S = 10.0
-# The client's longest wait for a plant to accept it or to send the next bytes of a reply.
+# The client's longest wait for a plant to accept it, to take a write, or to
+# send every reply to one write, counted from that write.
 REPLY_TIMEOUT_S = 10.0
 # The longest line either end reads, in bytes, newline excluded: the client's
 # longest command is about 30 and a reply at most 313 (a float with two
@@ -34,7 +35,7 @@ class _LineHandler(socketserver.BaseRequestHandler):
     a line longer than ``MAX_LINE_BYTES`` is the connection's last."""
 
     def handle(self) -> None:
-        protocol: PlantProtocol = self.server.protocol  # type: ignore[attr-defined]
+        answer = self.server.protocol.handle_command  # type: ignore[attr-defined]
         sock: socket.socket = self.request
         # pipelined replies must not wait for the client's delayed ACK
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -58,14 +59,14 @@ class _LineHandler(socketserver.BaseRequestHandler):
                 if deadline is not None:
                     deadline = None
                     sock.settimeout(None)
-                replies = []
-                for raw in lines:
-                    if len(raw) > MAX_LINE_BYTES:
-                        replies.append("ERR")
-                        data = b""  # the connection ends with this reply
-                        break
-                    # a replaced byte lands inside a token, so the line gets ERR
-                    replies.append(protocol.handle_command(raw.decode("utf-8", "replace")))
+                long = max(map(len, lines)) > MAX_LINE_BYTES
+                if long:  # the connection ends with ERR to its first long line
+                    lines = lines[: [len(raw) > MAX_LINE_BYTES for raw in lines].index(True)]
+                    data = b""
+                # a replaced byte lands inside a token, so the line gets ERR
+                replies = [answer(raw.decode("utf-8", "replace")) for raw in lines]
+                if long:
+                    replies.append("ERR")
                 sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
             if not data:
                 return
@@ -104,11 +105,15 @@ class TcpPlantClient:
     The link is pipelined and keeps the order of the commands.  ``Q1`` and
     ``X_ADV`` replies only confirm, so those commands are queued and the
     clock moves at once; :meth:`read_temperature` sends the queue and its
-    ``T1`` in one write, then checks the queued replies in order before it
-    reads its own.  In realtime ``Q1`` is sent at once, because the heater
-    must switch now; only its check waits.  :meth:`close` sends and checks
-    what is still queued.  Connecting asks the plant's ``MODE`` and refuses
-    a plant whose clock mode is not ``mode``.
+    ``T1`` in one write and checks the queued replies in order before it
+    returns its own, so a lockstep episode is one ``send`` and one ``recv``.
+    In realtime ``Q1`` is sent at once, because the heater must switch now;
+    only its check waits.  :meth:`close` sends and checks what is still
+    queued.  Connecting asks the plant's ``MODE`` and refuses a plant whose
+    clock mode is not ``mode``.  The socket blocks, with each write and read
+    bounded by the kernel (``SO_SNDTIMEO``, ``SO_RCVTIMEO``), and all the
+    replies to one write must arrive within ``REPLY_TIMEOUT_S`` of it, or
+    the call fails with ``plant reply to 'T1' timed out after 10.0 s``.
     """
 
     def __init__(self, host: str, port: int, mode: str = LOCKSTEP):
@@ -119,15 +124,18 @@ class TcpPlantClient:
             self._sock = socket.create_connection((host, port), timeout=REPLY_TIMEOUT_S)
         except OSError as exc:
             raise PlantIoError(f"cannot connect to plant at {host}:{port}: {exc}") from exc
-        self._rfile = self._sock.makefile("rb")
-        # lines not sent yet, and every command whose reply is still unread,
-        # with the check its reply must pass
+        # lines not sent yet, every command whose reply is still unread with
+        # its verb and argument, and bytes read past the last reply
         self._outbox: list[str] = []
-        self._unread: list[tuple[str, Callable[[str], None] | None]] = []
+        self._unread: list[tuple[str, str, object]] = []
+        self._rest = b""
         self._failed = False
         self._clock = 0.0
         self._reading: float | None = None
         try:
+            self._sock.settimeout(None)
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                self._sock.setsockopt(socket.SOL_SOCKET, option, _timeval(REPLY_TIMEOUT_S))
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             served = self._request("MODE")
             if served != mode:
@@ -153,14 +161,14 @@ class TcpPlantClient:
             raise PlantIoError("the plant has no state before its first reading")
         return TwinState(self._reading, self._reading, self.clock)
 
-    def _queue(self, line: str, check: Callable[[str], None] | None) -> None:
+    def _queue(self, line: str, verb: str, arg: object = None) -> None:
         self._outbox.append(line)
-        self._unread.append((line, check))
+        self._unread.append((line, verb, arg))
 
     def _send(self) -> None:
         if not self._outbox:
             return
-        data = "".join(f"{line}\n" for line in self._outbox).encode("utf-8")
+        data = ("\n".join(self._outbox) + "\n").encode("utf-8")
         try:
             self._sock.sendall(data)
         except OSError as exc:
@@ -169,32 +177,48 @@ class TcpPlantClient:
         self._outbox.clear()
 
     def _confirm(self) -> str:
-        """Send the queue in one write, then read and check the reply of every
-        unread command in order; returns the last reply."""
+        """Send the queue in one write, then read the replies of every unread
+        command and check them in order; returns the last reply."""
         self._send()
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
         unread, self._unread = self._unread, []
-        reply = ""
+        sock, data, start, reads = self._sock, self._rest, 0, 0
         try:
-            for line, check in unread:
-                try:
-                    raw = self._rfile.readline(MAX_LINE_BYTES + 1)
-                except OSError as exc:
-                    raise PlantIoError(f"plant link failed during {line!r}: {exc}") from exc
-                if not raw:
-                    raise PlantIoError(f"plant closed the connection during {line!r}")
-                if len(raw) > MAX_LINE_BYTES and raw[-1:] != b"\n":
-                    raise PlantIoError(f"plant reply to {line!r} is longer than {MAX_LINE_BYTES} bytes")
-                # undecodable bytes fail the reply's check, not the decoder
-                reply = raw.decode("utf-8", "replace").rstrip("\n")
-                if check is not None:
-                    check(reply)
+            for line, verb, arg in unread:
+                # a reply ends within MAX_LINE_BYTES, or is refused unread
+                while (end := data.find(b"\n", start, start + MAX_LINE_BYTES + 1)) < 0:
+                    if len(data) - start > MAX_LINE_BYTES:
+                        raise PlantIoError(f"plant reply to {line!r} is longer than {MAX_LINE_BYTES} bytes")
+                    try:
+                        if reads:
+                            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(deadline - time.monotonic()))
+                        reads += 1
+                        more = sock.recv(65536)
+                    except BlockingIOError as exc:  # the kernel's bound ran out
+                        raise PlantIoError(f"plant reply to {line!r} timed out after {REPLY_TIMEOUT_S} s") from exc
+                    except OSError as exc:
+                        raise PlantIoError(f"plant link failed during {line!r}: {exc}") from exc
+                    if not more:
+                        raise PlantIoError(f"plant closed the connection during {line!r}")
+                    data += more
+                reply, start = data[start:end], end + 1
+                if verb == "X_ADV" and reply != b"OK":
+                    text = reply.decode("utf-8", "replace")  # undecodable bytes are quoted too
+                    raise PlantIoError(f"plant rejected clock advance of {arg} s: {text!r}")
+                if verb == "Q1" and reply == b"ERR":
+                    raise PlantIoError(f"plant rejected heater command for {arg}: {line!r}")
         except PlantIoError:
             self._failed = True
             raise
-        return reply
+        finally:
+            if reads > 1:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(REPLY_TIMEOUT_S))
+        self._rest = data[start:]
+        # undecodable bytes fail the reading's parse, not the decoder
+        return reply.decode("utf-8", "replace")
 
     def _request(self, line: str) -> str:
-        self._queue(line, None)
+        self._queue(line, line)
         return self._confirm()
 
     def read_temperature(self) -> float:
@@ -209,13 +233,7 @@ class TcpPlantClient:
         return t_sensor
 
     def apply_heater(self, action: HeaterAction) -> None:
-        line = f"Q1 {action.duty:.0f}"
-
-        def check(reply: str) -> None:
-            if reply == "ERR":
-                raise PlantIoError(f"plant rejected heater command for {action}: {line!r}")
-
-        self._queue(line, check)
+        self._queue(f"Q1 {action.duty:.0f}", "Q1", action)
         if self.mode == REALTIME:
             self._send()
 
@@ -223,12 +241,7 @@ class TcpPlantClient:
         if self.mode == REALTIME:
             time.sleep(dt)
             return
-
-        def check(reply: str) -> None:
-            if reply != "OK":
-                raise PlantIoError(f"plant rejected clock advance of {dt} s: {reply!r}")
-
-        self._queue(f"X_ADV {dt!r}", check)
+        self._queue(f"X_ADV {dt!r}", "X_ADV", dt)
         self._clock += dt
 
     def close(self) -> None:
@@ -242,7 +255,15 @@ class TcpPlantClient:
 
     def _disconnect(self) -> None:
         try:
-            self._rfile.close()
             self._sock.close()
         except OSError:
             pass
+
+
+def _timeval(seconds: float) -> bytes:
+    """``seconds`` as the POSIX ``struct timeval`` of ``SO_RCVTIMEO`` and ``SO_SNDTIMEO``;
+    one that rounds to 0 would wait without end, so it raises as a read past its bound does."""
+    usec = round(seconds * 1e6)
+    if usec <= 0:
+        raise BlockingIOError
+    return struct.pack("@ll", *divmod(usec, 1_000_000))

@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import socket
+import struct
 import threading
 import time
 import types
@@ -275,16 +276,25 @@ def one_segment_session(address, data):
 
 
 @contextlib.contextmanager
-def fake_plant(reply):
-    """A client of a lockstep plant that answers every line after ``MODE``
-    with the bytes ``reply``."""
+def fake_plant(*writes, pause=0.0, close=False):
+    """A client of a lockstep plant that answers ``MODE``, and each ``T1`` by
+    sending the bytes ``writes`` one by one, ``pause`` s apart: they carry
+    the replies to the lines sent since the last ``T1``, that one included.
+    With ``close`` the plant closes the connection after the writes."""
 
     def serve(listener):
         conn, _ = listener.accept()
         # the client may close with the rest of a long reply unread
         with conn, conn.makefile("rb") as lines, contextlib.suppress(OSError):
             for raw in lines:
-                conn.sendall(b"lockstep\n" if raw.strip() == b"MODE" else reply)
+                if raw.strip() == b"MODE":
+                    conn.sendall(b"lockstep\n")
+                elif raw.strip() == b"T1":
+                    for i, data in enumerate(writes):
+                        time.sleep(pause if i else 0.0)
+                        conn.sendall(data)
+                    if close:
+                        return
 
     with socket.create_server(("127.0.0.1", 0)) as listener:
         thread = threading.Thread(target=serve, args=(listener,), daemon=True)
@@ -298,15 +308,30 @@ def fake_plant(reply):
         assert not thread.is_alive()
 
 
+def kernel_bounds(sock):
+    """A socket's ``SO_RCVTIMEO`` and ``SO_SNDTIMEO``, as (seconds, microseconds)."""
+    size = struct.calcsize("@ll")
+    return [struct.unpack("@ll", sock.getsockopt(socket.SOL_SOCKET, option, size))
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO)]
+
+
 class CountingSocket:
-    """A client socket that counts its writes."""
+    """A client socket that counts its writes, reads and options set."""
 
     def __init__(self, sock):
-        self.sock, self.sends = sock, 0
+        self.sock, self.sends, self.recvs, self.options = sock, 0, 0, 0
 
     def sendall(self, data):
         self.sends += 1
         return self.sock.sendall(data)
+
+    def recv(self, size):
+        self.recvs += 1
+        return self.sock.recv(size)
+
+    def setsockopt(self, *args):
+        self.options += 1
+        return self.sock.setsockopt(*args)
 
     def __getattr__(self, name):
         return getattr(self.sock, name)
@@ -370,10 +395,10 @@ class TestServer:
         assert time.monotonic() - t0 < 1.0
         assert raw_session(served_plant, ["VER"]) == ["AGENTIC-TWIN 1.0"]
 
-    def test_a_client_that_trickles_its_first_line_is_dropped_at_the_deadline(self, monkeypatch):
+    def test_a_client_that_trickles_its_first_line_is_dropped_at_the_deadline(self, monkeypatch, capsys):
         # each look at the handler's clock moves it one second: the deadline
-        # is set at 0 for 3 and passes at the third look, after two reads
-        # that each get a byte, so no read times out
+        # is set at 0 for 3 and is reached exactly at the third look, after
+        # two reads that each get a byte, so no read times out
         ticks = itertools.count()
         monkeypatch.setattr(tcp, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
         monkeypatch.setattr(tcp, "FIRST_LINE_TIMEOUT_S", 3.0)
@@ -384,10 +409,25 @@ class TestServer:
                     time.sleep(0.1)
                 assert trickle.recv(64) == b""
             assert raw_session(server.server_address, ["VER"]) == ["AGENTIC-TWIN 1.0"]
+        # the handler returned; it did not fail on a read with no time left
+        assert capsys.readouterr().err == ""
 
     def test_a_line_of_the_longest_length_is_answered(self, served_plant):
         line = b"T1" + b" " * (tcp.MAX_LINE_BYTES - 2)
         assert one_segment_session(served_plant, line + b"\n" + line) == ["23.00", "23.00"]
+
+    def test_a_line_of_the_longest_length_before_a_longer_one_is_answered(self, served_plant):
+        line = b"T1" + b" " * (tcp.MAX_LINE_BYTES - 2)
+        assert one_segment_session(served_plant, line + b"\n" + line + b" \nVER\n") == ["23.00", "ERR"]
+
+    def test_a_connection_may_idle_past_the_first_line_deadline(self, monkeypatch):
+        monkeypatch.setattr(tcp, "FIRST_LINE_TIMEOUT_S", 0.2)
+        with serving(TwinPlant(mode=LOCKSTEP)) as server:
+            with socket.create_connection(server.server_address, timeout=5.0) as sock, sock.makefile("rb") as fh:
+                for _ in range(2):
+                    sock.sendall(b"VER\n")
+                    assert fh.readline() == b"AGENTIC-TWIN 1.0\n"
+                    time.sleep(0.3)
 
     @pytest.mark.parametrize("greeting", [b"", b"T1"])
     def test_client_without_a_complete_line_is_dropped(self, monkeypatch, greeting):
@@ -596,8 +636,11 @@ class TestTcpClient:
             finally:
                 client.close()
             # MODE at connect, one T1 per episode carrying the queued Q1 and
-            # X_ADV lines, and the close flush that delivers the last Q1
-            assert client_sockets[0].sends == len(episodes) + 2
+            # X_ADV lines, and the close flush that delivers the last Q1: each
+            # one write, and all of its replies in one read
+            assert (client_sockets[0].sends, client_sockets[0].recvs) == (len(episodes) + 2,) * 2
+            # the two kernel bounds and TCP_NODELAY, all at connect
+            assert client_sockets[0].options == 3
             assert plant.duty == episodes[-1].applied.duty
             assert plant.clock == client.clock
 
@@ -682,6 +725,96 @@ class TestTcpClient:
             else:
                 assert client.read_temperature() == 23.0
 
+    def test_the_socket_blocks_and_the_kernel_bounds_each_call(self, served_plant, client_sockets):
+        # a Python timeout would poll before every send and recv
+        client = TcpPlantClient(*served_plant, mode=LOCKSTEP)
+        try:
+            assert client_sockets[0].gettimeout() is None
+            assert kernel_bounds(client_sockets[0]) == [divmod(round(tcp.REPLY_TIMEOUT_S * 1e6), 10**6)] * 2
+        finally:
+            client.close()
+
+    def test_a_silent_plant_fails_the_reading_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(tcp, "REPLY_TIMEOUT_S", 0.3)
+        with fake_plant() as client:
+            t0 = time.monotonic()
+            with pytest.raises(PlantIoError, match=r"^plant reply to 'T1' timed out after 0\.3 s$"):
+                client.read_temperature()
+            assert 0.25 < time.monotonic() - t0 < 0.6
+
+    def test_a_trickled_reply_is_bounded_from_its_write(self, monkeypatch):
+        # each byte comes within the bound of the one before, the last 1.0 s
+        # after the write
+        monkeypatch.setattr(tcp, "REPLY_TIMEOUT_S", 0.3)
+        with fake_plant(*(b"23.00\n"[i : i + 1] for i in range(6)), pause=0.2) as client:
+            t0 = time.monotonic()
+            with pytest.raises(PlantIoError, match=r"^plant reply to 'T1' timed out after 0\.3 s$"):
+                client.read_temperature()
+            assert time.monotonic() - t0 < 0.6
+
+    def test_a_reply_in_two_reads_leaves_the_standing_bound(self, client_sockets):
+        with fake_plant(b"23.", b"45\n", pause=0.05) as client:
+            assert client.read_temperature() == 23.45
+            assert client_sockets[0].recvs == 3
+            assert kernel_bounds(client_sockets[0]) == [divmod(round(tcp.REPLY_TIMEOUT_S * 1e6), 10**6)] * 2
+
+    def test_a_reply_cut_by_a_close_fails_the_reading(self):
+        with fake_plant(b"23.4", close=True) as client:
+            with pytest.raises(PlantIoError, match=r"^plant closed the connection during 'T1'$"):
+                client.read_temperature()
+
+    def test_a_bound_is_a_posix_timeval_and_never_zero(self):
+        assert tcp._timeval(10.0) == struct.pack("@ll", 10, 0)
+        assert tcp._timeval(2.5) == struct.pack("@ll", 2, 500000)
+        assert tcp._timeval(6e-7) == struct.pack("@ll", 0, 1)
+        # a zero timeval would wait without end: the bound has run out
+        for seconds in (4e-7, 0.0, -1.0):
+            with pytest.raises(BlockingIOError):
+                tcp._timeval(seconds)
+
     def test_connection_refused_raises_plant_io_error(self):
         with pytest.raises(PlantIoError):
             TcpPlantClient("127.0.0.1", 1, mode=LOCKSTEP)
+
+
+# a batch whose T1 reply is the longest a client reads
+LONGEST = b"100.00\nOK\n" + b"2" * 1024 + b"\n"
+# What a lockstep client makes of each batch of replies to ``Q1 100``,
+# ``X_ADV 5.0`` and ``T1`` before the plant closes the connection: its
+# reading, or the text of its PlantIoError
+BATCHES = {
+    b"100.00\nOK\n23.45\n": 23.45,
+    # only ERR refuses a heater command
+    b"\nOK\n23.45\n": 23.45,
+    b"ERR\nOK\n23.45\n": "plant rejected heater command for ON: 'Q1 100'",
+    b"ERR\nO": "plant rejected heater command for ON: 'Q1 100'",
+    b"100.00\nERR\n23.45\n": "plant rejected clock advance of 5.0 s: 'ERR'",
+    b"100.00\nOK\xff\n23.45\n": "plant rejected clock advance of 5.0 s: 'OK\ufffd'",
+    LONGEST: "unparseable temperature reply '" + "2" * 1024 + "'",
+    b"100.00\nOK\n" + b"2" * 1025 + b"\n": f"plant reply to 'T1' is longer than {tcp.MAX_LINE_BYTES} bytes",
+    b"100.00\nO": "plant closed the connection during 'X_ADV 5.0'",
+    b"100.00\nOK\n23.4": "plant closed the connection during 'T1'",
+}
+
+
+@st.composite
+def split_batches(draw):
+    """A batch of replies, cut into 1 to 4 writes at drawn points."""
+    batch = draw(st.sampled_from(sorted(BATCHES)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(batch) - 1), max_size=3)))
+    return batch, [batch[i:j] for i, j in zip([0, *cuts], [*cuts, len(batch)])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_batches())
+@example((LONGEST, [LONGEST[:-1], LONGEST[-1:]]))
+def test_a_batch_of_replies_reads_the_same_in_any_number_of_writes(split):
+    batch, writes = split
+    with fake_plant(*writes, pause=0.003, close=True) as client:
+        client.apply_heater(HeaterAction.ON)
+        client.advance(5.0)
+        try:
+            outcome = client.read_temperature()
+        except PlantIoError as exc:
+            outcome = str(exc)
+    assert outcome == BATCHES[batch]
