@@ -302,9 +302,11 @@ class ReplayBackend:
 
 def _replayable(doc: dict) -> bool:
     """A recorded failure (``error``, ``elapsed``) or exchange
-    (``response_text``, ``latency``), with the types the replay reads."""
+    (``response_text``, ``latency``), of the types the recorder writes."""
     text, seconds = ("error", "elapsed") if "error" in doc else ("response_text", "latency")
     value = doc.get(seconds)
+    if type(doc.get("model", "")) is not str or type(doc.get("status")) not in (int, type(None)):
+        return False
     return type(doc.get(text)) is str and type(value) in (int, float) and 0.0 <= value < math.inf
 
 
@@ -322,8 +324,8 @@ def load_replay(transcript_path: str | Path) -> ReplayBackend:
                 raise LogFormatError(f"bad transcript line: {exc}", line_number=lineno) from exc
             if not (isinstance(doc, dict) and _replayable(doc)):
                 raise LogFormatError(
-                    "transcript line needs a string response_text and a latency, or a string "
-                    "error and an elapsed time, in seconds >= 0", line_number=lineno
+                    "transcript line needs a string response_text and a latency, or a string error and an elapsed "
+                    "time, in seconds >= 0, and any model a string, any status an integer or null", line_number=lineno
                 )
             entries.append(doc)
     return ReplayBackend(entries)

@@ -1,14 +1,14 @@
 """Operator commands: run a control experiment, serve the simulated plant
 over TCP, and turn run logs into reports.
 
-Exit codes are contract values: 0 clean finish, 2 a :class:`ConfigError`
-(a bad config, flag or environment during set-up; after it, an output that
-cannot be written or a replayed transcript that runs out), an
-:class:`InvalidInput` or a :class:`LogFormatError`, 3 a
-:class:`PlantIoError`.  Commands raise; :func:`main` is the one place that
-turns an error into its exit code and its one stderr line.  Partial run
-logs survive an abort because every completed episode is flushed before
-the next one starts.
+Exit codes are contract values: 0 clean finish, 2 a :class:`ConfigError` (a
+bad config, flag or environment during set-up; after it, an output that
+cannot be written, stdout among them, or a replayed transcript that runs
+out), an :class:`InvalidInput` or a :class:`LogFormatError`, 3 a
+:class:`PlantIoError`, 130 an interrupt.  Commands raise; :func:`main` is
+the one place that turns an error or an interrupt into its exit code and its
+one stderr line.  Partial run logs survive an abort because every completed
+episode is flushed before the next one starts.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from .jsonio import from_doc, loads_finite
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import MIN_IDLE_TICK, RunConfig, RunLogWriter, read_run_log, run_loop
 from .plantio import TwinPlant
-from .twin import TwinParams
+from .twin import TwinParams, steady_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PLANT_IO = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
 
 
 @frozen
@@ -99,6 +100,11 @@ def load_config(path: str | Path) -> LoadedConfig:
         cfg = from_doc(LoadedConfig, doc, defaults=True)
     except InvalidInput as exc:
         raise ConfigError(str(exc)) from None
+    # without headroom above the band's top the plant never cycles through the band
+    reach, high = steady_state(cfg.twin, 100.0)[1], cfg.run.thresholds.high
+    if not reach > high:
+        problem = f"full duty holds the sensor at {reach:.2f} degC, not above run.thresholds.high ({high:g} degC)"
+        raise ConfigError(f"'twin': {problem}")
     # the kind says which of a validator's keys apply, so it is never a default
     validator = doc.get("run", {}).get("validator")
     if validator is not None and "kind" not in validator:
@@ -166,6 +172,11 @@ def _opened(what: str, path, opener, *args, **kwargs):
         return opener(*args, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot {what} {path}: {exc}") from exc
+
+
+def _say(text: str) -> None:
+    """Print ``text`` to stdout, flushed, so a failed write is refused as a failed open is."""
+    _opened("write", "stdout", print, text, flush=True)
 
 
 def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
@@ -260,7 +271,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
 
     m = run_metrics(episodes, run_config.thresholds, run_config.duration)
-    print(report(m))
+    _say(report(m))
     return EXIT_OK
 
 
@@ -275,20 +286,19 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
     # the bound port, which port 0 leaves to the system
     host, port = server.server_address[:2]
     endpoint = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-    print(f"serving plant on {endpoint} ({args.mode})", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        state = plant.state
-        # three decimals resolve a clock below 1e12 s; X_ADV may leave one near 1e308
-        print(
-            f"plant stopped at t={state.clock:{'.3f' if state.clock < 1e12 else '.6g'}}s: "
-            f"heater {state.t_heater:.2f} degC, sensor {state.t_sensor:.2f} degC, "
-            f"duty {plant.duty:.2f}%"
-        )
+    with server:
+        _say(f"serving plant on {endpoint} ({args.mode})")
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+    state = plant.state
+    # three decimals resolve a clock below 1e12 s; X_ADV may leave one near 1e308
+    _say(
+        f"plant stopped at t={state.clock:{'.3f' if state.clock < 1e12 else '.6g'}}s: "
+        f"heater {state.t_heater:.2f} degC, sensor {state.t_sensor:.2f} degC, "
+        f"duty {plant.duty:.2f}%"
+    )
     return EXIT_OK
 
 
@@ -307,7 +317,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         # one call opens, writes and closes, so a failed write is refused as a failed open is
         points = points_dump(episodes) + "\n"
         _opened("write points file", args.points, Path(args.points).write_text, points, encoding="utf-8")
-    print(report(m, args.format))
+    _say(report(m, args.format))
     return EXIT_OK
 
 
@@ -356,10 +366,18 @@ def main(argv: list[str] | None = None) -> int:
         where = f" (line {line})" if line is not None else getattr(exc, "aborted", "")
         print(f"{what} error{where}: {exc}", file=sys.stderr)
         return EXIT_PLANT_IO if plant else EXIT_CONFIG
+    except KeyboardInterrupt:
+        print(f"{args.command} interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it; the bytes left would fail again, loudly, at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

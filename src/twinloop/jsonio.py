@@ -23,6 +23,8 @@ dataclass by its writer -- and hands any other value to the generic writer
 by the value's own type; either way the line is the same bytes, so an
 ``int`` in a float field is still written in float form and a ``bool`` in an
 int field as ``true``.  A float field always goes through the float writer.
+The generic writer takes None, a bool, int, float, str, dict or record, or a
+subclass of one; any other value (an enum member, list, tuple) is a TypeError.
 
 Reading is the mirror image, and :func:`loads_record` is its only fast path.
 It scans a record line once by json's C scanner; NaN, Infinity and nesting
@@ -89,13 +91,9 @@ class _Table(dict):
 
 
 def _encode(value) -> str:
-    """Write ``value`` by its own type: dicts, lists, and any value whose
-    type is not exactly the one its field is annotated with."""
+    """Write ``value`` by its own type: dicts, and any value whose type is
+    not exactly the one its field is annotated with."""
     return _WRITERS[type(value)](value)
-
-
-def _write_list(items) -> str:
-    return "[" + ",".join([_encode(v) for v in items]) + "]"
 
 
 def _write_dict(doc: dict) -> str:
@@ -116,12 +114,9 @@ def _write_float_field(x) -> str:
 
 
 def _writer_for(cls: type):
-    if issubclass(cls, enum.Enum):
-        texts = _member_texts(cls)
-        return lambda member: texts[member._name_]
     if dataclasses.is_dataclass(cls):
         return _generate_writer(_PLANS[cls].fields)
-    for base in (bool, int, float, str, list, tuple, dict):
+    for base in (bool, int, float, str, dict):
         if issubclass(cls, base):
             return _WRITERS[base]
     raise TypeError(f"cannot encode {cls.__name__} in a log record")
@@ -129,23 +124,16 @@ def _writer_for(cls: type):
 
 _BOOL_TEXTS = {True: "true", False: "false"}
 
-# One writer per exact type; dataclasses, enums and subclasses are added on
-# first use by _writer_for.
+# One writer per exact type; dataclasses and subclasses are added on first
+# use by _writer_for.
 _WRITERS = _Table(_writer_for, {
     type(None): lambda _: "null",
     bool: _BOOL_TEXTS.__getitem__,
     int: int.__repr__,
     float: format_float,
     str: encode_basestring_ascii,
-    list: _write_list,
-    tuple: _write_list,
     dict: _write_dict,
 })
-
-
-def _member_texts(cls: type) -> dict:
-    # keyed by name: a str caches its hash, a member's hash is a Python call
-    return {member._name_: _encode(member._value_) for member in cls}
 
 
 def _generate_writer(fields: list):
@@ -178,7 +166,9 @@ def _write_expr(tp, v: str, namespace: dict) -> str:
         if tp is bool:
             inline = f"{_bind(namespace, _BOOL_TEXTS)}[{v}]"
         elif issubclass(tp, enum.Enum):
-            inline = f"{_bind(namespace, _member_texts(tp))}[{v}._name_]"
+            # keyed by name: a str caches its hash, a member's hash is a Python call
+            texts = {member._name_: _encode(member._value_) for member in tp}
+            inline = f"{_bind(namespace, texts)}[{v}._name_]"
         else:
             inline = f"{_bind(namespace, _WRITERS[tp])}({v})"
         return f"({inline} if type({v}) is {_bind(namespace, tp)} else _e({v}))"

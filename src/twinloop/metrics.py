@@ -110,10 +110,8 @@ def accuracy_metrics(episodes: list[EpisodeRecord]) -> AccuracyMetrics:
         pass_after_reprompts=pass_after_reprompts,
         overrides=overrides,
         # a log with no episode reports 0.00 %
-        accuracy_first_pass=round_half_away(100.0 * passes / max(samples, 1), 2),
-        accuracy_with_reprompts=round_half_away(
-            100.0 * (passes + pass_after_reprompts) / max(samples, 1), 2
-        ),
+        accuracy_first_pass=round_half_away(100.0 * passes / max(samples, 1)),
+        accuracy_with_reprompts=round_half_away(100.0 * (passes + pass_after_reprompts) / max(samples, 1)),
     )
 
 

@@ -30,24 +30,23 @@ CLOCK_MODES = (LOCKSTEP, REALTIME)
 MAX_DURATION_S = 604800.0
 
 
-def round_half_away(x: float, ndigits: int = 2) -> float:
-    """Round to ``ndigits`` decimals with ties going away from zero: how a
-    plant reads its sensor.
+def round_half_away(x: float) -> float:
+    """Round to two decimals with ties going away from zero: how a plant
+    reads its sensor, prints a duty and a report prints a percentage.
 
     A tie is judged on the shortest repr, so 26.445 rounds to 26.45 although
-    the float stored for it lies just below.  Only where ``x * 10**ndigits``
-    lies within a tiny relative window of a half can that differ from
+    the float stored for it lies just below.  Only where ``x * 100`` lies
+    within a tiny relative window of a half can that differ from
     :func:`round`, which rounds the exact binary value; there, and for any
     value that is not a finite float, the decimal repr is rounded.
     ``decimal`` is imported with this module, so the first tie of a run does
     not pay for the import inside the loop.
     """
     if type(x) is float:
-        scaled = abs(x) * 10.0**ndigits
+        scaled = abs(x) * 100.0
         if abs(scaled % 1.0 - 0.5) > 1e-9 * scaled:
-            return round(x, ndigits)
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+            return round(x, 2)
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 class HeaterAction(enum.Enum):
@@ -128,7 +127,7 @@ class TwinPlant:
     def read_temperature(self) -> float:
         if self.mode == REALTIME:
             self._sync_to_wall()
-        return round_half_away(self._state.t_sensor, 2)
+        return round_half_away(self._state.t_sensor)
 
     def apply_heater(self, action: HeaterAction) -> None:
         self.set_duty(action.duty)
@@ -185,7 +184,7 @@ class PlantProtocol:
             if verb == "Q1" and math.isfinite(value):
                 duty = min(100.0, max(0.0, value))
                 self.plant.set_duty(duty)
-                return f"{round_half_away(duty, 2):.2f}"
+                return f"{round_half_away(duty):.2f}"
             return "ERR"
         verb = parts[0].upper() if len(parts) == 1 else ""
         if verb == "T1":

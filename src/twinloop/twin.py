@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from .errors import InvalidInput, frozen
 
-_MIN_FULL_DUTY_SENSOR_SS = 27.0
 # Largest magnitude (degC) of ambient and full-duty heater steady state, the
 # bounds of every temperature a run from ambient reaches.  A float below it
 # still resolves hundredths (its spacing is under 2e-4), so a reading rounds
@@ -80,14 +79,6 @@ class TwinParams:
                 raise InvalidInput(f"twin parameter {name} must be strictly positive")
         if self.alpha < 0.0:
             raise InvalidInput("twin parameter alpha must be >= 0")
-        # Without headroom above the upper control threshold the plant can
-        # never oscillate through the band.
-        xh, ts_full = full = steady_state(self, 100.0)
-        if ts_full <= _MIN_FULL_DUTY_SENSOR_SS:
-            raise InvalidInput(
-                f"sensor steady state at full duty ({ts_full:.2f} degC) must exceed "
-                f"{_MIN_FULL_DUTY_SENSOR_SS} degC"
-            )
         try:
             l1, l2, *gains = propagator = _propagator(self)
             fits = l2 < l1 < 0.0 and all(map(math.isfinite, (l2, *gains)))
@@ -95,6 +86,7 @@ class TwinParams:
             fits = False
         if not fits:
             raise InvalidInput("twin parameters give a propagator that does not fit a float")
+        xh, _ = full = steady_state(self, 100.0)
         if not (abs(self.t_amb) <= MAX_TEMPERATURE_C and xh <= MAX_TEMPERATURE_C):
             raise InvalidInput(
                 f"twin temperatures reach {max(abs(self.t_amb), xh):g} degC in magnitude, beyond the "
@@ -142,13 +134,12 @@ def step(params: TwinParams, state: TwinState, duty: float, dt: float) -> TwinSt
 def steady_state(params: TwinParams, duty: float) -> tuple[float, float]:
     """Fixed point (t_heater, t_sensor) of the ODE pair at a constant duty.
 
-    Solved analytically from the 2x2 linear balance equations.
+    Solved analytically from the 2x2 linear balance equations, whose
+    determinant ``TwinParams``' propagator check keeps finite and positive.
     """
     if not (math.isfinite(duty) and 0.0 <= duty <= 100.0):
         raise InvalidInput(f"duty must lie in [0, 100], got {duty!r}")
     det = params.u_ha * params.u_hs + params.u_ha * params.u_sa + params.u_hs * params.u_sa
-    if det <= 0.0 or not math.isfinite(det):
-        raise InvalidInput("conductances admit no unique steady state")
     q = params.alpha * duty
     t_heater = params.t_amb + q * (params.u_hs + params.u_sa) / det
     t_sensor = params.t_amb + q * params.u_hs / det

@@ -3,8 +3,11 @@ client against a local stub, and transcript record/replay."""
 
 import json
 import math
+import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -289,6 +292,41 @@ class TestHttpBackend:
             backend.complete("s", "u", ctx(24.0, OFF))
         assert len(stub_server.requests) == 2
 
+    def test_a_refused_connection_is_one_attempt_and_a_transport_failure(self, monkeypatch):
+        # urlopen wraps the refused connect in a URLError
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        opened, urlopen = [], urllib.request.urlopen
+
+        def counted(*args, **kwargs):
+            opened.append(1)
+            return urlopen(*args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", counted)
+        with socket.socket() as unheard:  # bound, not listening: a connect is refused
+            unheard.bind(("127.0.0.1", 0))
+            host, port = unheard.getsockname()
+            backend = HttpBackend(BackendConfig(kind="http", base_url=f"http://{host}:{port}", model="m"))
+            with pytest.raises(BackendError, match="^transport failure: <urlopen error ") as excinfo:
+                backend.complete("s", "u", ctx(24.0, OFF))
+        assert isinstance(excinfo.value.__cause__, urllib.error.URLError)
+        assert excinfo.value.status is None
+        assert opened == [1]
+
+    def test_a_connect_timeout_is_retried_once(self, monkeypatch):
+        # urlopen wraps a connect timeout in a URLError whose reason is the TimeoutError
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        opened = []
+
+        def times_out(*args, **kwargs):
+            opened.append(1)
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", times_out)
+        backend = HttpBackend(BackendConfig(kind="http", base_url="http://127.0.0.1:9", model="m"))
+        with pytest.raises(BackendError, match="^request timed out after one retry$"):
+            backend.complete("s", "u", ctx(24.0, OFF))
+        assert opened == [1, 1]
+
     def test_malformed_body_raises(self, stub_server, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
         stub_server.script.append(("garbage", "not json at all"))
@@ -403,6 +441,18 @@ class TestRecordReplay:
         with pytest.raises(LogFormatError) as excinfo:
             load_replay(path)
         assert excinfo.value.line_number == 2
+
+    def test_a_blank_line_between_two_entries_is_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text(
+            '{"response_text": "ACTION: ON", "latency": 1.0}\n \t\r\n'
+            '{"error": "stub outage", "elapsed": 0.5, "status": 503}\n'
+        )
+        replay = load_replay(path)
+        assert replay.complete("s", "u", ctx(24.0, OFF)).response_text == "ACTION: ON"
+        with pytest.raises(BackendError, match="^stub outage$"):
+            replay.complete("s", "u", ctx(24.0, OFF))
+        assert_spent(replay, 2)
 
     def test_direct_replay_entries(self):
         replay = ReplayBackend([{"response_text": "ACTION: ON", "latency": 0.5}])

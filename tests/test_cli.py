@@ -226,6 +226,33 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"run.max_reprompts": 2.0})
         assert load_config(path).run.max_reprompts == 2
 
+    def test_underpowered_heater_rejected(self, tmp_path):
+        # full duty must be able to push the sensor past the upper threshold
+        path = write_config(tmp_path, {"twin.alpha": 0.005})
+        message = "'twin': full duty holds the sensor at 25.50 degC, not above run.thresholds.high (27 degC)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("high, loads", [(27.0, False), (26.99, True)])
+    def test_headroom_is_judged_at_the_band_top(self, tmp_path, high, loads):
+        # with no heater gain, full duty holds the sensor at the ambient 27 degC
+        path = write_config(tmp_path, {"twin.t_amb": 27.0, "twin.alpha": 0.0, "run.thresholds.high": high})
+        if loads:
+            assert load_config(path).run.thresholds.high == high
+        else:
+            with pytest.raises(ConfigError, match=re.escape("at 27.00 degC, not above run.thresholds.high (27 degC)")):
+                load_config(path)
+
+    def test_a_band_above_the_twins_reach_exits_2_before_the_log_opens(self, tmp_path, capsys):
+        # the case study's twin tops out at 33 degC
+        path = write_config(tmp_path, {"run.thresholds": {"low": 35.0, "high": 40.0}})
+        log = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(path), "--out", str(log)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'twin': full duty holds the sensor at 33.00 degC, not above run.thresholds.high (40 degC)\n"
+        )
+        assert not log.exists()
+
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -833,6 +860,12 @@ class TestCmdRun:
             b'{"response_text": "ACTION: ON", "latency": -1.0}',
             b'{"response_text": "ACTION: ON", "latency": NaN}',
             b'{"response_text": "ACTION: \xff", "latency": 1.0}',
+            # a model and a status of types the recorder never writes
+            b'{"response_text": "ACTION: ON", "latency": 1.0, "model": 7}',
+            b'{"response_text": "ACTION: ON", "latency": 1.0, "model": ["m"]}',
+            b'{"error": "x", "elapsed": 1.0, "status": 503.5}',
+            b'{"error": "x", "elapsed": 1.0, "status": "503"}',
+            b'{"error": "x", "elapsed": 1.0, "status": [503]}',
         ],
     )
     def test_mistyped_transcript_value_exits_2(self, tmp_path, capsys, entry):
@@ -1297,6 +1330,20 @@ class TestCmdPlantServe:
         assert serve_on_an_occupied_port(tmp_path, doc) == 2
         assert capsys.readouterr().err.strip() == message
 
+    def test_a_heater_below_the_case_studys_band_is_served(self, tmp_path, capsys, monkeypatch):
+        # a served plant has no band: any twin whose arithmetic fits is served
+        params = tmp_path / "params.json"
+        params.write_text('{"alpha": 0.008}')
+        replies = []
+
+        def interrupt(server, poll_interval=0.5):
+            replies.extend(map(server.protocol.handle_command, ["Q1 100", "X_ADV 100000", "T1"]))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(PlantServer, "serve_forever", interrupt)
+        assert main(["plant-serve", "--listen", "127.0.0.1:0", "--params", str(params)]) == 0
+        assert replies == ["100.00", "OK", "27.00"]
+
     @pytest.mark.parametrize(
         "twin, problem",
         [('{"c_h": 1e-300}', "does not fit a float"), ('{"alpha": 1e300}', "beyond the 1e+12 degC")],
@@ -1602,3 +1649,55 @@ def test_main_alone_turns_an_error_into_its_exit_code_and_one_line(tmp_path, cap
         if command == "run" and stage == "mid-run":
             where = ", aborting run (partial log kept)"
         assert err == f"{what} error{where}: boom\n"
+
+
+class BrokenStdout:
+    """A stdout whose every write fails as a pipe's does once its reader has gone."""
+
+    error = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+def exit_path_argv(tmp_path, command):
+    """``EXIT_PATHS``' arguments of ``command``; for ``report``, after the run that writes its log."""
+    if command == "report":
+        log = str(tmp_path / "run.jsonl")
+        assert main(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", log]) == 0
+    return [arg.format(tmp=tmp_path) for arg in EXIT_PATHS[command][0]]
+
+
+@pytest.mark.parametrize("command", list(EXIT_PATHS))
+def test_a_stdout_that_cannot_be_written_is_exit_2_and_one_line(tmp_path, capsys, monkeypatch, command):
+    argv = exit_path_argv(tmp_path, command)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert main(argv) == 2
+    what = "report" if command == "report" else "config"
+    assert capsys.readouterr().err == f"{what} error: cannot write stdout: {BrokenStdout.error}\n"
+
+
+@pytest.mark.parametrize(
+    "command, stage",
+    # an interrupt while plant-serve serves is how it stops: exit 0
+    [(command, stage) for command in EXIT_PATHS for stage in ("set-up", "mid-run") if command != "plant-serve"]
+    + [("plant-serve", "set-up")],
+)
+def test_main_turns_an_interrupt_into_exit_130_and_one_line(tmp_path, capsys, monkeypatch, command, stage):
+    argv = exit_path_argv(tmp_path, command)
+    owner, name = EXIT_PATHS[command][1 if stage == "set-up" else 2]
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    capsys.readouterr()
+    monkeypatch.setattr(owner, name, interrupt)
+    assert main(argv) == 130
+    assert capsys.readouterr().err == f"{command} interrupted\n"
+    if command == "run" and stage == "mid-run":
+        # the partial log is kept: here, its header
+        assert read_run_log(tmp_path / "out.jsonl")[1] == []

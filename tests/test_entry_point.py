@@ -17,6 +17,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -186,6 +187,68 @@ def test_run(tmp_path, row):
         for fmt in ("table", "csv", "machine"):
             proc = twinloop(["report", "--log", name, "--format", fmt], tmp_path)
             assert proc.returncode == 0, proc.stderr
+
+
+def closed_pipe():
+    """The write end of a pipe whose reader has gone, as ``| true`` leaves it."""
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w")
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    return open("/dev/full", "w")
+
+
+# Per case: the command after the case study's run to r.jsonl, the stdout it
+# writes to, and the error the one stderr line names
+STDOUT_ROWS = {
+    "run-to-a-closed-pipe": (["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", "again.jsonl"],
+                             closed_pipe, "config"),
+    "run-to-a-full-device": (["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", "again.jsonl"],
+                             full_device, "config"),
+    "report-to-a-full-device": (["report", "--log", "r.jsonl"], full_device, "report"),
+    "plant-serve-to-a-closed-pipe": (["plant-serve", "--listen", "127.0.0.1:0"], closed_pipe, "config"),
+}
+
+
+@pytest.mark.parametrize("args, stdout, what", STDOUT_ROWS.values(), ids=STDOUT_ROWS.keys())
+def test_a_stdout_that_cannot_be_written_is_exit_2_and_one_stderr_line(tmp_path, args, stdout, what):
+    first = twinloop(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", "r.jsonl"], tmp_path)
+    assert first.returncode == 0, first.stderr
+    argv, env = command()
+    with stdout() as out:
+        proc = subprocess.run([*argv, *args], stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+                              cwd=tmp_path, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(f"{what} error: cannot write stdout: [^\n]+\n", proc.stderr), proc.stderr
+
+
+def test_ctrl_c_ends_a_realtime_run_with_exit_130_one_line_and_its_log(tmp_path):
+    config = json.loads(CASE_CONFIG.read_text())
+    config["run"]["clock_mode"] = "realtime"
+    config["backend"]["latency"] = {"kind": "fixed", "seconds": 0.05}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    log = tmp_path / "rt.jsonl"
+    argv, env = command()
+    run = [*argv, "run", "--config", "config.json", "--duration", "600", "--out", log.name]
+    with subprocess.Popen(run, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env) as proc:
+        try:
+            # the header and two episodes
+            deadline = time.monotonic() + 30.0
+            while not (log.exists() and log.read_bytes().count(b"\n") >= 3) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert (proc.returncode, out, err) == (130, "", "run interrupted\n")
+    assert log.read_bytes().count(b"\n") >= 3
+    report = twinloop(["report", "--log", log.name], tmp_path)
+    assert report.returncode == 0, report.stderr
 
 
 def test_quick_start_and_a_rerun_from_the_log_header(tmp_path):

@@ -2,9 +2,11 @@
 TCP server/client pair."""
 
 import contextlib
+import errno
 import hashlib
 import itertools
 import math
+import os
 import re
 import socket
 import struct
@@ -775,6 +777,28 @@ class TestTcpClient:
     def test_connection_refused_raises_plant_io_error(self):
         with pytest.raises(PlantIoError):
             TcpPlantClient("127.0.0.1", 1, mode=LOCKSTEP)
+
+    # a failed write names the batch's last command, a failed read the
+    # command whose reply it waits for
+    @pytest.mark.parametrize("call, command", [("sendall", "T1"), ("recv", "Q1 100")])
+    def test_a_reset_connection_fails_the_command_it_carries(self, served_plant, client_sockets, call, command):
+        reset = ConnectionResetError(errno.ECONNRESET, os.strerror(errno.ECONNRESET))
+
+        def resets(*args):
+            raise reset
+
+        client = TcpPlantClient(*served_plant, mode=LOCKSTEP)
+        try:
+            client.apply_heater(HeaterAction.ON)
+            client.advance(5.0)
+            setattr(client_sockets[0], call, resets)
+            with pytest.raises(PlantIoError) as excinfo:
+                client.read_temperature()
+            assert str(excinfo.value) == f"plant link failed during {command!r}: {reset}"
+            assert excinfo.value.__cause__ is reset
+        finally:
+            # a failed link is not flushed again as it closes
+            client.close()
 
 
 # a batch whose T1 reply is the longest a client reads
