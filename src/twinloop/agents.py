@@ -28,6 +28,7 @@ PLACEHOLDERS = frozenset({"temperature", "prev_action", "low", "high", "feedback
 _ACTION_RE = re.compile(r"action\s*:\s*(on|off)\b", re.IGNORECASE)
 _ACTIONS = {a._value_: a for a in HeaterAction}
 _CONVERSIONS = {"r": "repr", "s": "str", "a": "ascii"}
+_ALIGNS = frozenset("<>=^")
 
 
 @frozen
@@ -114,6 +115,10 @@ def _compile_prompt(role: str, goal: str, task: str) -> tuple:
                 raise InvalidInput(f"unknown placeholder {{{name}}} in task template")
             if "{" in spec:
                 raise InvalidInput(f"nested field in the format spec of {{{name}}} in task template")
+            # a precision cuts a text short (26.45 at .1 shows 2); a "." after the fill and alignment starts one
+            fill_align = 2 if spec[1:2] in _ALIGNS else 1 if spec[:1] in _ALIGNS else 0
+            if "." in spec[fill_align:]:
+                raise InvalidInput(f"precision in the format spec of {{{name}}} in task template")
             value = f"{_CONVERSIONS[conversion]}({name})" if conversion in _CONVERSIONS else name
             fields.append(f"format({value}, {_bind(namespace, spec)})" if spec else value)
         # the renderer binds strings only, so one rendering with empty

@@ -10,6 +10,7 @@ replay ignores both and returns the recorded stream, failed calls included.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -23,7 +24,7 @@ from urllib.parse import urlsplit  # loaded with pathlib already
 
 from .agents import DecisionContext, expected_action
 from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, frozen
-from .jsonio import RecordWriter, dumps_record, is_blank, loads_finite
+from .jsonio import RecordWriter, dumps_record, is_blank, loads_json
 from .plantio import MAX_DURATION_S
 
 if TYPE_CHECKING:
@@ -108,10 +109,17 @@ class ScriptedPolicy:
                 raise InvalidInput(f"{name} must lie in [0, 1], got {p!r}")
 
 
+_FIELDS_READ = {
+    HTTP: {"kind", "base_url", "model", "temperature", "timeout", "api_key_env"},
+    SCRIPTED: {"kind", "script", "latency"},
+    REPLAY: {"kind", "transcript_path"},
+}
+
+
 @frozen
 class BackendConfig:
-    """Union config for the three backend kinds; only the selected kind's
-    fields may be set."""
+    """Union config for the three backend kinds: each kind reads the fields
+    ``_FIELDS_READ`` names and refuses any other field that is not at its default."""
 
     kind: str = SCRIPTED
     base_url: str = ""
@@ -124,7 +132,7 @@ class BackendConfig:
     latency: LatencySpec = LatencySpec()
 
     def __post_init__(self):
-        if self.kind not in (HTTP, SCRIPTED, REPLAY):
+        if self.kind not in _FIELDS_READ:
             raise InvalidInput(f"unknown backend kind {self.kind!r}")
         if not self.timeout > 0.0:
             raise InvalidInput("backend timeout must be > 0")
@@ -149,6 +157,9 @@ class BackendConfig:
                 raise InvalidInput(f"http temperature must be finite and >= 0, got {self.temperature!r}")
         if self.kind == REPLAY and not self.transcript_path:
             raise InvalidInput("replay backend requires transcript_path")
+        for f in dataclasses.fields(self):
+            if f.name not in _FIELDS_READ[self.kind] and getattr(self, f.name) != f.default:
+                raise InvalidInput(f"'{f.name}' does not apply to a {self.kind} backend")
 
 
 class HttpBackend:
@@ -216,7 +227,7 @@ class HttpBackend:
                 f"HTTP {status} from completion endpoint", status=status, elapsed=latency
             )
         try:
-            content = loads_finite(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+            content = loads_json(raw.decode("utf-8"))["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed response body: {exc}", elapsed=latency) from exc
         if not isinstance(content, str):
@@ -319,7 +330,7 @@ def load_replay(transcript_path: str | Path) -> ReplayBackend:
             if is_blank(line):
                 continue
             try:
-                doc = loads_finite(line.decode("utf-8"))
+                doc = loads_json(line.decode("utf-8"))
             except ValueError as exc:
                 raise LogFormatError(f"bad transcript line: {exc}", line_number=lineno) from exc
             if not (isinstance(doc, dict) and _replayable(doc)):

@@ -35,7 +35,7 @@ from .backends import (
     SCRIPTED,
 )
 from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError, frozen
-from .jsonio import from_doc, loads_finite
+from .jsonio import from_doc, loads_json
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import MIN_IDLE_TICK, RunConfig, RunLogWriter, read_run_log, run_loop
 from .plantio import TwinPlant
@@ -51,21 +51,14 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ende
 class LoadedConfig:
     """A run configuration file: one section per field, each written as
     the run log writes its class, so a run log header's ``config`` is a
-    valid ``run`` section.  Only the operator is an agent with a prompt;
-    validation and reprompting are code."""
+    valid ``run`` section and :func:`load_config` reads back whatever
+    ``dumps_record`` writes of a config it accepts.  Only the operator is
+    an agent with a prompt; validation and reprompting are code."""
 
     twin: TwinParams = TwinParams()
     operator: AgentSpec = AgentSpec()
     backend: BackendConfig = BackendConfig()
     run: RunConfig = RunConfig()
-
-
-# The keys a backend section may hold, by backend kind.
-_BACKEND_KEYS = {
-    HTTP: {"kind", "base_url", "model", "temperature", "timeout", "api_key_env"},
-    SCRIPTED: {"kind", "script", "latency"},
-    REPLAY: {"kind", "transcript_path"},
-}
 
 
 def _read(what: str, path, reader, *args, **kwargs):
@@ -81,7 +74,7 @@ def _read(what: str, path, reader, *args, **kwargs):
 def _json_object(what: str, path: str | Path) -> dict:
     """The JSON object held by the ``what`` file at ``path``."""
     try:
-        doc = loads_finite(_read(what, path, Path(path).read_text, encoding="utf-8"))
+        doc = loads_json(_read(what, path, Path(path).read_text, encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -109,22 +102,26 @@ def load_config(path: str | Path) -> LoadedConfig:
     validator = doc.get("run", {}).get("validator")
     if validator is not None and "kind" not in validator:
         raise ConfigError("missing key 'run.validator.kind'")
-    for key in doc.get("backend", {}):
-        if key not in _BACKEND_KEYS[cfg.backend.kind]:
-            raise ConfigError(f"'backend.{key}' does not apply to a {cfg.backend.kind} backend")
     return cfg
 
 
-def _apply_backend_override(config: BackendConfig, override: str) -> BackendConfig:
-    kind, _, detail = override.partition(":")
+def _apply_backend_overrides(config: BackendConfig, override: str | None, seed: int | None) -> BackendConfig:
+    """``config`` after ``--backend`` and ``--seed``: a new kind's section
+    holds only that kind's fields, and a seed seeds a scripted backend only."""
+    kind, _, detail = (override or "").partition(":")
     if kind == SCRIPTED:
         script = dataclasses.replace(config.script, kind=detail or config.script.kind)
-        return dataclasses.replace(config, kind=SCRIPTED, script=script)
-    if kind == REPLAY:
+        config = BackendConfig(kind=SCRIPTED, script=script, latency=config.latency)
+    elif kind == REPLAY:
         if not detail:
             raise ConfigError("--backend replay needs a transcript path: replay:<path>")
-        return dataclasses.replace(config, kind=REPLAY, transcript_path=detail)
-    raise ConfigError(f"unknown --backend override {override!r}")
+        config = BackendConfig(kind=REPLAY, transcript_path=detail)
+    elif override:
+        raise ConfigError(f"unknown --backend override {override!r}")
+    if seed is not None and config.kind == SCRIPTED:
+        script, latency = (dataclasses.replace(part, seed=seed) for part in (config.script, config.latency))
+        config = BackendConfig(kind=SCRIPTED, script=script, latency=latency)
+    return config
 
 
 def _build_backend(config: BackendConfig):
@@ -179,6 +176,12 @@ def _say(text: str) -> None:
     _opened("write", "stdout", print, text, flush=True)
 
 
+def _warn(text: str) -> None:
+    """Print ``text`` to stderr; a stderr that cannot be written never changes the exit code."""
+    with contextlib.suppress(OSError):
+        print(text, file=sys.stderr)
+
+
 def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
     """Refuse, before anything is opened for writing, an output path that
     names an input or another output, however the two are spelled.  Both
@@ -202,7 +205,6 @@ def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> N
     sub_tick = (
         latency.kind == "none"
         or (latency.kind == "fixed" and latency.seconds < MIN_IDLE_TICK)
-        # mu against log(tick): exp(mu) overflows for a large mu
         or (latency.kind == "lognormal" and latency.mu < math.log(MIN_IDLE_TICK))
     )
     if (
@@ -222,21 +224,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not args.out:
         raise ConfigError("no run log path: pass --out")
     cfg = load_config(args.config)
-    backend_config = cfg.backend
-    if args.backend:
-        backend_config = _apply_backend_override(backend_config, args.backend)
-    if args.seed is not None:
-        backend_config = dataclasses.replace(
-            backend_config,
-            script=dataclasses.replace(backend_config.script, seed=args.seed),
-            latency=dataclasses.replace(backend_config.latency, seed=args.seed),
-        )
+    backend_config = _apply_backend_overrides(cfg.backend, args.backend, args.seed)
     run_config = cfg.run
     if args.duration is not None:
         run_config = dataclasses.replace(run_config, duration=float(args.duration))
     _refuse_unbounded(run_config, backend_config)
-    replayed = backend_config.transcript_path if backend_config.kind == REPLAY else None
-    inputs = {"--config": args.config, "the replayed transcript": replayed}
+    inputs = {"--config": args.config, "the replayed transcript": backend_config.transcript_path}
     _refuse_overwrites(inputs, {"--out": args.out, "--record": args.record})
     with contextlib.ExitStack() as resources:
         backend = _build_backend(backend_config)
@@ -304,19 +297,14 @@ def cmd_plant_serve(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     def warn_torn(lineno: int) -> None:
-        print(
-            f"report warning: ignoring the torn final line {lineno} of {args.log}; "
-            "reporting the complete episodes",
-            file=sys.stderr,
-        )
+        _warn(f"report warning: ignoring the torn final line {lineno} of {args.log}; reporting the complete episodes")
 
     config, episodes = _read("log", args.log, read_run_log, args.log, on_torn_tail=warn_torn)
     m = run_metrics(episodes, config.thresholds, config.duration)
     if args.points:
         _refuse_overwrites({"--log": args.log}, {"--points": args.points})
         # one call opens, writes and closes, so a failed write is refused as a failed open is
-        points = points_dump(episodes) + "\n"
-        _opened("write points file", args.points, Path(args.points).write_text, points, encoding="utf-8")
+        _opened("write points file", args.points, Path(args.points).write_text, points_dump(episodes), encoding="utf-8")
     _say(report(m, args.format))
     return EXIT_OK
 
@@ -364,10 +352,10 @@ def main(argv: list[str] | None = None) -> int:
         what = "report" if args.command == "report" else "plant" if plant else "config"
         line = getattr(exc, "line_number", None)
         where = f" (line {line})" if line is not None else getattr(exc, "aborted", "")
-        print(f"{what} error{where}: {exc}", file=sys.stderr)
+        _warn(f"{what} error{where}: {exc}")
         return EXIT_PLANT_IO if plant else EXIT_CONFIG
     except KeyboardInterrupt:
-        print(f"{args.command} interrupted", file=sys.stderr)
+        _warn(f"{args.command} interrupted")
         return EXIT_INTERRUPTED
 
 

@@ -269,17 +269,16 @@ class _Decoder(json.JSONDecoder):
             raise ValueError("JSON nested too deeply") from None
 
 
-# json.loads for the files a run starts from: config, twin parameters and
-# transcripts.  NaN and Infinity, which JSON lacks, and numbers beyond a
-# float's range are refused; null is how an infinite bound is written.
-loads_finite = _Decoder(
-    parse_constant=_refuse, parse_float=lambda t: x if math.isfinite(x := float(t)) else _refuse(t)
-).decode
+def loads_json(text: str):
+    """json.loads for every JSON text the package reads: config, twin
+    parameters, transcript and run-log lines, and HTTP reply bodies.  NaN and
+    Infinity, which JSON lacks, are refused; a number beyond a float's range
+    reads as an infinity, which the field that holds it refuses."""
+    return json.loads(text, cls=_Decoder, parse_constant=_refuse)
 
 
-# The C scanner json.loads runs after its Python-level checks, with NaN and
-# Infinity refused as in loads_finite; a number beyond a float's range scans
-# as an infinity, which a record's float fields refuse.
+# The C scanner json.loads runs after its Python-level checks, with the
+# rules of loads_json.
 _scan = json.JSONDecoder(parse_constant=_refuse).scan_once
 # JSON's whitespace, the only text a record line may hold besides its value;
 # str.strip() and bytes.strip() strip more.
@@ -300,14 +299,14 @@ def loads_record(line: str, cls: type | None = None):
 
     A value that scans from the line's first character and is followed by
     JSON whitespace alone is taken as it is.  Anything else (leading
-    whitespace, a BOM, trailing data, no value) goes to ``json.loads``,
+    whitespace, a BOM, trailing data, no value) goes to :func:`loads_json`,
     which accepts it or words the error."""
     try:
         doc, end = _scan(line, 0)
     except (StopIteration, ValueError, RecursionError):
         end = -1
     if end < 0 or line[end:].strip(_JSON_SPACE):
-        doc = json.loads(line, cls=_Decoder, parse_constant=_refuse)
+        doc = loads_json(line)
     if type(doc) is not dict:
         raise ValueError("record line is not a JSON object")
     if cls is None:

@@ -182,7 +182,6 @@ def report(m: RunMetrics, fmt: str = TABLE) -> str:
 
 
 def points_dump(episodes: list[EpisodeRecord]) -> str:
-    """One `t,temperature,action` line per episode, for external plotting."""
-    return "\n".join(
-        f"{e.t_start:.3f},{e.t_sensor:.3f},{e.applied.value}" for e in episodes
-    )
+    """One `t,temperature,action` line per episode, each ended by a newline,
+    for external plotting; no episode is no text."""
+    return "".join(f"{e.t_start:.3f},{e.t_sensor:.3f},{e.applied.value}\n" for e in episodes)

@@ -100,6 +100,20 @@ class TestRenderPrompt:
             with pytest.raises(InvalidInput):
                 AgentSpec(task=template)
 
+    @pytest.mark.parametrize(
+        "spec, refused",
+        # a fill may itself be "."; only a "." after the fill and alignment starts a precision
+        [(".1", True), ("^.3", True), (".<.3", True), ("x>8.2", True), (".^7", False), ("x<4", False), ("<<5", False)],
+    )
+    def test_a_format_spec_may_not_set_a_precision(self, spec, refused):
+        # every value is bound as a text, which a precision cuts short: 26.45 at .1 shows 2
+        task = f"T={{temperature:{spec}}}"
+        if refused:
+            with pytest.raises(InvalidInput, match=re.escape("precision in the format spec of {temperature}")):
+                AgentSpec(task=task)
+        else:
+            assert render_prompt(AgentSpec(task=task), 26.45, OFF, TH)[1] == task.format(temperature="26.45")
+
 
 class TestParseAction:
     def test_plain(self):
@@ -341,7 +355,7 @@ literal_chunks = st.sampled_from(
 template_fields = st.builds(
     lambda name, conversion, spec: f"{{{name}{conversion}{spec and ':' + spec}}}",
     st.sampled_from(RENDER_ARGS), st.sampled_from(["", "!r", "!s", "!a"]),
-    st.sampled_from(["", ">8", "^5", ".3", "x<4"]),
+    st.sampled_from(["", ">8", "^5", "x<4"]),
 )
 templates = st.lists(literal_chunks | template_fields, max_size=8).map("".join)
 
@@ -381,7 +395,7 @@ class TestTextsBuiltOnce:
             exec(source, namespace)
 
         monkeypatch.setattr(agents, "exec", spy, raising=False)
-        task = "{{__import__('os')}}\\n\"'\n°{low!r:>8}{high!a}{temperature:.3}{feedback!s}{prev_action}\")"
+        task = "{{__import__('os')}}\\n\"'\n°{low!r:>8}{high!a}{temperature:.^7}{feedback!s}{prev_action}\")"
         render = agents._compile_prompt.__wrapped__("role", "goal", task)[1]
         values = dict(zip(RENDER_ARGS, ["12.34", "ON", "25", "27", "x"]))
         assert render(*values.values()) == task.format(**values)

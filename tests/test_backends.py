@@ -351,6 +351,14 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match=f"^malformed response body: {detail}$"):
             backend.complete("s", "u", ctx(24.0, OFF))
 
+    def test_a_number_beyond_a_float_in_a_field_never_read_is_no_failure(self, stub_server, monkeypatch):
+        # the body reads as every JSON text does: 1e999 is an infinity, refused only where a field holds it
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        body = '{"choices": [{"message": {"content": "ACTION: ON"}}], "usage": {"total_tokens": 1e999}}'
+        stub_server.script.append(("garbage", body))
+        backend = HttpBackend(http_config(stub_server))
+        assert backend.complete("s", "u", ctx(24.0, OFF)).response_text == "ACTION: ON"
+
     def test_a_reply_whose_content_is_not_text_is_malformed(self, stub_server, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
         stub_server.script.append(("ok", 7))
@@ -397,6 +405,26 @@ class TestHttpBackend:
             BackendConfig(kind="http", base_url="http://x")
 
 
+# A value other than the default for every field a kind may read, by the kind that reads it.
+FIELDS_READ = {
+    "http": {"base_url": "http://x", "model": "m", "temperature": 0.5, "timeout": 5.0, "api_key_env": "KEY"},
+    "scripted": {"script": ScriptedPolicy(kind="flip"), "latency": LatencySpec(kind="fixed", seconds=1.0)},
+    "replay": {"transcript_path": "t.jsonl"},
+}
+
+
+@pytest.mark.parametrize("kind", list(FIELDS_READ))
+def test_a_backend_kind_refuses_a_value_in_a_field_it_does_not_read(kind):
+    own = FIELDS_READ[kind]
+    assert BackendConfig(kind=kind, **own).kind == kind
+    for other in FIELDS_READ.keys() - {kind}:
+        for name, value in FIELDS_READ[other].items():
+            with pytest.raises(InvalidInput, match=f"^'{name}' does not apply to a {kind} backend$"):
+                BackendConfig(kind=kind, **own, **{name: value})
+            # at its default a field is no setting
+            BackendConfig(kind=kind, **own, **{name: getattr(BackendConfig(), name)})
+
+
 class TestRecordReplay:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "session.jsonl"
@@ -438,6 +466,15 @@ class TestRecordReplay:
     def test_malformed_transcript_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"response_text": "ACTION: ON", "latency": 1.0}\nnot json\n')
+        with pytest.raises(LogFormatError) as excinfo:
+            load_replay(path)
+        assert excinfo.value.line_number == 2
+
+    def test_a_latency_beyond_a_float_is_refused_with_its_line(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            '{"response_text": "ACTION: ON", "latency": 1.0}\n{"response_text": "ACTION: ON", "latency": 1e999}\n'
+        )
         with pytest.raises(LogFormatError) as excinfo:
             load_replay(path)
         assert excinfo.value.line_number == 2

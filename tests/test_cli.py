@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twinloop import cli, jsonio
 from twinloop.agents import AgentSpec, render_prompt
-from twinloop.backends import ScriptedBackend
+from twinloop.backends import BackendConfig, LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.cli import LoadedConfig, main, load_config
 from twinloop.errors import BackendError, ConfigError, InvalidInput, LogFormatError, PlantIoError
 from twinloop.jsonio import dumps_record, loads_record
@@ -158,7 +158,7 @@ class TestLoadConfig:
     def test_timeout_on_scripted_backend_rejected(self, tmp_path):
         # only the http backend has a call that can time out
         path = write_config(tmp_path, {"backend.timeout": 5.0})
-        with pytest.raises(ConfigError, match="'backend.timeout' does not apply to a scripted"):
+        with pytest.raises(ConfigError, match="'backend': 'timeout' does not apply to a scripted"):
             load_config(path)
 
     def test_unknown_backend_reference_rejected(self, tmp_path):
@@ -272,6 +272,27 @@ class TestLoadConfig:
         path, log = write_config(tmp_path, overrides), tmp_path / "r.jsonl"
         assert main(["run", "--config", str(path), "--out", str(log)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not log.exists()
+
+    def test_an_inapplicable_backend_key_at_its_default_loads(self, tmp_path):
+        # the codec writes every field, so a scripted section holds the http fields at their defaults
+        path = write_config(tmp_path, {"backend.model": "", "backend.timeout": 30, "backend.transcript_path": ""})
+        assert load_config(path) == load_config(CASE_CONFIG)
+
+    def test_a_config_that_starts_with_a_byte_order_mark_says_so(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + CASE_CONFIG.read_bytes())
+        with pytest.raises(ConfigError, match=re.escape(f"config file {path} is not valid JSON: Unexpected UTF-8 BOM")):
+            load_config(path)
+
+    def test_a_template_precision_exits_2_naming_operator(self, tmp_path, capsys):
+        # the reading 26.45 would show as "2", while the rule judges 26.45
+        task = "Sensor {temperature:.1} degC, band {low:.1}..{high:.1}. {feedback}"
+        path, log = write_config(tmp_path, {"operator.task": task}), tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(path), "--out", str(log)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'operator': precision in the format spec of {temperature} in task template\n"
+        )
         assert not log.exists()
 
 
@@ -792,19 +813,22 @@ class TestCmdRun:
             ("backend.latency.seconds", "NaN"),
             ("backend.latency.seconds", "Infinity"),
             ("backend.latency.seconds", "1e999"),
+            ("run.duration", "1e999"),
             ("run.sample_period_floor", "NaN"),
             ("run.monitor", '{"kind": "anomaly", "margin": NaN}'),
         ],
     )
     def test_non_finite_number_in_config_exits_2(self, tmp_path, capsys, dotted, literal):
-        # json.loads reads these literals, and a NaN passes every "x < 0" check
+        # json.loads reads these literals, and a NaN passes every "x < 0" check;
+        # a number beyond a float's range reads as an infinity, which its field refuses by name
+        problem = f"'{dotted}' does not fit a float" if literal == "1e999" else "is not a finite JSON number"
         path = write_config(tmp_path, {dotted: "@"})
         path.write_text(path.read_text().replace('"@"', literal))
         log = tmp_path / "r.jsonl"
         code = main(["run", "--config", str(path), "--duration", "60", "--out", str(log)])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("config error:") and "is not a finite JSON number" in line
+        assert line.startswith("config error:") and problem in line
         assert not log.exists()
 
     def test_overflowing_lognormal_latency_exits_2(self, tmp_path, capsys):
@@ -888,6 +912,18 @@ class TestCmdRun:
         ])
         assert code == 2
         assert capsys.readouterr().err == "config error: unknown --backend override 'http'\n"
+
+    def test_a_transcript_latency_beyond_a_float_exits_2_with_its_line(self, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(
+            '{"response_text": "ACTION: ON", "latency": 6}\n{"response_text": "ACTION: ON", "latency": 1e999}\n'
+        )
+        log = tmp_path / "r.jsonl"
+        code = main(["run", "--config", str(CASE_CONFIG), "--backend", f"replay:{transcript}", "--out", str(log)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: bad transcript {transcript} (line 2): ")
+        assert not log.exists()
 
     @pytest.mark.parametrize("endpoint", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:", ":5850", "127.0.0.1:\u00b2"])
     def test_bad_plant_endpoint_exits_2(self, tmp_path, capsys, endpoint):
@@ -1137,6 +1173,13 @@ class TestCmdReport:
         # readers that do not opt in still refuse the torn line
         with pytest.raises(LogFormatError):
             read_run_log(torn)
+
+    def test_a_header_only_log_writes_an_empty_points_file(self, tmp_path, capsys):
+        # one line per episode: no episode, no line
+        log, points = tmp_path / "header.jsonl", tmp_path / "points.csv"
+        log.write_text(RUN_LOG_HEADER + "\n")
+        assert main(["report", "--log", str(log), "--points", str(points)]) == 0
+        assert points.read_bytes() == b""
 
     @pytest.mark.parametrize("final", [False, True])
     def test_truncated_line_elsewhere_exits_2_with_line_number(self, oracle_log, tmp_path, capsys, final):
@@ -1701,3 +1744,78 @@ def test_main_turns_an_interrupt_into_exit_130_and_one_line(tmp_path, capsys, mo
     if command == "run" and stage == "mid-run":
         # the partial log is kept: here, its header
         assert read_run_log(tmp_path / "out.jsonl")[1] == []
+
+
+# --- an override builds a clean section of its backend kind ---------------------
+
+HTTP_SECTION = {"kind": "http", "base_url": "http://127.0.0.1:9", "model": "m", "temperature": 0.5, "timeout": 5.0}
+
+
+def backend_as_run(tmp_path, monkeypatch, config, *flags):
+    """The backend config ``run --config config flags...`` builds its backend from."""
+    built = []
+
+    def capture(backend_config):
+        built.append(backend_config)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "_build_backend", capture)
+    assert main(["run", "--config", str(config), *flags, "--out", str(tmp_path / "r.jsonl")]) == 2
+    (backend_config,) = built
+    return backend_config
+
+
+@pytest.mark.parametrize("section", [None, HTTP_SECTION], ids=["case-study", "http"])
+def test_a_replay_override_is_a_replay_section_alone(tmp_path, monkeypatch, capsys, section):
+    config = write_config(tmp_path, {"backend": section} if section else {})
+    built = backend_as_run(tmp_path, monkeypatch, config, "--backend", "replay:T.jsonl")
+    assert built == BackendConfig(kind="replay", transcript_path="T.jsonl")
+
+
+def test_a_scripted_override_of_an_http_section_keeps_no_http_field(tmp_path, monkeypatch, capsys):
+    # the sample period floor bounds a lockstep run of a scripted backend with no latency
+    config = write_config(tmp_path, {"backend": HTTP_SECTION, "run.sample_period_floor": 1.0})
+    built = backend_as_run(tmp_path, monkeypatch, config, "--backend", "scripted:flip", "--seed", "7")
+    assert built == BackendConfig(script=ScriptedPolicy(kind="flip", seed=7), latency=LatencySpec(seed=7))
+
+
+@pytest.mark.parametrize(
+    "section", [HTTP_SECTION, {"kind": "replay", "transcript_path": "T.jsonl"}], ids=["http", "replay"]
+)
+def test_a_seed_seeds_a_scripted_backend_only(tmp_path, monkeypatch, capsys, section):
+    config = write_config(tmp_path, {"backend": section})
+    assert backend_as_run(tmp_path, monkeypatch, config, "--seed", "7") == load_config(config).backend
+
+
+# --- a stderr that cannot be written never changes the exit code -----------------
+
+
+class UnwritableStderr:
+    """A stderr whose every write fails as a full device's does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_a_stderr_that_cannot_be_written_never_changes_the_exit_code(tmp_path, capsys, monkeypatch):
+    log, torn = tmp_path / "run.jsonl", tmp_path / "torn.jsonl"
+    assert main(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", str(log)]) == 0
+    lines = log.read_text().splitlines(keepends=True)
+    torn.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    capsys.readouterr()
+    assert main(["report", "--log", str(torn)]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stderr", UnwritableStderr())
+    # the error line, the torn-tail warning and the interrupt line
+    assert main(["report", "--log", str(tmp_path / "nope.jsonl")]) == 2
+    assert main(["report", "--log", str(torn)]) == 0
+    assert capsys.readouterr().out == expected
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "read_run_log", interrupt)
+    assert main(["report", "--log", str(torn)]) == 130

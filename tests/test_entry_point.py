@@ -226,6 +226,32 @@ def test_a_stdout_that_cannot_be_written_is_exit_2_and_one_stderr_line(tmp_path,
     assert re.fullmatch(f"{what} error: cannot write stdout: [^\n]+\n", proc.stderr), proc.stderr
 
 
+
+# Per case: the report command after the case study's run to r.jsonl and the
+# torn copy of that log, with stderr on a full device, and its exit code
+STDERR_ROWS = {
+    "report-of-a-missing-log": (["report", "--log", "nope.jsonl"], 2),
+    "report-of-a-torn-log": (["report", "--log", "torn.jsonl"], 0),
+}
+
+
+@pytest.mark.parametrize("args, code", STDERR_ROWS.values(), ids=STDERR_ROWS.keys())
+def test_a_stderr_that_cannot_be_written_never_changes_the_exit_code(tmp_path, args, code):
+    first = twinloop(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", "r.jsonl"], tmp_path)
+    assert first.returncode == 0, first.stderr
+    lines = (tmp_path / "r.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "torn.jsonl").write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    (tmp_path / "complete.jsonl").write_text("".join(lines[:-1]))
+    complete = twinloop(["report", "--log", "complete.jsonl"], tmp_path)
+    argv, env = command()
+    with full_device() as err:
+        proc = subprocess.run([*argv, *args], stdout=subprocess.PIPE, stderr=err, text=True, timeout=60,
+                              cwd=tmp_path, env=env)
+    assert proc.returncode == code
+    # the torn log's report is the one its complete episodes give
+    assert proc.stdout == ("" if code else complete.stdout)
+
+
 def test_ctrl_c_ends_a_realtime_run_with_exit_130_one_line_and_its_log(tmp_path):
     config = json.loads(CASE_CONFIG.read_text())
     config["run"]["clock_mode"] = "realtime"

@@ -20,10 +20,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from twinloop.agents import Thresholds
-from twinloop.backends import Exchange
+from twinloop.agents import AgentSpec, Thresholds
+from twinloop.backends import BackendConfig, Exchange, LatencySpec, ScriptedPolicy
 from twinloop import jsonio
-from twinloop.cli import load_config
+from twinloop.cli import LoadedConfig, load_config
 from twinloop.errors import ConfigError, InvalidInput, LogFormatError, frozen
 from twinloop.jsonio import dumps_record, format_float, from_doc, loads_record
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
@@ -43,6 +43,7 @@ from twinloop.orchestrator import (
     read_run_log,
 )
 from twinloop.plantio import CLOCK_MODES, HeaterAction, round_half_away
+from twinloop.twin import TwinParams, steady_state
 
 
 # --- reference encoder: the generic walker, one dispatch on type per value -----
@@ -196,6 +197,48 @@ def run_configs(draw):
         initial_action=draw(actions),
         safe_action_policy=draw(st.sampled_from([EXPECTED_RULE, FORCE_OFF])),
     )
+
+
+# A backend section of each kind with only that kind's fields drawn.
+backend_configs = st.one_of(
+    st.builds(
+        BackendConfig, kind=st.just("http"),
+        base_url=st.sampled_from(["http://127.0.0.1:8000", "https://x.invalid/v1"]), model=texts.filter(bool), temperature=non_negative, timeout=st.floats(0.0, MAX_DURATION_S, exclude_min=True),
+        api_key_env=texts,
+    ),
+    st.builds(
+        BackendConfig, kind=st.just("scripted"),
+        script=st.builds(
+            ScriptedPolicy, kind=st.sampled_from(["oracle", "flip", "always_wrong"]), p_wrong_first=st.floats(0.0, 1.0),
+            p_correct_on_feedback=st.floats(0.0, 1.0), seed=st.integers(0, 2**32),
+        ),
+        latency=st.builds(
+            LatencySpec, kind=st.sampled_from(["none", "fixed", "lognormal"]), seconds=non_negative,
+            mu=st.floats(-10.0, 10.0), sigma=st.floats(0.0, 10.0), seed=st.integers(0, 2**32),
+        ),
+    ),
+    st.builds(BackendConfig, kind=st.just("replay"), transcript_path=texts.filter(bool)),
+)
+
+
+@st.composite
+def twin_params(draw):
+    """Twins whose full-duty sensor rises to at least 31 degC, above both
+    band tops that run_configs draws."""
+    t_amb = draw(st.floats(0.0, 30.0))
+    c_h, c_s, u_ha, u_hs, u_sa = (draw(st.floats(lo, hi)) for lo, hi in [(1.0, 100.0)] * 2 + [(0.01, 0.5)] * 3)
+    rise = draw(st.floats(31.0 - t_amb, 60.0))
+    # the sensor's full-duty rise is 100 * alpha * u_hs over the conductance determinant
+    det = u_ha * u_hs + u_ha * u_sa + u_hs * u_sa
+    return TwinParams(t_amb, rise * det / (100.0 * u_hs), c_h, c_s, u_ha, u_hs, u_sa)
+
+
+# templates with conversions and a "." fill, and plain text without braces
+operators = st.builds(
+    AgentSpec, role=texts, goal=texts,
+    task=st.sampled_from([AgentSpec().task, "{feedback}|{low!r:.^7}|{high!a}|{prev_action:>8}"])
+    | st.text(st.characters(blacklist_characters="{}", blacklist_categories=("Cs",)), max_size=20),
+)
 
 
 run_metrics = st.builds(
@@ -835,3 +878,13 @@ def test_round_half_away_matches_the_decimal_definition(x):
     got = round_half_away(x)
     assert repr(got) == repr(decimal_round(x))  # the sign of a zero too
 
+
+@settings(max_examples=100, deadline=None)
+@example(cfg=load_config(CASE_CONFIG))
+@given(cfg=st.builds(LoadedConfig, twin=twin_params(), operator=operators, backend=backend_configs, run=run_configs()))
+def test_a_config_file_is_what_the_codec_writes(tmp_path_factory, cfg):
+    # load_config refuses a twin whose full-duty sensor stays at or below the band's top
+    assume(steady_state(cfg.twin, 100.0)[1] > cfg.run.thresholds.high)
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(dumps_record(cfg))
+    assert load_config(path) == cfg
