@@ -31,8 +31,7 @@ _EXPORTS = {
             "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder", "load_replay",
         ),
         "errors": (
-            "BackendError", "ConfigError", "InvalidInput", "LogFormatError", "ParseError",
-            "PlantIoError", "TwinloopError",
+            "BackendError", "InvalidInput", "ParseError", "PlantIoError", "TwinloopError",
         ),
         "metrics": (
             "AccuracyMetrics", "ControlMetrics", "RunMetrics", "accuracy_metrics",

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from urllib.parse import urlsplit  # loaded with pathlib already
 
 from .agents import DecisionContext, expected_action
-from .errors import BackendError, ConfigError, InvalidInput, LogFormatError, frozen
+from .errors import BackendError, InvalidInput, frozen
 from .jsonio import RecordWriter, dumps_record, is_blank, loads_json
 from .plantio import MAX_DURATION_S
 
@@ -178,10 +178,10 @@ class HttpBackend:
         self.config = config
         key = os.environ.get(config.api_key_env, "")
         if not key:
-            raise ConfigError(f"missing API key: set ${config.api_key_env}")
+            raise InvalidInput(f"missing API key: set ${config.api_key_env}")
         # it goes into a header line, which http.client refuses mid-run otherwise
         if not (key.isascii() and key.isprintable()):
-            raise ConfigError(f"API key in ${config.api_key_env} must be printable ASCII")
+            raise InvalidInput(f"API key in ${config.api_key_env} must be printable ASCII")
         self._key = key
         self._url = config.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         import http.client
@@ -298,7 +298,7 @@ class ReplayBackend:
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         if self._cursor >= len(self._entries):
-            raise ConfigError(
+            raise InvalidInput(
                 f"transcript holds {len(self._entries)} exchanges; call {self._cursor + 1} has no recording"
             )
         entry = self._entries[self._cursor]
@@ -332,9 +332,9 @@ def load_replay(transcript_path: str | Path) -> ReplayBackend:
             try:
                 doc = loads_json(line.decode("utf-8"))
             except ValueError as exc:
-                raise LogFormatError(f"bad transcript line: {exc}", line_number=lineno) from exc
+                raise InvalidInput(f"bad transcript line: {exc}", line_number=lineno) from exc
             if not (isinstance(doc, dict) and _replayable(doc)):
-                raise LogFormatError(
+                raise InvalidInput(
                     "transcript line needs a string response_text and a latency, or a string error and an elapsed "
                     "time, in seconds >= 0, and any model a string, any status an integer or null", line_number=lineno
                 )
@@ -346,7 +346,7 @@ class TranscriptRecorder:
     """Wraps any backend and appends each call to a transcript file: an
     exchange, or a failed call's ``error``, ``elapsed`` and ``status``, after
     which the :class:`BackendError` propagates unchanged.  A failed write or
-    close raises :class:`ConfigError`."""
+    close raises :class:`InvalidInput`."""
 
     def __init__(self, inner, path: str | Path):
         self._inner = inner

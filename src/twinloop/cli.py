@@ -1,14 +1,14 @@
 """Operator commands: run a control experiment, serve the simulated plant
 over TCP, and turn run logs into reports.
 
-Exit codes are contract values: 0 clean finish, 2 a :class:`ConfigError` (a
-bad config, flag or environment during set-up; after it, an output that
-cannot be written, stdout among them, or a replayed transcript that runs
-out), an :class:`InvalidInput` or a :class:`LogFormatError`, 3 a
-:class:`PlantIoError`, 130 an interrupt.  Commands raise; :func:`main` is
-the one place that turns an error or an interrupt into its exit code and its
-one stderr line.  Partial run logs survive an abort because every completed
-episode is flushed before the next one starts.
+Exit codes are contract values: 0 clean finish, 2 an :class:`InvalidInput`
+(an input that cannot serve the run: a config, flag, file or environment
+during set-up; after it, an output that cannot be written, stdout among
+them, or a replayed transcript that runs out), 3 a :class:`PlantIoError`,
+130 an interrupt.  Commands raise; :func:`main` is the one place that turns
+an error or an interrupt into its exit code and its one stderr line.
+Partial run logs survive an abort because every completed episode is
+flushed before the next one starts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .backends import (
     REPLAY,
     SCRIPTED,
 )
-from .errors import ConfigError, InvalidInput, LogFormatError, PlantIoError, frozen
+from .errors import InvalidInput, PlantIoError, frozen
 from .jsonio import from_doc, loads_json
 from .metrics import CSV, MACHINE, TABLE, points_dump, report, run_metrics
 from .orchestrator import MIN_IDLE_TICK, RunConfig, RunLogWriter, read_run_log, run_loop
@@ -66,9 +66,9 @@ def _read(what: str, path, reader, *args, **kwargs):
     try:
         return reader(*args, **kwargs)
     except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
+        raise InvalidInput(f"{what} file not found: {path}") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _json_object(what: str, path: str | Path) -> dict:
@@ -76,9 +76,9 @@ def _json_object(what: str, path: str | Path) -> dict:
     try:
         doc = loads_json(_read(what, path, Path(path).read_text, encoding="utf-8"))
     except ValueError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise InvalidInput(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} file {path} must hold a JSON object")
+        raise InvalidInput(f"{what} file {path} must hold a JSON object")
     return doc
 
 
@@ -89,19 +89,16 @@ def load_config(path: str | Path) -> LoadedConfig:
     anywhere in the document are rejected by name.
     """
     doc = _json_object("config", path)
-    try:
-        cfg = from_doc(LoadedConfig, doc, defaults=True)
-    except InvalidInput as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = from_doc(LoadedConfig, doc, defaults=True)
     # without headroom above the band's top the plant never cycles through the band
     reach, high = steady_state(cfg.twin, 100.0)[1], cfg.run.thresholds.high
     if not reach > high:
         problem = f"full duty holds the sensor at {reach:.2f} degC, not above run.thresholds.high ({high:g} degC)"
-        raise ConfigError(f"'twin': {problem}")
+        raise InvalidInput(f"'twin': {problem}")
     # the kind says which of a validator's keys apply, so it is never a default
     validator = doc.get("run", {}).get("validator")
     if validator is not None and "kind" not in validator:
-        raise ConfigError("missing key 'run.validator.kind'")
+        raise InvalidInput("missing key 'run.validator.kind'")
     return cfg
 
 
@@ -114,10 +111,10 @@ def _apply_backend_overrides(config: BackendConfig, override: str | None, seed: 
         config = BackendConfig(kind=SCRIPTED, script=script, latency=config.latency)
     elif kind == REPLAY:
         if not detail:
-            raise ConfigError("--backend replay needs a transcript path: replay:<path>")
+            raise InvalidInput("--backend replay needs a transcript path: replay:<path>")
         config = BackendConfig(kind=REPLAY, transcript_path=detail)
     elif override:
-        raise ConfigError(f"unknown --backend override {override!r}")
+        raise InvalidInput(f"unknown --backend override {override!r}")
     if seed is not None and config.kind == SCRIPTED:
         script, latency = (dataclasses.replace(part, seed=seed) for part in (config.script, config.latency))
         config = BackendConfig(kind=SCRIPTED, script=script, latency=latency)
@@ -130,10 +127,10 @@ def _build_backend(config: BackendConfig):
     if config.kind == REPLAY:
         try:
             return _opened("read transcript", config.transcript_path, load_replay, config.transcript_path)
-        except LogFormatError as exc:
-            raise ConfigError(
-                f"bad transcript {config.transcript_path} (line {exc.line_number}): {exc}"
-            ) from exc
+        except InvalidInput as exc:
+            if exc.line_number is None:  # worded already: the file cannot be read
+                raise
+            raise InvalidInput(f"bad transcript {config.transcript_path} (line {exc.line_number}): {exc}") from exc
     return ScriptedBackend(config.script, config.latency)
 
 
@@ -144,7 +141,7 @@ def _host_port(flag: str, text: str) -> tuple[str, int]:
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]
     if not host or not port.isdecimal() or int(port) > 65535:
-        raise ConfigError(f"{flag} needs <host:port> with a port up to 65535, got {text!r}")
+        raise InvalidInput(f"{flag} needs <host:port> with a port up to 65535, got {text!r}")
     return host, int(port)
 
 
@@ -159,7 +156,7 @@ def _build_plant(spec: str, cfg: LoadedConfig, resources: contextlib.ExitStack):
         client = TcpPlantClient(host, port, mode=cfg.run.clock_mode)
         resources.callback(client.close)
         return client
-    raise ConfigError(f"--plant must be 'sim' or 'tcp:<host:port>', got {spec!r}")
+    raise InvalidInput(f"--plant must be 'sim' or 'tcp:<host:port>', got {spec!r}")
 
 
 def _opened(what: str, path, opener, *args, **kwargs):
@@ -168,7 +165,7 @@ def _opened(what: str, path, opener, *args, **kwargs):
     try:
         return opener(*args, **kwargs)
     except OSError as exc:
-        raise ConfigError(f"cannot {what} {path}: {exc}") from exc
+        raise InvalidInput(f"cannot {what} {path}: {exc}") from exc
 
 
 def _say(text: str) -> None:
@@ -192,7 +189,7 @@ def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
             continue
         real = os.path.realpath(path)
         if real in named:
-            raise ConfigError(f"{flag} and {named[real]} name the same file: {path}")
+            raise InvalidInput(f"{flag} and {named[real]} name the same file: {path}")
         named[real] = flag
 
 
@@ -213,7 +210,7 @@ def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> N
         and sub_tick
         and run_config.sample_period_floor < MIN_IDLE_TICK
     ):
-        raise ConfigError(
+        raise InvalidInput(
             f"a lockstep run with a scripted backend latency under {MIN_IDLE_TICK:g} s advances "
             f"only {MIN_IDLE_TICK:g} s per episode, about {run_config.duration / MIN_IDLE_TICK:.0f} "
             f"episodes; set run.sample_period_floor or backend.latency to at least {MIN_IDLE_TICK:g} s"
@@ -222,7 +219,7 @@ def _refuse_unbounded(run_config: RunConfig, backend_config: BackendConfig) -> N
 
 def cmd_run(args: argparse.Namespace) -> int:
     if not args.out:
-        raise ConfigError("no run log path: pass --out")
+        raise InvalidInput("no run log path: pass --out")
     cfg = load_config(args.config)
     backend_config = _apply_backend_overrides(cfg.backend, args.backend, args.seed)
     run_config = cfg.run
@@ -258,7 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 gc.unfreeze()
                 # a served plant confirms its last queued commands as it closes
                 resources.close()
-        except (ConfigError, InvalidInput, PlantIoError) as exc:
+        except (InvalidInput, PlantIoError) as exc:
             # main writes the error's line, which says whether the run was cut short
             exc.aborted = aborted
             raise
@@ -347,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInput, LogFormatError, PlantIoError) as exc:
+    except (InvalidInput, PlantIoError) as exc:
         plant = isinstance(exc, PlantIoError)
         what = "report" if args.command == "report" else "plant" if plant else "config"
         line = getattr(exc, "line_number", None)

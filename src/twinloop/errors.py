@@ -11,7 +11,12 @@ class TwinloopError(Exception):
 
 
 class InvalidInput(TwinloopError):
-    """An argument, or a record or config field, violates a documented precondition."""
+    """An input that cannot serve the call or the run: an argument, a field,
+    a file, a flag or the environment; ``line_number`` names a record file's line."""
+
+    def __init__(self, detail: str, line_number: int | None = None):
+        super().__init__(detail)
+        self.line_number = line_number
 
 
 class PlantIoError(TwinloopError):
@@ -29,20 +34,6 @@ class BackendError(TwinloopError):
         super().__init__(detail)
         self.status = status
         self.elapsed = elapsed
-
-
-class ConfigError(TwinloopError):
-    """A config file, a command-line flag or the environment is invalid, or
-    a file the run names cannot serve it: an output that cannot be written,
-    or a replayed transcript that runs out."""
-
-
-class LogFormatError(TwinloopError):
-    """A run log or transcript line is malformed."""
-
-    def __init__(self, detail: str, line_number: int | None = None):
-        super().__init__(detail)
-        self.line_number = line_number
 
 
 # The methods ``frozen`` supplies; a class that defines one itself is refused.

@@ -29,6 +29,9 @@ subclass of one; any other value (an enum member, list, tuple) is a TypeError.
 Reading is the mirror image, and :func:`loads_record` is its only fast path.
 It scans a record line once by json's C scanner; NaN, Infinity and nesting
 beyond the recursion limit are refused, as in every file the package reads.
+A key repeated in one object is refused in every text but a run-log line
+the scan takes, which keeps the last value: only :class:`RecordWriter`
+writes run logs.
 A record that must hold every field (a run log's episodes, a report's
 metrics) is read by one function generated per class on first use: it
 compares the key set in one step, takes each value of exactly its annotated
@@ -47,7 +50,7 @@ and refuses ``default_factory``.
 Two rules hold for every record file, run log or transcript.  A line of
 JSON whitespace alone is blank and skipped (:func:`is_blank`); other
 whitespace is an error.  A file is written through :class:`RecordWriter`,
-whose failed write closes the file and raises :class:`ConfigError`.
+whose failed write closes the file and raises :class:`InvalidInput`.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import typing
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import ConfigError, InvalidInput
+from .errors import InvalidInput
 
 _MISSING = dataclasses.MISSING
 
@@ -191,7 +194,7 @@ def dumps_record(record) -> str:
 class RecordWriter:
     """A file of record lines, opened for writing.  Each line is flushed as
     it is written, so a partial file stays readable.  A failed write closes
-    the file; it, or a failed close, raises :class:`ConfigError` naming the
+    the file; it, or a failed close, raises :class:`InvalidInput` naming the
     file as ``what``."""
 
     def __init__(self, path: str | Path, what: str):
@@ -206,13 +209,13 @@ class RecordWriter:
             # a write after a failed one meets a closed file: a ValueError
             with contextlib.suppress(OSError):
                 self._fh.close()
-            raise ConfigError(self._failed + str(exc)) from exc
+            raise InvalidInput(self._failed + str(exc)) from exc
 
     def close(self) -> None:
         try:
             self._fh.close()
         except OSError as exc:
-            raise ConfigError(self._failed + str(exc)) from exc
+            raise InvalidInput(self._failed + str(exc)) from exc
 
     def __enter__(self):
         return self
@@ -269,16 +272,26 @@ class _Decoder(json.JSONDecoder):
             raise ValueError("JSON nested too deeply") from None
 
 
+def _one_value_per_key(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated in one object")
+        doc[key] = value
+    return doc
+
+
 def loads_json(text: str):
     """json.loads for every JSON text the package reads: config, twin
     parameters, transcript and run-log lines, and HTTP reply bodies.  NaN and
-    Infinity, which JSON lacks, are refused; a number beyond a float's range
-    reads as an infinity, which the field that holds it refuses."""
-    return json.loads(text, cls=_Decoder, parse_constant=_refuse)
+    Infinity, which JSON lacks, are refused, and so is a key repeated in one
+    object; a number beyond a float's range reads as an infinity, which the
+    field that holds it refuses."""
+    return json.loads(text, cls=_Decoder, parse_constant=_refuse, object_pairs_hook=_one_value_per_key)
 
 
 # The C scanner json.loads runs after its Python-level checks, with the
-# rules of loads_json.
+# rules of loads_json but the one on repeated keys.
 _scan = json.JSONDecoder(parse_constant=_refuse).scan_once
 # JSON's whitespace, the only text a record line may hold besides its value;
 # str.strip() and bytes.strip() strip more.
@@ -298,9 +311,9 @@ def loads_record(line: str, cls: type | None = None):
     that does not fit ``cls``, InvalidInput.
 
     A value that scans from the line's first character and is followed by
-    JSON whitespace alone is taken as it is.  Anything else (leading
-    whitespace, a BOM, trailing data, no value) goes to :func:`loads_json`,
-    which accepts it or words the error."""
+    JSON whitespace alone is taken as it is, even with a repeated key.
+    Anything else (leading whitespace, a BOM, trailing data, no value) goes
+    to :func:`loads_json`, which accepts it or words the error."""
     try:
         doc, end = _scan(line, 0)
     except (StopIteration, ValueError, RecursionError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .agents import Thresholds
-from .errors import InvalidInput, LogFormatError, frozen
+from .errors import InvalidInput, frozen
 from .jsonio import dumps_record
 from .orchestrator import EpisodeRecord
 from .plantio import round_half_away
@@ -95,7 +95,7 @@ def accuracy_metrics(episodes: list[EpisodeRecord]) -> AccuracyMetrics:
     overrides = 0
     for episode in episodes:
         if not episode.attempts:
-            raise LogFormatError(f"episode {episode.index} has no attempts")
+            raise InvalidInput(f"episode {episode.index} has no attempts")
         if episode.attempts[0].passed:
             passes += 1
         elif any(a.passed for a in episode.attempts[1:]):
@@ -127,7 +127,7 @@ def control_metrics(
     previous_start = None
     for i, episode in enumerate(episodes):
         if previous_start is not None and episode.t_start <= previous_start:
-            raise LogFormatError(
+            raise InvalidInput(
                 f"episode timestamps are not strictly increasing at index {episode.index}"
             )
         previous_start = episode.t_start

@@ -37,7 +37,7 @@ from .agents import (
     validate_twin,
     DEFAULT_OPERATOR,
 )
-from .errors import BackendError, InvalidInput, LogFormatError, ParseError, frozen
+from .errors import BackendError, InvalidInput, ParseError, frozen
 from .jsonio import RecordWriter, dumps_record, from_doc, is_blank, loads_record
 from .plantio import CLOCK_MODES, LOCKSTEP, MAX_DURATION_S, REALTIME, HeaterAction
 
@@ -313,14 +313,15 @@ def run_loop(
     plant.apply_heater(config.initial_action)
     prev = config.initial_action
     episodes: list[EpisodeRecord] = []
+    floor = config.sample_period_floor
+    period = max(floor, MIN_IDLE_TICK)  # the least time from an episode's start to the next
 
     while plant.clock < config.duration:
         # the cold-start episode always runs; afterwards the anomaly monitor
         # (when configured) gates on a fresh reading
         if episodes and config.monitor.kind == ANOMALY:
             if not monitor_trigger(plant.read_temperature(), config.thresholds, config.monitor.margin):
-                floor = config.sample_period_floor
-                poll = max(floor, MIN_IDLE_TICK) if floor > 0 else DEFAULT_IDLE_POLL
+                poll = period if floor > 0.0 else DEFAULT_IDLE_POLL
                 if _wait_ends_run(plant, plant.clock, poll, config.duration):
                     break
                 continue
@@ -332,17 +333,11 @@ def run_loop(
             on_episode(record)
         prev = record.applied
 
-        # one clock read per wait: a realtime clock moves between reads; the
-        # clock never runs back, so without a floor there is nothing to wait
-        if config.sample_period_floor > 0.0:
-            clock = plant.clock
-            floor_wait = record.t_start + config.sample_period_floor - clock
-            if floor_wait > 0.0 and _wait_ends_run(plant, clock, floor_wait, config.duration):
-                break
-        # a zero-latency episode (elapsed 0.0) advances by exactly MIN_IDLE_TICK
-        elapsed = plant.clock - record.t_start
-        if elapsed < MIN_IDLE_TICK:
-            plant.advance(MIN_IDLE_TICK - elapsed)
+        # one clock read per wait: a realtime clock moves between reads
+        clock = plant.clock
+        wait = record.t_start + period - clock
+        if wait > 0.0 and _wait_ends_run(plant, clock, wait, config.duration):
+            break
     return episodes
 
 
@@ -402,9 +397,9 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
                     continue
                 header = loads_record(raw.decode())
                 if header.get("kind") != "header":
-                    raise LogFormatError("first log record must be the header", line_number=lineno)
+                    raise InvalidInput("first log record must be the header", line_number=lineno)
                 if header.get("format") != LOG_FORMAT:
-                    raise LogFormatError(
+                    raise InvalidInput(
                         f"unknown log format {header.get('format')!r}, expected {LOG_FORMAT!r}",
                         line_number=lineno,
                     )
@@ -418,9 +413,11 @@ def read_run_log(path: str | Path, on_torn_tail=None) -> tuple[RunConfig, list[E
                 if torn and on_torn_tail is not None:
                     on_torn_tail(lineno)
                     break
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+                raise InvalidInput(f"bad log line: {exc}", line_number=lineno) from exc
             except InvalidInput as exc:
-                raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
+                if exc.line_number is not None:  # the header's own, worded already
+                    raise
+                raise InvalidInput(f"bad log record: {exc}", line_number=lineno) from exc
     if config is None:
-        raise LogFormatError("log is empty")
+        raise InvalidInput("log is empty")
     return config, episodes

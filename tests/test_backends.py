@@ -24,12 +24,7 @@ from twinloop.backends import (
     TranscriptRecorder,
     load_replay,
 )
-from twinloop.errors import (
-    BackendError,
-    ConfigError,
-    InvalidInput,
-    LogFormatError,
-)
+from twinloop.errors import BackendError, InvalidInput
 from twinloop.orchestrator import RunConfig, RunLogWriter, run_loop
 from twinloop.plantio import HeaterAction, TwinPlant
 from twinloop.twin import TwinParams
@@ -60,7 +55,7 @@ def latencies(spec, calls=3):
 
 def assert_spent(replay, calls):
     """The replay has answered ``calls`` calls, which its transcript holds."""
-    with pytest.raises(ConfigError, match=f"holds {calls} exchanges; call {calls + 1} has no recording"):
+    with pytest.raises(InvalidInput, match=f"holds {calls} exchanges; call {calls + 1} has no recording"):
         replay.complete("s", "u", ctx(26.0))
 
 
@@ -368,14 +363,14 @@ class TestHttpBackend:
 
     def test_missing_api_key(self, stub_server, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             HttpBackend(http_config(stub_server))
 
     @pytest.mark.parametrize("key", ["sk-abc\n", "sk-\tabc", "sk-abc\u00e9"], ids=["newline", "tab", "non-ascii"])
     def test_an_api_key_that_is_not_printable_ascii_is_refused(self, stub_server, monkeypatch, key):
         # a header may not carry it, so it is refused with the config, not at the first call
         monkeypatch.setenv("LLM_API_KEY", key)
-        with pytest.raises(ConfigError, match=r"^API key in \$LLM_API_KEY must be printable ASCII$"):
+        with pytest.raises(InvalidInput, match=r"^API key in \$LLM_API_KEY must be printable ASCII$"):
             HttpBackend(http_config(stub_server))
         assert stub_server.requests == []
 
@@ -447,7 +442,7 @@ class TestRecordReplay:
         recorder.close()
         replay = load_replay(path)
         replay.complete("s", "u", ctx(28.0, ON))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             replay.complete("s", "u", ctx(28.0, ON))
 
     def test_replay_ignores_prompt_content(self, tmp_path):
@@ -466,7 +461,7 @@ class TestRecordReplay:
     def test_malformed_transcript_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"response_text": "ACTION: ON", "latency": 1.0}\nnot json\n')
-        with pytest.raises(LogFormatError) as excinfo:
+        with pytest.raises(InvalidInput) as excinfo:
             load_replay(path)
         assert excinfo.value.line_number == 2
 
@@ -475,7 +470,7 @@ class TestRecordReplay:
         path.write_text(
             '{"response_text": "ACTION: ON", "latency": 1.0}\n{"response_text": "ACTION: ON", "latency": 1e999}\n'
         )
-        with pytest.raises(LogFormatError) as excinfo:
+        with pytest.raises(InvalidInput) as excinfo:
             load_replay(path)
         assert excinfo.value.line_number == 2
 
@@ -511,7 +506,7 @@ class TestRecordReplay:
     def test_transcript_line_without_reply_or_error_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"error": "stub outage", "status": 503}\n')
-        with pytest.raises(LogFormatError):
+        with pytest.raises(InvalidInput):
             load_replay(path)
 
     def test_replay_of_a_run_with_failed_calls_gives_the_same_log(self, tmp_path):

@@ -27,7 +27,7 @@ from twinloop import cli, jsonio
 from twinloop.agents import AgentSpec, render_prompt
 from twinloop.backends import BackendConfig, LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.cli import LoadedConfig, main, load_config
-from twinloop.errors import BackendError, ConfigError, InvalidInput, LogFormatError, PlantIoError
+from twinloop.errors import BackendError, InvalidInput, PlantIoError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
 from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
@@ -137,39 +137,39 @@ class TestLoadConfig:
 
     def test_unknown_top_level_key_named(self, tmp_path):
         path = write_config(tmp_path, {"plant": {}})
-        with pytest.raises(ConfigError, match="'plant'"):
+        with pytest.raises(InvalidInput, match="'plant'"):
             load_config(path)
 
     def test_unknown_nested_key_named(self, tmp_path):
         path = write_config(tmp_path, {"twin.radiation": 1.0})
-        with pytest.raises(ConfigError, match="twin.radiation"):
+        with pytest.raises(InvalidInput, match="twin.radiation"):
             load_config(path)
 
     def test_bad_thresholds_rejected(self, tmp_path):
         path = write_config(tmp_path, {"run.thresholds.low": 28.0})
-        with pytest.raises(ConfigError, match="thresholds"):
+        with pytest.raises(InvalidInput, match="thresholds"):
             load_config(path)
 
     def test_http_field_on_scripted_backend_rejected(self, tmp_path):
         path = write_config(tmp_path, {"backend.base_url": "http://example"})
-        with pytest.raises(ConfigError, match="base_url"):
+        with pytest.raises(InvalidInput, match="base_url"):
             load_config(path)
 
     def test_timeout_on_scripted_backend_rejected(self, tmp_path):
         # only the http backend has a call that can time out
         path = write_config(tmp_path, {"backend.timeout": 5.0})
-        with pytest.raises(ConfigError, match="'backend': 'timeout' does not apply to a scripted"):
+        with pytest.raises(InvalidInput, match="'backend': 'timeout' does not apply to a scripted"):
             load_config(path)
 
     def test_unknown_backend_reference_rejected(self, tmp_path):
         path = write_config(tmp_path, {"operator.backend": "gpu-farm"})
-        with pytest.raises(ConfigError, match=re.escape("unknown key 'operator.backend'")):
+        with pytest.raises(InvalidInput, match=re.escape("unknown key 'operator.backend'")):
             load_config(path)
 
     @pytest.mark.parametrize("agent", ["validator", "reprompter"])
     def test_only_the_operator_is_configurable(self, tmp_path, agent):
         path = write_config(tmp_path, {agent: {"role": "r", "goal": "g"}})
-        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{agent}'")):
+        with pytest.raises(InvalidInput, match=re.escape(f"unknown key '{agent}'")):
             load_config(path)
 
     def test_operator_keys_default_one_by_one(self, tmp_path):
@@ -181,7 +181,7 @@ class TestLoadConfig:
     def test_bad_task_placeholder_rejected(self, tmp_path):
         path = write_config(tmp_path, {"operator.task": "T={setpoint}"})
         message = "'operator': unknown placeholder {setpoint} in task template"
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -201,12 +201,12 @@ class TestLoadConfig:
     )
     def test_mistyped_value_rejected_by_dotted_key(self, tmp_path, dotted, value):
         path = write_config(tmp_path, {dotted: value})
-        with pytest.raises(ConfigError, match=re.escape(f"'{dotted}'")):
+        with pytest.raises(InvalidInput, match=re.escape(f"'{dotted}'")):
             load_config(path)
 
     def test_twin_validator_without_a_finite_bound_rejected(self, tmp_path):
         path = write_config(tmp_path, {"run.validator": {"kind": "twin", "horizon": 300}})
-        with pytest.raises(ConfigError, match=r"'run\.validator'.*finite bound"):
+        with pytest.raises(InvalidInput, match=r"'run\.validator'.*finite bound"):
             load_config(path)
         path = write_config(tmp_path, {"run.validator": {"kind": "twin", "envelope": [None, 30]}})
         assert load_config(path).run.validator.envelope == (-math.inf, 30.0)
@@ -215,7 +215,7 @@ class TestLoadConfig:
         path = write_config(
             tmp_path, {"run.validator": {"kind": "twin", "horizon": 1e12, "envelope": [20, 30]}}
         )
-        with pytest.raises(ConfigError, match=r"'run'.*horizon.*exceeds the run duration"):
+        with pytest.raises(InvalidInput, match=r"'run'.*horizon.*exceeds the run duration"):
             load_config(path)
         path = write_config(
             tmp_path, {"run.validator": {"kind": "twin", "horizon": 2400, "envelope": [20, 30]}}
@@ -230,7 +230,7 @@ class TestLoadConfig:
         # full duty must be able to push the sensor past the upper threshold
         path = write_config(tmp_path, {"twin.alpha": 0.005})
         message = "'twin': full duty holds the sensor at 25.50 degC, not above run.thresholds.high (27 degC)"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             load_config(path)
 
     @pytest.mark.parametrize("high, loads", [(27.0, False), (26.99, True)])
@@ -240,7 +240,7 @@ class TestLoadConfig:
         if loads:
             assert load_config(path).run.thresholds.high == high
         else:
-            with pytest.raises(ConfigError, match=re.escape("at 27.00 degC, not above run.thresholds.high (27 degC)")):
+            with pytest.raises(InvalidInput, match=re.escape("at 27.00 degC, not above run.thresholds.high (27 degC)")):
                 load_config(path)
 
     def test_a_band_above_the_twins_reach_exits_2_before_the_log_opens(self, tmp_path, capsys):
@@ -282,7 +282,7 @@ class TestLoadConfig:
     def test_a_config_that_starts_with_a_byte_order_mark_says_so(self, tmp_path):
         path = tmp_path / "bom.json"
         path.write_bytes(b"\xef\xbb\xbf" + CASE_CONFIG.read_bytes())
-        with pytest.raises(ConfigError, match=re.escape(f"config file {path} is not valid JSON: Unexpected UTF-8 BOM")):
+        with pytest.raises(InvalidInput, match=re.escape(f"config file {path} is not valid JSON: Unexpected UTF-8 BOM")):
             load_config(path)
 
     def test_a_template_precision_exits_2_naming_operator(self, tmp_path, capsys):
@@ -338,7 +338,7 @@ def test_loaded_config_is_finite_and_renders(tmp_path_factory, dotted, value):
     path = write_config(tmp_path_factory.mktemp("fuzz"), {dotted: value})
     try:
         cfg = load_config(path)
-    except ConfigError:
+    except InvalidInput:
         return
     for where, x in config_floats(cfg):
         # null writes an infinite envelope bound; nothing else is infinite
@@ -1142,7 +1142,7 @@ class TestCmdReport:
         lines[0] = json.dumps(header)
         broken = tmp_path / "no_duration.jsonl"
         broken.write_text("\n".join(lines) + "\n")
-        with pytest.raises(LogFormatError) as excinfo:
+        with pytest.raises(InvalidInput) as excinfo:
             read_run_log(broken)
         assert excinfo.value.line_number == 1
         assert main(["report", "--log", str(broken)]) == 2
@@ -1171,7 +1171,7 @@ class TestCmdReport:
         assert err.count("\n") == 1
         assert f"line {len(lines)}" in err
         # readers that do not opt in still refuse the torn line
-        with pytest.raises(LogFormatError):
+        with pytest.raises(InvalidInput):
             read_run_log(torn)
 
     def test_a_header_only_log_writes_an_empty_points_file(self, tmp_path, capsys):
@@ -1499,6 +1499,31 @@ def test_an_odd_input_file_is_one_error_line_and_exit_2(tmp_path, capsys, comman
     assert line.startswith(message.format(**names))
 
 
+# Per file kind that refuses a repeated key: its command's text with a key
+# named twice, and that key; a run log's lines are not checked for one.  The
+# params' last value is refused on its own, so a reader that kept it serves no plant.
+REPEATED_KEY_FILES = {
+    "run --config": ('{"run": {"duration": 60.0}, "run": {"duration": 120.0}}', "run"),
+    "plant-serve --params": ('{"c_h": 50.0, "c_h": -1.0}', "c_h"),
+    "run --backend replay:": (
+        '{"response_text": "ACTION: ON", "latency": 1.0}\n{"response_text": "ACTION: ON", "latency": 1.0, "latency": 2.0}',
+        "latency",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(REPEATED_KEY_FILES))
+def test_a_key_named_twice_exits_2_naming_it(tmp_path, capsys, command):
+    # json.loads would keep the last value and drop the first silently
+    argv, _, message = ODD_FILE_COMMANDS[command]
+    text, key = REPEATED_KEY_FILES[command]
+    names = {"file": tmp_path / "input", "out": tmp_path / "out.jsonl"}
+    names["file"].write_text(text + "\n")
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr().err == message.format(**names) + f"key {key!r} is repeated in one object\n"
+    assert not names["out"].exists()
+
+
 # --- the exit-code contract, drawn ---------------------------------------------------
 
 
@@ -1580,7 +1605,7 @@ def accepted_configs(draw):
 # a fresh exception per raise: a re-raised one keeps growing its traceback
 BACKEND_ERRORS = {
     "backend error": lambda: BackendError("service unavailable", status=503, elapsed=2.0),
-    "transcript runs out": lambda: ConfigError("no recording"),
+    "transcript runs out": lambda: InvalidInput("no recording"),
 }
 backend_faults = st.none() | st.tuples(st.integers(1, 30), st.sampled_from(list(BACKEND_ERRORS)))
 plant_faults = st.none() | st.tuples(
@@ -1658,7 +1683,6 @@ EXIT_PATHS = {
 }
 # a fresh exception per raise, each with the exit code main returns for it
 EXIT_ERRORS = [
-    (lambda: ConfigError("boom"), 2),
     (lambda: InvalidInput("boom"), 2),
     (lambda: PlantIoError("boom"), 3),
 ]
@@ -1675,7 +1699,7 @@ def test_main_alone_turns_an_error_into_its_exit_code_and_one_line(tmp_path, cap
         # the log the report reads
         log = str(tmp_path / "run.jsonl")
         assert main(["run", "--config", str(CASE_CONFIG), "--duration", "60", "--out", log]) == 0
-        errors = [*errors, (lambda: LogFormatError("boom", line_number=7), 2)]
+        errors = [*errors, (lambda: InvalidInput("boom", line_number=7), 2)]
     capsys.readouterr()
     for error, code in errors:
         raised = error()
@@ -1688,7 +1712,7 @@ def test_main_alone_turns_an_error_into_its_exit_code_and_one_line(tmp_path, cap
             assert main(argv) == code, raised
         err = capsys.readouterr().err
         what = "report" if command == "report" else "plant" if code == 3 else "config"
-        where = " (line 7)" if isinstance(raised, LogFormatError) else ""
+        where = " (line 7)" if getattr(raised, "line_number", None) is not None else ""
         if command == "run" and stage == "mid-run":
             where = ", aborting run (partial log kept)"
         assert err == f"{what} error{where}: boom\n"
@@ -1757,7 +1781,7 @@ def backend_as_run(tmp_path, monkeypatch, config, *flags):
 
     def capture(backend_config):
         built.append(backend_config)
-        raise ConfigError("captured")
+        raise InvalidInput("captured")
 
     monkeypatch.setattr(cli, "_build_backend", capture)
     assert main(["run", "--config", str(config), *flags, "--out", str(tmp_path / "r.jsonl")]) == 2

@@ -27,8 +27,7 @@ PUBLIC = {
         "ScriptedBackend", "ScriptedPolicy", "TranscriptRecorder", "load_replay",
     ],
     "errors": [
-        "BackendError", "ConfigError", "InvalidInput", "LogFormatError", "ParseError",
-        "PlantIoError", "TwinloopError",
+        "BackendError", "InvalidInput", "ParseError", "PlantIoError", "TwinloopError",
     ],
     "metrics": [
         "AccuracyMetrics", "ControlMetrics", "RunMetrics", "accuracy_metrics", "control_metrics",
@@ -68,7 +67,7 @@ def test_public_names_are_pinned():
     import twinloop
 
     assert sorted(twinloop.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(twinloop.__all__) == 54
+    assert len(twinloop.__all__) == 52
     assert twinloop.__version__ == "0.1.0"
 
 

@@ -24,7 +24,7 @@ from twinloop.agents import AgentSpec, Thresholds
 from twinloop.backends import BackendConfig, Exchange, LatencySpec, ScriptedPolicy
 from twinloop import jsonio
 from twinloop.cli import LoadedConfig, load_config
-from twinloop.errors import ConfigError, InvalidInput, LogFormatError, frozen
+from twinloop.errors import InvalidInput, frozen
 from twinloop.jsonio import dumps_record, format_float, from_doc, loads_record
 from twinloop.metrics import AccuracyMetrics, ControlMetrics, RunMetrics
 from twinloop.orchestrator import (
@@ -660,16 +660,16 @@ def ref_read_run_log(path, on_torn_tail=None):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+                raise InvalidInput(f"bad log line: {exc}", line_number=lineno) from exc
             if not line.strip(" \t\n\r"):
                 continue
             try:
                 if config is None:
                     header = ref_loads_record(line)
                     if header.get("kind") != "header":
-                        raise LogFormatError("first log record must be the header", line_number=lineno)
+                        raise InvalidInput("first log record must be the header", line_number=lineno)
                     if header.get("format") != LOG_FORMAT:
-                        raise LogFormatError(
+                        raise InvalidInput(
                             f"unknown log format {header.get('format')!r}, expected {LOG_FORMAT!r}",
                             line_number=lineno,
                         )
@@ -680,13 +680,15 @@ def ref_read_run_log(path, on_torn_tail=None):
                 if on_torn_tail is not None and config is not None and not line.endswith("\n"):
                     on_torn_tail(lineno)
                     break
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+                raise InvalidInput(f"bad log line: {exc}", line_number=lineno) from exc
             except ValueError as exc:
-                raise LogFormatError(f"bad log line: {exc}", line_number=lineno) from exc
+                raise InvalidInput(f"bad log line: {exc}", line_number=lineno) from exc
             except InvalidInput as exc:
-                raise LogFormatError(f"bad log record: {exc}", line_number=lineno) from exc
+                if exc.line_number is not None:
+                    raise
+                raise InvalidInput(f"bad log record: {exc}", line_number=lineno) from exc
     if config is None:
-        raise LogFormatError("log is empty")
+        raise InvalidInput("log is empty")
     return config, episodes
 
 
@@ -755,6 +757,16 @@ def test_loads_record_reads_as_json_loads_and_the_walk(how, data):
     assert repr(fast) == repr(ref)
 
 
+def test_a_repeated_key_is_refused_off_the_run_log_fast_path():
+    text = '{"a": {"b": 1, "b": 2}}'
+    with pytest.raises(ValueError, match=r"^key 'b' is repeated in one object$"):
+        jsonio.loads_json(text)
+    # the scan takes a record line as json.loads does; one it cannot take goes to loads_json
+    assert jsonio.loads_record(text) == json.loads(text)
+    with pytest.raises(ValueError, match="repeated"):
+        jsonio.loads_record(" " + text)
+
+
 @pytest.mark.parametrize("how", LINE_CHANGES)
 @settings(max_examples=15, deadline=None)
 @given(
@@ -816,11 +828,11 @@ def test_a_failed_write_closes_the_record_file_and_every_later_write_fails_alike
     path = tmp_path / "t.jsonl"
     writer = jsonio.RecordWriter(path, "transcript")
     writer.write_line("{}")
-    with pytest.raises(ConfigError, match=r"^cannot write transcript .*: \[Errno 28\] No space left on device$"):
+    with pytest.raises(InvalidInput, match=r"^cannot write transcript .*: \[Errno 28\] No space left on device$"):
         writer.write_line('"full"')
     assert opened[0].fh.closed
     # the closed file raises ValueError, which the writer reports as it reports a failed write
-    with pytest.raises(ConfigError, match="^cannot write transcript .*: I/O operation on closed file"):
+    with pytest.raises(InvalidInput, match="^cannot write transcript .*: I/O operation on closed file"):
         writer.write_line("{}")
     writer.close()
     assert path.read_text() == "{}\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinloop.agents import Thresholds
-from twinloop.errors import InvalidInput, LogFormatError
+from twinloop.errors import InvalidInput
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import (
     CSV_COLUMNS,
@@ -166,11 +166,11 @@ class TestControlMetrics:
             make_episode(0, "pass", t_start=10.0),
             make_episode(1, "pass", t_start=5.0),
         ]
-        with pytest.raises(LogFormatError):
+        with pytest.raises(InvalidInput):
             control_metrics(episodes, TH, 20.0)
         # two episodes at one time are refused too
         episodes = [make_episode(0, "pass", t_start=5.0), make_episode(1, "pass", t_start=5.0)]
-        with pytest.raises(LogFormatError, match="not strictly increasing at index 1"):
+        with pytest.raises(InvalidInput, match="not strictly increasing at index 1"):
             control_metrics(episodes, TH, 20.0)
 
     @given(

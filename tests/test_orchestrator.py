@@ -12,11 +12,27 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from twinloop.agents import Thresholds, expected_action
+from test_jsonio import run_configs
+from twinloop.agents import (
+    ANOMALY,
+    DEFAULT_OPERATOR,
+    DecisionContext,
+    Thresholds,
+    compose_feedback,
+    expected_action,
+    monitor_trigger,
+    parse_action,
+    render_prompt,
+    validate_rule,
+    validate_twin,
+)
 from twinloop.backends import Exchange, LatencySpec, ReplayBackend, ScriptedBackend, ScriptedPolicy
-from twinloop.errors import BackendError, InvalidInput, LogFormatError
+from twinloop.errors import BackendError, InvalidInput, ParseError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.orchestrator import (
+    MIN_IDLE_TICK,
+    RULE,
+    AttemptRecord,
     EpisodeRecord,
     MonitorMode,
     RunConfig,
@@ -28,7 +44,7 @@ from twinloop.orchestrator import (
     run_loop,
     safety_action,
 )
-from twinloop.plantio import HeaterAction, TwinPlant
+from twinloop.plantio import LOCKSTEP, HeaterAction, TwinPlant
 from twinloop.twin import TwinParams, TwinState
 
 TH = Thresholds()
@@ -325,6 +341,13 @@ class TestRunLoop:
         for _ in episodes[1:]:
             expected.append(expected[-1] + 1e-3)
         assert [e.t_start for e in episodes] == expected
+
+    def test_a_tick_past_the_end_stops_at_the_end(self):
+        # the eleventh episode starts at 0.01 s, and its 1 ms tick would end at 0.011 s
+        plant = make_plant()
+        episodes = run_loop(plant, scripted(latency=0.0), RunConfig(duration=0.0105))
+        assert len(episodes) == 11
+        assert plant.clock == 0.0105
 
     def test_sub_tick_idle_poll_still_moves_the_clock(self):
         class CountingPlant(TwinPlant):
@@ -664,7 +687,7 @@ class TestRunLogRoundTrip:
         lines[2] = "definitely not json"
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join(lines) + "\n")
-        with pytest.raises(LogFormatError) as excinfo:
+        with pytest.raises(InvalidInput) as excinfo:
             read_run_log(broken)
         assert excinfo.value.line_number == 3
 
@@ -684,7 +707,7 @@ class TestRunLogRoundTrip:
         lines.insert(index, blank + "\n")
         broken = tmp_path / "blank.jsonl"
         broken.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(LogFormatError, match="^bad log line: Expecting value") as excinfo:
+        with pytest.raises(InvalidInput, match="^bad log line: Expecting value") as excinfo:
             read_run_log(broken)
         assert excinfo.value.line_number == index + 1
 
@@ -707,7 +730,7 @@ class TestRunLogRoundTrip:
         lines[index] = re.sub(f"{field}[^,}}]+", field + value, lines[index], count=1)
         broken = tmp_path / "non_finite.jsonl"
         broken.write_text("".join(lines))
-        with pytest.raises(LogFormatError) as excinfo:
+        with pytest.raises(InvalidInput) as excinfo:
             read_run_log(broken, on_torn_tail=pytest.fail)
         assert (str(excinfo.value), excinfo.value.line_number) == (message, index + 1)
 
@@ -715,7 +738,7 @@ class TestRunLogRoundTrip:
         path, _, episodes = self.run_and_log(tmp_path)
         headerless = tmp_path / "headerless.jsonl"
         headerless.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
-        with pytest.raises(LogFormatError):
+        with pytest.raises(InvalidInput):
             read_run_log(headerless)
 
     @pytest.mark.parametrize("fmt", ["something-else/7", None])
@@ -725,7 +748,7 @@ class TestRunLogRoundTrip:
         other = tmp_path / "other.jsonl"
         header = header.replace('"format":"twinloop-run-log/1"', f'"format":{json.dumps(fmt)}')
         other.write_text(header + "\n" + rest)
-        with pytest.raises(LogFormatError, match="unknown log format") as excinfo:
+        with pytest.raises(InvalidInput, match="unknown log format") as excinfo:
             read_run_log(other)
         assert excinfo.value.line_number == 1
 
@@ -875,3 +898,184 @@ class TestRunConfigValidation:
         # monitor_trigger and validate_twin take these values as given
         with pytest.raises(InvalidInput):
             build()
+
+
+# --- the loop written plainly: the whole-run oracle of run_loop ------------------
+
+
+def reference_loop(plant, backend, config, twin_params, on_episode):
+    """``run_loop`` in lockstep, one rule at a time, each comment quoting
+    README's statement of it.  A wait that would make the clock infinite
+    is left out: the drawn latencies are bounded."""
+    th, end, budget = config.thresholds, config.duration, config.max_reprompts + 1
+    prev, index = config.initial_action, 0
+    plant.apply_heater(prev)
+
+    def wait_ends_run(seconds):
+        # "a wait that would reach [run.duration] lasts until the run's end, and the run stops there"
+        if plant.clock + seconds < end:
+            plant.advance(seconds)
+            return False
+        if plant.clock < end:
+            plant.advance(end - plant.clock)
+        return True
+
+    # "No episode starts once the clock has reached `run.duration`."
+    while plant.clock < end:
+        # "The loop's first sample always starts an episode"; after it, "under `run.monitor` of kind
+        # `anomaly`, a reading starts an episode only if it lies more than `margin` outside the band"
+        if index and config.monitor.kind == ANOMALY:
+            if not monitor_trigger(plant.read_temperature(), th, config.monitor.margin):
+                # "one idle poll, `run.sample_period_floor` but at least 1 ms, or 1 s with no floor"
+                floor = config.sample_period_floor
+                if wait_ends_run(max(floor, MIN_IDLE_TICK) if floor > 0.0 else 1.0):
+                    break
+                continue
+        # "An episode samples the plant once and asks the backend for an action at that reading,
+        # at most `run.max_reprompts + 1` times."
+        t_sensor, t_start = plant.read_temperature(), plant.clock
+        attempts, feedback, applied = [], None, None
+        for attempt in range(budget):
+            ctx = DecisionContext(t_sensor, prev, th, feedback is not None, plant.clock)
+            exchange = response = proposal = verdict = None
+            try:
+                exchange = backend.complete(*render_prompt(DEFAULT_OPERATOR, t_sensor, prev, th, feedback), ctx)
+                latency = exchange.latency
+            except BackendError as exc:
+                # "A failed backend call ... advances the lockstep clock by the time it took"
+                latency, reason, error = exc.elapsed, f"backend error: {exc}", "backend_error"
+            # "In lockstep mode the injected latency advances the simulation clock": "while a decision is
+            # in flight the previous action stays applied"
+            if latency > 0.0:
+                plant.advance(latency)
+            if exchange is not None:
+                response = exchange.response_text
+                try:
+                    proposal = parse_action(response)
+                except ParseError:
+                    # "A reply without an `ACTION:` line and a failed backend call each use up an attempt"
+                    reason, error = "no ACTION line found", "parse_error"
+                else:
+                    # "a deterministic validator checks each proposal against a hysteresis control rule
+                    # (or a digital-twin rollout)"; "Each rollout starts from the plant's `state`"
+                    if config.validator.kind == RULE:
+                        verdict = validate_rule(proposal, t_sensor, prev, th)
+                    else:
+                        horizon, envelope = config.validator.horizon, config.validator.envelope
+                        verdict = validate_twin(twin_params, plant.state, proposal, horizon, envelope)
+                    reason, error = verdict.reason, None
+            passed = verdict is not None and verdict.passed
+            expected = verdict.expected if verdict else None
+            attempts.append(AttemptRecord(attempt, response, proposal, passed, expected, reason, error, latency))
+            # "The first proposal that passes is applied"
+            if passed:
+                applied = proposal
+                break
+            # "each but the last is followed by a reprompt whose feedback the reprompter composes from the failure"
+            if attempt < budget - 1:
+                failure = reason if exchange is None else None
+                feedback = compose_feedback(verdict, attempt + 1, budget, t_sensor, prev, proposal, failure)
+        # "if none does, the safety action of `run.safe_action_policy` is applied instead ..., and the
+        # episode is logged as an override"
+        override = applied is None
+        if override:
+            applied = safety_action(config.safe_action_policy, t_sensor, prev, th)
+        plant.apply_heater(applied)
+        on_episode(EpisodeRecord(index, t_start, t_sensor, prev, tuple(attempts), applied, override, plant.clock))
+        prev, index = applied, index + 1
+        # "After each episode it waits until the floor, but at least 1 ms, has passed since the episode's start"
+        wait = t_start + max(config.sample_period_floor, MIN_IDLE_TICK) - plant.clock
+        if wait > 0.0 and wait_ends_run(wait):
+            break
+
+
+class ReadBudget(Exception):
+    """A plant's reading beyond its budget: the run is cut there."""
+
+
+class BudgetPlant(TwinPlant):
+    """A lockstep twin plant that gives ``reads`` readings, then raises
+    :class:`ReadBudget`: every episode and every idle poll reads once, so a
+    run makes at most ``reads`` of them."""
+
+    def __init__(self, reads, t0):
+        super().__init__(initial_state=TwinState(t0, t0, 0.0))
+        self.reads = reads
+
+    def read_temperature(self):
+        self.reads -= 1
+        if self.reads < 0:
+            raise ReadBudget
+        return super().read_temperature()
+
+
+class Mangling:
+    """``inner``, but each call in ``faults`` raises :class:`BackendError`
+    after ``elapsed`` seconds (``"error"``) or answers with no ACTION line
+    (``"mumble"``)."""
+
+    def __init__(self, inner, faults, elapsed):
+        self.inner, self.faults, self.elapsed, self.calls = inner, faults, elapsed, 0
+
+    def complete(self, system_text, user_text, ctx):
+        self.calls += 1
+        fault = self.faults.get(self.calls)
+        if fault == "error":
+            raise BackendError(f"stub outage on call {self.calls}", status=503, elapsed=self.elapsed)
+        exchange = self.inner.complete(system_text, user_text, ctx)
+        return replace(exchange, response_text="I would rather not say") if fault == "mumble" else exchange
+
+
+# a latency of each kind: none, fixed below the 1 ms tick, fixed, lognormal
+latency_specs = st.one_of(
+    st.just(LatencySpec(kind="none")),
+    st.builds(LatencySpec, kind=st.just("fixed"), seconds=st.floats(0.0, MIN_IDLE_TICK, exclude_max=True)),
+    st.builds(LatencySpec, kind=st.just("fixed"), seconds=st.sampled_from([0.5, 1.0, 2.5, 5.67]) | st.floats(0.0, 10.0)),
+    st.builds(LatencySpec, kind=st.just("lognormal"), mu=st.floats(-8.0, 2.0), sigma=st.floats(0.0, 1.0), seed=st.integers(0, 2**32)),
+)
+
+
+@st.composite
+def lockstep_runs(draw):
+    """A lockstep config of at most a minute and a few reprompts, with the
+    rest of :func:`test_jsonio.run_configs`' draw: floor, band, validator,
+    monitor, initial action and safety policy."""
+    config = draw(run_configs())
+    duration = draw(st.sampled_from([0.0105, 1.0, 10.0, 30.0]) | st.floats(MIN_IDLE_TICK, 60.0))
+    validator = replace(config.validator, horizon=min(config.validator.horizon, duration))
+    config = replace(
+        config, duration=duration, clock_mode=LOCKSTEP, validator=validator, max_reprompts=min(config.max_reprompts, 4)
+    )
+    policy = st.builds(
+        ScriptedPolicy, kind=st.sampled_from(["oracle", "flip", "always_wrong"]), p_wrong_first=st.floats(0.0, 1.0),
+        p_correct_on_feedback=st.floats(0.0, 1.0), seed=st.integers(0, 2**32),
+    )
+    faults = st.dictionaries(st.integers(1, 60), st.sampled_from(["error", "mumble"]), max_size=6)
+    return config, draw(policy), draw(latency_specs), draw(faults), draw(st.sampled_from([0.0, 0.3, 2.0]))
+
+
+@settings(max_examples=150, deadline=None)
+# an episode that ends at the run's end, and an idle poll with no floor
+@example(
+    run=(RunConfig(duration=10.0), ScriptedPolicy(), LatencySpec(kind="fixed", seconds=5.0), {}, 0.0), t0=23.0
+)
+@example(
+    run=(
+        RunConfig(duration=10.0, monitor=MonitorMode(kind="anomaly", margin=5.0)), ScriptedPolicy(),
+        LatencySpec(kind="fixed", seconds=1.0), {}, 0.0,
+    ),
+    t0=26.0,
+)
+@given(run=lockstep_runs(), t0=st.sampled_from([18.0, 23.0, 26.0, 29.0, 35.0]))
+def test_run_loop_is_the_loop_written_plainly(run, t0):
+    config, policy, latency, faults, elapsed = run
+    outcomes = []
+    for loop in (run_loop, reference_loop):
+        plant, records = BudgetPlant(40, t0), []
+        backend = Mangling(ScriptedBackend(policy, latency), faults, elapsed)
+        try:
+            loop(plant, backend, config, twin_params=TwinParams(), on_episode=records.append)
+        except ReadBudget:
+            pass
+        outcomes.append((records, [dumps_record(r) for r in records], plant.clock, plant.state))
+    assert outcomes[0] == outcomes[1]
