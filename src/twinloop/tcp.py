@@ -32,11 +32,16 @@ MAX_LINE_BYTES = 1024
 
 class _LineHandler(socketserver.BaseRequestHandler):
     """Answers every complete line of one read, in order, with one send;
-    a line longer than ``MAX_LINE_BYTES`` is the connection's last."""
+    a line longer than ``MAX_LINE_BYTES`` is the connection's last, and a
+    socket error ends the connection without a word."""
 
     def handle(self) -> None:
-        answer = self.server.protocol.handle_command  # type: ignore[attr-defined]
-        sock: socket.socket = self.request
+        try:
+            self._serve(self.request, self.server.protocol.handle_command)  # type: ignore[attr-defined]
+        except OSError:  # a connection that times out, resets or breaks ends quietly
+            pass
+
+    def _serve(self, sock: socket.socket, answer) -> None:
         # pipelined replies must not wait for the client's delayed ACK
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         deadline: float | None = time.monotonic() + FIRST_LINE_TIMEOUT_S
@@ -47,10 +52,7 @@ class _LineHandler(socketserver.BaseRequestHandler):
                 if remaining <= 0.0:
                     return
                 sock.settimeout(remaining)
-            try:
-                data = sock.recv(65536)
-            except TimeoutError:
-                return
+            data = sock.recv(65536)
             *lines, pending = (pending + data).split(b"\n")
             # an unterminated last line is answered at EOF, or once it is too long
             if pending and (not data or len(pending) > MAX_LINE_BYTES):
@@ -102,18 +104,21 @@ class TcpPlantClient:
     lockstep, wall time since connect in realtime, where :meth:`advance`
     sleeps and sends nothing.
 
-    The link is pipelined and keeps the order of the commands.  ``Q1`` and
-    ``X_ADV`` replies only confirm, so those commands are queued and the
-    clock moves at once; :meth:`read_temperature` sends the queue and its
+    The link is pipelined and keeps the order of the commands in one queue:
+    each command whose reply is not checked yet.  ``Q1`` and ``X_ADV``
+    replies only confirm, so in lockstep those commands wait in the queue and
+    the clock moves at once; :meth:`read_temperature` sends the queue and its
     ``T1`` in one write and checks the queued replies in order before it
     returns its own, so a lockstep episode is one ``send`` and one ``recv``.
-    In realtime ``Q1`` is sent at once, because the heater must switch now;
-    only its check waits.  :meth:`close` sends and checks what is still
-    queued.  Connecting asks the plant's ``MODE`` and refuses a plant whose
-    clock mode is not ``mode``.  The socket blocks, with each write and read
-    bounded by the kernel (``SO_SNDTIMEO``, ``SO_RCVTIMEO``), and all the
-    replies to one write must arrive within ``REPLY_TIMEOUT_S`` of it, or
-    the call fails with ``plant reply to 'T1' timed out after 10.0 s``.
+    In realtime ``Q1`` is sent and checked at once, because the heater must
+    switch now.  Bytes read past the last reply fail the call, as they answer
+    no command.  :meth:`close` sends and checks what is still queued; a
+    failed call leaves nothing queued.  Connecting asks the plant's ``MODE``
+    and refuses a plant whose clock mode is not ``mode``.  The socket
+    blocks, with each write and read bounded by the kernel (``SO_SNDTIMEO``,
+    ``SO_RCVTIMEO``), and all the replies to one write must arrive within
+    ``REPLY_TIMEOUT_S`` of it, or the call fails with ``plant reply to 'T1'
+    timed out after 10.0 s``.
     """
 
     def __init__(self, host: str, port: int, mode: str = LOCKSTEP):
@@ -124,12 +129,8 @@ class TcpPlantClient:
             self._sock = socket.create_connection((host, port), timeout=REPLY_TIMEOUT_S)
         except OSError as exc:
             raise PlantIoError(f"cannot connect to plant at {host}:{port}: {exc}") from exc
-        # lines not sent yet, every command whose reply is still unread with
-        # its verb and argument, and bytes read past the last reply
-        self._outbox: list[str] = []
+        # each command whose reply is not checked yet, with its verb and argument
         self._unread: list[tuple[str, str, object]] = []
-        self._rest = b""
-        self._failed = False
         self._clock = 0.0
         self._reading: float | None = None
         try:
@@ -161,28 +162,17 @@ class TcpPlantClient:
             raise PlantIoError("the plant has no state before its first reading")
         return TwinState(self._reading, self._reading, self.clock)
 
-    def _queue(self, line: str, verb: str, arg: object = None) -> None:
-        self._outbox.append(line)
-        self._unread.append((line, verb, arg))
-
-    def _send(self) -> None:
-        if not self._outbox:
-            return
-        data = ("\n".join(self._outbox) + "\n").encode("utf-8")
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            self._failed = True
-            raise PlantIoError(f"plant link failed during {self._outbox[-1]!r}: {exc}") from exc
-        self._outbox.clear()
-
     def _confirm(self) -> str:
-        """Send the queue in one write, then read the replies of every unread
-        command and check them in order; returns the last reply."""
-        self._send()
-        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        """Send the queue in one write, then read one reply per queued command
+        and check them in order; returns the last reply.  The queue is empty
+        after, whether the call returns or raises."""
         unread, self._unread = self._unread, []
-        sock, data, start, reads = self._sock, self._rest, 0, 0
+        try:
+            self._sock.sendall(("\n".join(line for line, _, _ in unread) + "\n").encode("utf-8"))
+        except OSError as exc:
+            raise PlantIoError(f"plant link failed during {unread[-1][0]!r}: {exc}") from exc
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        sock, data, start, reads = self._sock, b"", 0, 0
         try:
             for line, verb, arg in unread:
                 # a reply ends within MAX_LINE_BYTES, or is refused unread
@@ -207,18 +197,17 @@ class TcpPlantClient:
                     raise PlantIoError(f"plant rejected clock advance of {arg} s: {text!r}")
                 if verb == "Q1" and reply == b"ERR":
                     raise PlantIoError(f"plant rejected heater command for {arg}: {line!r}")
-        except PlantIoError:
-            self._failed = True
-            raise
         finally:
             if reads > 1:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(REPLY_TIMEOUT_S))
-        self._rest = data[start:]
+        # a reply with no command would be read as the next command's
+        if start < len(data):
+            raise PlantIoError(f"plant sent more than the replies to {line!r}")
         # undecodable bytes fail the reading's parse, not the decoder
         return reply.decode("utf-8", "replace")
 
     def _request(self, line: str) -> str:
-        self._queue(line, line)
+        self._unread.append((line, line, None))
         return self._confirm()
 
     def read_temperature(self) -> float:
@@ -233,22 +222,22 @@ class TcpPlantClient:
         return t_sensor
 
     def apply_heater(self, action: HeaterAction) -> None:
-        self._queue(f"Q1 {action.duty:.0f}", "Q1", action)
-        if self.mode == REALTIME:
-            self._send()
+        self._unread.append((f"Q1 {action.duty:.0f}", "Q1", action))
+        if self.mode == REALTIME:  # the heater switches now, and a refusal fails here
+            self._confirm()
 
     def advance(self, dt: float) -> None:
         if self.mode == REALTIME:
             time.sleep(dt)
             return
-        self._queue(f"X_ADV {dt!r}", "X_ADV", dt)
+        self._unread.append((f"X_ADV {dt!r}", "X_ADV", dt))
         self._clock += dt
 
     def close(self) -> None:
-        """Send and check the queued commands, unless the link has already
-        failed, then disconnect."""
+        """Send and check the queued commands, then disconnect; a failed
+        link has left nothing queued."""
         try:
-            if self._unread and not self._failed:
+            if self._unread:
                 self._confirm()
         finally:
             self._disconnect()

@@ -13,10 +13,12 @@ import struct
 import threading
 import time
 import types
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_orchestrator import BudgetPlant, Mangling, ReadBudget, lockstep_runs
 from twinloop.backends import LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.errors import InvalidInput, PlantIoError
 from twinloop.jsonio import dumps_record
@@ -414,6 +416,35 @@ class TestServer:
         # the handler returned; it did not fail on a read with no time left
         assert capsys.readouterr().err == ""
 
+    def test_a_client_that_resets_its_connection_ends_it_quietly(self, served_plant, capsys):
+        with socket.create_connection(served_plant, timeout=5.0) as sock:
+            # close with a reset, so the server's next read or write fails
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(b"T1\n" * 2000)
+        # served only once the reset connection has ended
+        assert raw_session(served_plant, ["VER"]) == ["AGENTIC-TWIN 1.0"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_line_completed_at_the_deadline_is_not_answered(self, monkeypatch):
+        # as above, but the look that reaches the deadline first waits for
+        # the newline to arrive: the connection ends with that line unread
+        ticks = itertools.count()
+
+        def monotonic():
+            tick = next(ticks)
+            if tick == 3:
+                time.sleep(0.3)
+            return float(tick)
+
+        monkeypatch.setattr(tcp, "time", types.SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(tcp, "FIRST_LINE_TIMEOUT_S", 3.0)
+        with serving(TwinPlant(mode=LOCKSTEP)) as server:
+            with socket.create_connection(server.server_address, timeout=5.0) as trickle:
+                for byte in (b"T", b"1", b"\n"):
+                    trickle.sendall(byte)
+                    time.sleep(0.1)
+                assert trickle.recv(64) == b""
+
     def test_a_line_of_the_longest_length_is_answered(self, served_plant):
         line = b"T1" + b" " * (tcp.MAX_LINE_BYTES - 2)
         assert one_segment_session(served_plant, line + b"\n" + line) == ["23.00", "23.00"]
@@ -690,6 +721,39 @@ class TestTcpClient:
             finally:
                 client.close()
 
+    def test_a_realtime_heater_command_is_confirmed_before_the_apply_returns(self, client_sockets):
+        plant = TwinPlant(mode=REALTIME)
+        with serving(plant) as server:
+            client = TcpPlantClient(*server.server_address, mode=REALTIME)
+            try:
+                client.apply_heater(HeaterAction.ON)
+                # MODE at connect, then Q1 sent and its reply read
+                assert (client_sockets[0].sends, client_sockets[0].recvs) == (2, 2)
+                assert plant.duty == 100.0
+            finally:
+                client.close()
+            assert client_sockets[0].sends == 2
+
+    def test_a_refused_realtime_heater_command_raises_at_the_apply(self):
+        with serving(TwinPlant(mode=REALTIME)) as server:
+            handle = server.protocol.handle_command
+            server.protocol.handle_command = (
+                lambda line: "ERR" if line.startswith("Q1") else handle(line)
+            )
+            client = TcpPlantClient(*server.server_address, mode=REALTIME)
+            try:
+                with pytest.raises(PlantIoError, match=r"^plant rejected heater command for ON: 'Q1 100'$"):
+                    client.apply_heater(HeaterAction.ON)
+            finally:
+                client.close()
+
+    @pytest.mark.parametrize("extra", [b"23.99\n", b"2"])
+    def test_bytes_past_the_last_reply_fail_the_reading(self, extra):
+        # they answer no command, so they must not be read as the next one's reply
+        with fake_plant(b"23.45\n" + extra) as client:
+            with pytest.raises(PlantIoError, match=r"^plant sent more than the replies to 'T1'$"):
+                client.read_temperature()
+
     @pytest.mark.parametrize("served_mode, reply", [(REALTIME, "'realtime'"), (LOCKSTEP, "'ERR'")])
     def test_clock_mode_mismatch_refused_at_connect(self, served_mode, reply):
         with serving(TwinPlant(mode=served_mode)) as server:
@@ -799,6 +863,64 @@ class TestTcpClient:
         finally:
             # a failed link is not flushed again as it closes
             client.close()
+
+
+def test_a_served_plant_keeps_its_state_between_connections():
+    # a run's log starts at t = 0, but the plant starts where the last client left it
+    plant = TwinPlant(mode=LOCKSTEP)
+    runs, closed_at = [], []
+    with serving(plant) as server:
+        for seed in (0, 1):
+            backend = ScriptedBackend(ScriptedPolicy(seed=seed), LatencySpec(kind="fixed", seconds=5.0))
+            client = TcpPlantClient(*server.server_address, mode=LOCKSTEP)
+            try:
+                runs.append(run_loop(client, backend, RunConfig(duration=60.0)))
+            finally:
+                client.close()
+            closed_at.append(plant.read_temperature())
+    assert runs[0][0].t_sensor == TwinParams().t_amb
+    assert runs[1][0].t_start == 0.0
+    assert runs[1][0].t_sensor == closed_at[0] > TwinParams().t_amb
+
+
+class BudgetClient(TcpPlantClient):
+    """A lockstep client that raises :class:`ReadBudget` in place of its
+    ``reads + 1``-th reading, before it sends that ``T1``."""
+
+    def __init__(self, address, reads):
+        super().__init__(*address, mode=LOCKSTEP)
+        self.reads = reads
+
+    def read_temperature(self):
+        self.reads -= 1
+        if self.reads < 0:
+            raise ReadBudget
+        return super().read_temperature()
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=lockstep_runs(), t0=st.sampled_from([18.0, 23.0, 26.0, 29.0, 35.0]))
+def test_a_served_plant_gives_the_in_process_run_on_drawn_runs(servers, run, t0):
+    # a twin validator starts each rollout from the plant's full state, which
+    # a served plant does not send, so both runs are rule-validated
+    config, policy, latency, faults, elapsed = run
+    config = replace(config, validator=ValidatorMode())
+    served = TwinPlant(initial_state=TwinState(t0, t0, 0.0))
+    servers[LOCKSTEP].protocol = PlantProtocol(served)
+    in_process, client = BudgetPlant(40, t0), BudgetClient(servers[LOCKSTEP].server_address, 40)
+    outcomes = []
+    try:
+        for plant in (in_process, client):
+            records = []
+            backend = Mangling(ScriptedBackend(policy, latency), faults, elapsed)
+            with contextlib.suppress(ReadBudget):
+                run_loop(plant, backend, config, on_episode=records.append)
+            outcomes.append((records, [dumps_record(r) for r in records], plant.clock))
+    finally:
+        client.close()
+    assert outcomes[0] == outcomes[1]
+    # the close sent and confirmed what the client still had queued
+    assert served.state == in_process.state
 
 
 # a batch whose T1 reply is the longest a client reads
