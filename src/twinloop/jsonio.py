@@ -34,10 +34,10 @@ the scan takes, which keeps the last value: only :class:`RecordWriter`
 writes run logs.
 A record that must hold every field (a run log's episodes, a report's
 metrics) is read by one function generated per class on first use: it
-compares the key set in one step, takes each value of exactly its annotated
-type inline (a float only if finite) where the field holds what an episode
-line holds -- a scalar, an enum, a nested record, a tuple of records, or
-``None`` for one of these -- hands any other field to its converter, and
+counts the keys and subscripts each one, takes each value of exactly its
+annotated type inline (a float only if finite) where the field holds what an
+episode line holds -- a scalar, an enum, a nested record, a tuple of records,
+or ``None`` for one of these -- hands any other field to its converter, and
 calls the class, whose own ``__init__`` builds the record.  On any mismatch
 it hands the document to the generic walk, :func:`_decode`, the reference
 and the only code that words an error.  :func:`from_doc` is the walk alone:
@@ -369,15 +369,16 @@ _REFUSALS = (_Mismatch, KeyError, TypeError, InvalidInput)
 
 def _generate_reader(cls: type):
     """One function building ``cls`` from a document holding every field,
-    generated as the writer is.  It compares the key set and the constant
-    fields in one test and reads each value by its :func:`_read_expr`: a
-    value of exactly its annotated type is taken as it is (a float only if
-    finite), any other goes to the field's converter, and whatever does not
-    fit raises.  The record is built by calling ``cls``, so its own
-    ``__init__`` lays it out as it lays out every constructed one."""
+    generated as the writer is.  It counts the keys, then subscripts each:
+    it tests the constant fields and reads each value by its
+    :func:`_read_expr`.  A document with as many keys but a foreign one thus
+    raises KeyError on the field's key it lacks.  A value of exactly its
+    annotated type is taken as it is (a float only if finite), any other goes
+    to the field's converter, and whatever does not fit raises.  The record
+    is built by calling ``cls``, so its own ``__init__`` lays it out."""
     plan = _PLANS[cls]
-    namespace = {"_cls": cls, "_keys": plan.keys, "_Mismatch": _Mismatch, "_isfinite": math.isfinite}
-    test = "type(doc) is not dict or doc.keys() != _keys"
+    namespace = {"_cls": cls, "_Mismatch": _Mismatch, "_isfinite": math.isfinite}
+    test = f"type(doc) is not dict or len(doc) != {len(plan.keys)}"
     for key, value in plan.constants:
         test += f" or doc[{key!r}] != {_bind(namespace, value)}"
     body = [f"if {test}:", "    raise _Mismatch('')"]

@@ -94,11 +94,12 @@ def accuracy_metrics(episodes: list[EpisodeRecord]) -> AccuracyMetrics:
     pass_after_reprompts = 0
     overrides = 0
     for episode in episodes:
-        if not episode.attempts:
+        attempts = episode.attempts
+        if not attempts:
             raise InvalidInput(f"episode {episode.index} has no attempts")
-        if episode.attempts[0].passed:
+        if attempts[0].passed:
             passes += 1
-        elif any(a.passed for a in episode.attempts[1:]):
+        elif any(a.passed for a in attempts[1:]):
             pass_after_reprompts += 1
         else:
             overrides += 1
@@ -118,26 +119,24 @@ def accuracy_metrics(episodes: list[EpisodeRecord]) -> AccuracyMetrics:
 def control_metrics(
     episodes: list[EpisodeRecord], thresholds: Thresholds, run_duration: float
 ) -> ControlMetrics:
-    """Zero-order-hold control performance over [first sample, run_duration]."""
-    midpoint = thresholds.midpoint
-    time_above = 0.0
-    time_below = 0.0
-    weighted_dev = 0.0
-    total = 0.0
-    previous_start = None
-    for i, episode in enumerate(episodes):
-        if previous_start is not None and episode.t_start <= previous_start:
-            raise InvalidInput(
-                f"episode timestamps are not strictly increasing at index {episode.index}"
-            )
-        previous_start = episode.t_start
-        t_next = episodes[i + 1].t_start if i + 1 < len(episodes) else run_duration
-        width = max(0.0, t_next - episode.t_start)
-        if episode.t_sensor > thresholds.high:
+    """Zero-order-hold control performance over [first sample, run_duration]:
+    each episode holds until the next one starts, the last until the end."""
+    low, high, midpoint = thresholds.low, thresholds.high, thresholds.midpoint
+    time_above = time_below = weighted_dev = total = 0.0
+    for episode, later in zip(episodes, [*episodes[1:], None]):
+        if later is None:
+            width = max(0.0, run_duration - episode.t_start)
+        # finite starts are 0 or less apart only out of order; a NaN holds 0 s
+        elif not (width := later.t_start - episode.t_start) > 0.0:
+            if later.t_start <= episode.t_start:
+                raise InvalidInput(f"episode timestamps are not strictly increasing at index {later.index}")
+            width = 0.0
+        t_sensor = episode.t_sensor
+        if t_sensor > high:
             time_above += width
-        elif episode.t_sensor < thresholds.low:
+        elif t_sensor < low:
             time_below += width
-        weighted_dev += abs(episode.t_sensor - midpoint) * width
+        weighted_dev += abs(t_sensor - midpoint) * width
         total += width
     return ControlMetrics(
         avg_deviation=weighted_dev / total if total > 0 else 0.0,

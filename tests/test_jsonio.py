@@ -445,7 +445,9 @@ REPLACEMENTS = {
 
 def mutate(doc, path, how):
     """``doc`` with the value at ``path`` changed as ``how`` says; "drop"
-    removes it from its object or list, "extra key" adds a key to it."""
+    removes it from its object or list, "extra key" adds a key to it, and
+    "renamed key" gives its key in its object an unknown name, in place, so
+    that the object keeps its key count."""
     doc = json.loads(json.dumps(doc))
     if how == "extra key":
         at(doc, path)["extra"] = 1
@@ -454,6 +456,10 @@ def mutate(doc, path, how):
     value = parent[last]
     if how == "drop":
         del parent[last]
+    elif how == "renamed key":
+        items = list(parent.items())
+        parent.clear()
+        parent.update((key + "x" if key == last else key, v) for key, v in items)
     elif how == "wrong length":
         parent[last] = value + value[-1:] if isinstance(value, list) and value else [value, value]
     elif how == "int for float":
@@ -465,13 +471,16 @@ def mutate(doc, path, how):
     return doc
 
 
-HOWS = ["extra key", "drop", "wrong length", "int for float", "float for int", *REPLACEMENTS]
+HOWS = ["extra key", "drop", "renamed key", "wrong length", "int for float", "float for int", *REPLACEMENTS]
 
 
 def mutation_paths(doc, how):
-    """Where ``how`` applies: any object for "extra key", any value else."""
+    """Where ``how`` applies: any object for "extra key", any value in an
+    object for "renamed key", any value else."""
     if how == "extra key":
         return [p for p in paths(doc) if isinstance(at(doc, p), dict)]
+    if how == "renamed key":
+        return [p for p in paths(doc)[1:] if isinstance(at(doc, p[:-1]), dict)]
     return paths(doc)[1:]
 
 
@@ -516,6 +525,34 @@ def test_a_record_that_fits_is_read_without_the_walk(monkeypatch):
     with pytest.raises(InvalidInput, match="'attempts.1.latency' must be a number"):
         loads_record(dumps_record(episode).replace("0.500", '"slow"'), EpisodeRecord)
     assert walked[0] is EpisodeRecord
+
+
+def test_an_episode_line_is_read_with_no_field_converter(monkeypatch):
+    # every field of an episode line, its optional ones included, is read
+    # inline; a converter would give the same record, only slower
+    converted = []
+    field_reader = jsonio._field_reader
+
+    def counted(tp, default):
+        convert = field_reader(tp, default)
+        return lambda v, defaults: converted.append(tp) or convert(v, defaults)
+
+    monkeypatch.setattr(jsonio, "_field_reader", counted)
+    monkeypatch.setattr(jsonio, "_READERS", jsonio._Table(jsonio._generate_reader))
+    episode = EpisodeRecord(3, 1.5, 26.0, HeaterAction.ON, ATTEMPTS, HeaterAction.ON, True, 3.0)
+    assert loads_record(dumps_record(episode), EpisodeRecord) == episode
+    assert converted == []
+    # a value off the inline path goes to its converter
+    assert loads_record(dumps_record(episode).replace("1.500", "2"), EpisodeRecord).t_start == 2.0
+    assert converted == [float]
+
+
+def test_a_renamed_key_is_named_by_its_dotted_path():
+    # the key count fits, so the reader meets the rename as a missing key
+    line = dumps_record(EpisodeRecord(3, 1.5, 26.0, HeaterAction.ON, ATTEMPTS, HeaterAction.ON, True, 3.0))
+    renamed = line.replace('"error":null', '"errors":null', 1)
+    with pytest.raises(InvalidInput, match=r"^unknown key 'attempts\.0\.errors'$"):
+        loads_record(renamed, EpisodeRecord)
 
 
 @frozen

@@ -1,5 +1,8 @@
 """Metric tests: accuracy counters against frozen published-table counts,
-hand-computed zero-order-hold control figures, and report formats."""
+hand-computed zero-order-hold control figures, the metric loops written
+plainly as the oracle of run_metrics, and report formats."""
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,8 @@ from twinloop.errors import InvalidInput
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import (
     CSV_COLUMNS,
+    AccuracyMetrics,
+    ControlMetrics,
     RunMetrics,
     accuracy_metrics,
     control_metrics,
@@ -17,7 +22,7 @@ from twinloop.metrics import (
     run_metrics,
 )
 from twinloop.orchestrator import AttemptRecord, EpisodeRecord
-from twinloop.plantio import HeaterAction
+from twinloop.plantio import HeaterAction, round_half_away
 
 TH = Thresholds()
 ON = HeaterAction.ON
@@ -185,6 +190,130 @@ class TestControlMetrics:
         m = control_metrics(episodes, TH, duration)
         assert m.time_outside == m.time_above + m.time_below
         assert 0.0 <= m.time_outside <= duration + 1e-9
+
+
+# --- the metric loops written plainly: the oracle of run_metrics ---------------
+
+
+def reference_accuracy(episodes):
+    """``accuracy_metrics`` written plainly: each episode's attempts looked
+    up on every use."""
+    samples = len(episodes)
+    passes = 0
+    pass_after_reprompts = 0
+    overrides = 0
+    for episode in episodes:
+        if not episode.attempts:
+            raise InvalidInput(f"episode {episode.index} has no attempts")
+        if episode.attempts[0].passed:
+            passes += 1
+        elif any(a.passed for a in episode.attempts[1:]):
+            pass_after_reprompts += 1
+        else:
+            overrides += 1
+    fails = samples - passes
+    return AccuracyMetrics(
+        samples=samples,
+        passes=passes,
+        fails=fails,
+        pass_after_reprompts=pass_after_reprompts,
+        overrides=overrides,
+        accuracy_first_pass=round_half_away(100.0 * passes / max(samples, 1)),
+        accuracy_with_reprompts=round_half_away(100.0 * (passes + pass_after_reprompts) / max(samples, 1)),
+    )
+
+
+def reference_control(episodes, thresholds, run_duration):
+    """``control_metrics`` written plainly: each episode checked against the
+    one before it, and held until ``episodes[i + 1]`` starts."""
+    midpoint = thresholds.midpoint
+    time_above = 0.0
+    time_below = 0.0
+    weighted_dev = 0.0
+    total = 0.0
+    previous_start = None
+    for i, episode in enumerate(episodes):
+        if previous_start is not None and episode.t_start <= previous_start:
+            raise InvalidInput(
+                f"episode timestamps are not strictly increasing at index {episode.index}"
+            )
+        previous_start = episode.t_start
+        t_next = episodes[i + 1].t_start if i + 1 < len(episodes) else run_duration
+        width = max(0.0, t_next - episode.t_start)
+        if episode.t_sensor > thresholds.high:
+            time_above += width
+        elif episode.t_sensor < thresholds.low:
+            time_below += width
+        weighted_dev += abs(episode.t_sensor - midpoint) * width
+        total += width
+    return ControlMetrics(
+        avg_deviation=weighted_dev / total if total > 0 else 0.0,
+        time_above=time_above,
+        time_below=time_below,
+        time_outside=time_above + time_below,
+        midpoint=midpoint,
+    )
+
+
+def reported(compute, *args):
+    """The machine report of ``compute(*args)``, or what it raised."""
+    try:
+        return dumps_record(compute(*args))
+    except (InvalidInput, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def episode_lists(draw):
+    """Episodes as a run log holds them, or as a hand-edited one may: any
+    attempts after a passing one, no attempt at all, a start that does not
+    follow the one before it (first pair, last pair or any), and, off the
+    log path, a start that is not finite."""
+    n = draw(st.integers(0, 12))
+    starts = []
+    for _ in range(n):
+        starts.append((starts[-1] if starts else 0.0) + draw(st.floats(1e-3, 50.0)))
+    if n >= 2:
+        where = draw(st.sampled_from([None, 1, n - 1, draw(st.integers(1, n - 1))]))
+        if where is not None:
+            starts[where] = starts[where - 1] - draw(st.sampled_from([0.0, 1.0, 1e-9]))
+    if n and draw(st.integers(0, 9)) == 0:
+        starts[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NON_FINITE))
+    temperatures = st.one_of(st.floats(20.0, 32.0), st.sampled_from([25.0, 27.0, 26.0]))
+    episodes = []
+    for i, t_start in enumerate(starts):
+        passed = draw(st.lists(st.booleans(), min_size=0 if draw(st.integers(0, 19)) == 0 else 1, max_size=5))
+        episodes.append(EpisodeRecord(
+            index=i,
+            t_start=t_start,
+            t_sensor=draw(temperatures),
+            prev_action=OFF,
+            attempts=tuple(make_attempt(k, p) for k, p in enumerate(passed)),
+            applied=ON,
+            override=not any(passed),
+            t_end=t_start,
+        ))
+    return episodes
+
+
+@given(
+    episodes=episode_lists(),
+    bounds=st.sampled_from([(25.0, 27.0), (20.0, 30.0), (26.0, 26.5)]),
+    tail=st.floats(-5.0, 100.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_run_metrics_reports_what_the_plain_loops_report(episodes, bounds, tail):
+    thresholds = Thresholds(*bounds)
+    last = episodes[-1].t_start if episodes and math.isfinite(episodes[-1].t_start) else 0.0
+    # the run may end before the last episode starts, which holds it for no time
+    duration = last + tail
+    expected = reported(
+        lambda: RunMetrics(reference_accuracy(episodes), reference_control(episodes, thresholds, duration))
+    )
+    assert reported(run_metrics, episodes, thresholds, duration) == expected
 
 
 class TestReport:

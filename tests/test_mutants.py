@@ -16,8 +16,9 @@ sys.modules[spec.name] = mutants  # dataclasses look their module up
 spec.loader.exec_module(mutants)
 
 
-# the plant link, which CI probes, and every module with a listed mutant
-MODULES = sorted({"src/twinloop/tcp.py", *(module for module, _, _ in mutants.EQUIVALENT)})
+# the plant link and the run-log metrics, which CI probes, and every module
+# with a listed mutant
+MODULES = sorted({"src/twinloop/tcp.py", "src/twinloop/metrics.py", *(module for module, _, _ in mutants.EQUIVALENT)})
 
 
 @pytest.mark.parametrize("module", MODULES)
