@@ -32,20 +32,23 @@ beyond the recursion limit are refused, as in every file the package reads.
 A key repeated in one object is refused in every text but a run-log line
 the scan takes, which keeps the last value: only :class:`RecordWriter`
 writes run logs.
+The walk, :func:`_decode`, is the reference and the only code that words an
+error: it reads each value by :func:`_convert`, one recursion over the
+field's annotation and default, and names a value by the dotted key it
+builds from the keys and list indexes it descends into, never from input
+text.  :func:`from_doc` is the walk alone: it reads config files, whose keys
+may be missing, and the config in a run log's header, once per log.  A
+missing key takes the field's default, the very value its constructor
+takes: ``errors.frozen`` supports plain and ``init=False`` defaults and the
+``repr``, ``compare`` and ``hash`` options, and refuses ``default_factory``.
 A record that must hold every field (a run log's episodes, a report's
 metrics) is read by one function generated per class on first use: it
 counts the keys and subscripts each one, takes each value of exactly its
 annotated type inline (a float only if finite) where the field holds what an
 episode line holds -- a scalar, an enum, a nested record, a tuple of records,
-or ``None`` for one of these -- hands any other field to its converter, and
-calls the class, whose own ``__init__`` builds the record.  On any mismatch
-it hands the document to the generic walk, :func:`_decode`, the reference
-and the only code that words an error.  :func:`from_doc` is the walk alone:
-it reads config files, whose keys may be missing, and the config in a run
-log's header, once per log.  A missing key takes the field's default, the
-very value its constructor takes: ``errors.frozen`` supports plain and
-``init=False`` defaults and the ``repr``, ``compare`` and ``hash`` options,
-and refuses ``default_factory``.
+or ``None`` for one of these -- hands any other value to :func:`_convert`,
+and calls the class, whose own ``__init__`` builds the record.  On any
+mismatch it hands the document to the walk.
 
 Two rules hold for every record file, run log or transcript.  A line of
 JSON whitespace alone is blank and skipped (:func:`is_blank`); other
@@ -58,6 +61,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import json
 import math
 import types
@@ -165,7 +169,7 @@ def _write_expr(tp, v: str, namespace: dict) -> str:
     with one expression, so its items must share one annotation."""
     if tp is float:
         return f"_f({v})"
-    if tp in _SCALARS or isinstance(tp, type) and (issubclass(tp, enum.Enum) or dataclasses.is_dataclass(tp)):
+    if tp in (int, str, bool) or isinstance(tp, type) and (issubclass(tp, enum.Enum) or dataclasses.is_dataclass(tp)):
         if tp is bool:
             inline = f"{_bind(namespace, _BOOL_TEXTS)}[{v}]"
         elif issubclass(tp, enum.Enum):
@@ -179,8 +183,8 @@ def _write_expr(tp, v: str, namespace: dict) -> str:
     if typing.get_origin(tp) is tuple and len(set(args) - {Ellipsis}) == 1:
         x = f"x{len(namespace)}"
         return f"('[' + ','.join([{_write_expr(args[0], x, namespace)} for {x} in {v}]) + ']')"
-    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = args[0] if args[1] is type(None) else args[1]
+    inner = _optional(tp)
+    if inner is not None:
         return f"('null' if {v} is None else {_write_expr(inner, v, namespace)})"
     raise TypeError(f"no JSON codec for fields of type {tp!r}")
 
@@ -227,16 +231,6 @@ class RecordWriter:
 # --- decoding ------------------------------------------------------------------
 
 
-class _Mismatch(Exception):
-    """A document that does not fit its class.  The message holds ``{path}``
-    for the dotted key; ``keys`` leads from the bad value up to the decoded
-    object, innermost first."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.keys = [] if key is None else [key]
-
-
 def from_doc(cls: type, doc, where: str = "", defaults: bool = False):
     """Build the dataclass ``cls`` from a decoded JSON object.
 
@@ -248,13 +242,10 @@ def from_doc(cls: type, doc, where: str = "", defaults: bool = False):
     set, else it is an error.  Every mismatch, and the
     :class:`InvalidInput` the class raises as it checks itself at
     construction, raises :class:`InvalidInput` naming the dotted key below
-    ``where``.
+    ``where``: the walk joins the keys it descends into, and quotes the
+    class's own message as it stands.
     """
-    try:
-        return _decode(cls, doc, defaults)
-    except _Mismatch as exc:
-        path = ".".join(([where] if where else []) + exc.keys[::-1])
-        raise InvalidInput(str(exc).replace("{path}", path)) from None
+    return _decode(cls, doc, defaults, where)
 
 
 def _refuse(text: str):
@@ -330,41 +321,105 @@ def loads_record(line: str, cls: type | None = None):
         return from_doc(cls, doc)
 
 
-def _decode(cls: type, doc, defaults: bool):
+def _decode(cls: type, doc, defaults: bool, path: str):
+    """The walk: ``cls`` from ``doc``, the value at the dotted key ``path``."""
     plan = _PLANS[cls]
     if type(doc) is not dict:
-        raise _Mismatch("'{path}' must be an object")
+        raise InvalidInput(f"'{path}' must be an object")
     for key, value in plan.constants:
         found = doc.get(key, value if defaults else _MISSING)
         if found is _MISSING:
-            raise _Mismatch("missing key '{path}'", key)
+            raise InvalidInput(f"missing key '{_join(path, key)}'")
         if found != value:
-            raise _Mismatch(f"'{{path}}' must be {value!r}", key)
+            raise InvalidInput(f"'{_join(path, key)}' must be {value!r}")
     if not plan.keys.issuperset(doc):
-        raise _Mismatch("unknown key '{path}'", next(k for k in doc if k not in plan.keys))
+        raise InvalidInput(f"unknown key '{_join(path, next(k for k in doc if k not in plan.keys))}'")
     args = []
-    for key, convert, default in plan.reads:
+    for key, tp, default in plan.reads:
         value = doc.get(key, _MISSING)
         if value is not _MISSING:
-            try:
-                args.append(convert(value, defaults))
-            except _Mismatch as exc:
-                exc.keys.append(key)
-                raise
+            args.append(_convert(tp, default, value, defaults, _join(path, key)))
         elif defaults and default is not _MISSING:
             args.append(default)
         else:
-            raise _Mismatch("missing key '{path}'", key)
+            raise InvalidInput(f"missing key '{_join(path, key)}'")
     try:
         return cls(*args)
     except InvalidInput as exc:
-        raise _Mismatch("'{path}': " + str(exc)) from exc
+        raise InvalidInput(f"'{path}': {exc}") from None
+
+
+def _join(path: str, key: str) -> str:
+    """The dotted key of ``key`` below ``path``."""
+    return f"{path}.{key}" if path else key
+
+
+def _convert(tp, default, v, defaults: bool, path: str):
+    """Read the JSON value ``v`` into a field annotated ``tp`` with
+    ``default``, at the dotted key ``path``."""
+    if tp is float:
+        # null stands for an infinite default, the way _write_float_field writes it
+        if v is None and isinstance(default, float) and math.isinf(default):
+            return default
+        if type(v) not in (float, int):
+            raise InvalidInput(f"'{path}' must be a number")
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+        # json reads a number beyond a float's range as an infinity
+        if not math.isfinite(v):
+            raise InvalidInput(f"'{path}' does not fit a float")
+        return v
+    if tp is int:
+        if type(v) is int:
+            return v
+        if type(v) is float and v.is_integer():
+            return int(v)
+        raise InvalidInput(f"'{path}' must be an integer")
+    if tp is str or tp is bool:
+        if type(v) is tp:
+            return v
+        raise InvalidInput(f"'{path}' must be " + ("a string" if tp is str else "true or false"))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        members = {m.value: m for m in tp}
+        try:
+            return members[v]
+        except (KeyError, TypeError):
+            raise InvalidInput(f"'{path}' must be one of " + ", ".join(map(str, members))) from None
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, v, defaults, path)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args:
+        # tuple[X, ...] of any length, or one item per annotation
+        variadic = args[-1] is Ellipsis
+        items = args[:1] if variadic else args
+        if type(v) is not list or not (variadic or len(v) == len(items)):
+            raise InvalidInput(f"'{path}' must be a list" + ("" if variadic else f" of {len(items)} items"))
+        if not isinstance(default, tuple) or len(default) != len(items):
+            default = (_MISSING,) * len(items)
+        if variadic:
+            items, default = items * len(v), default * len(v)
+        return tuple([_convert(a, d, x, defaults, _join(path, str(i)))
+                      for i, (a, d, x) in enumerate(zip(items, default, v))])
+    inner = _optional(tp)
+    if inner is not None:
+        return None if v is None else _convert(inner, default, v, defaults, path)
+    raise TypeError(f"no JSON codec for fields of type {tp!r}")
+
+
+def _optional(tp):
+    """``X`` of an annotation ``X | None``, or None for any other."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
+    return None
 
 
 # What a generated reader raises when a document does not fit its class, or
-# lets through from a field's converter, an enum lookup or the class's own
-# check.  _decode then reads the document again and words the error.
-_REFUSALS = (_Mismatch, KeyError, TypeError, InvalidInput)
+# lets through from _convert, an enum lookup or the class's own check.
+# _decode then reads the document again and words the error.
+_REFUSALS = (KeyError, TypeError, InvalidInput)
 
 
 def _generate_reader(cls: type):
@@ -374,17 +429,18 @@ def _generate_reader(cls: type):
     :func:`_read_expr`.  A document with as many keys but a foreign one thus
     raises KeyError on the field's key it lacks.  A value of exactly its
     annotated type is taken as it is (a float only if finite), any other goes
-    to the field's converter, and whatever does not fit raises.  The record
-    is built by calling ``cls``, so its own ``__init__`` lays it out."""
+    to :func:`_convert`, and whatever does not fit raises one of
+    ``_REFUSALS``, so that the walk reads the document again and words the
+    error from the keys it descends into.  The record is built by calling
+    ``cls``, so its own ``__init__`` lays it out."""
     plan = _PLANS[cls]
-    namespace = {"_cls": cls, "_Mismatch": _Mismatch, "_isfinite": math.isfinite}
+    namespace = {"_cls": cls, "_InvalidInput": InvalidInput, "_isfinite": math.isfinite}
     test = f"type(doc) is not dict or len(doc) != {len(plan.keys)}"
     for key, value in plan.constants:
         test += f" or doc[{key!r}] != {_bind(namespace, value)}"
-    body = [f"if {test}:", "    raise _Mismatch('')"]
-    hints = dict(plan.fields)
-    for i, (key, _, default) in enumerate(plan.reads):
-        body += [f"v = doc[{key!r}]", f"a{i} = {_read_expr(hints[key], default, 'v', namespace)}"]
+    body = [f"if {test}:", "    raise _InvalidInput('')"]
+    for i, (key, tp, default) in enumerate(plan.reads):
+        body += [f"v = doc[{key!r}]", f"a{i} = {_read_expr(tp, default, 'v', namespace)}"]
     body.append(f"return _cls({', '.join(f'a{i}' for i in range(len(plan.reads)))})")
     exec("def read(doc):\n" + "".join(f"    {line}\n" for line in body), namespace)
     return namespace["read"]
@@ -402,21 +458,23 @@ def _bind(namespace: dict, value) -> str:
 
 def _read_expr(tp, default, v: str, namespace: dict) -> str:
     """Source of an expression reading the JSON value named ``v`` into a
-    field annotated ``tp`` with ``default``, as the field's converter does.
+    field annotated ``tp`` with ``default``, as :func:`_convert` does.
     Scalars, enums, nested records, tuples of records and ``X | None`` of
-    these are read inline; any other annotation calls the converter."""
+    these are read inline; any other value calls :func:`_convert`, bound to
+    the field's annotation and default with an empty path: the reader drops
+    its error, and the walk words it again."""
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return f"{_bind(namespace, {m.value: m for m in tp})}[{v}]"
     if dataclasses.is_dataclass(tp):
         return f"{_bind(namespace, _READERS[tp])}({v})"
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = args[0] if args[1] is type(None) else args[1]
+    inner = _optional(tp)
+    if inner is not None:
         return f"(None if {v} is None else {_read_expr(inner, default, v, namespace)})"
-    convert = f"{_bind(namespace, _field_reader(tp, default))}({v}, False)"
-    if tp in _SCALARS or tp is float:
+    convert = f"{_bind(namespace, functools.partial(_convert, tp, default, path=''))}({v}, False)"
+    if tp in (int, str, bool, float):
         finite = f" and _isfinite({v})" if tp is float else ""
         return f"({v} if type({v}) is {tp.__name__}{finite} else {convert})"
+    args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
         return f"(tuple(map({_bind(namespace, _READERS[args[0]])}, {v})) if type({v}) is list else {convert})"
     return convert
@@ -431,113 +489,15 @@ class _Plan:
     def __init__(self, cls: type):
         hints = typing.get_type_hints(cls)
         self.fields = []  # (name, annotation) per field, in order, for the writer
-        self.reads = []  # (key, converter, default) per constructor argument, in order
+        self.reads = []  # (key, annotation, default) per constructor argument, in order
         self.constants = []  # (key, value) per field the constructor does not take
         for f in dataclasses.fields(cls):
             self.fields.append((f.name, hints[f.name]))
             if f.init:
-                self.reads.append((f.name, _field_reader(hints[f.name], f.default), f.default))
+                self.reads.append((f.name, hints[f.name], f.default))
             else:
                 self.constants.append((f.name, f.default))
         self.keys = frozenset(f.name for f in dataclasses.fields(cls))
 
 
 _PLANS = _Table(_Plan)
-
-
-def _field_reader(tp, default):
-    """The converter of a field annotated ``tp`` with ``default``."""
-    if tp is float:
-        return _number(default)
-    if tp in _SCALARS:
-        return _SCALARS[tp]
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return _member(tp)
-    if dataclasses.is_dataclass(tp):
-        return lambda v, defaults: _decode(tp, v, defaults)
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple and args:
-        variadic = args[-1] is Ellipsis
-        items = args[:1] if variadic else args
-        if not isinstance(default, tuple) or len(default) != len(items):
-            default = (_MISSING,) * len(items)
-        return _tuple([_field_reader(a, d) for a, d in zip(items, default)], variadic)
-    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        convert = _field_reader(args[0] if args[1] is type(None) else args[1], default)
-        return lambda v, defaults: None if v is None else convert(v, defaults)
-    raise TypeError(f"no JSON codec for fields of type {tp!r}")
-
-
-def _number(default):
-    # null stands for an infinite default, the way _write_float_field writes it
-    infinite = isinstance(default, float) and math.isinf(default)
-
-    def convert(v, _defaults):
-        if type(v) is float:
-            # json reads a number beyond a float's range as an infinity
-            if math.isfinite(v):
-                return v
-            raise _Mismatch("'{path}' does not fit a float")
-        if type(v) is int:
-            try:
-                return float(v)
-            except OverflowError:
-                raise _Mismatch("'{path}' does not fit a float") from None
-        if v is None and infinite:
-            return default
-        raise _Mismatch("'{path}' must be a number")
-
-    return convert
-
-
-def _integer(v, _defaults):
-    if type(v) is int:
-        return v
-    if type(v) is float and v.is_integer():
-        return int(v)
-    raise _Mismatch("'{path}' must be an integer")
-
-
-def _exact(tp: type, problem: str):
-    def convert(v, _defaults):
-        if type(v) is tp:
-            return v
-        raise _Mismatch("'{path}' " + problem)
-
-    return convert
-
-
-_SCALARS = {int: _integer, str: _exact(str, "must be a string"), bool: _exact(bool, "must be true or false")}
-
-
-def _member(cls: type):
-    members = {m.value: m for m in cls}
-    problem = "'{path}' must be one of " + ", ".join(map(str, members))
-
-    def convert(v, _defaults):
-        try:
-            return members[v]
-        except (KeyError, TypeError):
-            raise _Mismatch(problem) from None
-
-    return convert
-
-
-def _tuple(items: list, variadic: bool):
-    """Converter from a list to a tuple: of any length converting each item
-    with ``items[0]`` if ``variadic``, else item by item with ``items``."""
-    problem = "'{path}' must be a list" + ("" if variadic else f" of {len(items)} items")
-
-    def convert(v, defaults):
-        if type(v) is not list or not (variadic or len(v) == len(items)):
-            raise _Mismatch(problem)
-        out = []
-        for i, x in enumerate(v):
-            try:
-                out.append(items[0 if variadic else i](x, defaults))
-            except _Mismatch as exc:
-                exc.keys.append(str(i))
-                raise
-        return tuple(out)
-
-    return convert

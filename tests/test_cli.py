@@ -266,6 +266,10 @@ class TestLoadConfig:
             ({"run.validator": {"horizon": 300, "envelope": [20, 30]}}, "missing key 'run.validator.kind'"),
             # the operator's section before it left the one-field agents wrapper
             ({"agents.operator.task.description_template": "T={temperature}"}, "unknown key 'agents'"),
+            # a value that reads like a placeholder is quoted as it stands
+            ({"run.clock_mode": "{path}"}, "'run': unknown clock mode '{path}'"),
+            ({"run.validator.kind": "{path}"}, "'run.validator': unknown validator mode '{path}'"),
+            ({"operator.task": "T={temperature} {path}"}, "'operator': unknown placeholder {path} in task template"),
         ],
     )
     def test_old_spellings_and_a_validator_without_a_kind_exit_2(self, tmp_path, capsys, overrides, message):
@@ -1147,6 +1151,18 @@ class TestCmdReport:
         assert excinfo.value.line_number == 1
         assert main(["report", "--log", str(broken)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_a_header_value_is_quoted_as_it_stands(self, oracle_log, tmp_path, capsys):
+        lines = oracle_log.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["clock_mode"] = "{path}"
+        lines[0] = json.dumps(header)
+        broken = tmp_path / "placeholder.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--log", str(broken)]) == 2
+        assert capsys.readouterr() == (
+            "", "report error (line 1): bad log record: 'config': unknown clock mode '{path}'\n"
+        )
 
     def test_malformed_log_exits_2_with_line_number(self, oracle_log, tmp_path, capsys):
         lines = oracle_log.read_text().splitlines()

@@ -1,7 +1,7 @@
 """The mutation probe's mutants and its table of equivalent ones: each
-mutant compiles and differs from its source, and each listed one is a mutant
-the probe makes, given with its reason.  No suite runs here; CI runs the
-probe itself."""
+mutant compiles and differs from its source, each listed one is a mutant
+the probe makes, given with its reason, and a listed one excuses its own
+site alone.  No suite of the package runs here; CI runs the probe itself."""
 
 import importlib.util
 import sys
@@ -16,9 +16,10 @@ sys.modules[spec.name] = mutants  # dataclasses look their module up
 spec.loader.exec_module(mutants)
 
 
-# the plant link and the run-log metrics, which CI probes, and every module
-# with a listed mutant
-MODULES = sorted({"src/twinloop/tcp.py", "src/twinloop/metrics.py", *(module for module, _, _ in mutants.EQUIVALENT)})
+# the plant link, the run-log metrics and the record codec, which CI
+# probes, and every module with a listed mutant
+PROBED = ["src/twinloop/tcp.py", "src/twinloop/metrics.py", "src/twinloop/jsonio.py"]
+MODULES = sorted({*PROBED, *(key[0] for key in mutants.EQUIVALENT)})
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -35,3 +36,19 @@ def test_each_equivalent_mutant_is_one_the_probe_makes_with_a_reason():
     for key, reason in mutants.EQUIVALENT.items():
         assert key in {m.key for m in mutants.mutants(key[0])}, f"{key}: the line or its operator has changed"
         assert reason.endswith("."), key
+
+
+def test_a_listed_mutant_excuses_one_of_two_identical_lines(tmp_path, monkeypatch, capsys):
+    (tmp_path / "twice.py").write_text("def f(x):\n    return x < 1\n\n\ndef g(x):\n    return x < 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_nothing.py").write_text("def test_nothing():\n    pass\n")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    listed = ("twice.py", "return x [<] 1", "<=", 0)
+    monkeypatch.setattr(mutants, "EQUIVALENT", {listed: "Only the first is listed."})
+    assert [m.key for m in mutants.mutants("twice.py")] == [listed, listed[:3] + (1,)]
+    assert mutants.main([str(tmp_path / "twice.py"), "--tests", "tests"]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "2 mutants, 2 survived, 1 not listed as equivalent",
+        "survived: twice.py:2: return x [<] 1  -> <= (equivalent: Only the first is listed.)",
+        "survived: twice.py:6: return x [<] 1  -> <=",
+    ]

@@ -44,10 +44,11 @@ PATTERNS = {text: re.compile(rb"(?<![\w<>=!])" + rb"\s+".join(map(re.escape, tex
             for text in NODES}
 
 # Mutants that no test can kill, as (module, the line stripped with the
-# swapped operator in brackets, the operator it becomes): why the program
-# behaves the same either way.
-EQUIVALENT: dict[tuple[str, str, str], str] = {
-    ("src/twinloop/jsonio.py", "if end [<] 0 or line[end:].strip(_JSON_SPACE):", "<="):
+# swapped operator in brackets, the operator it becomes, and which of the
+# module's mutants with that line and operator it is, from 0 in source
+# order): why the program behaves the same either way.
+EQUIVALENT: dict[tuple[str, str, str, int], str] = {
+    ("src/twinloop/jsonio.py", "if end [<] 0 or line[end:].strip(_JSON_SPACE):", "<=", 0):
         "A scan that succeeds has consumed at least one character, so end is never 0.",
 }
 
@@ -58,11 +59,12 @@ class Mutant:
     lineno: int
     line: str  # stripped, the operator in brackets
     new: str
+    occurrence: int  # among the module's mutants with this line and new operator
     source: bytes  # the whole mutated module
 
     @property
-    def key(self) -> tuple[str, str, str]:
-        return self.module, self.line, self.new
+    def key(self) -> tuple[str, str, str, int]:
+        return self.module, self.line, self.new, self.occurrence
 
     def __str__(self) -> str:
         return f"{self.module}:{self.lineno}: {self.line}  -> {self.new}"
@@ -99,8 +101,12 @@ def mutants(module: str) -> list[Mutant]:
             node.ops[i] = op
             line = source[starts[lineno - 1] : at] + b"[" + source[at : at + width] + b"]"
             line += source[at + width : starts[lineno]]
-            found.append(Mutant(module, lineno, line.decode("utf-8").strip(), new, mutated))
-    return sorted(found, key=lambda m: (m.lineno, m.line))
+            found.append((lineno, line.decode("utf-8").strip(), new, mutated))
+    made, seen = [], {}
+    for lineno, line, new, mutated in sorted(found, key=lambda f: f[:2]):
+        seen[line, new] = seen.get((line, new), -1) + 1
+        made.append(Mutant(module, lineno, line, new, seen[line, new], mutated))
+    return made
 
 
 def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
