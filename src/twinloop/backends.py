@@ -345,12 +345,13 @@ def load_replay(transcript_path: str | Path) -> ReplayBackend:
 class TranscriptRecorder:
     """Wraps any backend and appends each call to a transcript file: an
     exchange, or a failed call's ``error``, ``elapsed`` and ``status``, after
-    which the :class:`BackendError` propagates unchanged.  A failed write or
-    close raises :class:`InvalidInput`."""
+    which the :class:`BackendError` propagates unchanged.  The exchange
+    writer is built as the file opens, before the first call.  A failed
+    write or close raises :class:`InvalidInput`."""
 
     def __init__(self, inner, path: str | Path):
         self._inner = inner
-        self._file = RecordWriter(path, "transcript")
+        self._file = RecordWriter(path, "transcript", Exchange)
 
     def complete(self, system_text: str, user_text: str, ctx: DecisionContext) -> Exchange:
         try:

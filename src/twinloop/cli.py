@@ -237,8 +237,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         writer = resources.enter_context(_opened("open run log", args.out, RunLogWriter, args.out, run_config))
 
         aborted = ", aborting run (partial log kept)"
-        # The modules and config live as long as the run: frozen, they are
-        # left out of the collections the loop's garbage sets off.
+        # The modules, the config and the record writers the two files built
+        # as they opened live as long as the run: frozen, they are left out
+        # of the collections the loop's garbage sets off.
         gc.freeze()
         try:
             try:

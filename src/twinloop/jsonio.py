@@ -12,7 +12,7 @@ and an enum as its value.  A field annotated ``float`` is always written in
 float form, so ``RunConfig(duration=200)`` encodes like ``duration=200.0``,
 and an infinite value there as ``null``.  :func:`from_doc` is the inverse.
 
-Each dataclass is written by one function generated on its first encoding,
+Each dataclass is written by one function generated on its first use,
 the way ``dataclasses`` generates ``__init__``: one f-string joins the key
 texts with an expression per field that its annotation picks (float, str,
 int, bool, enum, ``X | None``, nested dataclass, and a tuple whose items
@@ -53,7 +53,8 @@ mismatch it hands the document to the walk.
 Two rules hold for every record file, run log or transcript.  A line of
 JSON whitespace alone is blank and skipped (:func:`is_blank`); other
 whitespace is an error.  A file is written through :class:`RecordWriter`,
-whose failed write closes the file and raises :class:`InvalidInput`.
+which builds its record class's writer as it opens, before the first line,
+and whose failed write closes the file and raises :class:`InvalidInput`.
 """
 
 from __future__ import annotations
@@ -199,9 +200,12 @@ class RecordWriter:
     """A file of record lines, opened for writing.  Each line is flushed as
     it is written, so a partial file stays readable.  A failed write closes
     the file; it, or a failed close, raises :class:`InvalidInput` naming the
-    file as ``what``."""
+    file as ``what``.  The writer of ``cls``, the record class the lines
+    hold, is built as the file opens, with its plan and its nested records'
+    writers, so the first line costs what every later one does."""
 
-    def __init__(self, path: str | Path, what: str):
+    def __init__(self, path: str | Path, what: str, cls: type):
+        _WRITERS[cls]  # built here, not at the first line
         self._fh = open(path, "w", encoding="utf-8")
         self._failed = f"cannot write {what} {path}: "
 

@@ -365,13 +365,14 @@ def config_digest(config: RunConfig) -> str:
 
 class RunLogWriter(RecordWriter):
     """Streams a run to disk, a line at a time as :class:`RecordWriter`
-    writes: the header first, then one line per completed episode."""
+    writes: the header first, then one line per completed episode.  The
+    episode writer is built as the file opens, before the first episode."""
 
     def __init__(self, path: str | Path, config: RunConfig):
         header = dumps_record({
             "kind": "header", "format": LOG_FORMAT, "config": config, "config_digest": config_digest(config),
         })
-        super().__init__(path, "run log")
+        super().__init__(path, "run log", EpisodeRecord)
         self.write_line(header)
 
     def write_episode(self, record: EpisodeRecord) -> None:

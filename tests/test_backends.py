@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from test_jsonio import fresh_codec
 from twinloop.agents import DecisionContext, Thresholds
 from twinloop.backends import (
     BackendConfig,
@@ -502,6 +503,20 @@ class TestRecordReplay:
         for exc in (recorded.value, replayed.value):
             assert (str(exc), exc.status, exc.elapsed) == ("stub outage", 503, 1.25)
         assert_spent(replay, 1)
+
+    def test_the_exchange_writer_is_built_as_the_transcript_opens(self, tmp_path, monkeypatch):
+        built = fresh_codec(monkeypatch)
+        path = tmp_path / "session.jsonl"
+        recorder = TranscriptRecorder(FailingEvery(2, ScriptedBackend(ScriptedPolicy(kind="oracle"))), path)
+        assert set(built) == {("_PLANS", Exchange), ("_WRITERS", Exchange)}
+        assert path.read_text() == ""
+        opened = list(built)
+        recorder.complete("s", "u", ctx(28.0, ON))
+        with pytest.raises(BackendError):
+            recorder.complete("s", "u", ctx(24.0, OFF))
+        recorder.close()
+        assert built == opened
+        assert len(path.read_text().splitlines()) == 2
 
     def test_transcript_line_without_reply_or_error_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

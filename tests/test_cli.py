@@ -23,14 +23,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinloop import cli, jsonio
+from test_jsonio import fresh_codec
+from twinloop import agents, cli, jsonio
 from twinloop.agents import AgentSpec, render_prompt
-from twinloop.backends import BackendConfig, LatencySpec, ScriptedBackend, ScriptedPolicy
+from twinloop.backends import BackendConfig, Exchange, LatencySpec, ScriptedBackend, ScriptedPolicy
 from twinloop.cli import LoadedConfig, main, load_config
 from twinloop.errors import BackendError, InvalidInput, PlantIoError
 from twinloop.jsonio import dumps_record, loads_record
 from twinloop.metrics import RunMetrics
-from twinloop.orchestrator import LOG_FORMAT, RunConfig, config_digest, read_run_log
+from twinloop.orchestrator import LOG_FORMAT, AttemptRecord, EpisodeRecord, RunConfig, config_digest, read_run_log
 from twinloop.plantio import HeaterAction, PlantProtocol, TwinPlant
 from twinloop.tcp import PlantServer
 
@@ -1463,6 +1464,61 @@ print(sorted(m for m in {HTTP_STACK!r} if m in sys.modules))
     after_import, after_backend = proc.stdout.splitlines()
     assert after_import == "[]"
     assert after_backend == repr(sorted(HTTP_STACK))
+
+
+def builds_in_the_loop(monkeypatch) -> tuple[list, list]:
+    """Spy on a run as a fresh interpreter makes it, with jsonio's tables
+    empty.  Returns two lists of (table, class): every plan, reader and
+    writer built, and those built between ``run_loop``'s entry and its
+    return, where each miss of the prompt renderer cache is one
+    ``("_compile_prompt", None)``."""
+    built, in_loop = fresh_codec(monkeypatch), []
+    run_loop = cli.run_loop
+
+    def spied(*args, **kwargs):
+        start, misses = len(built), agents._compile_prompt.cache_info().misses
+        try:
+            return run_loop(*args, **kwargs)
+        finally:
+            in_loop.extend(built[start:])
+            in_loop.extend([("_compile_prompt", None)] * (agents._compile_prompt.cache_info().misses - misses))
+
+    monkeypatch.setattr(cli, "run_loop", spied)
+    return built, in_loop
+
+
+@pytest.mark.parametrize("how", ["rule validator", "twin validator", "--record", "served plant"])
+def test_a_run_builds_no_plan_codec_or_prompt_renderer_inside_its_loop(tmp_path, capsys, monkeypatch, how):
+    config = CASE_CONFIG
+    if how == "twin validator":
+        config = write_config(tmp_path, {"run.validator": {"kind": "twin", "horizon": 120, "envelope": [20, 30]}})
+    argv = ["run", "--config", str(config), "--duration", "600", "--out", str(tmp_path / "r.jsonl")]
+    if how == "--record":
+        argv += ["--record", str(tmp_path / "t.jsonl")]
+    built, in_loop = builds_in_the_loop(monkeypatch)
+    with serving(TwinPlant(mode="lockstep")) if how == "served plant" else contextlib.nullcontext() as plant:
+        assert main(argv + (["--plant", plant] if plant else [])) == 0
+    assert in_loop == []
+    assert {("_WRITERS", EpisodeRecord), ("_WRITERS", AttemptRecord)} <= set(built)
+    assert (("_WRITERS", Exchange) in built) == (how == "--record")
+    assert len(read_run_log(tmp_path / "r.jsonl")[1]) > 50
+
+
+def test_a_report_builds_no_episode_writer(tmp_path, capsys):
+    log = tmp_path / "r.jsonl"
+    assert main(["run", "--config", str(CASE_CONFIG), "--duration", "600", "--out", str(log)]) == 0
+    script = """
+import sys
+from twinloop import cli, jsonio
+from twinloop.orchestrator import EpisodeRecord
+code = cli.main(["report", "--log", sys.argv[1]])
+print(code, EpisodeRecord in jsonio._READERS, EpisodeRecord in jsonio._WRITERS)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(log)], capture_output=True, text=True, timeout=60, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True False"
 
 
 # --- an odd input file is one error line and exit 2 ----------------------------

@@ -649,6 +649,44 @@ def test_a_tuple_of_items_of_two_annotations_has_no_writer():
         dumps_record(Mixed((1, "a")))
 
 
+def fresh_codec(monkeypatch) -> list:
+    """Give jsonio empty plan, reader and writer tables, as a fresh
+    interpreter holds them, each build spied on as in
+    :func:`test_each_record_class_is_planned_read_and_written_once`.
+    Returns the list each build appends its (table, class) to."""
+    built = []
+    for name in ("_PLANS", "_READERS", "_WRITERS"):
+        table = getattr(jsonio, name)
+        spied = lambda cls, name=name, build=table.build: built.append((name, cls)) or build(cls)
+        # a fresh table holds the writers of plain values
+        plain = {k: v for k, v in table.items() if not dataclasses.is_dataclass(k)}
+        monkeypatch.setattr(jsonio, name, jsonio._Table(spied, plain))
+    return built
+
+
+def test_a_record_file_builds_its_writer_as_it_opens(tmp_path, monkeypatch):
+    built = fresh_codec(monkeypatch)
+    path = tmp_path / "probes.jsonl"
+    writer = jsonio.RecordWriter(path, "probe file", Probe)
+    # the class and the record it nests, before any line
+    assert set(built) == {(table, cls) for table in ("_PLANS", "_WRITERS") for cls in (Probe, Sampled)}
+    assert path.read_text() == ""
+    record = Probe(HeaterAction.OFF, None, (Sampled(1, 0.5),), 2.0)
+    opened = list(built)
+    with writer:
+        for _ in range(2):
+            writer.write_line(dumps_record(record))
+    assert built == opened
+    assert [loads_record(line, Probe) for line in path.read_text().splitlines()] == [record, record]
+
+
+def test_a_record_class_without_a_writer_is_refused_before_its_file_opens(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    with pytest.raises(TypeError, match=r"^no JSON codec for fields of type tuple\[int, str\]$"):
+        jsonio.RecordWriter(path, "mixed file", Mixed)
+    assert not path.exists()
+
+
 @dataclasses.dataclass(frozen=True)
 class Tagged:
     tags: set[int]
@@ -888,7 +926,7 @@ def test_a_failed_write_closes_the_record_file_and_every_later_write_fails_alike
 
     monkeypatch.setattr(jsonio, "open", open_full, raising=False)
     path = tmp_path / "t.jsonl"
-    writer = jsonio.RecordWriter(path, "transcript")
+    writer = jsonio.RecordWriter(path, "transcript", Exchange)
     writer.write_line("{}")
     with pytest.raises(InvalidInput, match=r"^cannot write transcript .*: \[Errno 28\] No space left on device$"):
         writer.write_line('"full"')

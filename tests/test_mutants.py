@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
 spec = importlib.util.spec_from_file_location("mutants", TOOL)
@@ -42,6 +43,8 @@ def test_a_listed_mutant_excuses_one_of_two_identical_lines(tmp_path, monkeypatc
     (tmp_path / "twice.py").write_text("def f(x):\n    return x < 1\n\n\ndef g(x):\n    return x < 1\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_nothing.py").write_text("def test_nothing():\n    pass\n")
+    # the probe runs pytest under the suite's Hypothesis profile
+    (tmp_path / "tests" / "conftest.py").write_bytes((mutants.ROOT / "tests" / "conftest.py").read_bytes())
     monkeypatch.setattr(mutants, "ROOT", tmp_path)
     listed = ("twice.py", "return x [<] 1", "<=", 0)
     monkeypatch.setattr(mutants, "EQUIVALENT", {listed: "Only the first is listed."})
@@ -52,3 +55,7 @@ def test_a_listed_mutant_excuses_one_of_two_identical_lines(tmp_path, monkeypatc
         "survived: twice.py:2: return x [<] 1  -> <= (equivalent: Only the first is listed.)",
         "survived: twice.py:6: return x [<] 1  -> <=",
     ]
+
+
+def test_the_probe_profile_is_every_phase_but_the_shrink():
+    assert set(settings.get_profile("no-shrink").phases) == set(Phase) - {Phase.shrink}

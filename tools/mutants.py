@@ -8,6 +8,8 @@ comparison operator in it gives one mutant: ``<`` and ``<=``, ``>`` and
 Each mutant runs ``pytest -x`` over the tests at PATH (all of ``tests/`` by
 default) in a temporary copy of the tree, ``.git`` and caches left out, so
 that pytest's ``pythonpath = ["src"]`` loads the mutant, not the checkout.
+The tests run under ``tests/conftest.py``'s Hypothesis profile ``no-shrink``:
+a drawn test that fails stops at its first failing example.
 A mutant survives when every test passes; one that runs past a time-out
 (30 s plus five times the unmutated run) counts as killed.  ``--list``
 prints the mutants and runs nothing.
@@ -112,7 +114,8 @@ def mutants(module: str) -> list[Mutant]:
 def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
     """``passed``, ``failed`` or ``timed out``: the tests in ``copy``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-profile", "no-shrink", *tests]
     try:
         code = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=timeout).returncode
